@@ -5,15 +5,19 @@ a degree.  At a level n the lattice collects every subspace of bounded
 codimension obtainable by intersecting preimages of generators along
 injections into n, ordered by reverse inclusion and ranked by codimension.
 
-Construction seeds the lattice with all generator preimages and then closes
-under pairwise intersection with codimension pruning; the closure is
-confluent, so the result does not depend on iteration order.  Elements are
-canonically sorted by (codim, serialization), which fixes every downstream
-output byte for byte.
+The generator preimages are the atoms.  Every element is the intersection of
+the atoms containing it, and X is contained in Y exactly when atoms(Y) is a
+subset of atoms(X).  Construction therefore intersects each element with each
+atom only, never with other elements, and the atoms of both sides pass to
+the meet, so the closure also yields every element's atom set.  The order is
+read off those sets as bitmask subset tests, without linear algebra.
+Elements are canonically sorted by (codim, serialization), which fixes every
+downstream output byte for byte.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -49,6 +53,9 @@ class LatticeError(RuntimeError):
 
 
 Witness = tuple[tuple[int, Injection], ...]
+"""The atom set of an element.  Each atom is named by the first
+``(generator index, injection)`` in ``enumerate_injections`` order whose
+preimage it is, and the atoms are listed in order of their serialization."""
 
 
 @dataclass(frozen=True)
@@ -115,8 +122,9 @@ class IntersectionLattice:
 
     Only positive-codimension subspaces are stored (the ambient space never
     is), deduplicated and sorted by (codim, serialization).  The poset order
-    is reverse inclusion and the rank function is codimension.  Instances are
-    immutable once built.
+    is reverse inclusion and the rank function is codimension.  Each
+    element's provenance is its full atom set (see ``Witness``), from which
+    the order is derived.  Instances are immutable once built.
     """
 
     __slots__ = (
@@ -146,15 +154,37 @@ class IntersectionLattice:
         self.provenance: tuple[Witness, ...] = tuple(provenance[i] for i in order)
         self.codims: tuple[int, ...] = tuple(e.codim for e in self.elements)
         self._index = {e.serialization: i for i, e in enumerate(self.elements)}
-        containing: list[tuple[int, ...]] = []
-        for i, low in enumerate(self.elements):
-            ups = [
+        # X strictly inside Y iff atoms(Y) is a proper subset of atoms(X)
+        bits: dict[tuple[int, Injection], int] = {}
+        masks = [
+            sum(1 << bits.setdefault(atom, len(bits)) for atom in witness)
+            for witness in self.provenance
+        ]
+        self._containing = tuple(
+            tuple(
                 j
-                for j, high in enumerate(self.elements)
-                if self.codims[j] < self.codims[i] and contains(high, low)
-            ]
-            containing.append(tuple(ups))
-        self._containing = tuple(containing)
+                for j in range(i)
+                if self.codims[j] < self.codims[i] and masks[j] & ~low == 0
+            )
+            for i, low in enumerate(masks)
+        )
+
+    def truncated(self, max_codim: int) -> "IntersectionLattice":
+        """The lattice of the same level cut off at a smaller codimension.
+
+        Atom sets do not depend on the cutoff, so this equals a fresh build
+        at ``max_codim`` in elements, provenance and order.
+        """
+        if not 1 <= max_codim <= self.max_codim:
+            raise ValueError("truncation must lie between 1 and max_codim")
+        keep = bisect.bisect_right(self.codims, max_codim)
+        return IntersectionLattice(
+            self.level,
+            max_codim,
+            self.r,
+            self.elements[:keep],
+            self.provenance[:keep],
+        )
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -240,56 +270,64 @@ def build_lattice(
 ) -> IntersectionLattice:
     """All arrangement subspaces of codim <= max_codim at level n, saturated.
 
+    The atoms are the distinct generator preimages of codim <= max_codim.
+    Elements are taken by increasing codim and each is intersected with every
+    atom not known to contain it; the meet is an element whose atom set holds
+    both.  This is complete under the cutoff because every partial
+    intersection of X's atoms contains X.  It also completes each atom set
+    before its element is taken: an atom A containing X reaches X through the
+    chain of partial intersections from A down to X, all of lower codim.  So
+    every intersection yields a smaller element or exceeds the cutoff.
     Intersecting any two stored elements yields a stored element or exceeds
     max_codim.  An empty lattice is legal (no injection from any generator
-    degree, or every seed already exceeds the cutoff).
+    degree, or every atom already exceeds the cutoff).
     """
     if max_codim < 1:
         raise ValueError("max_codim must be at least 1")
     if n.m != spec.m:
         raise ValueError("level has wrong number of factors")
-    known: dict[str, tuple[Subspace, Witness]] = {}
+    first: dict[str, tuple[Subspace, tuple[int, Injection]]] = {}
     for gi, (degree, sub) in enumerate(spec.generators):
         for f in enumerate_injections(degree, n):
             pre = preimage(induced_linear_map(f, spec.r), sub)
-            if pre.codim <= max_codim and pre.serialization not in known:
-                known[pre.serialization] = (pre, ((gi, f),))
-    frontier = sorted(known)
-    while frontier:
-        frontier_set = set(frontier)
-        everything = sorted(known)
-        new: dict[str, tuple[Subspace, Witness]] = {}
-        for sa in frontier:
-            a, wa = known[sa]
-            arows = list(a.constraints.entries)
-            for sb in everything:
-                if sb == sa:
+            if pre.codim <= max_codim:
+                first.setdefault(pre.serialization, (pre, (gi, f)))
+    atoms = [first[key] for key in sorted(first)]
+    found: dict[str, Subspace] = {}
+    masks: dict[str, int] = {}  # bit a set: atoms[a] contains the element
+    layers: list[list[str]] = [[] for _ in range(max_codim + 1)]
+
+    def record(x: Subspace, mask: int) -> None:
+        key = x.serialization
+        if key not in found:
+            found[key] = x
+            masks[key] = 0
+            layers[x.codim].append(key)
+        masks[key] |= mask
+
+    for a, (atom, _) in enumerate(atoms):
+        record(atom, 1 << a)
+    # Layers grow while iterated; every meet lands in a later layer.
+    for layer in layers:
+        for key in layer:
+            x = found[key]
+            xrows = list(x.constraints.entries)
+            for a, (atom, _) in enumerate(atoms):
+                if masks[key] >> a & 1:
                     continue
-                if sb in frontier_set and sb < sa:
-                    continue  # frontier pairs once
-                b, wb = known[sb]
                 reduced = _rref_rows(
-                    arows + list(b.constraints.entries),
-                    a.ambient_dim,
+                    xrows + list(atom.constraints.entries),
+                    x.ambient_dim,
                     max_rank=max_codim,
                 )
-                if reduced is None:
-                    continue
-                meet = Subspace(a.ambient_dim, RationalMatrix(tuple(reduced), a.ambient_dim))
-                key = meet.serialization
-                if key not in known and key not in new:
-                    seen = set()
-                    witness = tuple(
-                        w
-                        for w in wa + wb
-                        if not (w in seen or seen.add(w))
-                    )
-                    new[key] = (meet, witness)
-        known.update(new)
-        frontier = sorted(new)
-    elements = [known[s][0] for s in sorted(known)]
-    provenance = [known[s][1] for s in sorted(known)]
-    return IntersectionLattice(n, max_codim, spec.r, elements, provenance)
+                if reduced is not None:
+                    meet = Subspace(x.ambient_dim, RationalMatrix(tuple(reduced), x.ambient_dim))
+                    record(meet, masks[key] | 1 << a)
+    provenance = [
+        tuple(witness for a, (_, witness) in enumerate(atoms) if masks[key] >> a & 1)
+        for key in found
+    ]
+    return IntersectionLattice(n, max_codim, spec.r, list(found.values()), provenance)
 
 
 LatticeBuilder = Callable[[ArrangementSpec, MultiIndex, int], IntersectionLattice]

@@ -1,9 +1,11 @@
 """Content-addressed on-disk cache for intersection lattices.
 
 Files are keyed by a hash of (spec serialization, level, max_codim) and hold
-one element per line in canonical serialization, together with one witnessing
-provenance per element.  A payload checksum is stored alongside; a mismatch
-or parse failure makes the loader report a miss so the caller recomputes.
+one element per line in canonical serialization, together with the element's
+full atom set (see ``arrangement.Witness``).  The order is rebuilt from the
+atom sets, so a load does no linear algebra.  A payload checksum is stored
+alongside; a wrong format version, a checksum mismatch or a parse failure
+makes the loader report a miss so the caller recomputes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .arrangement import ArrangementSpec, IntersectionLattice, build_lattice
 from .exactlin import Subspace
 from .fim import Injection, MultiIndex
 
-_MAGIC = "arrstab-lattice v1"
+_MAGIC = "arrstab-lattice v2"
 _SUFFIX = ".lattice.txt"
 
 
@@ -115,7 +117,12 @@ def load(
 
 
 class CachingBuilder:
-    """Lattice builder with an in-memory memo and optional disk persistence."""
+    """Lattice builder with an in-memory memo and optional disk persistence.
+
+    A request below the codim of a lattice already memoised for the same
+    spec and level is served by truncating that lattice, so asking for the
+    largest codim first builds each level once.
+    """
 
     def __init__(self, cache_dir: Path | str | None = None):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
@@ -128,7 +135,12 @@ class CachingBuilder:
         lat = self._memo.get(key)
         if lat is not None:
             return lat
-        if self.cache_dir is not None:
+        above = [
+            c for s, lv, c in self._memo if s == key[0] and lv == level and c > max_codim
+        ]
+        if above:
+            lat = self._memo[(key[0], level, min(above))].truncated(max_codim)
+        elif self.cache_dir is not None:
             lat = load(self.cache_dir, spec, level, max_codim)
         if lat is None:
             lat = build_lattice(spec, level, max_codim)

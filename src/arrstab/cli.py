@@ -192,6 +192,8 @@ def list_catalog() -> str:
 def _level_worker(args):
     spec, level, i_max, want_betti, want_chars, cache_dir = args
     get = cache_mod.CachingBuilder(cache_dir)
+    if i_max >= 1:
+        get(spec, level, i_max)  # the top lattice first: lower codims truncate it
     payload = {"level": level, "betti": None, "characters": None}
     if want_betti:
         row = [1]
@@ -321,6 +323,9 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
         results["fit"] = fit_entries
 
     if "freeness" in config.outputs:
+        if config.i_max >= 1:
+            for level in levels:
+                get(spec, level, config.i_max)  # lower codims truncate these
         rows = []
         detail = []
         for i in range(config.i_max + 1):

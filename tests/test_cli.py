@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -247,6 +248,36 @@ def test_cache_roundtrip_preserves_lattice(tmp_path):
         e.serialization for e in lat.elements
     ]
     assert loaded.provenance == lat.provenance
+    assert [loaded.containing(i) for i in range(len(loaded))] == [
+        lat.containing(i) for i in range(len(lat))
+    ]
+
+
+def test_cache_v1_file_is_a_miss_and_rebuilt(tmp_path):
+    # v1 files stored one partial witness per element, which does not
+    # determine the order; a checksum-valid v1 file must not be trusted
+    spec = family_mkr(1, 2, 1)
+    lat = build_lattice(spec, mi((4,)), 4)
+    lines = [
+        f"{element.serialize()}\tg{witness[0][0]}@{witness[0][1].render()}"
+        for element, witness in zip(lat.elements, lat.provenance)
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    header = [
+        "arrstab-lattice v1",
+        "level=4",
+        "max_codim=4",
+        "r=1",
+        f"count={len(lines)}",
+        f"payload-sha256={digest}",
+    ]
+    path = tmp_path / f"{cache.lattice_key(spec, mi((4,)), 4)}.lattice.txt"
+    path.write_text("\n".join(header + lines) + "\n", encoding="utf-8")
+    assert cache.load(tmp_path, spec, mi((4,)), 4) is None
+    rebuilt = cache.CachingBuilder(tmp_path)(spec, mi((4,)), 4)
+    assert rebuilt.provenance == lat.provenance
+    assert read(path).startswith("arrstab-lattice v2\n")
+    assert cache.load(tmp_path, spec, mi((4,)), 4).provenance == lat.provenance
 
 
 def test_cache_miss_on_other_parameters(tmp_path):
