@@ -10,8 +10,11 @@ the atoms containing it, and X is contained in Y exactly when atoms(Y) is a
 subset of atoms(X).  Construction therefore intersects each element with each
 atom only, never with other elements, and the atoms of both sides pass to
 the meet, so the closure also yields every element's atom set.  The order is
-read off those sets as bitmask subset tests, without linear algebra.
-Elements are canonically sorted by (codim, serialization), which fixes every
+read off those sets as bitmask subset tests, without linear algebra.  A point
+permutation maps atoms to atoms, so it acts on the lattice by permuting the
+atoms (one reduction each) and relabelling every element's atom mask, and
+orbits are closed under one transposition and one n-cycle per factor rather
+than walked over the whole group.  Elements are canonically sorted by (codim, serialization), which fixes every
 downstream output byte for byte.
 """
 
@@ -28,7 +31,7 @@ from .exactlin import (
     _rref_rows,
     contains,
     direct_image,
-    preimage,
+    scatter_columns,
     subspace_from_constraints,
 )
 from .fim import (
@@ -41,9 +44,10 @@ from .fim import (
     coordinate_permutation,
     degree_times,
     enumerate_injections,
+    group_order,
     induced_linear_map,
     kernel_subspace,
-    perm_tuples,
+    pullback,
 )
 from .homology import RankedPoset
 
@@ -123,8 +127,9 @@ class IntersectionLattice:
     Only positive-codimension subspaces are stored (the ambient space never
     is), deduplicated and sorted by (codim, serialization).  The poset order
     is reverse inclusion and the rank function is codimension.  Each
-    element's provenance is its full atom set (see ``Witness``), from which
-    the order is derived.  Instances are immutable once built.
+    element's provenance is its full atom set (see ``Witness``), kept as a
+    bitmask from which the order and the group action are derived.
+    Instances are immutable once built.
     """
 
     __slots__ = (
@@ -136,6 +141,8 @@ class IntersectionLattice:
         "codims",
         "_containing",
         "_index",
+        "_by_mask",
+        "_atom_elements",
     )
 
     def __init__(
@@ -154,12 +161,22 @@ class IntersectionLattice:
         self.provenance: tuple[Witness, ...] = tuple(provenance[i] for i in order)
         self.codims: tuple[int, ...] = tuple(e.codim for e in self.elements)
         self._index = {e.serialization: i for i, e in enumerate(self.elements)}
-        # X strictly inside Y iff atoms(Y) is a proper subset of atoms(X)
+        # Bit a stands for an atom; it first appears on its lowest-codim
+        # element, which is the atom itself.
         bits: dict[tuple[int, Injection], int] = {}
-        masks = [
-            sum(1 << bits.setdefault(atom, len(bits)) for atom in witness)
-            for witness in self.provenance
-        ]
+        atom_elements: list[int] = []
+        masks = []
+        for idx, witness in enumerate(self.provenance):
+            mask = 0
+            for atom in witness:
+                if atom not in bits:
+                    bits[atom] = len(bits)
+                    atom_elements.append(idx)
+                mask |= 1 << bits[atom]
+            masks.append(mask)
+        self._atom_elements: tuple[int, ...] = tuple(atom_elements)
+        self._by_mask = {mask: idx for idx, mask in enumerate(masks)}
+        # X strictly inside Y iff atoms(Y) is a proper subset of atoms(X)
         self._containing = tuple(
             tuple(
                 j
@@ -231,38 +248,38 @@ class IntersectionLattice:
     def permute_element(self, g: PermTuple, idx: int) -> Subspace:
         """The image of element ``idx`` under the point permutation g."""
         perm = coordinate_permutation(g, self.r)
-        inverse = [0] * len(perm)
-        for src, dst in enumerate(perm):
-            inverse[dst] = src
-        rows = [
-            [row[inverse[b]] for b in range(len(perm))]
-            for row in self.elements[idx].constraints.entries
-        ]
-        reduced = _rref_rows(rows, len(perm))
-        assert reduced is not None
-        return Subspace(len(perm), RationalMatrix(tuple(reduced), len(perm)))
+        return scatter_columns(self.elements[idx], perm, len(perm))
 
     def act(self, g: PermTuple) -> tuple[int, ...]:
-        """The permutation of element indices induced by g; order preserving."""
+        """The permutation of element indices induced by g; order preserving.
+
+        g maps atoms to atoms, and an element is the intersection of its
+        atoms, so only the atoms are permuted by linear algebra; every other
+        element follows by relabelling the bits of its atom mask.
+        """
         if g.level != self.level:
             raise ValueError("permutation level does not match lattice level")
-        out = []
-        for idx in range(len(self.elements)):
-            image = self.permute_element(g, idx)
-            pos = self._index.get(image.serialization)
+        bit_of = {idx: a for a, idx in enumerate(self._atom_elements)}
+        images = []
+        for idx in self._atom_elements:
+            pos = self._index.get(self.permute_element(g, idx).serialization)
+            if pos not in bit_of:
+                raise LatticeError("group action left the lattice; lattice corrupted")
+            images.append(1 << bit_of[pos])
+        out = [-1] * len(self.elements)
+        for mask, idx in self._by_mask.items():
+            image = 0
+            while mask:
+                low = mask & -mask
+                image |= images[low.bit_length() - 1]
+                mask ^= low
+            pos = self._by_mask.get(image)
             if pos is None:
                 raise LatticeError("group action left the lattice; lattice corrupted")
-            out.append(pos)
+            out[idx] = pos
+        if set(out) != set(range(len(out))):
+            raise LatticeError("group action is not a bijection; lattice corrupted")
         return tuple(out)
-
-
-def act(g: PermTuple, lat: IntersectionLattice) -> tuple[int, ...]:
-    """Permutation of lat.elements induced by g (rank and order preserving)."""
-    return lat.act(g)
-
-
-def lower_interval(lat: IntersectionLattice, x: Subspace | int) -> RankedPoset:
-    return lat.lower_interval(x)
 
 
 def build_lattice(
@@ -289,7 +306,7 @@ def build_lattice(
     first: dict[str, tuple[Subspace, tuple[int, Injection]]] = {}
     for gi, (degree, sub) in enumerate(spec.generators):
         for f in enumerate_injections(degree, n):
-            pre = preimage(induced_linear_map(f, spec.r), sub)
+            pre = pullback(f, spec.r, sub)
             if pre.codim <= max_codim:
                 first.setdefault(pre.serialization, (pre, (gi, f)))
     atoms = [first[key] for key in sorted(first)]
@@ -458,17 +475,36 @@ class PrimitiveClass:
         return self.subspace.codim
 
 
+def _group_generators(level: MultiIndex) -> list[PermTuple]:
+    """A transposition and an n-cycle in each factor of size n >= 2; they
+    generate the whole automorphism group of ``level``."""
+    gens = []
+    for j, n in enumerate(level):
+        if n < 2:
+            continue
+        swap = (1, 0) + tuple(range(2, n))
+        cycle = tuple(range(1, n)) + (0,)
+        for perm in (swap,) if n == 2 else (swap, cycle):
+            perms = [tuple(range(k)) for k in level]
+            perms[j] = perm
+            gens.append(PermTuple(tuple(perms)))
+    return gens
+
+
 def orbit_of(lat: IntersectionLattice, idx: int) -> tuple[tuple[int, ...], int]:
-    """Indices of the group orbit of element ``idx`` and its stabilizer order."""
-    members = set()
-    stab = 0
-    for g in perm_tuples(lat.level):
-        image = lat.permute_element(g, idx)
-        pos = lat.index_of(image)
-        members.add(pos)
-        if pos == idx:
-            stab += 1
-    return tuple(sorted(members)), stab
+    """Indices of the group orbit of element ``idx`` and its stabilizer order.
+
+    The orbit is the closure of ``idx`` under the element permutations of
+    the group generators; the stabilizer order is |G| / |orbit|.
+    """
+    sigmas = [lat.act(g) for g in _group_generators(lat.level)]
+    members = {idx}
+    frontier = [idx]
+    while frontier:
+        images = {sigma[x] for x in frontier for sigma in sigmas} - members
+        members |= images
+        frontier = list(images)
+    return tuple(sorted(members)), group_order(lat.level) // len(members)
 
 
 def primitive_classes(
@@ -551,7 +587,7 @@ def orbit_decomposition(
         if not cls.degree.leq(lat.level):
             continue
         for f in enumerate_injections(cls.degree, lat.level):
-            pre = preimage(induced_linear_map(f, lat.r), cls.subspace)
+            pre = pullback(f, lat.r, cls.subspace)
             table.setdefault(pre.serialization, []).append(
                 (ci, binomial_class_key(f))
             )
@@ -605,10 +641,9 @@ def verify_downward_stability(
     for f in enumerate_injections(c, d):
         reps.setdefault(binomial_class_key(f), f)
     for f in reps.values():
-        fmap = induced_linear_map(f, spec.r)
         image_index: dict[int, int] = {}
         for idx in range(len(lat_c)):
-            img = preimage(fmap, lat_c.elements[idx])
+            img = pullback(f, spec.r, lat_c.elements[idx])
             if img not in lat_d:
                 failures.append(
                     f"injection {f.render()}: image of element {idx} missing at {d.render()}"

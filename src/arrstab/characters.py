@@ -25,7 +25,7 @@ from .arrangement import (
     orbit_of,
     primitive_classes,
 )
-from .exactlin import _rref_rows, format_rational
+from .exactlin import _rref_rows
 from .fim import (
     ConjClass,
     MultiIndex,
@@ -233,11 +233,11 @@ class CharacterPolynomial:
             body = "*".join(factors)
             mag = abs(coeff)
             if not body:
-                text = format_rational(mag)
+                text = str(mag)
             elif mag == 1:
                 text = body
             else:
-                text = f"{format_rational(mag)}*{body}"
+                text = f"{mag}*{body}"
             pieces.append((coeff < 0, text))
         first_neg, first = pieces[0]
         out = ("-" if first_neg else "") + first
@@ -271,11 +271,6 @@ class CharacterPolynomial:
 
     def __repr__(self):
         return f"CharacterPolynomial({self.render()!r})"
-
-
-def evaluate(p: CharacterPolynomial, c: ConjClass) -> Fraction:
-    """Substitute cycle-count multiplicities of the class into p."""
-    return p.evaluate(c)
 
 
 def _monomials_within(bound: MultiIndex) -> list[Monomial]:
@@ -393,11 +388,11 @@ def binomial_basis_form(p: CharacterPolynomial) -> str:
         body = "*".join(factors)
         mag = abs(coeff)
         if not body:
-            text = format_rational(mag)
+            text = str(mag)
         elif mag == 1:
             text = body
         else:
-            text = f"{format_rational(mag)}*{body}"
+            text = f"{mag}*{body}"
         pieces.append((coeff < 0, text))
     if not pieces:
         return "0"
@@ -413,16 +408,20 @@ def character_of_cohomology(
     n: MultiIndex,
     i: int,
     get_lattice: LatticeBuilder = build_lattice,
+    homology: LatticeHomology | None = None,
 ) -> ClassFunction:
     """The character of Aut(n) on H^i of the complement at level n.
 
     H^0 is the trivial character (complex arrangement complements are
-    connected); higher degrees evaluate one equivariant trace per class.
+    connected); higher degrees evaluate one equivariant trace per class, and
+    the identity class is the Betti number.  ``homology`` may be a context on
+    any lattice of level n and codim at least i, shared between degrees so
+    that each class acts on the lattice once; otherwise one is made on the
+    codim-i lattice.
     """
     if i == 0:
         return trivial_character(n)
-    lat = get_lattice(spec, n, max(1, i))
-    ctx = LatticeHomology(lat)
+    ctx = homology if homology is not None else LatticeHomology(get_lattice(spec, n, i))
     values: dict[ConjClass, Fraction] = {}
     for c in conj_classes(n):
         if c.is_identity():
@@ -449,12 +448,6 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
 def tensor_char(a: ClassFunction, b: ClassFunction) -> ClassFunction:
     """Pointwise product: the character of the tensor representation."""
     return _pointwise(a, b, lambda x, y: x * y)
-
-
-def dual_char(a: ClassFunction) -> ClassFunction:
-    """Value at the inverse class; the identity map on these real characters,
-    kept as an operation so the twisted-Betti contract stays explicit."""
-    return ClassFunction(a.level, dict(a.values))
 
 
 def _sub_cycle_multisets(
@@ -540,17 +533,18 @@ class FreenessReport:
 def verify_free_decomposition(
     spec: ArrangementSpec,
     i: int,
-    levels: Sequence[MultiIndex],
+    characters: Mapping[MultiIndex, ClassFunction],
     get_lattice: LatticeBuilder = build_lattice,
 ) -> FreenessReport:
     """Check H^i decomposes as induced modules over primitive classes.
 
     Each contributing class generates, at its own degree, the trace character
     of its stabilizer orbit on the local homology; summing the induced
-    characters over classes must reproduce the cohomology character at every
-    requested level.  Class degrees are also checked against i times the top
-    generator degree.
+    characters over classes must reproduce ``characters``, the character of
+    H^i at each level it holds, in its order.  Class degrees are also checked
+    against i times the top generator degree.
     """
+    levels = list(characters)
     bound = degree_times(i, spec.cmax)
     summaries: list[FreenessClassSummary] = []
     if i == 0:
@@ -592,10 +586,7 @@ def verify_free_decomposition(
             )
             for level in levels
         }
-    matches = []
-    for level in levels:
-        actual = character_of_cohomology(spec, level, i, get_lattice)
-        matches.append((level, actual == expected[level]))
+    matches = [(level, characters[level] == expected[level]) for level in levels]
     return FreenessReport(i, tuple(summaries), tuple(matches), bound)
 
 
@@ -612,8 +603,12 @@ def invariants_dim(chi: ClassFunction) -> int:
 
 
 def twisted_betti(chi_h: ClassFunction, chi_n: ClassFunction) -> Fraction:
-    """Sheaf Betti number of the quotient with coefficients of character chi_n."""
-    return inner_product(dual_char(chi_h), chi_n)
+    """Sheaf Betti number of the quotient with coefficients of character chi_n.
+
+    This pairs chi_n with the dual of chi_h, which is chi_h itself: g and its
+    inverse have the same cycle type.
+    """
+    return inner_product(chi_h, chi_n)
 
 
 @cache

@@ -3,8 +3,9 @@
 Reports are CSV tables plus one machine-readable JSON sidecar per run, all
 byte-deterministic so a warm cache reproduces them exactly.  Exit status is 0
 on success, 2 when a falsification finding is present (fit inconsistency,
-freeness mismatch, stability onset later than predicted), and 1 on usage or
-configuration errors.
+freeness mismatch, stability onset later than predicted), 1 on usage or
+configuration errors, and 3 when the engine fails an internal consistency
+check (``LatticeError``, e.g. a corrupted lattice).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .characters import (
     twisted_betti,
     verify_free_decomposition,
 )
-from .exactlin import format_rational
 from .fim import MultiIndex, conj_classes, degree_add, degree_times
 from .homology import LatticeHomology
 
@@ -192,18 +192,17 @@ def list_catalog() -> str:
 def _level_worker(args):
     spec, level, i_max, want_betti, want_chars, cache_dir = args
     get = cache_mod.CachingBuilder(cache_dir)
-    if i_max >= 1:
-        get(spec, level, i_max)  # the top lattice first: lower codims truncate it
+    # One context on the top lattice serves every degree: the elements of
+    # lower codim are its prefix, and each class acts on it once.
+    ctx = LatticeHomology(get(spec, level, i_max)) if i_max >= 1 else None
     payload = {"level": level, "betti": None, "characters": None}
     if want_betti:
-        row = [1]
-        if i_max >= 1:
-            ctx = LatticeHomology(get(spec, level, max(1, i_max)))
-            row.extend(ctx.betti_report(i).total for i in range(1, i_max + 1))
-        payload["betti"] = row
+        payload["betti"] = [1] + [
+            ctx.betti_report(i).total for i in range(1, i_max + 1)
+        ]
     if want_chars:
         payload["characters"] = {
-            i: character_of_cohomology(spec, level, i, get)
+            i: character_of_cohomology(spec, level, i, get, ctx)
             for i in range(i_max + 1)
         }
     return payload
@@ -211,7 +210,7 @@ def _level_worker(args):
 
 def _jsonable(value):
     if isinstance(value, Fraction):
-        return format_rational(value)
+        return str(value)
     if isinstance(value, MultiIndex):
         return value.render()
     if isinstance(value, dict):
@@ -231,7 +230,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _cell(value) -> str:
     if isinstance(value, Fraction):
-        return format_rational(value)
+        return str(value)
     if isinstance(value, MultiIndex):
         return value.render()
     if isinstance(value, bool):
@@ -256,7 +255,8 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
     results: dict[str, object] = {}
 
     want_chars = bool(
-        {"characters", "fit", "stability", "twisted"} & set(config.outputs)
+        {"characters", "fit", "freeness", "stability", "twisted"}
+        & set(config.outputs)
     )
     want_betti = "betti" in config.outputs
     payloads = []
@@ -330,7 +330,10 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
         detail = []
         for i in range(config.i_max + 1):
             log(f"freeness check i={i}")
-            report = verify_free_decomposition(spec, i, levels, get)
+            characters = {
+                level: by_level[level]["characters"][i] for level in levels
+            }
+            report = verify_free_decomposition(spec, i, characters, get)
             for level, ok in report.level_matches:
                 rows.append([i, level, ok])
                 if not ok:
@@ -564,12 +567,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.jobs < 1:
             raise ConfigError("--jobs must be at least 1")
         return run(config, jobs=args.jobs, verbose=args.verbose)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (LatticeError, ValueError) as exc:
-        # engine-level precondition failures (e.g. a spec that is not normal
-        # where an operation requires it) are input problems, not findings
+    except LatticeError as exc:
+        # an engine invariant failed (e.g. a corrupted lattice): not the
+        # user's input, and not a finding
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        # config errors, and engine-level precondition failures (e.g. a spec
+        # that is not normal where an operation requires it), are input
+        # problems, not findings
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

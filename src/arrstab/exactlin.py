@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -32,11 +30,6 @@ def _coerce(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
-
-
-def format_rational(value: Fraction) -> str:
-    """Render as 'p/q', or plain 'p' when the denominator is one."""
-    return str(value)
 
 
 def _rref_rows(
@@ -298,7 +291,7 @@ class Subspace:
     @cached_property
     def serialization(self) -> str:
         rows = ";".join(
-            ",".join(format_rational(e) for e in row) for row in self.constraints.entries
+            ",".join(map(str, row)) for row in self.constraints.entries
         )
         return f"{self.ambient_dim}:{rows}"
 
@@ -364,6 +357,26 @@ def intersect(a: Subspace, b: Subspace, max_codim: int | None = None) -> Subspac
     if reduced is None:
         return None
     return Subspace(a.ambient_dim, RationalMatrix(tuple(reduced), a.ambient_dim))
+
+
+def scatter_columns(x: Subspace, columns: Sequence[int], n: int) -> Subspace:
+    """The subspace of Q^n cut out by x's constraints with column k moved to
+    ``columns[k]`` and zeros elsewhere, canonically reduced.
+
+    When ``columns`` permutes range(n) this is the image of x under that
+    coordinate permutation; when it is injective it is the preimage of x
+    under the selection v -> (v[columns[k]])_k, with no selection matrix
+    formed.
+    """
+    rows = []
+    for row in x.constraints.entries:
+        out = [_ZERO] * n
+        for value, col in zip(row, columns):
+            out[col] = value
+        rows.append(out)
+    reduced = _rref_rows(rows, n)
+    assert reduced is not None
+    return Subspace(n, RationalMatrix(tuple(reduced), n))
 
 
 def contains(a: Subspace, b: Subspace) -> bool:

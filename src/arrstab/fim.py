@@ -3,8 +3,10 @@
 Objects are m-tuples of nonnegative integers; morphisms are tuples of
 injective maps between the corresponding finite sets.  The contravariant
 functor sending an object n to the coordinate space (Q^r)^n turns every
-injection into a surjective selection matrix and every permutation tuple into
-a block permutation matrix.
+injection into a surjective coordinate selection and every permutation tuple
+into a coordinate permutation.  On subspaces both act by relabelling the
+columns of the constraint matrix (``exactlin.scatter_columns``), with no
+matrix product.
 
 Coordinates of V^n with V = Q^r are ordered block-major: factor j, then point
 index within the factor, then vector component.  Points and components are
@@ -20,7 +22,13 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
-from .exactlin import LinearMap, RationalMatrix, Subspace, subspace_from_constraints
+from .exactlin import (
+    LinearMap,
+    RationalMatrix,
+    Subspace,
+    scatter_columns,
+    subspace_from_constraints,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -159,6 +167,17 @@ def binomial_class_key(f: Injection) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(imgs)) for imgs in f.images)
 
 
+def injection_coordinates(f: Injection, r: int) -> tuple[int, ...]:
+    """The target coordinate that f selects for each source coordinate."""
+    level = f.target
+    return tuple(
+        coord_index(level, r, j, image_point, t)
+        for j, imgs in enumerate(f.images)
+        for image_point in imgs
+        for t in range(r)
+    )
+
+
 def induced_linear_map(f: Injection, r: int) -> LinearMap:
     """The surjection (Q^r)^target -> (Q^r)^source selecting f's coordinates."""
     src_level = f.source
@@ -173,6 +192,17 @@ def induced_linear_map(f: Injection, r: int) -> LinearMap:
                 row[coord_index(tgt_level, r, j, image_point, t)] = _ONE
                 rows.append(tuple(row))
     return LinearMap(RationalMatrix(tuple(rows), ncols))
+
+
+def pullback(f: Injection, r: int, x: Subspace) -> Subspace:
+    """The preimage of x under the surjection induced by f.
+
+    Equal to ``preimage(induced_linear_map(f, r), x)``, computed by moving
+    x's constraint columns to the coordinates f selects.
+    """
+    if x.ambient_dim != ambient_dim(f.source, r):
+        raise ValueError("subspace does not live at the injection's source")
+    return scatter_columns(x, injection_coordinates(f, r), ambient_dim(f.target, r))
 
 
 def kernel_subspace(f: Injection, r: int) -> Subspace:
@@ -358,26 +388,4 @@ def class_representative(c: ConjClass) -> PermTuple:
 
 def coordinate_permutation(g: PermTuple, r: int) -> tuple[int, ...]:
     """The permutation of block-major coordinates induced by g."""
-    level = g.level
-    n = ambient_dim(level, r)
-    out = [0] * n
-    for j, p in enumerate(g.perms):
-        for i in range(len(p)):
-            for t in range(r):
-                out[coord_index(level, r, j, i, t)] = coord_index(
-                    level, r, j, p[i], t
-                )
-    return tuple(out)
-
-
-def act_on_vector(g: PermTuple, r: int) -> LinearMap:
-    """Block permutation matrix permuting points within each factor.
-
-    Satisfies matrix(g o h) = matrix(g) . matrix(h).
-    """
-    perm = coordinate_permutation(g, r)
-    n = len(perm)
-    rows = [[_ZERO] * n for _ in range(n)]
-    for src, dst in enumerate(perm):
-        rows[dst][src] = _ONE
-    return LinearMap(RationalMatrix(tuple(tuple(row) for row in rows), n))
+    return injection_coordinates(Injection(g.perms, g.level), r)

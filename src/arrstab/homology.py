@@ -218,8 +218,11 @@ class LatticeHomology:
     """Per-lattice computation context with memoized local homology data.
 
     The lattice itself stays immutable; this object only caches derived
-    complexes, Betti numbers and homology bases so that repeated Betti and
-    trace queries (one per conjugacy class, say) share the linear algebra.
+    complexes, Betti numbers, homology bases and element permutations so that
+    repeated Betti and trace queries (one per conjugacy class and degree,
+    say) share the linear algebra.  Queries in degree i only read elements of
+    codim at most i, which form a prefix of the lattice, so one context on a
+    level's top lattice serves every lower degree.
     """
 
     def __init__(self, lat: "IntersectionLattice"):
@@ -227,6 +230,13 @@ class LatticeHomology:
         self._intervals: dict[int, tuple[tuple[int, ...], OrderComplex]] = {}
         self._betti: dict[tuple[int, int], int] = {}
         self._homology: dict[tuple[int, int], tuple | None] = {}
+        self._actions: dict[PermTuple, tuple[int, ...]] = {}
+
+    def action(self, g: PermTuple) -> tuple[int, ...]:
+        """The element permutation of g, computed once per context."""
+        if g not in self._actions:
+            self._actions[g] = self.lattice.act(g)
+        return self._actions[g]
 
     def interval(self, idx: int) -> tuple[tuple[int, ...], OrderComplex]:
         cached = self._intervals.get(idx)
@@ -315,7 +325,7 @@ class LatticeHomology:
             raise ValueError(
                 f"lattice truncated at codimension {lat.max_codim}, need {i}"
             )
-        sigma = lat.act(g)
+        sigma = self.action(g)
         lo, hi = _codim_window(i)
         pool = range(len(lat.elements)) if members is None else members
         total = Fraction(0)

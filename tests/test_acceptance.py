@@ -157,7 +157,10 @@ def test_criterion_8_degree_bound_and_freeness(braid, get_lattice):
     with criterion(8, "braid free decompositions hold with degrees <= 2i"):
         levels = [mi((n,)) for n in range(2, 7)]
         for i in range(4):
-            report = verify_free_decomposition(braid, i, levels, get_lattice)
+            chars = {
+                lv: character_of_cohomology(braid, lv, i, get_lattice) for lv in levels
+            }
+            report = verify_free_decomposition(braid, i, chars, get_lattice)
             assert report.passed
             for cls in report.classes:
                 assert cls.degree.leq(mi((2 * i,)))

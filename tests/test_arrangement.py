@@ -11,7 +11,6 @@ from arrstab.arrangement import (
     build_lattice,
     family_mkr,
     is_primitive,
-    lower_interval,
     normalize,
     orbit_decomposition,
     primitive_classes,
@@ -128,7 +127,7 @@ def test_lattice_truncation_saturation(braid, get_lattice):
 def test_lower_interval_of_diagonal(braid, get_lattice):
     lat = get_lattice(braid, mi((3,)), 3)
     diag = partition_subspace([[0, 1, 2]], 3)
-    poset = lower_interval(lat, lat.index_of(diag))
+    poset = lat.lower_interval(lat.index_of(diag))
     assert poset.size == 3
     assert not poset.less  # three hyperplanes form an antichain
 
@@ -136,13 +135,13 @@ def test_lower_interval_of_diagonal(braid, get_lattice):
 def test_lower_interval_of_hyperplane_is_empty(braid, get_lattice):
     lat = get_lattice(braid, mi((3,)), 3)
     hyper = partition_subspace([[0, 1]], 3)
-    assert lower_interval(lat, lat.index_of(hyper)).size == 0
+    assert lat.lower_interval(lat.index_of(hyper)).size == 0
 
 
 def test_lower_interval_in_pi4(braid, get_lattice):
     lat = get_lattice(braid, mi((4,)), 4)
     x = partition_subspace([[0, 1, 2]], 4)
-    poset = lower_interval(lat, lat.index_of(x))
+    poset = lat.lower_interval(lat.index_of(x))
     assert poset.size == 3
     assert all(r == 1 for r in poset.ranks)
 

@@ -11,8 +11,6 @@ from arrstab.characters import (
     FitUnderdeterminedError,
     binomial_basis_form,
     character_of_cohomology,
-    dual_char,
-    evaluate,
     fit_character_polynomial,
     induction_character,
     inner_product,
@@ -25,7 +23,14 @@ from arrstab.characters import (
     twisted_betti,
     verify_free_decomposition,
 )
-from arrstab.fim import ConjClass, MultiIndex, conj_classes, group_order, partitions
+from arrstab.fim import (
+    ConjClass,
+    MultiIndex,
+    class_representative,
+    conj_classes,
+    group_order,
+    partitions,
+)
 
 mi = MultiIndex
 
@@ -35,19 +40,19 @@ def X(k, j=1, m=1):
 
 
 def test_evaluate_counts_cycles():
-    assert evaluate(X(2), ConjClass(((2, 2, 1),))) == 2
+    assert X(2).evaluate(ConjClass(((2, 2, 1),))) == 2
 
 
 def test_evaluate_product_across_factors():
     p = X(1, 1, 2) * X(1, 2, 2)
-    assert evaluate(p, ConjClass(((1, 1), (1,)))) == 2
+    assert p.evaluate(ConjClass(((1, 1), (1,)))) == 2
 
 
 def test_evaluate_binomial_combination():
     p = X(1) * (X(1) - 1) / 2 + X(2)
-    assert evaluate(p, ConjClass(((2, 1),))) == 1
-    assert evaluate(p, ConjClass(((1, 1, 1),))) == 3
-    assert evaluate(p, ConjClass(((3,),))) == 0
+    assert p.evaluate(ConjClass(((2, 1),))) == 1
+    assert p.evaluate(ConjClass(((1, 1, 1),))) == 3
+    assert p.evaluate(ConjClass(((3,),))) == 0
 
 
 def test_polynomial_render_and_parse_roundtrip():
@@ -184,7 +189,10 @@ def test_tensor_and_dual(braid, get_lattice):
     assert tensor_char(trivial_character(lv), chi) == chi
     x1 = X(1).as_class_function(lv)
     assert tensor_char(x1, x1).identity_value == 9
-    assert dual_char(chi) == chi
+    # the dual takes the value at the inverse class, which is the class itself
+    for c in conj_classes(lv):
+        inverse = class_representative(c).inverse().conjugacy_class()
+        assert chi(inverse) == chi(c)
 
 
 def test_induction_character_points():
@@ -215,9 +223,11 @@ def test_induction_character_unreachable_level():
 
 
 def test_free_decomposition_braid_h1(braid, get_lattice):
-    report = verify_free_decomposition(
-        braid, 1, [mi((3,)), mi((4,)), mi((5,))], get_lattice
-    )
+    chars = {
+        lv: character_of_cohomology(braid, lv, 1, get_lattice)
+        for lv in [mi((3,)), mi((4,)), mi((5,))]
+    }
+    report = verify_free_decomposition(braid, 1, chars, get_lattice)
     assert report.passed
     assert [c.degree for c in report.classes] == [mi((2,))]
     chi_gen = report.classes[0].generator_character
@@ -225,14 +235,22 @@ def test_free_decomposition_braid_h1(braid, get_lattice):
 
 
 def test_free_decomposition_braid_h2(braid, get_lattice):
-    report = verify_free_decomposition(braid, 2, [mi((4,)), mi((5,))], get_lattice)
+    chars = {
+        lv: character_of_cohomology(braid, lv, 2, get_lattice)
+        for lv in [mi((4,)), mi((5,))]
+    }
+    report = verify_free_decomposition(braid, 2, chars, get_lattice)
     assert report.passed
     assert [c.degree for c in report.classes] == [mi((3,)), mi((4,))]
 
 
 def test_free_decomposition_k_equals_degree_bound(get_lattice):
     spec = family_mkr(1, 3, 1)
-    report = verify_free_decomposition(spec, 1, [mi((3,)), mi((4,))], get_lattice)
+    chars = {
+        lv: character_of_cohomology(spec, lv, 1, get_lattice)
+        for lv in [mi((3,)), mi((4,))]
+    }
+    report = verify_free_decomposition(spec, 1, chars, get_lattice)
     assert report.passed
     assert report.degree_bound == mi((3,))
     assert all(c.degree.leq(mi((3,))) for c in report.classes)
@@ -242,8 +260,18 @@ def test_free_decomposition_two_factor(get_lattice):
     spec = family_mkr(2, 1, 1)
     levels = [mi((2, 2)), mi((3, 2)), mi((3, 3))]
     for i in (1, 2):
-        report = verify_free_decomposition(spec, i, levels, get_lattice)
+        chars = {lv: character_of_cohomology(spec, lv, i, get_lattice) for lv in levels}
+        report = verify_free_decomposition(spec, i, chars, get_lattice)
         assert report.passed
+
+
+def test_free_decomposition_flags_a_wrong_character(braid, get_lattice):
+    levels = [mi((3,)), mi((4,))]
+    chars = {lv: character_of_cohomology(braid, lv, 1, get_lattice) for lv in levels}
+    chars[mi((4,))] = trivial_character(mi((4,)))
+    report = verify_free_decomposition(braid, 1, chars, get_lattice)
+    assert report.level_matches == ((mi((3,)), True), (mi((4,)), False))
+    assert not report.passed
 
 
 def test_invariants_dim(braid, get_lattice):

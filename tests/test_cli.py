@@ -280,6 +280,27 @@ def test_cache_v1_file_is_a_miss_and_rebuilt(tmp_path):
     assert cache.load(tmp_path, spec, mi((4,)), 4).provenance == lat.provenance
 
 
+def test_lattice_missing_an_orbit_member_exits_three(tmp_path, capsys):
+    # a checksum-valid cache file that lost one element: the group action
+    # leaves the lattice, an internal error rather than a usage error
+    config = write_config(tmp_path, outputs=["betti", "characters"])
+    cache_dir = tmp_path / "cache"
+    spec = family_mkr(1, 2, 1)
+    lat = build_lattice(spec, mi((4,)), 2)
+    path = cache.store(cache_dir, spec, lat)
+    raw = read(path).splitlines()
+    lines = [line for line in raw[6:] if not line.startswith(lat.elements[-1].serialize() + "\t")]
+    assert len(lines) == len(lat) - 1
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    header = raw[:4] + [f"count={len(lines)}", f"payload-sha256={digest}"]
+    path.write_text("\n".join(header + lines) + "\n", encoding="utf-8")
+    assert len(cache.load(cache_dir, spec, mi((4,)), 2)) == len(lat) - 1
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(config), "--cache", str(cache_dir), "--out", str(out)])
+    assert code == 3
+    assert "internal error: group action left the lattice" in capsys.readouterr().err
+
+
 def test_cache_miss_on_other_parameters(tmp_path):
     spec = family_mkr(1, 2, 1)
     lat = build_lattice(spec, mi((4,)), 4)

@@ -248,16 +248,6 @@ def test_homology_basis_count_matches_rank_formula(braid, get_lattice):
                 assert data[4] == betti
 
 
-def test_orbit_stabilizer_identity(braid, get_lattice):
-    from arrstab.arrangement import orbit_of
-    from arrstab.fim import group_order
-
-    lat = get_lattice(braid, mi((4,)), 4)
-    for idx in (0, 5, len(lat) - 1):
-        members, stab = orbit_of(lat, idx)
-        assert len(members) * stab == group_order(mi((4,)))
-
-
 def test_gm_report_text_table(braid, get_lattice):
     from arrstab.characters import character_of_cohomology
 

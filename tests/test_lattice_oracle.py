@@ -1,19 +1,31 @@
-"""The atom-set lattice construction against the pairwise closure it replaced.
+"""The atom-set lattice against the paths it replaced.
 
 ``pairwise_closure`` is the former ``build_lattice``: it closes the frontier
 under intersection with every known element and derives the order from
 ``exactlin.contains``.  It shares no code with the atom-set construction
-beyond the exact linear algebra, and stays here as the reference.
+beyond the exact linear algebra, and stays here as the reference.  The group
+action, orbits and preimages have their former paths as references further
+down.
 """
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arrstab import arrangement, cache, exactlin
+from arrstab import arrangement, cache, cli, exactlin, fim
 from arrstab.arrangement import ArrangementSpec, build_lattice, family_mkr
 from arrstab.exactlin import contains, intersect, preimage, subspace_from_constraints
-from arrstab.fim import MultiIndex, enumerate_injections, induced_linear_map
+from arrstab.fim import (
+    ConjClass,
+    MultiIndex,
+    class_representative,
+    conj_classes,
+    coordinate_permutation,
+    enumerate_injections,
+    induced_linear_map,
+    perm_tuples,
+    pullback,
+)
 
 mi = MultiIndex
 
@@ -91,18 +103,18 @@ MIXED_CODIM = ArrangementSpec(
 )
 
 
-@pytest.mark.parametrize(
-    "spec, level, max_codim",
-    [
-        (family_mkr(1, 2, 1), (5,), 4),  # braid
-        (family_mkr(1, 2, 2), (4,), 6),  # conf r=2
-        (family_mkr(1, 3, 1), (6,), 4),  # k-equals
-        (family_mkr(2, 1, 1), (3, 3), 3),  # rational maps
-        (PADDED, (5,), 4),
-        (MIXED_FACTOR, (3, 2), 3),
-        (MIXED_CODIM, (4,), 4),
-    ],
-)
+FAMILY_CASES = [
+    (family_mkr(1, 2, 1), (5,), 4),  # braid
+    (family_mkr(1, 2, 2), (4,), 6),  # conf r=2
+    (family_mkr(1, 3, 1), (6,), 4),  # k-equals
+    (family_mkr(2, 1, 1), (3, 3), 3),  # rational maps
+    (PADDED, (5,), 4),
+    (MIXED_FACTOR, (3, 2), 3),
+    (MIXED_CODIM, (4,), 4),
+]
+
+
+@pytest.mark.parametrize("spec, level, max_codim", FAMILY_CASES)
 def test_atom_closure_matches_pairwise_closure(spec, level, max_codim):
     assert_matches_oracle(spec, mi(level), max_codim)
 
@@ -187,3 +199,159 @@ def test_lattice_build_and_load_do_no_containment_tests(braid, tmp_path, monkeyp
     loaded = cache.load(tmp_path, braid, mi((5,)), 3)
     assert loaded is not None
     assert len(loaded.truncated(2)) == 35
+
+
+# --- the group action -------------------------------------------------------
+#
+# ``rref_image`` is the former ``IntersectionLattice.permute_element`` and
+# ``rref_act`` the former ``act``: every element is permuted and reduced on
+# its own.  ``walked_orbit`` is the former ``orbit_of``, a walk over the whole
+# group.  ``preimage(induced_linear_map(f, r), x)`` is the former dense
+# preimage.  They stay here as the references for the atom permutation, the
+# generator BFS and the column scatter that replaced them.
+
+
+def rref_image(lat, g, idx):
+    perm = coordinate_permutation(g, lat.r)
+    inverse = [0] * len(perm)
+    for src, dst in enumerate(perm):
+        inverse[dst] = src
+    rows = [
+        [row[inverse[b]] for b in range(len(perm))]
+        for row in lat.elements[idx].constraints.entries
+    ]
+    return lat.index_of(subspace_from_constraints(len(perm), rows))
+
+
+def rref_act(lat, g):
+    return tuple(rref_image(lat, g, idx) for idx in range(len(lat)))
+
+
+def walked_orbit(lat, idx):
+    images = [rref_image(lat, g, idx) for g in perm_tuples(lat.level)]
+    return tuple(sorted(set(images))), images.count(idx)
+
+
+def assert_action_matches_oracle(lat):
+    for c in conj_classes(lat.level):
+        g = class_representative(c)
+        assert lat.act(g) == rref_act(lat, g)
+
+
+@pytest.mark.parametrize("spec, level, max_codim", FAMILY_CASES)
+def test_atom_action_matches_rref_action(spec, level, max_codim, tmp_path):
+    lat = build_lattice(spec, mi(level), max_codim)
+    assert_action_matches_oracle(lat)
+    assert_action_matches_oracle(lat.truncated(max(1, max_codim - 2)))
+    cache.store(tmp_path, spec, lat)
+    assert_action_matches_oracle(cache.load(tmp_path, spec, mi(level), max_codim))
+
+
+@given(two_codim_specs(), st.integers(1, 4))
+@settings(max_examples=25, deadline=None)
+def test_atom_action_matches_rref_action_random(spec, max_codim):
+    lat = build_lattice(spec, mi((4,)), max_codim)
+    assert_action_matches_oracle(lat)
+    assert_action_matches_oracle(lat.truncated(1))
+
+
+@pytest.mark.parametrize(
+    "spec, level, max_codim",
+    [
+        (family_mkr(1, 2, 1), (4,), 4),
+        (family_mkr(1, 2, 2), (4,), 4),
+        (family_mkr(1, 3, 1), (5,), 3),
+        (family_mkr(2, 1, 1), (2, 3), 3),
+        (MIXED_FACTOR, (3, 2), 3),
+        (MIXED_CODIM, (3,), 3),
+    ],
+)
+def test_orbit_bfs_matches_group_walk(spec, level, max_codim):
+    lat = build_lattice(spec, mi(level), max_codim)
+    for idx in range(len(lat)):
+        assert arrangement.orbit_of(lat, idx) == walked_orbit(lat, idx)
+
+
+@st.composite
+def injection_cases(draw):
+    source, target = draw(
+        st.sampled_from(
+            [((1,), (3,)), ((2,), (3,)), ((3,), (4,)), ((2,), (2,)), ((1, 1), (2, 2)), ((2, 1), (2, 3))]
+        )
+    )
+    r = draw(st.integers(1, 2))
+    n = r * sum(source)
+    rows = draw(
+        st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=n)
+    )
+    return mi(source), mi(target), r, subspace_from_constraints(n, rows)
+
+
+@given(injection_cases())
+@settings(max_examples=60, deadline=None)
+def test_scattered_preimage_matches_dense_preimage(case):
+    source, target, r, x = case
+    for f in enumerate_injections(source, target):
+        assert pullback(f, r, x) == preimage(induced_linear_map(f, r), x)
+
+
+# --- work counts --------------------------------------------------------------
+
+KEQUALS = family_mkr(1, 3, 1)
+
+
+@pytest.fixture(scope="module")
+def kequals_cache(tmp_path_factory):
+    """A cache holding the k-equals (k=3) lattices of levels 3..7 at codim 5."""
+    path = tmp_path_factory.mktemp("kequals")
+    get = cache.CachingBuilder(path)
+    for n in range(3, 8):
+        get(KEQUALS, mi((n,)), 5)
+    return path
+
+
+def test_act_rref_budget_kequals7_codim5(kequals_cache, monkeypatch):
+    lat = cache.load(kequals_cache, KEQUALS, mi((7,)), 5)
+    calls = 0
+    original = exactlin._rref_rows
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(exactlin, "_rref_rows", counting)
+    sigma = lat.act(class_representative(ConjClass(((3, 2, 1, 1),))))
+    # 35 atoms x_a = x_b = x_c, one reduction each; the other 168 elements
+    # follow by relabelling their atom masks
+    assert len(lat) == 203
+    assert 0 < calls <= 35
+    assert sorted(sigma) == list(range(len(lat)))
+
+
+def test_orbit_of_draws_nothing_from_perm_tuples(braid, monkeypatch):
+    lat = build_lattice(braid, mi((5,)), 3)
+    monkeypatch.setattr(fim, "perm_tuples", never("perm_tuples"))
+    members, stab = arrangement.orbit_of(lat, len(lat) - 1)
+    assert len(members) * stab == 120
+
+
+def test_level_worker_acts_once_per_class_and_level(kequals_cache, monkeypatch):
+    calls = 0
+    original = arrangement.IntersectionLattice.act
+
+    def counting(self, g):
+        nonlocal calls
+        calls += 1
+        return original(self, g)
+
+    monkeypatch.setattr(arrangement.IntersectionLattice, "act", counting)
+    for n in range(3, 8):
+        payload = cli._level_worker(
+            (KEQUALS, mi((n,)), 5, True, True, str(kequals_cache))
+        )
+        assert payload["betti"][1:] == [
+            payload["characters"][i].identity_value for i in range(1, 6)
+        ]
+    # one act per non-identity class: p(n) - 1 for n = 3..7
+    assert calls == 2 + 4 + 6 + 10 + 14
