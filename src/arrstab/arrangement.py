@@ -21,6 +21,7 @@ downstream output byte for byte.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -40,6 +41,7 @@ from .fim import (
     PermTuple,
     ambient_dim,
     binomial_class_key,
+    binomial_representatives,
     componentwise_max,
     coordinate_permutation,
     degree_times,
@@ -491,13 +493,21 @@ def _group_generators(level: MultiIndex) -> list[PermTuple]:
     return gens
 
 
-def orbit_of(lat: IntersectionLattice, idx: int) -> tuple[tuple[int, ...], int]:
+def orbit_of(
+    lat: IntersectionLattice,
+    idx: int,
+    action: Callable[[PermTuple], tuple[int, ...]] | None = None,
+) -> tuple[tuple[int, ...], int]:
     """Indices of the group orbit of element ``idx`` and its stabilizer order.
 
     The orbit is the closure of ``idx`` under the element permutations of
-    the group generators; the stabilizer order is |G| / |orbit|.
+    the group generators; the stabilizer order is |G| / |orbit|.  ``action``
+    gives the element permutation of a group element (``lat.act`` by
+    default); a memoised one lets every orbit of a lattice share the
+    generators' permutations.
     """
-    sigmas = [lat.act(g) for g in _group_generators(lat.level)]
+    act = action or lat.act
+    sigmas = [act(g) for g in _group_generators(lat.level)]
     members = {idx}
     frontier = [idx]
     while frontier:
@@ -538,10 +548,11 @@ def primitive_classes(
         ]
         prim_set = set(primitive)
         claimed: set[int] = set()
+        action = functools.cache(lat.act)
         for idx in primitive:
             if idx in claimed:
                 continue
-            members, stab = orbit_of(lat, idx)
+            members, stab = orbit_of(lat, idx, action)
             claimed.update(members)
             # primitivity is preserved by the point action, so the whole
             # orbit consists of primitives
@@ -573,6 +584,23 @@ class OrbitDecomposition:
         return sizes
 
 
+def _subspace_orbit(degree: MultiIndex, r: int, x: Subspace) -> list[Subspace]:
+    """The orbit of x under Aut(degree), closed under the group generators."""
+    perms = [coordinate_permutation(g, r) for g in _group_generators(degree)]
+    seen = {x.serialization: x}
+    frontier = [x]
+    while frontier:
+        images = []
+        for y in frontier:
+            for perm in perms:
+                z = scatter_columns(y, perm, x.ambient_dim)
+                if z.serialization not in seen:
+                    seen[z.serialization] = z
+                    images.append(z)
+        frontier = images
+    return list(seen.values())
+
+
 def orbit_decomposition(
     lat: IntersectionLattice, classes: Sequence[PrimitiveClass]
 ) -> OrbitDecomposition:
@@ -581,16 +609,21 @@ def orbit_decomposition(
     Every element must arise from exactly one primitive class and, within it,
     one binomial class of injections; anything else signals a non-normal
     input or an incomplete class list and raises LatticeError.
+
+    The injections of one binomial class are f o h for its order-preserving
+    member f and h in Aut(e), and (f o h)^* X = f^*(h^* X).  So a class's
+    preimages are those of its subspace's Aut(e)-orbit along f alone.
     """
-    table: dict[str, list[tuple[int, tuple]]] = {}
+    table: dict[str, set[tuple[int, tuple]]] = {}
     for ci, cls in enumerate(classes):
         if not cls.degree.leq(lat.level):
             continue
-        for f in enumerate_injections(cls.degree, lat.level):
-            pre = pullback(f, lat.r, cls.subspace)
-            table.setdefault(pre.serialization, []).append(
-                (ci, binomial_class_key(f))
-            )
+        orbit = _subspace_orbit(cls.degree, lat.r, cls.subspace)
+        for f in binomial_representatives(cls.degree, lat.level):
+            key = binomial_class_key(f)
+            for y in orbit:
+                pre = pullback(f, lat.r, y)
+                table.setdefault(pre.serialization, set()).add((ci, key))
     assignments = []
     for idx, element in enumerate(lat.elements):
         hits = table.get(element.serialization)
@@ -603,12 +636,11 @@ def orbit_decomposition(
             raise LatticeError(
                 f"element {idx} matched by {len(class_ids)} primitive classes"
             )
-        keys = {key for _, key in hits}
-        if len(keys) > 1:
+        if len(hits) > 1:
             raise LatticeError(
                 f"element {idx} matched by several binomial classes"
             )
-        assignments.append((hits[0][0], hits[0][1]))
+        assignments.append(next(iter(hits)))
     return OrbitDecomposition(tuple(assignments))
 
 
@@ -637,10 +669,7 @@ def verify_downward_stability(
     lat_c = get_lattice(spec, c, max_codim)
     lat_d = get_lattice(spec, d, max_codim)
     failures: list[str] = []
-    reps: dict[tuple, Injection] = {}
-    for f in enumerate_injections(c, d):
-        reps.setdefault(binomial_class_key(f), f)
-    for f in reps.values():
+    for f in binomial_representatives(c, d):
         image_index: dict[int, int] = {}
         for idx in range(len(lat_c)):
             img = pullback(f, spec.r, lat_c.elements[idx])

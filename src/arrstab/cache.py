@@ -5,7 +5,8 @@ one element per line in canonical serialization, together with the element's
 full atom set (see ``arrangement.Witness``).  The order is rebuilt from the
 atom sets, so a load does no linear algebra.  A payload checksum is stored
 alongside; a wrong format version, a checksum mismatch or a parse failure
-makes the loader report a miss so the caller recomputes.
+(a zero denominator included) makes the loader report a miss so the caller
+recomputes.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ def load(
             elements.append(Subspace.parse(serial))
             provenance.append(_parse_witness(witness, level))
         return IntersectionLattice(level, max_codim, spec.r, elements, provenance)
-    except (ValueError, KeyError, IndexError):
+    except (ValueError, KeyError, IndexError, ZeroDivisionError):
+        # ZeroDivisionError: a checksum-valid entry such as "1/0"
         return None
 
 

@@ -535,6 +535,7 @@ def verify_free_decomposition(
     i: int,
     characters: Mapping[MultiIndex, ClassFunction],
     get_lattice: LatticeBuilder = build_lattice,
+    classes: Sequence[PrimitiveClass] | None = None,
 ) -> FreenessReport:
     """Check H^i decomposes as induced modules over primitive classes.
 
@@ -543,6 +544,11 @@ def verify_free_decomposition(
     characters over classes must reproduce ``characters``, the character of
     H^i at each level it holds, in its order.  Class degrees are also checked
     against i times the top generator degree.
+
+    ``classes`` may be ``primitive_classes(spec, c, ...)`` for any c >= i:
+    its classes of codim at most i and degree at most i times the top
+    generator degree are, in order, those of codim i.  Without it they are
+    computed.  Classes of one degree share one homology context.
     """
     levels = list(characters)
     bound = degree_times(i, spec.cmax)
@@ -550,13 +556,20 @@ def verify_free_decomposition(
     if i == 0:
         expected = {level: trivial_character(level) for level in levels}
     else:
-        classes = primitive_classes(spec, i, get_lattice)
+        if classes is None:
+            classes = primitive_classes(spec, i, get_lattice)
+        contexts: dict[MultiIndex, LatticeHomology] = {}
         contributors: list[tuple[PrimitiveClass, ClassFunction]] = []
         for cls in classes:
-            lat = get_lattice(spec, cls.degree, max(1, i))
-            ctx = LatticeHomology(lat)
-            idx = lat.index_of(cls.subspace)
-            members, _ = orbit_of(lat, idx)
+            if cls.codim > i or not cls.degree.leq(bound):
+                continue
+            if cls.degree not in contexts:
+                contexts[cls.degree] = LatticeHomology(
+                    get_lattice(spec, cls.degree, i)
+                )
+            ctx = contexts[cls.degree]
+            idx = ctx.lattice.index_of(cls.subspace)
+            members, _ = orbit_of(ctx.lattice, idx, ctx.action)
             chi_gen = ClassFunction(
                 cls.degree,
                 {

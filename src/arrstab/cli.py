@@ -323,9 +323,12 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
         results["fit"] = fit_entries
 
     if "freeness" in config.outputs:
+        classes = ()
         if config.i_max >= 1:
             for level in levels:
                 get(spec, level, config.i_max)  # lower codims truncate these
+            # every degree reads its classes off the top degree's
+            classes = primitive_classes(spec, config.i_max, get)
         rows = []
         detail = []
         for i in range(config.i_max + 1):
@@ -333,7 +336,7 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
             characters = {
                 level: by_level[level]["characters"][i] for level in levels
             }
-            report = verify_free_decomposition(spec, i, characters, get)
+            report = verify_free_decomposition(spec, i, characters, get, classes)
             for level, ok in report.level_matches:
                 rows.append([i, level, ok])
                 if not ok:
@@ -369,10 +372,9 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
                 }
             )
         if config.i_max >= 1:
-            classes = primitive_classes(spec, max(1, config.i_max), get)
             orbit_summary = {}
             for level in levels:
-                lat = get(spec, level, max(1, config.i_max))
+                lat = get(spec, level, config.i_max)
                 if not len(lat):
                     orbit_summary[level.render()] = {}
                     continue

@@ -155,6 +155,19 @@ def enumerate_injections(c: MultiIndex, d: MultiIndex) -> tuple[Injection, ...]:
     )
 
 
+def binomial_representatives(c: MultiIndex, d: MultiIndex) -> tuple[Injection, ...]:
+    """One injection c -> d per binomial class, the order-preserving one, in
+    the order the classes first occur in ``enumerate_injections``."""
+    if len(c) != len(d):
+        raise ValueError("multi-index lengths differ")
+    factor_choices = [
+        tuple(itertools.combinations(range(dj), cj)) for cj, dj in zip(c, d)
+    ]
+    return tuple(
+        Injection(images, d) for images in itertools.product(*factor_choices)
+    )
+
+
 def binomial_set_size(c: MultiIndex, d: MultiIndex) -> int:
     """|Hom(c,d)| divided by |Aut(c)|: the product of binomial coefficients."""
     if len(c) != len(d):

@@ -7,14 +7,27 @@ elements x, the local reduced homology of the order complex of the elements
 strictly containing x, placed in degree 2 cd(x) - i - 2; only codimensions
 with ceil(i/2) <= cd(x) <= i can contribute.
 
-Equivariant traces use the fact that an order automorphism permutes strict
-chains without signs: the induced matrix on each chain group is a plain
-permutation, and its trace on homology is read off in an exact
-cycles-modulo-boundaries basis.
+Betti numbers come from the ranks of the integer boundary maps, found by
+sparse elimination over Z: the boundary entries are +-1, pivots are units
+wherever the column has one, and other pivots take a fraction-free step with
+the content divided out.  Ranks are taken from the top degree down, and the
+columns of the chains that were pivot rows one degree up are skipped, since
+they lie in the span of the other columns (the boundary of a boundary is
+zero).
+
+Equivariant traces use the fact that an order automorphism g permutes strict
+chains without signs, and fixes a chain only if it fixes each element of it
+(Stanley).  By the Hopf trace formula the alternating sum of g's traces on
+the local homology is therefore the reduced Euler characteristic of the
+g-fixed subposet, a Moebius number that needs no chains.  When the local
+homology sits in a single degree that number is the trace; otherwise (k-equals
+intervals can carry homology in several degrees, Bjoerner-Welker) the trace
+is read off in an exact cycles-modulo-boundaries basis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
@@ -24,7 +37,6 @@ from .exactlin import (
     column_space_basis,
     independent_extension,
     kernel_basis,
-    rank,
     solve_in_basis,
 )
 from .fim import ConjClass, MultiIndex, PermTuple
@@ -153,17 +165,88 @@ class ChainComplex:
         return RationalMatrix(tuple(tuple(row) for row in entries), cols)
 
 
+def _boundary_columns(cx: OrderComplex, d: int, skip: set[int]) -> list[dict[int, int]]:
+    """The columns of the integer boundary map C_d -> C_{d-1} as {row: entry},
+    for d >= 1, leaving out the d-chains with an index in ``skip``."""
+    faces = {chain: idx for idx, chain in enumerate(cx.chains[d - 1])}
+    columns = []
+    for col, chain in enumerate(cx.chains[d]):
+        if col in skip:
+            continue
+        entries = {}
+        sign = 1
+        for k in range(len(chain)):
+            entries[faces[chain[:k] + chain[k + 1 :]]] = sign
+            sign = -sign
+        columns.append(entries)
+    return columns
+
+
+def _sparse_rank(columns: Iterable[dict[int, int]]) -> tuple[int, set[int]]:
+    """Rank over Q of an integer matrix given by sparse columns, and the pivot
+    rows.
+
+    Each column is reduced against the pivot columns in the order they were
+    found.  A stored pivot column is zero in the rows of all earlier pivots,
+    so the earliest pivot hit moves strictly later at each step and the
+    reduction ends.  A step against a pivot p that does not divide the entry
+    c scales the column by p / gcd(p, c) and divides out the content after.
+    A surviving column pivots on a unit entry if it has one.  The columns are
+    consumed.
+    """
+    pivots: dict[int, tuple[int, dict[int, int]]] = {}
+    for col in columns:
+        while True:
+            hits = [pivots[row] + (row,) for row in col if row in pivots]
+            if not hits:
+                break
+            _, pcol, row = min(hits, key=lambda hit: hit[0])
+            p, c = pcol[row], col[row]
+            g = math.gcd(p, c) if p > 0 else -math.gcd(p, c)
+            a, b = p // g, c // g  # a > 0, and a == 1 when p divides c
+            if a != 1:
+                for r in col:
+                    col[r] *= a
+            for r, v in pcol.items():
+                value = col.get(r, 0) - b * v
+                if value:
+                    col[r] = value
+                else:
+                    del col[r]
+            if a != 1 and col:
+                content = math.gcd(*col.values())
+                for r in col:
+                    col[r] //= content
+        if col:
+            units = [r for r, v in col.items() if v in (1, -1)]
+            pivots[min(units) if units else min(col)] = (len(pivots), col)
+    return len(pivots), set(pivots)
+
+
+def reduced_betti_numbers(c: OrderComplex) -> tuple[int, ...]:
+    """(dim H~_{-1}, dim H~_0, ..., dim H~_dim) over Q.
+
+    The empty complex has H~_{-1} of dimension 1.  Ranks come from sparse
+    elimination over Z, top degree first; a column of the degree-d boundary
+    whose chain is a pivot row of the degree-(d+1) boundary is skipped, as it
+    lies in the span of the others.
+    """
+    top = c.dimension
+    ranks = [0] * (top + 3)  # ranks[d + 1] = rank of the boundary C_d -> C_{d-1}
+    cleared: set[int] = set()
+    for d in range(top, 0, -1):
+        ranks[d + 1], cleared = _sparse_rank(_boundary_columns(c, d, cleared))
+    ranks[1] = 1 if c.chain_count(0) else 0  # the augmentation
+    return tuple(
+        c.chain_count(d) - ranks[d + 1] - ranks[d + 2] for d in range(-1, top + 1)
+    )
+
+
 def reduced_betti(c: OrderComplex, d: int) -> int:
     """dim H~_d over Q, with H~_{-1} of the empty complex equal to 1."""
-    if d < -1:
+    if not -1 <= d <= c.dimension:
         return 0
-    size = c.chain_count(d)
-    if size == 0:
-        return 0
-    cc = ChainComplex(c)
-    rank_d = rank(cc.boundary(d))
-    rank_up = rank(cc.boundary(d + 1))
-    return size - rank_d - rank_up
+    return reduced_betti_numbers(c)[d + 1]
 
 
 def whitney_homology_dims(p: RankedPoset) -> dict[int, int]:
@@ -218,19 +301,21 @@ class LatticeHomology:
     """Per-lattice computation context with memoized local homology data.
 
     The lattice itself stays immutable; this object only caches derived
-    complexes, Betti numbers, homology bases and element permutations so that
-    repeated Betti and trace queries (one per conjugacy class and degree,
-    say) share the linear algebra.  Queries in degree i only read elements of
-    codim at most i, which form a prefix of the lattice, so one context on a
-    level's top lattice serves every lower degree.
+    complexes, Betti vectors, homology bases, element permutations and fixed
+    subposet Moebius numbers so that repeated Betti and trace queries (one
+    per conjugacy class and degree, say) share the work.  Queries in degree i
+    only read elements of codim at most i, which form a prefix of the
+    lattice, so one context on a level's top lattice serves every lower
+    degree.
     """
 
     def __init__(self, lat: "IntersectionLattice"):
         self.lattice = lat
         self._intervals: dict[int, tuple[tuple[int, ...], OrderComplex]] = {}
-        self._betti: dict[tuple[int, int], int] = {}
+        self._betti: dict[int, tuple[int, ...]] = {}
         self._homology: dict[tuple[int, int], tuple | None] = {}
         self._actions: dict[PermTuple, tuple[int, ...]] = {}
+        self._fixed_sums: dict[PermTuple, list[int]] = {}
 
     def action(self, g: PermTuple) -> tuple[int, ...]:
         """The element permutation of g, computed once per context."""
@@ -246,12 +331,17 @@ class LatticeHomology:
             self._intervals[idx] = cached
         return cached
 
-    def local_betti(self, idx: int, d: int) -> int:
-        key = (idx, d)
-        if key not in self._betti:
+    def betti_numbers(self, idx: int) -> tuple[int, ...]:
+        """The reduced Betti vector of element idx's interval, from degree -1
+        up (see ``reduced_betti_numbers``), computed once per element."""
+        if idx not in self._betti:
             _, cx = self.interval(idx)
-            self._betti[key] = reduced_betti(cx, d)
-        return self._betti[key]
+            self._betti[idx] = reduced_betti_numbers(cx)
+        return self._betti[idx]
+
+    def local_betti(self, idx: int, d: int) -> int:
+        betti = self.betti_numbers(idx)
+        return betti[d + 1] if 0 <= d + 1 < len(betti) else 0
 
     def betti_report(self, i: int, filtered: bool = True) -> GMReport:
         lat = self.lattice
@@ -308,15 +398,37 @@ class LatticeHomology:
         self._homology[key] = result
         return result
 
+    def fixed_chain_sums(self, g: PermTuple) -> list[int]:
+        """Per element x fixed by g, h(x) = 1 - sum of h(y) over the fixed y
+        strictly containing x; 0 on elements g moves.
+
+        h(x) is the signed count of the fixed chains topped by x, so the
+        reduced Euler characteristic of the g-fixed part of x's interval is
+        -1 plus the sum of h over it.
+        """
+        if g not in self._fixed_sums:
+            lat = self.lattice
+            sigma = self.action(g)
+            h = [0] * len(lat)
+            for x in range(len(lat)):
+                if sigma[x] == x:
+                    h[x] = 1 - sum(h[y] for y in lat.containing(x))
+            self._fixed_sums[g] = h
+        return self._fixed_sums[g]
+
     def trace(
         self, g: PermTuple, i: int, members: Sequence[int] | None = None
     ) -> Fraction:
         """Character value of g on H^i; optionally restricted to an orbit.
 
-        Elements not fixed by g contribute nothing.  On a fixed element the
-        order automorphism permutes the chains of the lower interval (order
-        automorphisms preserve chain order, so no signs appear) and the trace
-        is taken on a cycles-modulo-boundaries basis.
+        Elements not fixed by g contribute nothing.  A fixed element whose
+        interval has no homology in the local degree d contributes nothing
+        either.  When the interval's homology sits in degree d alone, the
+        Hopf trace formula gives (-1)^d times the reduced Euler
+        characteristic of the g-fixed subposet.  Otherwise g permutes the
+        chains of the interval (order automorphisms preserve chain order, so
+        no signs appear) and the trace is taken on a cycles-modulo-boundaries
+        basis.
         """
         lat = self.lattice
         if i < 1:
@@ -334,27 +446,40 @@ class LatticeHomology:
             if not (lo <= codim <= hi) or sigma[idx] != idx:
                 continue
             d = 2 * codim - i - 2
-            data = self.homology_data(idx, d)
-            if data is None:
+            local = self.local_betti(idx, d)
+            if not local:
                 continue
-            chains, chain_index, basis, b_count, h_count = data
-            labels, _ = self.interval(idx)
-            local_pos = {lab: pos for pos, lab in enumerate(labels)}
-            vertex_map = [local_pos[sigma[lab]] for lab in labels]
-            chain_perm = [
-                chain_index[tuple(vertex_map[v] for v in chain)] for chain in chains
-            ]
-            rhs = []
-            for h in basis[b_count:]:
-                image = [_ZERO] * len(chains)
-                for t, value in enumerate(h):
-                    if value != 0:
-                        image[chain_perm[t]] = value
-                rhs.append(tuple(image))
-            coords = solve_in_basis(basis, rhs, len(chains))
-            for j in range(h_count):
-                total += coords[b_count + j][j]
+            if local == sum(self.betti_numbers(idx)):
+                h = self.fixed_chain_sums(g)
+                euler = sum(h[y] for y in lat.containing(idx)) - 1
+                total += -euler if d % 2 else euler
+            else:
+                total += self.basis_trace(g, idx, d)
         return total
+
+    def basis_trace(self, g: PermTuple, idx: int, d: int) -> Fraction:
+        """The trace of g, which must fix element idx, on H~_d of its
+        interval, solved in a cycles-modulo-boundaries basis."""
+        data = self.homology_data(idx, d)
+        if data is None:
+            return Fraction(0)
+        sigma = self.action(g)
+        chains, chain_index, basis, b_count, h_count = data
+        labels, _ = self.interval(idx)
+        local_pos = {lab: pos for pos, lab in enumerate(labels)}
+        vertex_map = [local_pos[sigma[lab]] for lab in labels]
+        chain_perm = [
+            chain_index[tuple(vertex_map[v] for v in chain)] for chain in chains
+        ]
+        rhs = []
+        for h in basis[b_count:]:
+            image = [_ZERO] * len(chains)
+            for t, value in enumerate(h):
+                if value != 0:
+                    image[chain_perm[t]] = value
+            rhs.append(tuple(image))
+        coords = solve_in_basis(basis, rhs, len(chains))
+        return sum((coords[b_count + j][j] for j in range(h_count)), Fraction(0))
 
 
 def gm_betti(lat: "IntersectionLattice", i: int, filtered: bool = True) -> GMReport:

@@ -280,6 +280,25 @@ def test_cache_v1_file_is_a_miss_and_rebuilt(tmp_path):
     assert cache.load(tmp_path, spec, mi((4,)), 4).provenance == lat.provenance
 
 
+def test_cache_zero_denominator_is_a_miss_and_rebuilt(tmp_path):
+    # a checksum-valid entry "1/0" must not escape as ZeroDivisionError
+    spec = family_mkr(1, 2, 1)
+    lat = build_lattice(spec, mi((4,)), 4)
+    path = cache.store(tmp_path, spec, lat)
+    raw = read(path).splitlines()
+    lines = raw[6:]
+    lines[0] = lines[0].replace("-1", "1/0", 1)
+    assert "1/0" in lines[0]
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    header = raw[:5] + [f"payload-sha256={digest}"]
+    path.write_text("\n".join(header + lines) + "\n", encoding="utf-8")
+    assert cache.load(tmp_path, spec, mi((4,)), 4) is None
+    rebuilt = cache.CachingBuilder(tmp_path)(spec, mi((4,)), 4)
+    assert rebuilt.provenance == lat.provenance
+    assert "1/0" not in read(path)
+    assert cache.load(tmp_path, spec, mi((4,)), 4).provenance == lat.provenance
+
+
 def test_lattice_missing_an_orbit_member_exits_three(tmp_path, capsys):
     # a checksum-valid cache file that lost one element: the group action
     # leaves the lattice, an internal error rather than a usage error

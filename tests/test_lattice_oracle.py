@@ -4,20 +4,31 @@
 under intersection with every known element and derives the order from
 ``exactlin.contains``.  It shares no code with the atom-set construction
 beyond the exact linear algebra, and stays here as the reference.  The group
-action, orbits and preimages have their former paths as references further
-down.
+action, orbits, preimages and the orbit decomposition have their former
+paths as references further down.
 """
+
+import re
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrstab import arrangement, cache, cli, exactlin, fim
-from arrstab.arrangement import ArrangementSpec, build_lattice, family_mkr
+from arrstab.arrangement import (
+    ArrangementSpec,
+    LatticeError,
+    OrbitDecomposition,
+    build_lattice,
+    family_mkr,
+    orbit_decomposition,
+    primitive_classes,
+)
 from arrstab.exactlin import contains, intersect, preimage, subspace_from_constraints
 from arrstab.fim import (
     ConjClass,
     MultiIndex,
+    binomial_class_key,
     class_representative,
     conj_classes,
     coordinate_permutation,
@@ -295,6 +306,79 @@ def test_scattered_preimage_matches_dense_preimage(case):
         assert pullback(f, r, x) == preimage(induced_linear_map(f, r), x)
 
 
+def injection_orbit_decomposition(lat, classes):
+    """The former ``orbit_decomposition``: one preimage per injection."""
+    table = {}
+    for ci, cls in enumerate(classes):
+        if not cls.degree.leq(lat.level):
+            continue
+        for f in enumerate_injections(cls.degree, lat.level):
+            pre = preimage(induced_linear_map(f, lat.r), cls.subspace)
+            table.setdefault(pre.serialization, []).append((ci, binomial_class_key(f)))
+    assignments = []
+    for idx, element in enumerate(lat.elements):
+        hits = table.get(element.serialization)
+        if not hits:
+            raise LatticeError(f"element {idx} matched by no primitive class")
+        class_ids = {ci for ci, _ in hits}
+        if len(class_ids) > 1:
+            raise LatticeError(
+                f"element {idx} matched by {len(class_ids)} primitive classes"
+            )
+        if len({key for _, key in hits}) > 1:
+            raise LatticeError(f"element {idx} matched by several binomial classes")
+        assignments.append(hits[0])
+    return OrbitDecomposition(tuple(assignments))
+
+
+def decompose(decomposition, lat, classes):
+    try:
+        return decomposition(lat, classes)
+    except LatticeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "spec, level, max_codim", FAMILY_CASES + [(PADDED, (4,), 3)]
+)
+def test_orbit_decomposition_matches_injection_table(spec, level, max_codim):
+    # classes of codim 2 keep the degrees scanned small; where the lattice
+    # reaches higher codims, its elements there match no class and both
+    # paths must raise the same error
+    get = cache.CachingBuilder()
+    classes = primitive_classes(spec, 2, get)
+    for codim in sorted({min(2, max_codim), max_codim}):
+        lat = get(spec, mi(level), codim)
+        assert decompose(orbit_decomposition, lat, classes) == decompose(
+            injection_orbit_decomposition, lat, classes
+        )
+
+
+def test_orbit_decomposition_of_non_normal_spec_raises():
+    # the padded generator's primitive classes start at degree 3, so no
+    # class yields the hyperplanes x_a = x_b at level 4
+    classes = primitive_classes(PADDED, 2)
+    lat = build_lattice(PADDED, mi((4,)), 2)
+    message = "element 0 matched by no primitive class"
+    assert decompose(injection_orbit_decomposition, lat, classes) == message
+    with pytest.raises(LatticeError, match=re.escape(message)):
+        orbit_decomposition(lat, classes)
+
+
+@pytest.mark.parametrize(
+    "spec, i_max",
+    [(family_mkr(1, 2, 1), 3), (family_mkr(1, 3, 1), 3), (family_mkr(2, 1, 1), 2), (MIXED_CODIM, 3)],
+)
+def test_lower_degree_classes_filter_the_top_degree_classes(spec, i_max):
+    get = cache.CachingBuilder()
+    top = primitive_classes(spec, i_max, get)
+    for i in range(1, i_max + 1):
+        bound = fim.degree_times(i, spec.cmax)
+        assert [c for c in top if c.codim <= i and c.degree.leq(bound)] == list(
+            primitive_classes(spec, i, get)
+        )
+
+
 # --- work counts --------------------------------------------------------------
 
 KEQUALS = family_mkr(1, 3, 1)
@@ -355,3 +439,29 @@ def test_level_worker_acts_once_per_class_and_level(kequals_cache, monkeypatch):
         ]
     # one act per non-identity class: p(n) - 1 for n = 3..7
     assert calls == 2 + 4 + 6 + 10 + 14
+
+
+def test_readme_freeness_act_budget(tmp_path, monkeypatch):
+    calls = 0
+    original = arrangement.IntersectionLattice.act
+
+    def counting(self, g):
+        nonlocal calls
+        calls += 1
+        return original(self, g)
+
+    monkeypatch.setattr(arrangement.IntersectionLattice, "act", counting)
+    config = tmp_path / "job.json"
+    config.write_text(
+        '{"family": {"kind": "mkr", "m": 1, "k": 2, "r": 1},'
+        ' "levels": {"min": [2], "max": [6]}, "i_max": 3, "outputs": ["freeness"]}',
+        encoding="utf-8",
+    )
+    args = ["run", "--config", str(config), "--cache", str(tmp_path / "c")]
+    assert cli.main(args + ["--out", str(tmp_path / "o")]) == 0
+    # characters: p(n) - 1 non-identity classes at n = 2..6, 1+2+4+6+10 = 23;
+    # primitive classes once, one generator set per degree 2..6: 1+2+2+2+2 = 9;
+    # freeness at i = 1, 2, 3: one context per class degree e, acting once
+    # per class (the generators are class representatives), p(e) in all:
+    # 2, then 2+3+5, then 2+3+5+7+11
+    assert calls == 23 + 9 + 40
