@@ -27,7 +27,7 @@ from .characters import (
     twisted_betti,
     verify_free_decomposition,
 )
-from .exactlin import LinearMap, RationalMatrix, Subspace, subspace_from_constraints
+from .exactlin import RationalMatrix, Subspace, subspace_from_constraints
 from .fim import ConjClass, Injection, MultiIndex, PermTuple
 from .homology import GMReport, equivariant_trace, gm_betti, whitney_homology_dims
 
@@ -41,7 +41,6 @@ __all__ = [
     "GMReport",
     "Injection",
     "IntersectionLattice",
-    "LinearMap",
     "MultiIndex",
     "PermTuple",
     "PrimitiveClass",

@@ -14,8 +14,13 @@ read off those sets as bitmask subset tests, without linear algebra.  A point
 permutation maps atoms to atoms, so it acts on the lattice by permuting the
 atoms (one reduction each) and relabelling every element's atom mask, and
 orbits are closed under one transposition and one n-cycle per factor rather
-than walked over the whole group.  Elements are canonically sorted by (codim, serialization), which fixes every
-downstream output byte for byte.
+than walked over the whole group.  Elements are canonically sorted by
+(codim, serialization), which fixes every downstream output byte for byte.
+
+A subspace contains the kernel of the map induced by an injection exactly
+when its nonzero constraint columns lie at the injection's coordinates, and
+then its image is read off those columns (``fim.pushforward``).  Primitivity,
+normality and normalization are all tests on that constraint support.
 """
 
 from __future__ import annotations
@@ -27,11 +32,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .exactlin import (
-    RationalMatrix,
     Subspace,
-    _rref_rows,
-    contains,
-    direct_image,
+    constraint_support,
+    intersect,
     scatter_columns,
     subspace_from_constraints,
 )
@@ -47,9 +50,9 @@ from .fim import (
     degree_times,
     enumerate_injections,
     group_order,
-    induced_linear_map,
-    kernel_subspace,
+    injection_coordinates,
     pullback,
+    pushforward,
 )
 from .homology import RankedPoset
 
@@ -330,17 +333,11 @@ def build_lattice(
     for layer in layers:
         for key in layer:
             x = found[key]
-            xrows = list(x.constraints.entries)
             for a, (atom, _) in enumerate(atoms):
                 if masks[key] >> a & 1:
                     continue
-                reduced = _rref_rows(
-                    xrows + list(atom.constraints.entries),
-                    x.ambient_dim,
-                    max_rank=max_codim,
-                )
-                if reduced is not None:
-                    meet = Subspace(x.ambient_dim, RationalMatrix(tuple(reduced), x.ambient_dim))
+                meet = intersect(x, atom, max_codim)
+                if meet is not None:
                     record(meet, masks[key] | 1 << a)
     provenance = [
         tuple(witness for a, (_, witness) in enumerate(atoms) if masks[key] >> a & 1)
@@ -357,22 +354,12 @@ def is_primitive(spec: ArrangementSpec, degree: MultiIndex, x: Subspace) -> bool
 
     Among all induced-map kernels the minimal ones are those of corank-one
     injections missing a single point, and those kernels are the coordinate
-    spans of single points.  So it suffices to look for a point all of whose
-    r constraint columns vanish.
+    spans of single points.  So x is primitive exactly when its constraint
+    support touches every point.
     """
     if x.ambient_dim != ambient_dim(degree, spec.r):
         raise ValueError("subspace ambient does not match the degree")
-    rows = x.constraints.entries
-    point = 0
-    for nj in degree:
-        for _ in range(nj):
-            base = point * spec.r
-            if all(
-                all(row[base + t] == 0 for row in rows) for t in range(spec.r)
-            ):
-                return False
-            point += 1
-    return True
+    return len({c // spec.r for c in constraint_support(x)}) == degree.total
 
 
 @dataclass(frozen=True)
@@ -399,13 +386,18 @@ def verify_normal(
     """Check that kernel-containing elements are preimages from below.
 
     For every pair c -> d among the listed degrees and every element at d
-    containing the kernel of the induced map, the direct image must already
-    be a lattice element at c.  The first failure is reported; violations are
+    containing the kernel of the induced map, i.e. whose constraint support
+    lies at the injection's coordinates, the pushforward must already be a
+    lattice element at c.  The first failure is reported; violations are
     report content, not exceptions.
     """
     degrees = tuple(degrees)
     lattices = {
         d: get_lattice(spec, d, max(1, ambient_dim(d, spec.r))) for d in degrees
+    }
+    supports = {
+        d: [constraint_support(x) for x in lat.elements]
+        for d, lat in lattices.items()
     }
     for c in degrees:
         for d in degrees:
@@ -416,14 +408,11 @@ def verify_normal(
                 continue
             lat_c = lattices[c]
             for f in enumerate_injections(c, d):
-                ker = kernel_subspace(f, spec.r)
-                fmap = None
-                for x in lat_d.elements:
-                    if not contains(x, ker):
+                columns = set(injection_coordinates(f, spec.r))
+                for x, support in zip(lat_d.elements, supports[d]):
+                    if not support <= columns:
                         continue
-                    if fmap is None:
-                        fmap = induced_linear_map(f, spec.r)
-                    image = direct_image(fmap, x)
+                    image = pushforward(f, spec.r, x)
                     if image not in lat_c:
                         return NormalityReport(
                             False,
@@ -442,25 +431,26 @@ def _degrees_below(bound: MultiIndex) -> list[MultiIndex]:
 def normalize(spec: ArrangementSpec) -> ArrangementSpec:
     """Push each generator down to the smallest degree that carries it.
 
-    Scanning candidate degrees by increasing size (i.e. decreasing kernel
-    size), the first injection whose kernel sits inside the generator gives
-    the replacement as a direct image.  The result is generated by primitive
+    A generator contains the kernel of the map induced by an injection
+    exactly when its constraint support lies on the injection's image points.
+    So the smallest degree that carries it counts, per factor, the points the
+    support touches, and the replacement is the generator's pushforward along
+    the order-preserving injection onto those points (the first such
+    injection in enumeration order).  The result is generated by primitive
     subspaces and the operation is idempotent.
     """
     new_gens = []
     for degree, sub in spec.generators:
-        replacement = None
-        for e in _degrees_below(degree):
-            for f in enumerate_injections(e, degree):
-                if contains(sub, kernel_subspace(f, spec.r)):
-                    image = direct_image(induced_linear_map(f, spec.r), sub)
-                    replacement = (e, image)
-                    break
-            if replacement is not None:
-                break
-        assert replacement is not None  # e = degree, f = identity always works
-        assert is_primitive(spec, replacement[0], replacement[1])
-        new_gens.append(replacement)
+        points = {c // spec.r for c in constraint_support(sub)}
+        images = []
+        offset = 0
+        for n in degree:
+            images.append(tuple(i for i in range(n) if offset + i in points))
+            offset += n
+        f = Injection(tuple(images), degree)
+        image = pushforward(f, spec.r, sub)
+        assert is_primitive(spec, f.source, image)
+        new_gens.append((f.source, image))
     return ArrangementSpec(spec.m, spec.r, tuple(new_gens))
 
 

@@ -25,7 +25,7 @@ from .arrangement import (
     orbit_of,
     primitive_classes,
 )
-from .exactlin import _rref_rows
+from .exactlin import _pivot_columns, _rref_rows
 from .fim import (
     ConjClass,
     MultiIndex,
@@ -323,12 +323,7 @@ def fit_character_polynomial(
     width = len(monos) + 1
     reduced = _rref_rows(rows, width)
     assert reduced is not None
-    pivots = []
-    for row in reduced:
-        for col, entry in enumerate(row):
-            if entry != 0:
-                pivots.append(col)
-                break
+    pivots = _pivot_columns(reduced)
     if any(p == len(monos) for p in pivots):
         raise FitInconsistentError(
             "no character polynomial of this multidegree matches the samples"
@@ -371,8 +366,7 @@ def binomial_basis_form(p: CharacterPolynomial) -> str:
     reduced = _rref_rows(rows, len(expansions) + 1)
     assert reduced is not None
     coeffs = {}
-    for row in reduced:
-        pivot = next(col for col, e in enumerate(row) if e != 0)
+    for row, pivot in zip(reduced, _pivot_columns(reduced)):
         if pivot == len(expansions):
             raise AssertionError("binomial basis failed to span")
         coeffs[monos[pivot]] = row[-1]

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -554,18 +554,7 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config)
         cache_dir = _resolve_cache(args.cache, config.cache_dir)
         out_dir = args.out or config.out_dir or DEFAULT_OUT
-        config = JobConfig(
-            config.spec,
-            config.level_min,
-            config.level_max,
-            config.i_max,
-            config.outputs,
-            config.fit_degree_bound,
-            config.twisted_polynomial,
-            config.predicted_onset,
-            cache_dir,
-            out_dir,
-        )
+        config = replace(config, cache_dir=cache_dir, out_dir=out_dir)
         if args.jobs < 1:
             raise ConfigError("--jobs must be at least 1")
         return run(config, jobs=args.jobs, verbose=args.verbose)

@@ -5,7 +5,10 @@ floating point anywhere.  Subspaces of Q^N are stored in annihilator form: a
 reduced-row-echelon constraint matrix whose kernel is the subspace.  With that
 convention intersection is concatenate-and-reduce, containment is a row-space
 membership test, and set equality of subspaces is literal equality of their
-canonical serializations.
+canonical serializations.  Coordinate maps act by moving constraint columns
+(``scatter_columns``), and a subspace contains exactly the coordinate vectors
+outside its constraint support (``constraint_support``), so neither needs a
+map matrix or a spanning set.
 """
 
 from __future__ import annotations
@@ -109,15 +112,6 @@ class RationalMatrix:
                 raise ValueError("column count required for an empty matrix")
             cols = len(data[0])
         return cls(data, cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(
-            tuple(
-                tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)
-            ),
-            n,
-        )
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -314,10 +308,6 @@ class Subspace:
             raise ValueError("vector length mismatch")
         return all(e == 0 for e in self.constraints.apply(vec))
 
-    def basis(self) -> tuple[Vector, ...]:
-        """A deterministic spanning set (kernel basis of the constraints)."""
-        return kernel_basis(self.constraints)
-
     def __repr__(self):
         return f"Subspace({self.serialization!r})"
 
@@ -331,18 +321,6 @@ def subspace_from_constraints(n: int, rows: Iterable[Sequence]) -> Subspace:
     reduced = _rref_rows(data, n)
     assert reduced is not None
     return Subspace(n, RationalMatrix(tuple(reduced), n))
-
-
-def span(n: int, vectors: Iterable[Sequence]) -> Subspace:
-    """The subspace of Q^n spanned by the given vectors."""
-    data = [tuple(_coerce(e) for e in v) for v in vectors]
-    for v in data:
-        if len(v) != n:
-            raise ValueError("spanning vector length mismatch")
-    reduced = _rref_rows(data, n)
-    assert reduced is not None
-    constraints = kernel_basis(RationalMatrix(tuple(reduced), n))
-    return subspace_from_constraints(n, constraints)
 
 
 def intersect(a: Subspace, b: Subspace, max_codim: int | None = None) -> Subspace | None:
@@ -379,6 +357,17 @@ def scatter_columns(x: Subspace, columns: Sequence[int], n: int) -> Subspace:
     return Subspace(n, RationalMatrix(tuple(reduced), n))
 
 
+def constraint_support(x: Subspace) -> frozenset[int]:
+    """The columns in which some constraint of x is nonzero.
+
+    x contains the coordinate vector e_c exactly when c lies outside this
+    set, so x contains every vector supported off it.
+    """
+    return frozenset(
+        c for row in x.constraints.entries for c, e in enumerate(row) if e
+    )
+
+
 def contains(a: Subspace, b: Subspace) -> bool:
     """True iff b is a subset of a (a's constraints lie in b's row space)."""
     if a.ambient_dim != b.ambient_dim:
@@ -394,40 +383,3 @@ def contains(a: Subspace, b: Subspace) -> bool:
         if any(w != 0 for w in work):
             return False
     return True
-
-
-@dataclass(frozen=True)
-class LinearMap:
-    """A linear map Q^source -> Q^target given by its matrix."""
-
-    matrix: RationalMatrix
-
-    @property
-    def target_dim(self) -> int:
-        return self.matrix.rows
-
-    @property
-    def source_dim(self) -> int:
-        return self.matrix.cols
-
-    @classmethod
-    def identity(cls, n: int) -> "LinearMap":
-        return cls(RationalMatrix.identity(n))
-
-
-def preimage(f: LinearMap, x: Subspace) -> Subspace:
-    """The subspace {w : f(w) in x}, canonically reduced."""
-    if x.ambient_dim != f.target_dim:
-        raise ValueError("subspace does not live in the map's target")
-    composed = x.constraints.matmul(f.matrix)
-    reduced = _rref_rows(composed.entries, f.source_dim)
-    assert reduced is not None
-    return Subspace(f.source_dim, RationalMatrix(tuple(reduced), f.source_dim))
-
-
-def direct_image(f: LinearMap, x: Subspace) -> Subspace:
-    """The image f(x), computed by mapping a spanning set of x."""
-    if x.ambient_dim != f.source_dim:
-        raise ValueError("subspace does not live in the map's source")
-    images = [f.matrix.apply(v) for v in x.basis()]
-    return span(f.target_dim, images)

@@ -5,8 +5,9 @@ injective maps between the corresponding finite sets.  The contravariant
 functor sending an object n to the coordinate space (Q^r)^n turns every
 injection into a surjective coordinate selection and every permutation tuple
 into a coordinate permutation.  On subspaces both act by relabelling the
-columns of the constraint matrix (``exactlin.scatter_columns``), with no
-matrix product.
+columns of the constraint matrix, with no map matrix: preimages scatter the
+columns to the selected coordinates (``pullback``), and images of subspaces
+containing the kernel gather them back (``pushforward``).
 
 Coordinates of V^n with V = Q^r are ordered block-major: factor j, then point
 index within the factor, then vector component.  Points and components are
@@ -18,20 +19,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 from .exactlin import (
-    LinearMap,
-    RationalMatrix,
     Subspace,
+    constraint_support,
     scatter_columns,
     subspace_from_constraints,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class MultiIndex(tuple):
@@ -191,45 +187,30 @@ def injection_coordinates(f: Injection, r: int) -> tuple[int, ...]:
     )
 
 
-def induced_linear_map(f: Injection, r: int) -> LinearMap:
-    """The surjection (Q^r)^target -> (Q^r)^source selecting f's coordinates."""
-    src_level = f.source
-    tgt_level = f.target
-    nrows = ambient_dim(src_level, r)
-    ncols = ambient_dim(tgt_level, r)
-    rows = []
-    for j, imgs in enumerate(f.images):
-        for i, image_point in enumerate(imgs):
-            for t in range(r):
-                row = [_ZERO] * ncols
-                row[coord_index(tgt_level, r, j, image_point, t)] = _ONE
-                rows.append(tuple(row))
-    return LinearMap(RationalMatrix(tuple(rows), ncols))
-
-
 def pullback(f: Injection, r: int, x: Subspace) -> Subspace:
-    """The preimage of x under the surjection induced by f.
-
-    Equal to ``preimage(induced_linear_map(f, r), x)``, computed by moving
-    x's constraint columns to the coordinates f selects.
-    """
+    """The preimage of x under the surjection induced by f, computed by
+    moving x's constraint columns to the coordinates f selects."""
     if x.ambient_dim != ambient_dim(f.source, r):
         raise ValueError("subspace does not live at the injection's source")
     return scatter_columns(x, injection_coordinates(f, r), ambient_dim(f.target, r))
 
 
-def kernel_subspace(f: Injection, r: int) -> Subspace:
-    """ker of the induced map: vectors supported off the image of f."""
-    level = f.target
-    n = ambient_dim(level, r)
-    rows = []
-    for j, imgs in enumerate(f.images):
-        for image_point in imgs:
-            for t in range(r):
-                row = [_ZERO] * n
-                row[coord_index(level, r, j, image_point, t)] = _ONE
-                rows.append(row)
-    return subspace_from_constraints(n, rows)
+def pushforward(f: Injection, r: int, x: Subspace) -> Subspace:
+    """The image of x under the surjection induced by f.
+
+    Defined when x contains the kernel, the vectors supported off f's
+    coordinates, i.e. when every constraint column of x outside them is
+    zero; then the image is cut out by x's constraint columns at f's
+    coordinates, taken in that order.  Raises ValueError otherwise.
+    """
+    if x.ambient_dim != ambient_dim(f.target, r):
+        raise ValueError("subspace does not live at the injection's target")
+    columns = injection_coordinates(f, r)
+    if not constraint_support(x) <= set(columns):
+        raise ValueError("subspace does not contain the kernel of the induced map")
+    return subspace_from_constraints(
+        len(columns), [[row[c] for c in columns] for row in x.constraints.entries]
+    )
 
 
 @dataclass(frozen=True)

@@ -318,9 +318,13 @@ class LatticeHomology:
         self._fixed_sums: dict[PermTuple, list[int]] = {}
 
     def action(self, g: PermTuple) -> tuple[int, ...]:
-        """The element permutation of g, computed once per context."""
+        """The element permutation of g, computed once per context; the
+        identity is not acted out."""
         if g not in self._actions:
-            self._actions[g] = self.lattice.act(g)
+            if g == PermTuple.identity(g.level):
+                self._actions[g] = tuple(range(len(self.lattice)))
+            else:
+                self._actions[g] = self.lattice.act(g)
         return self._actions[g]
 
     def interval(self, idx: int) -> tuple[tuple[int, ...], OrderComplex]:

@@ -17,14 +17,14 @@ from arrstab.arrangement import (
     verify_downward_stability,
     verify_normal,
 )
-from arrstab.exactlin import contains, intersect, preimage, subspace_from_constraints
+from arrstab.exactlin import contains, intersect, subspace_from_constraints
 from arrstab.fim import (
     MultiIndex,
     PermTuple,
+    ambient_dim,
     binomial_set_size,
     enumerate_injections,
-    induced_linear_map,
-    kernel_subspace,
+    pullback,
 )
 
 mi = MultiIndex
@@ -204,14 +204,19 @@ def test_is_primitive_full_diagonal(braid):
 
 
 def test_is_primitive_matches_kernel_enumeration(braid):
-    # oracle: quantify over every smaller degree and every injection
+    # oracle: quantify over every smaller degree and every injection; the
+    # kernel of the induced map is the preimage of the zero subspace
     def oracle(spec, degree, sub):
         for smaller in itertools.product(*(range(d + 1) for d in degree)):
             c = mi(smaller)
             if c == degree:
                 continue
+            n = ambient_dim(c, spec.r)
+            zero = subspace_from_constraints(
+                n, [[int(i == j) for j in range(n)] for i in range(n)]
+            )
             for f in enumerate_injections(c, degree):
-                if contains(sub, kernel_subspace(f, spec.r)):
+                if contains(sub, pullback(f, spec.r, zero)):
                     return False
         return True
 
@@ -405,12 +410,7 @@ def test_downward_stability_identity(braid, get_lattice):
 def test_provenance_witnesses_reproduce_elements(braid, get_lattice):
     lat = get_lattice(braid, mi((4,)), 4)
     for idx, witness in enumerate(lat.provenance):
-        parts = [
-            preimage(
-                induced_linear_map(f, braid.r), braid.generators[gi][1]
-            )
-            for gi, f in witness
-        ]
+        parts = [pullback(f, braid.r, braid.generators[gi][1]) for gi, f in witness]
         acc = parts[0]
         for p in parts[1:]:
             acc = intersect(acc, p)

@@ -15,33 +15,44 @@ computation that never touches chain complexes.
 import itertools
 
 from arrstab.arrangement import build_lattice, family_mkr
-from arrstab.fim import MultiIndex, ambient_dim, enumerate_injections, induced_linear_map
-from arrstab.exactlin import preimage
+from arrstab.fim import MultiIndex, ambient_dim
 from arrstab.homology import order_complex, reduced_betti, whitney_homology_dims
 
 mi = MultiIndex
 
 
 def brute_force_complement_count(spec, level, q):
-    """Count F_q points outside every generator preimage, from raw constraints."""
-    n = ambient_dim(level, spec.r)
-    constraint_sets = []
+    """Count F_q points outside every generator preimage, from raw constraints.
+
+    A point lies on the preimage along f when each generator row vanishes on
+    the coordinates f selects: component t of source point i in factor j
+    reads component t of target point f_j(i).
+    """
+    n = spec.r * sum(level)
+    offsets = [sum(level[:j]) for j in range(len(level))]
+    preimages = []
     for degree, sub in spec.generators:
-        for f in enumerate_injections(degree, level):
-            pre = preimage(induced_linear_map(f, spec.r), sub)
-            rows = [
-                [e.numerator % q for e in row]
-                for row in pre.constraints.entries
+        rows = [[e.numerator % q for e in row] for row in sub.constraints.entries]
+        assert all(e.denominator == 1 for row in sub.constraints.entries for e in row)
+        injections = itertools.product(
+            *(itertools.permutations(range(d), c) for c, d in zip(degree, level))
+        )
+        for f in injections:
+            selected = [
+                (offsets[j] + image) * spec.r + t
+                for j, images in enumerate(f)
+                for image in images
+                for t in range(spec.r)
             ]
-            assert all(
-                e.denominator == 1 for row in pre.constraints.entries for e in row
-            )
-            constraint_sets.append(rows)
+            preimages.append((rows, selected))
     count = 0
     for point in itertools.product(range(q), repeat=n):
         inside_union = any(
-            all(sum(c * x for c, x in zip(row, point)) % q == 0 for row in rows)
-            for rows in constraint_sets
+            all(
+                sum(c * point[k] for c, k in zip(row, selected)) % q == 0
+                for row in rows
+            )
+            for rows, selected in preimages
         )
         if not inside_union:
             count += 1

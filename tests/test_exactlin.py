@@ -3,19 +3,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrstab.exactlin import (
-    LinearMap,
     RationalMatrix,
     Subspace,
+    constraint_support,
     contains,
-    direct_image,
     intersect,
     kernel_basis,
-    preimage,
     rank,
     rref,
-    span,
     subspace_from_constraints,
 )
+from arrstab.fim import Injection, MultiIndex, enumerate_injections, pullback, pushforward
 
 
 def mat(rows, cols=None):
@@ -90,41 +88,64 @@ def test_contains_examples():
     assert contains(Subspace.ambient(3), hyper)
 
 
+# Coordinate selections Q^3 -> Q^2, v -> (v[a], v[b]), are the maps that
+# the injections (a, b) into three points induce with r = 1.
+def selection(*points):
+    return Injection((points,), MultiIndex((3,)))
+
+
 def test_preimage_projection():
-    # project Q^3 -> Q^2 dropping coordinate 2 (the middle one)
-    f = LinearMap(mat([[1, 0, 0], [0, 0, 1]]))
+    # project Q^3 -> Q^2 dropping coordinate 1 (the middle one)
     x = subspace_from_constraints(2, [[1, -1]])
-    assert preimage(f, x) == subspace_from_constraints(3, [[1, 0, -1]])
+    assert pullback(selection(0, 2), 1, x) == subspace_from_constraints(3, [[1, 0, -1]])
 
 
 def test_preimage_identity():
-    f = LinearMap.identity(3)
     x = subspace_from_constraints(3, [[1, -1, 0]])
-    assert preimage(f, x) == x
+    assert pullback(Injection(((0, 1, 2),), MultiIndex((3,))), 1, x) == x
 
 
 def test_preimage_drop_last_coordinate():
-    f = LinearMap(mat([[1, 0, 0], [0, 1, 0]]))
     x = subspace_from_constraints(2, [[1, -1]])
-    assert preimage(f, x) == subspace_from_constraints(3, [[1, -1, 0]])
+    assert pullback(selection(0, 1), 1, x) == subspace_from_constraints(3, [[1, -1, 0]])
 
 
 def test_direct_image_projection():
-    f = LinearMap(mat([[1, 0, 0], [0, 1, 0]]))
     x = subspace_from_constraints(3, [[1, -1, 0]])
-    assert direct_image(f, x) == subspace_from_constraints(2, [[1, -1]])
+    assert pushforward(selection(0, 1), 1, x) == subspace_from_constraints(2, [[1, -1]])
 
 
 def test_direct_image_identity():
-    f = LinearMap.identity(3)
     x = subspace_from_constraints(3, [[1, -1, 0], [0, 1, -1]])
-    assert direct_image(f, x) == x
+    assert pushforward(Injection(((0, 1, 2),), MultiIndex((3,))), 1, x) == x
 
 
 def test_direct_image_full_diagonal():
-    f = LinearMap(mat([[1, 0, 0], [0, 0, 1]]))
+    # the full diagonal does not contain the kernel (the middle axis), so it
+    # has no pushforward; the smallest subspace that contains both, the
+    # preimage of its image x_0 = x_2, pushes forward to that image
+    f = selection(0, 2)
     x = subspace_from_constraints(3, [[1, -1, 0], [0, 1, -1]])
-    assert direct_image(f, x) == subspace_from_constraints(2, [[1, -1]])
+    with pytest.raises(ValueError, match="kernel"):
+        pushforward(f, 1, x)
+    saturated = subspace_from_constraints(3, [[1, 0, -1]])
+    assert contains(saturated, x)
+    assert pushforward(f, 1, saturated) == subspace_from_constraints(2, [[1, -1]])
+
+
+def test_pushforward_raises_off_the_kernel():
+    # x_0 = x_1 at r = 2 constrains point 1, which (0,) -> (2,) misses
+    f = Injection(((0,),), MultiIndex((2,)))
+    x = subspace_from_constraints(4, [[1, 0, -1, 0]])
+    assert constraint_support(x) == {0, 2}
+    with pytest.raises(ValueError, match="kernel"):
+        pushforward(f, 2, x)
+    with pytest.raises(ValueError, match="target"):
+        pushforward(f, 1, x)
+    zero_at_point_0 = subspace_from_constraints(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    assert pushforward(f, 2, zero_at_point_0) == subspace_from_constraints(
+        2, [[1, 0], [0, 1]]
+    )
 
 
 def test_serialization_format_and_roundtrip():
@@ -189,33 +210,43 @@ def test_mutual_containment_is_identity(rows):
     assert a == b and a.serialize() == b.serialize()
 
 
-surjective_maps = (
-    st.lists(st.lists(entries, min_size=5, max_size=5), min_size=3, max_size=3)
-    .map(lambda rows: mat(rows, 5))
-    .filter(lambda m: rank(m) == 3)
-    .map(LinearMap)
+# surjective coordinate selections (Q^r)^target -> (Q^r)^source, r = 1, 2
+selections = st.sampled_from(
+    [(MultiIndex(c), MultiIndex(d)) for c, d in [((3,), (3,)), ((2,), (3,)), ((3,), (5,)), ((1, 2), (2, 3))]]
+).flatmap(
+    lambda cd: st.tuples(st.sampled_from(enumerate_injections(*cd)), st.integers(1, 2))
 )
 
 
-@given(surjective_maps, rows_strategy(3))
-def test_direct_image_inverts_preimage(f, rows):
+@given(selections, st.data())
+def test_direct_image_inverts_preimage(selection_r, data):
     # any preimage contains ker(f), so the direct image recovers the source
-    y = subspace_from_constraints(3, rows)
-    x = preimage(f, y)
-    assert direct_image(f, x) == y
-    assert preimage(f, direct_image(f, x)) == x
+    f, r = selection_r
+    y = subspace_from_constraints(
+        r * f.source.total, data.draw(rows_strategy(r * f.source.total))
+    )
+    x = pullback(f, r, y)
+    assert pushforward(f, r, x) == y
+    assert pullback(f, r, pushforward(f, r, x)) == x
 
 
-@given(surjective_maps, rows_strategy(3))
-def test_preimage_preserves_codim_for_surjections(f, rows):
-    y = subspace_from_constraints(3, rows)
-    assert preimage(f, y).codim == y.codim
+@given(selections, st.data())
+def test_preimage_preserves_codim_for_surjections(selection_r, data):
+    f, r = selection_r
+    y = subspace_from_constraints(
+        r * f.source.total, data.draw(rows_strategy(r * f.source.total))
+    )
+    assert pullback(f, r, y).codim == y.codim
 
 
 def test_span_and_kernel_are_inverse_presentations():
     s = subspace_from_constraints(4, [[1, -1, 0, 0], [0, 0, 1, -1]])
-    assert span(4, s.basis()) == s
-    assert span(3, []) == subspace_from_constraints(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    basis = kernel_basis(s.constraints)
+    assert len(basis) == s.dim == rank(mat(basis, 4))
+    assert all(s.contains_vector(v) for v in basis)
+    zero = subspace_from_constraints(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert kernel_basis(zero.constraints) == ()
+    assert constraint_support(zero) == {0, 1, 2}
 
 
 def test_kernel_basis_of_zero_row_matrix():

@@ -3,7 +3,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrstab.exactlin import RationalMatrix
+from arrstab.exactlin import Subspace, subspace_from_constraints
 from arrstab.fim import (
     ConjClass,
     Injection,
@@ -18,10 +18,10 @@ from arrstab.fim import (
     degree_times,
     enumerate_injections,
     group_order,
-    induced_linear_map,
-    kernel_subspace,
     partitions,
     perm_tuples,
+    pullback,
+    pushforward,
 )
 
 mi = MultiIndex
@@ -52,22 +52,37 @@ def test_binomial_set_size():
     assert binomial_set_size(mi((2, 1)), mi((2, 1))) == 1
 
 
+def zero(n):
+    return subspace_from_constraints(n, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+# The kernel of the map induced by f is the preimage of the zero subspace;
+# its constraint rows are the rows of the selection matrix.
+
+
 def test_induced_map_selects_points():
     f = Injection(((0, 2),), mi((3,)))
-    lm = induced_linear_map(f, 1)
-    assert lm.matrix == RationalMatrix.from_rows([[1, 0, 0], [0, 0, 1]])
+    assert pullback(f, 1, zero(2)) == subspace_from_constraints(
+        3, [[1, 0, 0], [0, 0, 1]]
+    )
+    x = subspace_from_constraints(2, [[1, -2]])
+    assert pullback(f, 1, x) == subspace_from_constraints(3, [[1, 0, -2]])
+    assert pushforward(f, 1, pullback(f, 1, x)) == x
 
 
 def test_induced_map_identity():
     f = Injection(((0, 1, 2),), mi((3,)))
-    assert induced_linear_map(f, 1).matrix == RationalMatrix.identity(3)
+    assert pullback(f, 1, zero(3)) == zero(3)
+    for x in (zero(3), Subspace.ambient(3), subspace_from_constraints(3, [[1, 2, 3]])):
+        assert pullback(f, 1, x) == x
+        assert pushforward(f, 1, x) == x
 
 
 def test_induced_map_r2_kernel():
     f = Injection(((1,),), mi((2,)))
-    lm = induced_linear_map(f, 2)
-    assert lm.matrix == RationalMatrix.from_rows([[0, 0, 1, 0], [0, 0, 0, 1]])
-    assert kernel_subspace(f, 2).dim == 2
+    kernel = pullback(f, 2, zero(2))
+    assert kernel == subspace_from_constraints(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
+    assert kernel.dim == 2
 
 
 def test_conj_classes_s3():
@@ -181,15 +196,19 @@ def test_inverse_composes_to_identity(g):
 
 
 def test_contravariance_of_induced_maps():
-    # g: (2) -> (3), f: (3) -> (5); V(f o g) = V(g) . V(f)
+    # g: (2) -> (3), f: (3) -> (5); V(f o g) = V(g) . V(f), so preimages
+    # compose as (f o g)^* = f^* g^* and images as (f o g)_* = g_* f_*
     g = Injection(((2, 0),), mi((3,)))
     f = Injection(((1, 4, 3),), mi((5,)))
     fg = compose_injections(f, g)
     assert fg.images == ((3, 1),)
     for r in (1, 2):
-        lhs = induced_linear_map(fg, r).matrix
-        rhs = induced_linear_map(g, r).matrix @ induced_linear_map(f, r).matrix
-        assert lhs == rhs
+        for rows in ([[1, -1] * r], [[1, 2] + [0] * (2 * r - 2)], []):
+            x = subspace_from_constraints(2 * r, rows)
+            y = pullback(fg, r, x)
+            assert y == pullback(f, r, pullback(g, r, x))
+            assert pushforward(fg, r, y) == pushforward(g, r, pushforward(f, r, y)) == x
+        assert pullback(fg, r, zero(2 * r)) == pullback(f, r, pullback(g, r, zero(2 * r)))
 
 
 def test_coordinate_permutation_matches_matrix():

@@ -4,8 +4,8 @@
 under intersection with every known element and derives the order from
 ``exactlin.contains``.  It shares no code with the atom-set construction
 beyond the exact linear algebra, and stays here as the reference.  The group
-action, orbits, preimages and the orbit decomposition have their former
-paths as references further down.
+action, orbits, preimages, images, normality, normalization and the orbit
+decomposition have their former paths as references further down.
 """
 
 import re
@@ -18,27 +18,82 @@ from arrstab import arrangement, cache, cli, exactlin, fim
 from arrstab.arrangement import (
     ArrangementSpec,
     LatticeError,
+    NormalityReport,
+    NormalityViolation,
     OrbitDecomposition,
     build_lattice,
     family_mkr,
+    normalize,
     orbit_decomposition,
     primitive_classes,
+    verify_normal,
 )
-from arrstab.exactlin import contains, intersect, preimage, subspace_from_constraints
+from arrstab.exactlin import (
+    RationalMatrix,
+    contains,
+    intersect,
+    kernel_basis,
+    subspace_from_constraints,
+)
 from arrstab.fim import (
     ConjClass,
     MultiIndex,
+    ambient_dim,
     binomial_class_key,
     class_representative,
     conj_classes,
+    coord_index,
     coordinate_permutation,
     enumerate_injections,
-    induced_linear_map,
     perm_tuples,
     pullback,
+    pushforward,
 )
 
 mi = MultiIndex
+
+
+# ``selection_matrix`` is the former ``fim.induced_linear_map``: the matrix of
+# the coordinate selection (Q^r)^target -> (Q^r)^source that an injection
+# induces.  The former dense path multiplied constraints by it for preimages,
+# cut the kernel out by its rows, and took direct images by mapping a kernel
+# basis and spanning the images.  It stays here as the reference for
+# ``pullback``, ``pushforward`` and the constraint-support tests.
+
+
+def selection_matrix(f, r):
+    ncols = ambient_dim(f.target, r)
+    rows = []
+    for j, imgs in enumerate(f.images):
+        for image_point in imgs:
+            for t in range(r):
+                row = [0] * ncols
+                row[coord_index(f.target, r, j, image_point, t)] = 1
+                rows.append(row)
+    return RationalMatrix.from_rows(rows, ncols)
+
+
+def dense_preimage(f, r, x):
+    composed = x.constraints.matmul(selection_matrix(f, r))
+    return subspace_from_constraints(composed.cols, composed.entries)
+
+
+def dense_kernel(f, r):
+    matrix = selection_matrix(f, r)
+    return subspace_from_constraints(matrix.cols, matrix.entries)
+
+
+def dense_span(n, vectors):
+    """The subspace of Q^n spanned by the vectors (the former ``span``)."""
+    return subspace_from_constraints(
+        n, kernel_basis(RationalMatrix.from_rows(vectors, n))
+    )
+
+
+def dense_direct_image(f, r, x):
+    matrix = selection_matrix(f, r)
+    images = [matrix.apply(v) for v in kernel_basis(x.constraints)]
+    return dense_span(matrix.rows, images)
 
 
 def pairwise_closure(spec, n, max_codim):
@@ -46,7 +101,7 @@ def pairwise_closure(spec, n, max_codim):
     known = {}
     for degree, sub in spec.generators:
         for f in enumerate_injections(degree, n):
-            pre = preimage(induced_linear_map(f, spec.r), sub)
+            pre = dense_preimage(f, spec.r, sub)
             if pre.codim <= max_codim:
                 known.setdefault(pre.serialization, pre)
     frontier = sorted(known)
@@ -67,7 +122,7 @@ def atom_witnesses(spec, n):
     first = {}
     for gi, (degree, sub) in enumerate(spec.generators):
         for f in enumerate_injections(degree, n):
-            pre = preimage(induced_linear_map(f, spec.r), sub)
+            pre = dense_preimage(f, spec.r, sub)
             first.setdefault(pre.serialization, (pre, (gi, f)))
     return [first[key] for key in sorted(first)]
 
@@ -194,7 +249,6 @@ def test_rref_budget_braid6_codim3(braid, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(exactlin, "_rref_rows", counting)
-    monkeypatch.setattr(arrangement, "_rref_rows", counting)
     lat = build_lattice(braid, mi((6,)), 3)
     # |L| = 170 set partitions of 6 points with at most 3 merges, 15 atoms
     # x_i = x_j, and 30 injections [2] -> [6]
@@ -204,7 +258,6 @@ def test_rref_budget_braid6_codim3(braid, monkeypatch):
 
 def test_lattice_build_and_load_do_no_containment_tests(braid, tmp_path, monkeypatch):
     monkeypatch.setattr(exactlin, "contains", never("contains"))
-    monkeypatch.setattr(arrangement, "contains", never("contains"))
     lat = build_lattice(braid, mi((5,)), 3)
     cache.store(tmp_path, braid, lat)
     loaded = cache.load(tmp_path, braid, mi((5,)), 3)
@@ -217,9 +270,9 @@ def test_lattice_build_and_load_do_no_containment_tests(braid, tmp_path, monkeyp
 # ``rref_image`` is the former ``IntersectionLattice.permute_element`` and
 # ``rref_act`` the former ``act``: every element is permuted and reduced on
 # its own.  ``walked_orbit`` is the former ``orbit_of``, a walk over the whole
-# group.  ``preimage(induced_linear_map(f, r), x)`` is the former dense
-# preimage.  They stay here as the references for the atom permutation, the
-# generator BFS and the column scatter that replaced them.
+# group.  ``dense_preimage`` is the former preimage.  They stay here as the
+# references for the atom permutation, the generator BFS and the column
+# scatter that replaced them.
 
 
 def rref_image(lat, g, idx):
@@ -303,7 +356,136 @@ def injection_cases(draw):
 def test_scattered_preimage_matches_dense_preimage(case):
     source, target, r, x = case
     for f in enumerate_injections(source, target):
-        assert pullback(f, r, x) == preimage(induced_linear_map(f, r), x)
+        assert pullback(f, r, x) == dense_preimage(f, r, x)
+
+
+@st.composite
+def point_skipping_rows(draw, level, r):
+    """Constraint rows at ``level`` that vanish on a drawn set of points."""
+    used = draw(st.lists(st.booleans(), min_size=level.total, max_size=level.total))
+    n = r * level.total
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return [[e if used[c // r] else 0 for c, e in enumerate(row)] for row in rows]
+
+
+@st.composite
+def pushforward_cases(draw):
+    source, target = draw(
+        st.sampled_from(
+            [((1,), (3,)), ((2,), (3,)), ((3,), (4,)), ((2,), (2,)), ((0,), (2,)), ((1, 1), (2, 2)), ((2, 1), (2, 3))]
+        )
+    )
+    r = draw(st.integers(1, 2))
+    rows = draw(point_skipping_rows(mi(target), r))
+    return mi(source), mi(target), r, subspace_from_constraints(r * sum(target), rows)
+
+
+@given(pushforward_cases())
+@settings(max_examples=80, deadline=None)
+def test_pushforward_matches_dense_direct_image(case):
+    source, target, r, x = case
+    for f in enumerate_injections(source, target):
+        if contains(x, dense_kernel(f, r)):
+            assert pushforward(f, r, x) == dense_direct_image(f, r, x)
+        else:
+            with pytest.raises(ValueError, match="kernel"):
+                pushforward(f, r, x)
+
+
+def scan_normalize(spec):
+    """The former ``normalize``: the first injection, by degree size and then
+    in enumeration order, whose dense kernel the generator contains."""
+    gens = []
+    for degree, sub in spec.generators:
+        e, f = next(
+            (e, f)
+            for e in arrangement._degrees_below(degree)
+            for f in enumerate_injections(e, degree)
+            if contains(sub, dense_kernel(f, spec.r))
+        )
+        gens.append((e, dense_direct_image(f, spec.r, sub)))
+    return ArrangementSpec(spec.m, spec.r, tuple(gens))
+
+
+def scan_verify_normal(spec, degrees, get_lattice):
+    """The former ``verify_normal``: dense kernel containment, then the
+    direct image, in the same loop order."""
+    degrees = tuple(degrees)
+    lattices = {
+        d: get_lattice(spec, d, max(1, ambient_dim(d, spec.r))) for d in degrees
+    }
+    for c in degrees:
+        for d in degrees:
+            if not c.leq(d):
+                continue
+            for f in enumerate_injections(c, d):
+                ker = dense_kernel(f, spec.r)
+                for x in lattices[d].elements:
+                    if contains(x, ker):
+                        image = dense_direct_image(f, spec.r, x)
+                        if image not in lattices[c]:
+                            violation = NormalityViolation(c, d, f, x, image)
+                            return NormalityReport(False, degrees, violation)
+    return NormalityReport(True, degrees)
+
+
+def assert_normality_matches_scan(spec, top, get_lattice):
+    assert normalize(spec) == scan_normalize(spec)
+    degrees = arrangement._degrees_below(top)
+    report = verify_normal(spec, degrees, get_lattice)
+    assert report == scan_verify_normal(spec, degrees, get_lattice)
+    return report
+
+
+NON_NORMAL = [
+    PADDED,
+    MIXED_FACTOR,
+    # points skipped in both factors, and a padded generator with r = 2
+    ArrangementSpec(
+        2, 1, ((mi((2, 2)), subspace_from_constraints(4, [[0, 1, -1, 0]])),)
+    ),
+    ArrangementSpec(
+        1, 2, ((mi((3,)), subspace_from_constraints(6, [[1, 0, 0, 0, -1, 0]])),)
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec", [case[0] for case in FAMILY_CASES] + NON_NORMAL[2:]
+)
+def test_normality_matches_dense_scan(spec, get_lattice):
+    # every degree up to one point more than the generators in each factor
+    top = mi(min(c + 1, 3) for c in spec.cmax)
+    report = assert_normality_matches_scan(spec, top, get_lattice)
+    assert report.normal == (spec not in NON_NORMAL)
+
+
+@st.composite
+def point_skipping_specs(draw):
+    m = draw(st.integers(1, 2))
+    r = draw(st.integers(1, 2))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        degree = mi(draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)))
+        assume(1 <= degree.total <= (3 if r == 1 else 2))
+        sub = subspace_from_constraints(
+            r * degree.total, draw(point_skipping_rows(degree, r))
+        )
+        assume(sub.codim >= 1)
+        gens.append((degree, sub))
+    return ArrangementSpec(m, r, tuple(gens))
+
+
+@given(point_skipping_specs())
+@settings(max_examples=100, deadline=None)
+def test_normality_matches_dense_scan_random(spec):
+    assert_normality_matches_scan(spec, spec.cmax, cache.CachingBuilder())
 
 
 def injection_orbit_decomposition(lat, classes):
@@ -313,7 +495,7 @@ def injection_orbit_decomposition(lat, classes):
         if not cls.degree.leq(lat.level):
             continue
         for f in enumerate_injections(cls.degree, lat.level):
-            pre = preimage(induced_linear_map(f, lat.r), cls.subspace)
+            pre = dense_preimage(f, lat.r, cls.subspace)
             table.setdefault(pre.serialization, []).append((ci, binomial_class_key(f)))
     assignments = []
     for idx, element in enumerate(lat.elements):
@@ -462,6 +644,6 @@ def test_readme_freeness_act_budget(tmp_path, monkeypatch):
     # characters: p(n) - 1 non-identity classes at n = 2..6, 1+2+4+6+10 = 23;
     # primitive classes once, one generator set per degree 2..6: 1+2+2+2+2 = 9;
     # freeness at i = 1, 2, 3: one context per class degree e, acting once
-    # per class (the generators are class representatives), p(e) in all:
-    # 2, then 2+3+5, then 2+3+5+7+11
-    assert calls == 23 + 9 + 40
+    # per non-identity class (the generators are class representatives),
+    # p(e) - 1 in all: 1, then 1+2+4, then 1+2+4+6+10
+    assert calls == 23 + 9 + 31
