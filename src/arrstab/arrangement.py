@@ -32,9 +32,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .exactlin import (
+    RationalMatrix,
     Subspace,
+    _pivot_columns,
     constraint_support,
-    intersect,
+    meet_rows,
     scatter_columns,
     subspace_from_constraints,
 )
@@ -299,10 +301,15 @@ def build_lattice(
     intersection of X's atoms contains X.  It also completes each atom set
     before its element is taken: an atom A containing X reaches X through the
     chain of partial intersections from A down to X, all of lower codim.  So
-    every intersection yields a smaller element or exceeds the cutoff.
+    every intersection yields a smaller element or exceeds the cutoff, and
+    the elements at codim max_codim are not intersected at all.
     Intersecting any two stored elements yields a stored element or exceeds
     max_codim.  An empty lattice is legal (no injection from any generator
     degree, or every atom already exceeds the cutoff).
+
+    Each meet reduces only the atom's rows against the element's RREF rows
+    (``exactlin.meet_rows``), and elements are deduplicated on their rows, so
+    a ``Subspace`` is made once per new element rather than once per meet.
     """
     if max_codim < 1:
         raise ValueError("max_codim must be at least 1")
@@ -315,35 +322,44 @@ def build_lattice(
             if pre.codim <= max_codim:
                 first.setdefault(pre.serialization, (pre, (gi, f)))
     atoms = [first[key] for key in sorted(first)]
-    found: dict[str, Subspace] = {}
-    masks: dict[str, int] = {}  # bit a set: atoms[a] contains the element
-    layers: list[list[str]] = [[] for _ in range(max_codim + 1)]
+    dim = ambient_dim(n, spec.r)
+    index: dict[tuple, int] = {}
+    rows_of: list[tuple] = []
+    pivots_of: list[list[int]] = []
+    masks: list[int] = []  # bit a set: atoms[a] contains the element
+    layers: list[list[int]] = [[] for _ in range(max_codim + 1)]
 
-    def record(x: Subspace, mask: int) -> None:
-        key = x.serialization
-        if key not in found:
-            found[key] = x
-            masks[key] = 0
-            layers[x.codim].append(key)
-        masks[key] |= mask
+    def record(rows: tuple, mask: int) -> None:
+        idx = index.get(rows)
+        if idx is None:
+            idx = index[rows] = len(masks)
+            rows_of.append(rows)
+            pivots_of.append(_pivot_columns(rows))
+            masks.append(0)
+            layers[len(rows)].append(idx)
+        masks[idx] |= mask
 
     for a, (atom, _) in enumerate(atoms):
-        record(atom, 1 << a)
+        record(atom.constraints.entries, 1 << a)
     # Layers grow while iterated; every meet lands in a later layer.
-    for layer in layers:
-        for key in layer:
-            x = found[key]
+    for layer in layers[:max_codim]:
+        for idx in layer:
             for a, (atom, _) in enumerate(atoms):
-                if masks[key] >> a & 1:
+                if masks[idx] >> a & 1:
                     continue
-                meet = intersect(x, atom, max_codim)
-                if meet is not None:
-                    record(meet, masks[key] | 1 << a)
-    provenance = [
-        tuple(witness for a, (_, witness) in enumerate(atoms) if masks[key] >> a & 1)
-        for key in found
+                rows = meet_rows(
+                    rows_of[idx], pivots_of[idx], atom.constraints.entries, dim, max_codim
+                )
+                if rows is not None:
+                    record(rows, masks[idx] | 1 << a)
+    elements = [atom for atom, _ in atoms] + [
+        Subspace(dim, RationalMatrix(rows, dim)) for rows in rows_of[len(atoms) :]
     ]
-    return IntersectionLattice(n, max_codim, spec.r, list(found.values()), provenance)
+    provenance = [
+        tuple(witness for a, (_, witness) in enumerate(atoms) if mask >> a & 1)
+        for mask in masks
+    ]
+    return IntersectionLattice(n, max_codim, spec.r, elements, provenance)
 
 
 LatticeBuilder = Callable[[ArrangementSpec, MultiIndex, int], IntersectionLattice]

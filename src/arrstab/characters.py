@@ -332,9 +332,11 @@ def fit_character_polynomial(
         raise FitUnderdeterminedError(
             "samples leave free coefficients; add more levels"
         )
+    # the reduction gives ints where integral; coefficients stay Fractions,
+    # which the reports render as strings
     coeffs = {mono: _ZERO for mono in monos}
     for row, p in zip(reduced, pivots):
-        coeffs[monos[p]] = row[-1]
+        coeffs[monos[p]] = Fraction(row[-1])
     return CharacterPolynomial.from_dict(m, coeffs)
 
 
@@ -369,7 +371,7 @@ def binomial_basis_form(p: CharacterPolynomial) -> str:
     for row, pivot in zip(reduced, _pivot_columns(reduced)):
         if pivot == len(expansions):
             raise AssertionError("binomial basis failed to span")
-        coeffs[monos[pivot]] = row[-1]
+        coeffs[monos[pivot]] = Fraction(row[-1])
     pieces = []
     for mono in monos:
         coeff = coeffs.get(mono, _ZERO)

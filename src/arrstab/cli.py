@@ -5,7 +5,8 @@ byte-deterministic so a warm cache reproduces them exactly.  Exit status is 0
 on success, 2 when a falsification finding is present (fit inconsistency,
 freeness mismatch, stability onset later than predicted), 1 on usage or
 configuration errors, and 3 when the engine fails an internal consistency
-check (``LatticeError``, e.g. a corrupted lattice).
+check (``LatticeError``, e.g. a corrupted lattice, or an engine
+``AssertionError`` or ``KeyError``).
 """
 
 from __future__ import annotations
@@ -558,8 +559,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.jobs < 1:
             raise ConfigError("--jobs must be at least 1")
         return run(config, jobs=args.jobs, verbose=args.verbose)
-    except LatticeError as exc:
-        # an engine invariant failed (e.g. a corrupted lattice): not the
+    except (LatticeError, AssertionError, KeyError) as exc:
+        # an engine invariant failed (e.g. a corrupted lattice) or an engine
+        # lookup missed; config lookups raise ConfigError instead.  Not the
         # user's input, and not a finding
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

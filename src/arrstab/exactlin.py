@@ -1,10 +1,19 @@
 """Exact rational linear algebra on small dense matrices.
 
-Everything here is computed over Q with ``fractions.Fraction``; there is no
-floating point anywhere.  Subspaces of Q^N are stored in annihilator form: a
-reduced-row-echelon constraint matrix whose kernel is the subspace.  With that
-convention intersection is concatenate-and-reduce, containment is a row-space
-membership test, and set equality of subspaces is literal equality of their
+Everything here is computed over Q; there is no floating point anywhere.
+Entries are integer-first: an integral entry is a Python ``int`` and only a
+genuine denominator makes a ``fractions.Fraction``.  Row reduction keeps it
+that way: a lead of -1 is cleared by negation, and a quotient or difference
+that comes out integral is an ``int`` again.  Since ``str(1) ==
+str(Fraction(1))`` and equal values hash alike, the representation never
+shows in serializations or in equality.
+
+Subspaces of Q^N are stored in annihilator form: a reduced-row-echelon
+constraint matrix whose kernel is the subspace.  With that convention
+intersection is an incremental reduction (``meet_rows``: the other side's
+rows are reduced against the pivots already in place, and only the residual
+is echelonized), containment is a row-space membership test, and set
+equality of subspaces is literal equality of their rows or of their
 canonical serializations.  Coordinate maps act by moving constraint columns
 (``scatter_columns``), and a subspace contains exactly the coordinate vectors
 outside its constraint support (``constraint_support``), so neither needs a
@@ -24,15 +33,61 @@ _ONE = Fraction(1)
 Vector = tuple[Fraction, ...]
 
 
-def _coerce(value) -> Fraction:
-    """Accept ints, 'p/q' strings, and Fractions.  Floats are refused."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _coerce(value) -> int | Fraction:
+    """Accept ints, 'p/q' strings, and Fractions; integral values become ints.
+    Floats are refused."""
     if isinstance(value, str):
-        return Fraction(value)
+        value = Fraction(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):
+        return int(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def _quotient(a, b):
+    """a / b, as an int when it is integral."""
+    if type(a) is int and type(b) is int:
+        q, rem = divmod(a, b)
+        if not rem:
+            return q
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _minus(row: Sequence, factor, prow: Sequence) -> list:
+    """row - factor * prow, touching only the nonzero entries of prow; a
+    ``Fraction`` result that is integral comes back as an int."""
+    out = [a - factor * b if b else a for a, b in zip(row, prow)]
+    return [v.numerator if type(v) is Fraction and v.denominator == 1 else v for v in out]
+
+
+def _echelon(mat: list[list], cols: int, max_rank: int | None = None) -> list[tuple] | None:
+    """Reduce ``mat`` in place to RREF and return its nonzero rows, or None
+    as soon as the rank exceeds ``max_rank``."""
+    nrows = len(mat)
+    pivot_row = 0
+    for col in range(cols):
+        if pivot_row == nrows:
+            break
+        pivot = next((r for r in range(pivot_row, nrows) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[pivot_row], mat[pivot] = mat[pivot], mat[pivot_row]
+        prow = mat[pivot_row]
+        lead = prow[col]
+        if lead == -1:
+            prow = [-e for e in prow]
+        elif lead != 1:
+            prow = [_quotient(e, lead) if e else e for e in prow]
+        mat[pivot_row] = prow
+        for r in range(nrows):
+            if r != pivot_row and mat[r][col]:
+                mat[r] = _minus(mat[r], mat[r][col], prow)
+        pivot_row += 1
+        if max_rank is not None and pivot_row > max_rank:
+            return None
+    return [tuple(row) for row in mat[:pivot_row]]
 
 
 def _rref_rows(
@@ -40,40 +95,53 @@ def _rref_rows(
 ) -> list[tuple[Fraction, ...]] | None:
     """Reduced row echelon form with zero rows dropped.
 
-    Returns None as soon as the rank exceeds ``max_rank`` (used to prune
-    lattice intersections past a codimension cutoff).
+    Returns None as soon as the rank exceeds ``max_rank``.  Every entry the
+    reduction computes is an int when it is integral, so callers that need
+    ``Fraction`` values convert them.
     """
-    mat = [list(row) for row in rows]
-    nrows = len(mat)
-    pivot_row = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(pivot_row, nrows):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != pivot_row:
-            mat[pivot_row], mat[pivot] = mat[pivot], mat[pivot_row]
-        lead = mat[pivot_row][col]
-        if lead != 1:
-            inv = _ONE / lead
-            mat[pivot_row] = [e * inv for e in mat[pivot_row]]
-        prow = mat[pivot_row]
-        for r in range(nrows):
-            if r == pivot_row:
-                continue
-            factor = mat[r][col]
-            if factor != 0:
-                cur = mat[r]
-                mat[r] = [a - factor * b for a, b in zip(cur, prow)]
-        pivot_row += 1
-        if max_rank is not None and pivot_row > max_rank:
-            return None
-        if pivot_row == nrows:
-            break
-    return [tuple(row) for row in mat[:pivot_row]]
+    return _echelon([list(row) for row in rows], cols, max_rank)
+
+
+def meet_rows(
+    rows: Sequence[tuple],
+    pivots: Sequence[int],
+    other: Iterable[Sequence],
+    cols: int,
+    max_rank: int | None = None,
+) -> tuple[tuple, ...] | None:
+    """The RREF of ``rows`` and ``other`` together, where ``rows`` is already
+    in RREF with pivot columns ``pivots``.
+
+    Each row of ``other`` is reduced against the pivots in place; the
+    nonzero residuals are echelonized among themselves, and their new pivots
+    are then cleared from ``rows``.  Returns None as soon as the rank
+    exceeds ``max_rank``.  As constraint rows this is the intersection of
+    the two subspaces.
+    """
+    room = None if max_rank is None else max_rank - len(rows)
+    if room is not None and room < 0:
+        return None
+    residual = []
+    for row in other:
+        for prow, p in zip(rows, pivots):
+            if row[p]:
+                row = _minus(row, row[p], prow)
+        if any(row):
+            residual.append(list(row))
+    if not residual:
+        return tuple(rows)
+    new = _echelon(residual, cols, room)
+    if new is None:
+        return None
+    new_pivots = _pivot_columns(new)
+    merged = list(zip(new_pivots, new))
+    for prow, p in zip(rows, pivots):
+        for nrow, q in zip(new, new_pivots):
+            if prow[q]:
+                prow = tuple(_minus(prow, prow[q], nrow))
+        merged.append((p, prow))
+    merged.sort(key=lambda pair: pair[0])
+    return tuple(row for _, row in merged)
 
 
 def _pivot_columns(rref_rows: Sequence[Sequence[Fraction]]) -> list[int]:
@@ -296,11 +364,14 @@ class Subspace:
     def parse(cls, text: str) -> "Subspace":
         head, _, body = text.partition(":")
         n = int(head)
-        rows = []
+        rows = ()
         if body:
-            for chunk in body.split(";"):
-                rows.append([Fraction(e) for e in chunk.split(",")])
-        return cls(n, RationalMatrix.from_rows(rows, n))
+            # "p/q" stays a Fraction, so "1/0" raises ZeroDivisionError
+            rows = tuple(
+                tuple(Fraction(e) if "/" in e else int(e) for e in chunk.split(","))
+                for chunk in body.split(";")
+            )
+        return cls(n, RationalMatrix(rows, n))
 
     def contains_vector(self, vector: Sequence) -> bool:
         vec = [_coerce(v) for v in vector]
@@ -327,14 +398,13 @@ def intersect(a: Subspace, b: Subspace, max_codim: int | None = None) -> Subspac
     """Canonical a .. b.  With ``max_codim`` set, returns None past the cutoff."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    reduced = _rref_rows(
-        list(a.constraints.entries) + list(b.constraints.entries),
-        a.ambient_dim,
-        max_rank=max_codim,
+    rows = a.constraints.entries
+    reduced = meet_rows(
+        rows, _pivot_columns(rows), b.constraints.entries, a.ambient_dim, max_codim
     )
     if reduced is None:
         return None
-    return Subspace(a.ambient_dim, RationalMatrix(tuple(reduced), a.ambient_dim))
+    return Subspace(a.ambient_dim, RationalMatrix(reduced, a.ambient_dim))
 
 
 def scatter_columns(x: Subspace, columns: Sequence[int], n: int) -> Subspace:
@@ -348,7 +418,7 @@ def scatter_columns(x: Subspace, columns: Sequence[int], n: int) -> Subspace:
     """
     rows = []
     for row in x.constraints.entries:
-        out = [_ZERO] * n
+        out = [0] * n
         for value, col in zip(row, columns):
             out[col] = value
         rows.append(out)

@@ -103,6 +103,8 @@ def test_fit_pconf_h1(braid, get_lattice):
     ]
     poly = fit_character_polynomial(samples, mi((2,)))
     assert poly == X(1) * (X(1) - 1) / 2 + X(2)
+    # the reduction returns integral values as ints; reports need Fractions
+    assert all(type(v) is Fraction for _, v in poly.coeffs)
     # verify at a level outside the fit window
     chi7 = character_of_cohomology(braid, mi((7,)), 1, get_lattice)
     assert all(poly.evaluate(c) == chi7(c) for c in chi7.values)

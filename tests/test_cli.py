@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from arrstab import cache
+from arrstab import cache, cli
 from arrstab.arrangement import build_lattice, family_mkr
 from arrstab.cli import list_catalog, load_config, main
 from arrstab.fim import MultiIndex
@@ -318,6 +318,30 @@ def test_lattice_missing_an_orbit_member_exits_three(tmp_path, capsys):
     code = main(["run", "--config", str(config), "--cache", str(cache_dir), "--out", str(out)])
     assert code == 3
     assert "internal error: group action left the lattice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error", [AssertionError("broken invariant"), KeyError("missing element")]
+)
+def test_engine_error_exits_three(tmp_path, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli.LatticeHomology, "betti_report", fail)
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(config), "--cache", str(tmp_path / "c"), "--out", str(out)])
+    assert code == 3
+    assert f"internal error: {error}" in capsys.readouterr().err
+
+
+def test_config_lookup_error_still_exits_one(tmp_path, capsys):
+    config = write_config(tmp_path)
+    data = json.loads(read(config))
+    del data["levels"]["max"]
+    config.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert "error: invalid config" in capsys.readouterr().err
 
 
 def test_cache_miss_on_other_parameters(tmp_path):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,10 +7,13 @@ from hypothesis import strategies as st
 from arrstab.exactlin import (
     RationalMatrix,
     Subspace,
+    _pivot_columns,
+    _rref_rows,
     constraint_support,
     contains,
     intersect,
     kernel_basis,
+    meet_rows,
     rank,
     rref,
     subspace_from_constraints,
@@ -199,6 +204,55 @@ def test_intersect_associative(a, b, c):
 @given(subspaces6)
 def test_intersect_idempotent(a):
     assert intersect(a, a) == a
+
+
+fractions = st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@given(
+    st.lists(st.lists(fractions, min_size=5, max_size=5), max_size=4),
+    st.lists(st.lists(fractions, min_size=5, max_size=5), max_size=4),
+    st.integers(0, 5),
+)
+def test_meet_rows_matches_stacked_reduction(a, b, max_rank):
+    rows = tuple(_rref_rows(a, 5))
+    expected = _rref_rows(list(rows) + b, 5)
+    for cutoff in (None, max_rank):
+        got = meet_rows(rows, _pivot_columns(rows), b, 5, cutoff)
+        if cutoff is not None and len(expected) > cutoff:
+            assert got is None
+        else:
+            assert got == tuple(expected)
+
+
+@given(st.lists(st.lists(fractions, min_size=4, max_size=4), max_size=4))
+def test_reduction_is_integer_first(rows):
+    # integral entries in, integral entries out as ints
+    reduced = _rref_rows(rows, 4)
+    assert reduced == _rref_rows([[Fraction(e) for e in row] for row in rows], 4)
+    for row in reduced:
+        for e in row:
+            assert type(e) is int or e.denominator > 1
+
+
+def test_integral_rows_stay_int():
+    assert _rref_rows([[2, 4, 6], [-1, 0, 3]], 3) == [(1, 0, -3), (0, 1, 3)]
+    assert {type(e) for row in _rref_rows([[2, 4, 6], [-1, 0, 3]], 3) for e in row} == {int}
+    assert _rref_rows([[2, 3]], 2) == [(1, Fraction(3, 2))]
+    s = subspace_from_constraints(3, [["4/2", -2, 0]])
+    assert s.constraints.entries == ((1, -1, 0),)
+    assert type(s.constraints.entries[0][0]) is int
+
+
+def test_parse_reads_ints_and_fractions():
+    s = Subspace.parse("3:1,-1/2,0;0,0,1")
+    assert [[type(e) for e in row] for row in s.constraints.entries] == [
+        [int, Fraction, int],
+        [int, int, int],
+    ]
+    assert s == subspace_from_constraints(3, [[2, -1, 0], [0, 0, 1]])
+    with pytest.raises(ZeroDivisionError):
+        Subspace.parse("2:1,1/0")
 
 
 @given(rows_strategy(5))

@@ -3,12 +3,14 @@
 ``pairwise_closure`` is the former ``build_lattice``: it closes the frontier
 under intersection with every known element and derives the order from
 ``exactlin.contains``.  It shares no code with the atom-set construction
-beyond the exact linear algebra, and stays here as the reference.  The group
-action, orbits, preimages, images, normality, normalization and the orbit
-decomposition have their former paths as references further down.
+beyond the exact linear algebra, and stays here as the reference.  The
+integer-first meet, the group action, orbits, preimages, images, normality,
+normalization and the orbit decomposition have their former paths as
+references further down.
 """
 
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,6 +32,7 @@ from arrstab.arrangement import (
 )
 from arrstab.exactlin import (
     RationalMatrix,
+    Subspace,
     contains,
     intersect,
     kernel_basis,
@@ -240,20 +243,45 @@ def test_truncation_equals_fresh_build(spec, level, top, low, monkeypatch):
 
 
 def test_rref_budget_braid6_codim3(braid, monkeypatch):
-    calls = 0
-    original = exactlin._rref_rows
+    in_pullback = False
+    rref_calls = []  # whether each full reduction ran inside an atom pullback
+    meet_codims = []  # the codim of the element each meet starts from
+    original_rref = exactlin._rref_rows
+    original_meet = arrangement.meet_rows
+    original_pullback = arrangement.pullback
 
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return original(*args, **kwargs)
+    def counting_rref(*args, **kwargs):
+        rref_calls.append(in_pullback)
+        return original_rref(*args, **kwargs)
 
-    monkeypatch.setattr(exactlin, "_rref_rows", counting)
+    def counting_meet(rows, *args, **kwargs):
+        meet_codims.append(len(rows))
+        return original_meet(rows, *args, **kwargs)
+
+    def flagged_pullback(*args, **kwargs):
+        nonlocal in_pullback
+        in_pullback = True
+        try:
+            return original_pullback(*args, **kwargs)
+        finally:
+            in_pullback = False
+
+    monkeypatch.setattr(exactlin, "_rref_rows", counting_rref)
+    monkeypatch.setattr(arrangement, "meet_rows", counting_meet)
+    monkeypatch.setattr(arrangement, "pullback", flagged_pullback)
     lat = build_lattice(braid, mi((6,)), 3)
     # |L| = 170 set partitions of 6 points with at most 3 merges, 15 atoms
     # x_i = x_j, and 30 injections [2] -> [6]
     assert len(lat) == 170
-    assert calls <= 170 * 15 + 30
+    assert len(meet_codims) <= 170 * 15
+    # one meet per element below the cutoff and atom not containing it; the
+    # codim-3 elements, at the cutoff, start none
+    assert len(meet_codims) == sum(
+        15 - len(lat.provenance[i]) for i in range(len(lat)) if lat.codims[i] < 3
+    )
+    assert max(meet_codims) < 3
+    # the only full reductions are the atom pullbacks, one per injection
+    assert rref_calls == [True] * 30
 
 
 def test_lattice_build_and_load_do_no_containment_tests(braid, tmp_path, monkeypatch):
@@ -263,6 +291,166 @@ def test_lattice_build_and_load_do_no_containment_tests(braid, tmp_path, monkeyp
     loaded = cache.load(tmp_path, braid, mi((5,)), 3)
     assert loaded is not None
     assert len(loaded.truncated(2)) == 35
+
+
+# --- the integer-first closure ------------------------------------------------
+#
+# ``fraction_rref`` is the former ``exactlin._rref_rows``: every entry a
+# ``Fraction`` and every pivot row scaled by the inverse of its lead.
+# ``concat_intersect`` is the former ``intersect``, which reduced both
+# constraint matrices stacked, and ``fraction_closure`` the former
+# ``build_lattice``: the same atom-set closure with one ``Subspace`` and one
+# serialization per meet, the top layer included.  They stay here as the
+# reference for the incremental integer-first meet.
+
+
+def fraction_rref(rows, cols, max_rank=None):
+    mat = [[Fraction(e) for e in row] for row in rows]
+    nrows = len(mat)
+    pivot_row = 0
+    for col in range(cols):
+        pivot = next((r for r in range(pivot_row, nrows) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[pivot_row], mat[pivot] = mat[pivot], mat[pivot_row]
+        inv = 1 / mat[pivot_row][col]
+        prow = mat[pivot_row] = [e * inv for e in mat[pivot_row]]
+        for r in range(nrows):
+            factor = mat[r][col]
+            if r != pivot_row and factor != 0:
+                mat[r] = [a - factor * b for a, b in zip(mat[r], prow)]
+        pivot_row += 1
+        if max_rank is not None and pivot_row > max_rank:
+            return None
+        if pivot_row == nrows:
+            break
+    return [tuple(row) for row in mat[:pivot_row]]
+
+
+def fraction_subspace(n, rows, max_codim=None):
+    reduced = fraction_rref(rows, n, max_codim)
+    return None if reduced is None else Subspace(n, RationalMatrix(tuple(reduced), n))
+
+
+def concat_intersect(a, b, max_codim):
+    rows = a.constraints.entries + b.constraints.entries
+    return fraction_subspace(a.ambient_dim, rows, max_codim)
+
+
+def fraction_closure(spec, n, max_codim):
+    first = {}
+    for gi, (degree, sub) in enumerate(spec.generators):
+        for f in enumerate_injections(degree, n):
+            composed = sub.constraints.matmul(selection_matrix(f, spec.r))
+            pre = fraction_subspace(composed.cols, composed.entries)
+            if pre.codim <= max_codim:
+                first.setdefault(pre.serialization, (pre, (gi, f)))
+    atoms = [first[key] for key in sorted(first)]
+    found, masks = {}, {}
+    layers = [[] for _ in range(max_codim + 1)]
+
+    def record(x, mask):
+        key = x.serialization
+        if key not in found:
+            found[key] = x
+            masks[key] = 0
+            layers[x.codim].append(key)
+        masks[key] |= mask
+
+    for a, (atom, _) in enumerate(atoms):
+        record(atom, 1 << a)
+    for layer in layers:
+        for key in layer:
+            for a, (atom, _) in enumerate(atoms):
+                if not masks[key] >> a & 1:
+                    meet = concat_intersect(found[key], atom, max_codim)
+                    if meet is not None:
+                        record(meet, masks[key] | 1 << a)
+    provenance = [
+        tuple(w for a, (_, w) in enumerate(atoms) if masks[key] >> a & 1)
+        for key in found
+    ]
+    return arrangement.IntersectionLattice(
+        n, max_codim, spec.r, list(found.values()), provenance
+    )
+
+
+def assert_matches_fraction_closure(spec, n, max_codim, tmp_path):
+    lat = build_lattice(spec, n, max_codim)
+    expected = fraction_closure(spec, n, max_codim)
+    assert lat.elements == expected.elements
+    assert [e.serialization for e in lat.elements] == [
+        e.serialization for e in expected.elements
+    ]
+    assert lat.provenance == expected.provenance
+    assert [lat.containing(i) for i in range(len(lat))] == [
+        expected.containing(i) for i in range(len(expected))
+    ]
+    # the cache bytes match, and a file written from the oracle is a hit
+    ours = cache.store(tmp_path / "ours", spec, lat)
+    theirs = cache.store(tmp_path / "theirs", spec, expected)
+    assert ours.read_bytes() == theirs.read_bytes()
+    loaded = cache.load(tmp_path / "theirs", spec, n, max_codim)
+    assert loaded is not None
+    assert loaded.elements == lat.elements
+    assert loaded.provenance == lat.provenance
+
+
+# ``2, 3, -5; 1/2, 0, 7`` reduces to rows with real denominators, so its
+# meets run the Fraction branch throughout.
+FRACTIONAL = ArrangementSpec(
+    1,
+    1,
+    ((mi((3,)), subspace_from_constraints(3, [[2, 3, -5], ["1/2", 0, 7]])),),
+)
+
+
+@pytest.mark.parametrize(
+    "spec, level, max_codim", FAMILY_CASES + [(FRACTIONAL, (4,), 3)]
+)
+def test_integer_closure_matches_fraction_closure(spec, level, max_codim, tmp_path):
+    assert_matches_fraction_closure(spec, mi(level), max_codim, tmp_path)
+
+
+def test_fractional_spec_keeps_real_denominators_only():
+    lat = build_lattice(FRACTIONAL, mi((4,)), 3)
+    entries = [e for x in lat.elements for row in x.constraints.entries for e in row]
+    assert any(isinstance(e, Fraction) for e in entries)
+    assert all(isinstance(e, int) or e.denominator > 1 for e in entries if e)
+    braid_entries = {
+        type(e)
+        for x in build_lattice(family_mkr(1, 2, 1), mi((5,)), 4).elements
+        for row in x.constraints.entries
+        for e in row
+    }
+    assert braid_entries == {int}
+
+
+@st.composite
+def fractional_specs(draw):
+    entry = st.sampled_from([0, 1, -1, 2, "1/2", "-3/2", "2/3", "5/4"])
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        d = draw(st.sampled_from((2, 3)))
+        rows = draw(
+            st.lists(st.lists(entry, min_size=d, max_size=d), min_size=1, max_size=2)
+        )
+        assume(any(isinstance(e, str) for row in rows for e in row))
+        sub = subspace_from_constraints(d, rows)
+        assume(sub.codim >= 1)
+        gens.append((mi((d,)), sub))
+    return ArrangementSpec(1, 1, tuple(gens))
+
+
+# Codim 3 at level 4 makes the oracle take seconds per spec.
+@given(spec=fractional_specs(), level=st.integers(3, 4), max_codim=st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_integer_closure_matches_fraction_closure_random(
+    spec, level, max_codim, tmp_path_factory
+):
+    assume(level + max_codim <= 6)
+    tmp_path = tmp_path_factory.mktemp("fractional")
+    assert_matches_fraction_closure(spec, mi((level,)), max_codim, tmp_path)
 
 
 # --- the group action -------------------------------------------------------

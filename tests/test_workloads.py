@@ -3,9 +3,10 @@
 ``perfbench/workloads.json`` records, per job, the config, the number of
 findings allowed and the sha256 of ``betti.csv`` and ``characters.csv``.
 This test reads that file by path, without changing it, and runs the
-``readme`` and ``braid-homology`` jobs through ``cli.main``, cold and then
-warm on the same cache, so a report that drifts fails here as well as in the
-benchmark.
+``readme``, ``kequals-closure`` and ``braid-homology`` jobs through
+``cli.main`` with their recorded ``--jobs``, cold and then warm on the same
+cache, so a report that drifts fails here as well as in the benchmark.
+``kequals-closure`` is the one job that runs its levels in a process pool.
 """
 
 import hashlib
@@ -19,7 +20,7 @@ from arrstab.cli import main
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json"
 
 
-@pytest.mark.parametrize("name", ["readme", "braid-homology"])
+@pytest.mark.parametrize("name", ["readme", "kequals-closure", "braid-homology"])
 def test_workload_reports_match_recorded_digests(name, tmp_path):
     workload = json.loads(WORKLOADS.read_text(encoding="utf-8"))[name]
     config = tmp_path / "job.json"
