@@ -7,15 +7,17 @@ injections into n, ordered by reverse inclusion and ranked by codimension.
 
 The generator preimages are the atoms.  Every element is the intersection of
 the atoms containing it, and X is contained in Y exactly when atoms(Y) is a
-subset of atoms(X).  Construction therefore intersects each element with each
-atom only, never with other elements, and the atoms of both sides pass to
-the meet, so the closure also yields every element's atom set.  The order is
-read off those sets as bitmask subset tests, without linear algebra.  A point
-permutation maps atoms to atoms, so it acts on the lattice by permuting the
-atoms (one reduction each) and relabelling every element's atom mask, and
-orbits are closed under one transposition and one n-cycle per factor rather
-than walked over the whole group.  Elements are canonically sorted by
-(codim, serialization), which fixes every downstream output byte for byte.
+subset of atoms(X).  The level's automorphism group permutes the atoms and
+commutes with intersection, so construction meets one representative per
+orbit with each atom only, never with other elements, and reaches the other
+orbit members by the group generators, relabelling atom sets as it goes.
+Every element's atom set is kept as a bitmask, and the order is read off
+those sets with one bitset of elements per atom, without linear algebra.  A
+point permutation acts on the lattice the same way: it permutes the atoms
+(one reduction each) and relabels every element's atom mask, and orbits are
+closed under one transposition and one n-cycle per factor rather than
+walked over the whole group.  Elements are canonically sorted by (codim,
+serialization), which fixes every downstream output byte for byte.
 
 A subspace contains the kernel of the map induced by an injection exactly
 when its nonzero constraint columns lie at the injection's coordinates, and
@@ -38,6 +40,7 @@ from .exactlin import (
     constraint_support,
     meet_rows,
     scatter_columns,
+    scatter_rows,
     subspace_from_constraints,
 )
 from .fim import (
@@ -169,9 +172,11 @@ class IntersectionLattice:
         self.codims: tuple[int, ...] = tuple(e.codim for e in self.elements)
         self._index = {e.serialization: i for i, e in enumerate(self.elements)}
         # Bit a stands for an atom; it first appears on its lowest-codim
-        # element, which is the atom itself.
+        # element, which is the atom itself.  Bit i of having[a] is set when
+        # element i has atom a.
         bits: dict[tuple[int, Injection], int] = {}
         atom_elements: list[int] = []
+        having: list[int] = []
         masks = []
         for idx, witness in enumerate(self.provenance):
             mask = 0
@@ -179,19 +184,29 @@ class IntersectionLattice:
                 if atom not in bits:
                     bits[atom] = len(bits)
                     atom_elements.append(idx)
-                mask |= 1 << bits[atom]
+                    having.append(0)
+                a = bits[atom]
+                mask |= 1 << a
+                having[a] |= 1 << idx
             masks.append(mask)
         self._atom_elements: tuple[int, ...] = tuple(atom_elements)
         self._by_mask = {mask: idx for idx, mask in enumerate(masks)}
-        # X strictly inside Y iff atoms(Y) is a proper subset of atoms(X)
-        self._containing = tuple(
-            tuple(
-                j
-                for j in range(i)
-                if self.codims[j] < self.codims[i] and masks[j] & ~low == 0
-            )
-            for i, low in enumerate(masks)
-        )
+        # X strictly inside Y iff atoms(Y) is a proper subset of atoms(X):
+        # the elements of lower codim that have none of the atoms X lacks
+        every_atom = (1 << len(bits)) - 1
+        below = 0  # the elements of lower codim, as a bitset
+        containing = []
+        for i, mask in enumerate(masks):
+            if i and self.codims[i] > self.codims[i - 1]:
+                below = (1 << i) - 1
+            excluded = 0
+            rest = every_atom & ~mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                excluded |= having[low.bit_length() - 1]
+            containing.append(_bit_indices(below & ~excluded))
+        self._containing = tuple(containing)
 
     def truncated(self, max_codim: int) -> "IntersectionLattice":
         """The lattice of the same level cut off at a smaller codimension.
@@ -272,15 +287,10 @@ class IntersectionLattice:
             pos = self._index.get(self.permute_element(g, idx).serialization)
             if pos not in bit_of:
                 raise LatticeError("group action left the lattice; lattice corrupted")
-            images.append(1 << bit_of[pos])
+            images.append(bit_of[pos])
         out = [-1] * len(self.elements)
         for mask, idx in self._by_mask.items():
-            image = 0
-            while mask:
-                low = mask & -mask
-                image |= images[low.bit_length() - 1]
-                mask ^= low
-            pos = self._by_mask.get(image)
+            pos = self._by_mask.get(_relabel(mask, images))
             if pos is None:
                 raise LatticeError("group action left the lattice; lattice corrupted")
             out[idx] = pos
@@ -289,27 +299,44 @@ class IntersectionLattice:
         return tuple(out)
 
 
+def _bit_indices(bitset: int) -> tuple[int, ...]:
+    """The positions of the set bits, ascending."""
+    digits = bin(bitset)[:1:-1]
+    out = []
+    pos = digits.find("1")
+    while pos >= 0:
+        out.append(pos)
+        pos = digits.find("1", pos + 1)
+    return tuple(out)
+
+
 def build_lattice(
     spec: ArrangementSpec, n: MultiIndex, max_codim: int
 ) -> IntersectionLattice:
     """All arrangement subspaces of codim <= max_codim at level n, saturated.
 
     The atoms are the distinct generator preimages of codim <= max_codim.
-    Elements are taken by increasing codim and each is intersected with every
-    atom not known to contain it; the meet is an element whose atom set holds
-    both.  This is complete under the cutoff because every partial
-    intersection of X's atoms contains X.  It also completes each atom set
-    before its element is taken: an atom A containing X reaches X through the
-    chain of partial intersections from A down to X, all of lower codim.  So
-    every intersection yields a smaller element or exceeds the cutoff, and
-    the elements at codim max_codim are not intersected at all.
-    Intersecting any two stored elements yields a stored element or exceeds
-    max_codim.  An empty lattice is legal (no injection from any generator
-    degree, or every atom already exceeds the cutoff).
+    Aut(n) permutes them, and g(X .. A) = gX .. gA, so the closure meets
+    only one representative per orbit, by increasing codim, with every atom
+    not containing it, and takes every other orbit member from the group.
+    That is complete under the cutoff: an element Z that is not an atom is
+    X .. A for an element X of lower codim and an atom A not containing X
+    (drop one atom from a minimal set of atoms meeting in Z), and if gX
+    represents X's orbit, the meet gX .. gA = gZ is formed, so Z's orbit is
+    recorded.  Meets of elements at codim max_codim exceed the cutoff, so
+    that layer is not intersected.  An empty lattice is legal (no injection
+    from any generator degree, or every atom already exceeds the cutoff).
 
-    Each meet reduces only the atom's rows against the element's RREF rows
-    (``exactlin.meet_rows``), and elements are deduplicated on their rows, so
-    a ``Subspace`` is made once per new element rather than once per meet.
+    The order needs every element's full atom set.  A new representative's
+    set starts from the atoms of its two parts and is completed by
+    containment tests (a meet capped at its own codim) with the other atoms
+    of lower codim; an atom of equal codim containing it would be the
+    element itself.  Each generator permutes the atoms, computed once, and
+    maps an element's full atom set onto that of its image, so an orbit
+    member's atom set is the relabelled mask, and its rows cost one
+    reduction (``exactlin.scatter_rows``) only when that mask is new.  An
+    atom image that is not an atom, or an orbit member whose rows are
+    already indexed under another atom set, raises LatticeError.
     """
     if max_codim < 1:
         raise ValueError("max_codim must be at least 1")
@@ -323,35 +350,67 @@ def build_lattice(
                 first.setdefault(pre.serialization, (pre, (gi, f)))
     atoms = [first[key] for key in sorted(first)]
     dim = ambient_dim(n, spec.r)
-    index: dict[tuple, int] = {}
-    rows_of: list[tuple] = []
-    pivots_of: list[list[int]] = []
-    masks: list[int] = []  # bit a set: atoms[a] contains the element
-    layers: list[list[int]] = [[] for _ in range(max_codim + 1)]
+    atom_rows = [atom.constraints.entries for atom, _ in atoms]
+    index: dict[tuple, int] = {rows: a for a, rows in enumerate(atom_rows)}
+    rows_of: list[tuple] = list(atom_rows)
+    pivots_of: list[list[int]] = [_pivot_columns(rows) for rows in atom_rows]
+    masks: list[int] = [1 << a for a in range(len(atoms))]  # bit a: atoms[a] contains it
+    by_mask: dict[int, int] = {}  # complete atom sets only
+    layers: list[list[int]] = [[] for _ in range(max_codim + 1)]  # representatives
+    every_atom = (1 << len(atoms)) - 1
+    perms = [coordinate_permutation(g, spec.r) for g in _group_generators(n)]
+    atom_images = []
+    for perm in perms:
+        images = [index.get(scatter_rows(rows, perm, dim)) for rows in atom_rows]
+        if None in images:
+            raise LatticeError("a group generator maps an atom outside the atoms")
+        atom_images.append(images)
 
-    def record(rows: tuple, mask: int) -> None:
-        idx = index.get(rows)
-        if idx is None:
-            idx = index[rows] = len(masks)
-            rows_of.append(rows)
-            pivots_of.append(_pivot_columns(rows))
-            masks.append(0)
-            layers[len(rows)].append(idx)
-        masks[idx] |= mask
+    def add(rows: tuple, mask: int) -> int:
+        idx = index[rows] = len(masks)
+        rows_of.append(rows)
+        pivots_of.append(_pivot_columns(rows))
+        masks.append(mask)
+        return idx
 
-    for a, (atom, _) in enumerate(atoms):
-        record(atom.constraints.entries, 1 << a)
+    def close_orbit(idx: int) -> None:
+        rows, pivots = rows_of[idx], pivots_of[idx]
+        for a in _bit_indices(every_atom & ~masks[idx]):
+            atom = atom_rows[a]
+            if len(atom) < len(rows) and meet_rows(rows, pivots, atom, dim, len(rows)) is not None:
+                masks[idx] |= 1 << a
+        layers[len(rows)].append(idx)
+        by_mask[masks[idx]] = idx
+        frontier = [idx]
+        while frontier:
+            found = []
+            for x in frontier:
+                for perm, images in zip(perms, atom_images):
+                    mask = _relabel(masks[x], images)
+                    if mask in by_mask:
+                        continue
+                    if x < len(atoms):
+                        y = images[x]
+                        masks[y] = mask
+                    else:
+                        image = scatter_rows(rows_of[x], perm, dim)
+                        if image in index:
+                            raise LatticeError("orbit member indexed under another atom set")
+                        y = add(image, mask)
+                    by_mask[mask] = y
+                    found.append(y)
+            frontier = found
+
+    for a in range(len(atoms)):
+        if masks[a] not in by_mask:  # else its orbit is already recorded
+            close_orbit(a)
     # Layers grow while iterated; every meet lands in a later layer.
     for layer in layers[:max_codim]:
         for idx in layer:
-            for a, (atom, _) in enumerate(atoms):
-                if masks[idx] >> a & 1:
-                    continue
-                rows = meet_rows(
-                    rows_of[idx], pivots_of[idx], atom.constraints.entries, dim, max_codim
-                )
-                if rows is not None:
-                    record(rows, masks[idx] | 1 << a)
+            for a in _bit_indices(every_atom & ~masks[idx]):
+                rows = meet_rows(rows_of[idx], pivots_of[idx], atom_rows[a], dim, max_codim)
+                if rows is not None and rows not in index:
+                    close_orbit(add(rows, masks[idx] | 1 << a))
     elements = [atom for atom, _ in atoms] + [
         Subspace(dim, RationalMatrix(rows, dim)) for rows in rows_of[len(atoms) :]
     ]
@@ -360,6 +419,16 @@ def build_lattice(
         for mask in masks
     ]
     return IntersectionLattice(n, max_codim, spec.r, elements, provenance)
+
+
+def _relabel(mask: int, images: Sequence[int]) -> int:
+    """The mask with bit a moved to bit images[a]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= 1 << images[low.bit_length() - 1]
+    return out
 
 
 LatticeBuilder = Callable[[ArrangementSpec, MultiIndex, int], IntersectionLattice]

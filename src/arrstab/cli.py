@@ -17,7 +17,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -267,6 +266,8 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
             for level in levels
         ]
         if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             log(f"computing {len(tasks)} levels on {jobs} workers")
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 payloads = list(pool.map(_level_worker, tasks))

@@ -15,9 +15,9 @@ rows are reduced against the pivots already in place, and only the residual
 is echelonized), containment is a row-space membership test, and set
 equality of subspaces is literal equality of their rows or of their
 canonical serializations.  Coordinate maps act by moving constraint columns
-(``scatter_columns``), and a subspace contains exactly the coordinate vectors
-outside its constraint support (``constraint_support``), so neither needs a
-map matrix or a spanning set.
+(``scatter_rows``, and ``scatter_columns`` on subspaces), and a subspace
+contains exactly the coordinate vectors outside its constraint support
+(``constraint_support``), so neither needs a map matrix or a spanning set.
 """
 
 from __future__ import annotations
@@ -407,24 +407,32 @@ def intersect(a: Subspace, b: Subspace, max_codim: int | None = None) -> Subspac
     return Subspace(a.ambient_dim, RationalMatrix(reduced, a.ambient_dim))
 
 
+def scatter_rows(
+    rows: Sequence[Sequence], columns: Sequence[int], n: int
+) -> tuple[tuple, ...]:
+    """The RREF of the constraint rows with column k moved to ``columns[k]``
+    and zeros elsewhere in Q^n."""
+    moved = []
+    for row in rows:
+        out = [0] * n
+        for value, col in zip(row, columns):
+            out[col] = value
+        moved.append(out)
+    reduced = _rref_rows(moved, n)
+    assert reduced is not None
+    return tuple(reduced)
+
+
 def scatter_columns(x: Subspace, columns: Sequence[int], n: int) -> Subspace:
     """The subspace of Q^n cut out by x's constraints with column k moved to
-    ``columns[k]`` and zeros elsewhere, canonically reduced.
+    ``columns[k]`` and zeros elsewhere, canonically reduced (``scatter_rows``).
 
     When ``columns`` permutes range(n) this is the image of x under that
     coordinate permutation; when it is injective it is the preimage of x
     under the selection v -> (v[columns[k]])_k, with no selection matrix
     formed.
     """
-    rows = []
-    for row in x.constraints.entries:
-        out = [0] * n
-        for value, col in zip(row, columns):
-            out[col] = value
-        rows.append(out)
-    reduced = _rref_rows(rows, n)
-    assert reduced is not None
-    return Subspace(n, RationalMatrix(tuple(reduced), n))
+    return Subspace(n, RationalMatrix(scatter_rows(x.constraints.entries, columns, n), n))
 
 
 def constraint_support(x: Subspace) -> frozenset[int]:

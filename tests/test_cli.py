@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -342,6 +345,21 @@ def test_config_lookup_error_still_exits_one(tmp_path, capsys):
     config.write_text(json.dumps(data), encoding="utf-8")
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
     assert "error: invalid config" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # the pool is imported by ``run`` only when it uses more than one worker
+    src = Path(cli.__file__).resolve().parent.parent
+    probe = "import sys, arrstab.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_cache_miss_on_other_parameters(tmp_path):

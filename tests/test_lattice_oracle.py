@@ -245,7 +245,7 @@ def test_truncation_equals_fresh_build(spec, level, top, low, monkeypatch):
 def test_rref_budget_braid6_codim3(braid, monkeypatch):
     in_pullback = False
     rref_calls = []  # whether each full reduction ran inside an atom pullback
-    meet_codims = []  # the codim of the element each meet starts from
+    meets = []  # (rows, atom rows, cap, result) of each meet
     original_rref = exactlin._rref_rows
     original_meet = arrangement.meet_rows
     original_pullback = arrangement.pullback
@@ -254,9 +254,10 @@ def test_rref_budget_braid6_codim3(braid, monkeypatch):
         rref_calls.append(in_pullback)
         return original_rref(*args, **kwargs)
 
-    def counting_meet(rows, *args, **kwargs):
-        meet_codims.append(len(rows))
-        return original_meet(rows, *args, **kwargs)
+    def counting_meet(rows, pivots, other, cols, cap):
+        result = original_meet(rows, pivots, other, cols, cap)
+        meets.append((rows, other, cap, result))
+        return result
 
     def flagged_pullback(*args, **kwargs):
         nonlocal in_pullback
@@ -270,18 +271,67 @@ def test_rref_budget_braid6_codim3(braid, monkeypatch):
     monkeypatch.setattr(arrangement, "meet_rows", counting_meet)
     monkeypatch.setattr(arrangement, "pullback", flagged_pullback)
     lat = build_lattice(braid, mi((6,)), 3)
+    monkeypatch.undo()
     # |L| = 170 set partitions of 6 points with at most 3 merges, 15 atoms
-    # x_i = x_j, and 30 injections [2] -> [6]
+    # x_i = x_j, and 30 injections [2] -> [6].  The orbits are the partition
+    # types: one of atoms, two at codim 2 and three at codim 3.
     assert len(lat) == 170
-    assert len(meet_codims) <= 170 * 15
-    # one meet per element below the cutoff and atom not containing it; the
-    # codim-3 elements, at the cutoff, start none
-    assert len(meet_codims) == sum(
-        15 - len(lat.provenance[i]) for i in range(len(lat)) if lat.codims[i] < 3
+    element = {x.constraints.entries: i for i, x in enumerate(lat.elements)}
+    atom = {x.constraints.entries: a for a, x in enumerate(lat.elements[:15])}
+    orbit = {}
+    for i in range(len(lat)):
+        members, _ = arrangement.orbit_of(lat, i)
+        orbit[i] = members[0]
+    assert len(set(orbit.values())) == 6
+    # A meet capped at its element's own codim is a containment test; every
+    # other meet is a closure meet from a representative below the cutoff.
+    closure = [m for m in meets if m[2] != len(m[0])]
+    assert all(m[2] == 3 and len(m[0]) < 3 for m in closure)
+    starts = {element[rows] for rows, _, _, _ in closure}
+    # one representative per orbit below the cutoff, met with every atom
+    # outside its atom set
+    assert sorted(orbit[i] for i in starts) == sorted(
+        {o for o in orbit.values() if lat.codims[o] < 3}
     )
-    assert max(meet_codims) < 3
-    # the only full reductions are the atom pullbacks, one per injection
-    assert rref_calls == [True] * 30
+    assert len(closure) == sum(15 - len(lat.provenance[i]) for i in starts) == 39
+    # Each new representative (every orbit but the atoms') is tested, right
+    # after the closure meet that found it, against exactly the atoms of
+    # lower codim outside the atom sets of its two parts, and gains the ones
+    # that pass.
+    atom_of = {lat.provenance[a][0]: a for a in range(15)}
+
+    def atoms_of(i):
+        return {atom_of[w] for w in lat.provenance[i]}
+
+    found = []
+    tested = 0
+    k = 0
+    while k < len(meets):
+        rows, other, cap, result = meets[k]
+        assert cap != len(rows)
+        k += 1
+        tests = []
+        while k < len(meets) and meets[k][2] == len(meets[k][0]):
+            tests.append(meets[k])
+            k += 1
+        if not tests:
+            continue
+        y = element[result]
+        known = atoms_of(element[rows]) | {atom[other]}
+        assert all(t[0] == result for t in tests)
+        assert [atom[t[1]] for t in tests] == [a for a in range(15) if a not in known]
+        assert {atom[t[1]] for t in tests if t[3] is not None} == atoms_of(y) - known
+        found.append(y)
+        tested += 15 - len(known)
+    assert sorted(orbit[y] for y in found) == sorted(
+        o for o in set(orbit.values()) if lat.codims[o] > 1
+    )
+    assert len(meets) == 39 + tested
+    # The only full reductions: the atom pullbacks, one per injection; the
+    # images of the 15 atoms under each of the 2 generators; and one per
+    # element reached in an orbit walk, which is every element but the 15
+    # atoms and the 5 other representatives.
+    assert rref_calls == [True] * 30 + [False] * (2 * 15 + 170 - 15 - 5)
 
 
 def test_lattice_build_and_load_do_no_containment_tests(braid, tmp_path, monkeypatch):
@@ -451,6 +501,188 @@ def test_integer_closure_matches_fraction_closure_random(
     assume(level + max_codim <= 6)
     tmp_path = tmp_path_factory.mktemp("fractional")
     assert_matches_fraction_closure(spec, mi((level,)), max_codim, tmp_path)
+
+
+# --- the orbit closure --------------------------------------------------------
+#
+# ``atom_closure`` is the former ``build_lattice``: every element below the
+# cutoff, orbit representative or not, is met with every atom not containing
+# it, and each atom set is completed by the meets that land on it.
+# ``scan_order`` is the former order table, a subset scan over all lower
+# elements.  They stay here as the reference for the orbit closure and the
+# per-atom bitset order.
+
+
+def atom_closure(spec, n, max_codim):
+    first = {}
+    for gi, (degree, sub) in enumerate(spec.generators):
+        for f in enumerate_injections(degree, n):
+            pre = pullback(f, spec.r, sub)
+            if pre.codim <= max_codim:
+                first.setdefault(pre.serialization, (pre, (gi, f)))
+    atoms = [first[key] for key in sorted(first)]
+    dim = ambient_dim(n, spec.r)
+    index, rows_of, pivots_of, masks = {}, [], [], []
+    layers = [[] for _ in range(max_codim + 1)]
+
+    def record(rows, mask):
+        idx = index.get(rows)
+        if idx is None:
+            idx = index[rows] = len(masks)
+            rows_of.append(rows)
+            pivots_of.append(exactlin._pivot_columns(rows))
+            masks.append(0)
+            layers[len(rows)].append(idx)
+        masks[idx] |= mask
+
+    for a, (atom, _) in enumerate(atoms):
+        record(atom.constraints.entries, 1 << a)
+    for layer in layers[:max_codim]:
+        for idx in layer:
+            for a, (atom, _) in enumerate(atoms):
+                if masks[idx] >> a & 1:
+                    continue
+                rows = exactlin.meet_rows(
+                    rows_of[idx], pivots_of[idx], atom.constraints.entries, dim, max_codim
+                )
+                if rows is not None:
+                    record(rows, masks[idx] | 1 << a)
+    elements = [atom for atom, _ in atoms] + [
+        Subspace(dim, RationalMatrix(rows, dim)) for rows in rows_of[len(atoms) :]
+    ]
+    provenance = [
+        tuple(witness for a, (_, witness) in enumerate(atoms) if mask >> a & 1)
+        for mask in masks
+    ]
+    return arrangement.IntersectionLattice(n, max_codim, spec.r, elements, provenance)
+
+
+def scan_order(lat):
+    bits, masks = {}, []
+    for witness in lat.provenance:
+        masks.append(sum(1 << bits.setdefault(atom, len(bits)) for atom in witness))
+    return [
+        tuple(
+            j
+            for j in range(i)
+            if lat.codims[j] < lat.codims[i] and masks[j] & ~low == 0
+        )
+        for i, low in enumerate(masks)
+    ]
+
+
+def assert_matches_atom_closure(spec, n, max_codim, tmp_path):
+    lat = build_lattice(spec, n, max_codim)
+    expected = atom_closure(spec, n, max_codim)
+    assert lat.elements == expected.elements
+    assert [e.serialization for e in lat.elements] == [
+        e.serialization for e in expected.elements
+    ]
+    assert lat.provenance == expected.provenance
+    assert [lat.containing(i) for i in range(len(lat))] == scan_order(expected)
+    ours = cache.store(tmp_path / "ours", spec, lat)
+    theirs = cache.store(tmp_path / "theirs", spec, expected)
+    assert ours.read_bytes() == theirs.read_bytes()
+    loaded = cache.load(tmp_path / "theirs", spec, n, max_codim)
+    assert [loaded.containing(i) for i in range(len(loaded))] == scan_order(expected)
+
+
+# a generator on the second factor only, so the first has no points
+SECOND_FACTOR = ArrangementSpec(
+    2, 1, ((mi((0, 2)), subspace_from_constraints(2, [[1, -1]])),)
+)
+
+
+@pytest.mark.parametrize(
+    "spec, level, max_codim, size",
+    [(spec, level, c, None) for spec, level, c in FAMILY_CASES]
+    + [
+        (FRACTIONAL, (4,), 3, None),
+        (family_mkr(1, 2, 1), (5,), 1, 10),  # the atoms alone
+        (family_mkr(1, 3, 1), (5,), 1, 0),  # every atom exceeds the cutoff
+        (family_mkr(1, 3, 1), (2,), 2, 0),  # no injection from the degree
+        (MIXED_FACTOR, (4, 1), 3, None),  # a factor of size 1
+        (SECOND_FACTOR, (0, 4), 3, None),  # a factor of size 0
+        (family_mkr(2, 1, 1), (1, 1), 1, 1),  # no group generator at all
+    ],
+)
+def test_orbit_closure_matches_atom_closure(spec, level, max_codim, size, tmp_path):
+    assert_matches_atom_closure(spec, mi(level), max_codim, tmp_path)
+    if size is not None:
+        assert len(build_lattice(spec, mi(level), max_codim)) == size
+
+
+@st.composite
+def product_specs(draw):
+    """Specs with two factors or two-dimensional points, and a level that
+    every generator degree maps into."""
+    m, r = draw(st.sampled_from([(2, 1), (1, 2), (2, 2)]))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        degree = mi(tuple(draw(st.integers(0, 2)) for _ in range(m)))
+        d = ambient_dim(degree, r)
+        assume(d >= 2)
+        rows = draw(
+            st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=1, max_size=2)
+        )
+        sub = subspace_from_constraints(d, rows)
+        assume(sub.codim >= 1)
+        gens.append((degree, sub))
+    spec = ArrangementSpec(m, r, tuple(gens))
+    level = mi(c + draw(st.integers(0, 2)) for c in spec.cmax)
+    assume(ambient_dim(level, r) <= 8)
+    return spec, level
+
+
+@given(spec=two_codim_specs(), level=st.integers(3, 4), max_codim=st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_orbit_closure_matches_atom_closure_random(spec, level, max_codim, tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("orbits")
+    assert_matches_atom_closure(spec, mi((level,)), max_codim, tmp_path)
+
+
+@given(case=product_specs(), max_codim=st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_orbit_closure_matches_atom_closure_product(case, max_codim, tmp_path_factory):
+    spec, level = case
+    tmp_path = tmp_path_factory.mktemp("products")
+    assert_matches_atom_closure(spec, level, max_codim, tmp_path)
+
+
+def test_atom_image_outside_the_atoms_exits_three(braid, tmp_path, capsys, monkeypatch):
+    original = arrangement.scatter_rows
+    calls = 0
+
+    def one_image_missing(rows, columns, n):
+        nonlocal calls
+        calls += 1
+        return () if calls == 1 else original(rows, columns, n)
+
+    monkeypatch.setattr(arrangement, "scatter_rows", one_image_missing)
+    with pytest.raises(LatticeError, match="maps an atom outside the atoms"):
+        build_lattice(braid, mi((4,)), 2)
+    calls = 0
+    config = tmp_path / "job.json"
+    config.write_text(
+        '{"family": {"kind": "mkr", "m": 1, "k": 2, "r": 1},'
+        ' "levels": {"min": [2], "max": [3]}, "i_max": 1, "outputs": ["betti"]}',
+        encoding="utf-8",
+    )
+    argv = ["run", "--config", str(config), "--cache", str(tmp_path / "c"), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 3
+    assert "internal error: a group generator maps an atom" in capsys.readouterr().err
+
+
+def test_orbit_member_indexed_under_another_atom_set_raises(braid, monkeypatch):
+    original = arrangement.scatter_rows
+
+    def onto_an_atom(rows, columns, n):
+        image = original(rows, columns, n)
+        return image[:1] if len(rows) > 1 else image
+
+    monkeypatch.setattr(arrangement, "scatter_rows", onto_an_atom)
+    with pytest.raises(LatticeError, match="orbit member indexed under another atom set"):
+        build_lattice(braid, mi((4,)), 2)
 
 
 # --- the group action -------------------------------------------------------
