@@ -7,6 +7,11 @@ freeness mismatch, stability onset later than predicted), 1 on usage or
 configuration errors, and 3 when the engine fails an internal consistency
 check (``LatticeError``, e.g. a corrupted lattice, or an engine
 ``AssertionError`` or ``KeyError``).
+
+Each level is computed on its own.  ``--jobs N`` splits the levels into at
+most N shares, at most one per level, balanced by |Aut(n)|; the command
+computes the heaviest share itself and forks one child per other share.
+Where ``os.fork`` is missing the levels run in-process, as with one job.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from .characters import (
     twisted_betti,
     verify_free_decomposition,
 )
-from .fim import MultiIndex, conj_classes, degree_add, degree_times
+from .fim import MultiIndex, conj_classes, degree_add, degree_times, group_order
 from .homology import LatticeHomology
 
 ENV_CACHE = "ARRSTAB_CACHE"
@@ -208,6 +213,83 @@ def _level_worker(args):
     return payload
 
 
+def _split_levels(tasks, jobs):
+    """Deal the level tasks into at most ``jobs`` shares, one per level at
+    most, balanced by |Aut(n)|: heaviest first, each to the lightest share so
+    far.  Share 0, the command's own, gets the heaviest level."""
+    shares = [[] for _ in range(min(jobs, len(tasks)))]
+    totals = [0] * len(shares)
+    for task in sorted(tasks, key=lambda t: (-group_order(t[1]), t[1])):
+        k = totals.index(min(totals))
+        shares[k].append(task)
+        totals[k] += group_order(task[1])
+    return shares
+
+
+def _run_shares(shares):
+    """Compute share 0 here and every other share in a forked child (the
+    command starts no threads, so forking it is safe).
+
+    Each child pickles ``(True, payloads)`` or ``(False, exception)`` to a
+    pipe; a child's exception is raised again here.  However this returns,
+    every child has been reaped, and killed first if the run failed.
+    """
+    import pickle
+    import signal
+
+    children = []  # (pid, read end, share)
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _share_child(share, write_fd, [read_fd] + [c[1] for c in children])
+            os.close(write_fd)
+            children.append((pid, read_fd, share))
+        payloads = [_level_worker(task) for task in shares[0]]
+        for _, read_fd, share in children:
+            try:
+                with open(read_fd, "rb", closefd=False) as pipe:
+                    ok, result = pickle.loads(pipe.read())
+            except (EOFError, pickle.UnpicklingError):
+                names = ", ".join(level.render() for level in sorted(t[1] for t in share))
+                raise LatticeError(
+                    f"level worker for levels {names} exited without a result"
+                ) from None
+            if not ok:
+                raise result
+            payloads.extend(result)
+    except BaseException:
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read_fd, _ in children:
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+    return payloads
+
+
+def _share_child(share, write_fd, inherited_fds):
+    """Body of a forked child: compute the share, write the outcome, exit."""
+    import pickle
+
+    status = 1
+    try:
+        for fd in inherited_fds:
+            os.close(fd)
+        try:
+            outcome = (True, [_level_worker(task) for task in share])
+        except Exception as exc:
+            outcome = (False, exc)
+        data = pickle.dumps(outcome)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def _jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
@@ -265,12 +347,10 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
             (spec, level, config.i_max, want_betti, want_chars, cache_dir)
             for level in levels
         ]
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            log(f"computing {len(tasks)} levels on {jobs} workers")
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                payloads = list(pool.map(_level_worker, tasks))
+        if jobs > 1 and hasattr(os, "fork"):
+            shares = _split_levels(tasks, jobs)
+            log(f"computing {len(tasks)} levels in {len(shares)} processes")
+            payloads = _run_shares(shares)
         else:
             for task in tasks:
                 log(f"computing level {task[1].render()}")
@@ -532,7 +612,12 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument("--config", required=True, help="path to the JSON job config")
     run_parser.add_argument("--cache", default=None, help="lattice cache directory")
     run_parser.add_argument("--out", default=None, help="report output directory")
-    run_parser.add_argument("--jobs", type=int, default=1, help="parallel level workers")
+    run_parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="processes computing levels, this one included; at most one per level",
+    )
     run_parser.add_argument("--verbose", action="store_true")
 
     sub.add_parser("catalog", help="list the named arrangement families")

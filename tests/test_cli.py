@@ -114,14 +114,174 @@ def test_corrupted_cache_recomputes(tmp_path):
     assert read(out1 / "betti.csv") == read(out2 / "betti.csv")
 
 
+def assert_same_files(dir1: Path, dir2: Path) -> None:
+    names = sorted(p.name for p in dir1.iterdir())
+    assert names == sorted(p.name for p in dir2.iterdir())
+    for name in names:
+        assert (dir1 / name).read_bytes() == (dir2 / name).read_bytes(), name
+
+
 def test_parallel_jobs_match_serial(tmp_path):
     config = write_config(tmp_path, outputs=["betti", "characters"])
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     base = ["run", "--config", str(config), "--cache", str(tmp_path / "c")]
     assert main(base + ["--out", str(out1)]) == 0
     assert main(base + ["--out", str(out2), "--jobs", "2"]) == 0
-    assert read(out1 / "betti.csv") == read(out2 / "betti.csv")
-    assert read(out1 / "characters.csv") == read(out2 / "characters.csv")
+    assert_same_files(out1, out2)
+
+
+PARITY_JOBS = {
+    "braid": {"outputs": ["betti", "characters", "freeness", "stability"]},
+    "mkr(2,1,1)": {
+        "family": {"kind": "mkr", "m": 2, "k": 1, "r": 1},
+        "levels": {"min": [1, 1], "max": [2, 2]},
+        "outputs": ["betti", "characters", "freeness", "stability"],
+    },
+}
+
+
+@pytest.mark.parametrize("cache_state", ["cold", "warm"])
+@pytest.mark.parametrize("family", sorted(PARITY_JOBS))
+@pytest.mark.parametrize("jobs", [2, 3, 9])
+def test_parallel_jobs_match_serial_on_more_inputs(tmp_path, jobs, family, cache_state):
+    config = write_config(tmp_path, **PARITY_JOBS[family])
+    cache1 = tmp_path / "c1"
+    cache2 = cache1 if cache_state == "warm" else tmp_path / "c2"
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    base = ["run", "--config", str(config)]
+    assert main(base + ["--cache", str(cache1), "--out", str(out1)]) == 0
+    assert main(base + ["--cache", str(cache2), "--out", str(out2), "--jobs", str(jobs)]) == 0
+    assert_same_files(out1, out2)
+    assert_same_files(cache1, cache2)
+
+
+def test_jobs_without_fork_run_in_process(tmp_path, monkeypatch):
+    config = write_config(tmp_path, **PARITY_JOBS["braid"])
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    base = ["run", "--config", str(config), "--cache", str(tmp_path / "c")]
+    assert main(base + ["--out", str(out1)]) == 0
+    pids = []
+    real_worker = cli._level_worker
+
+    def worker(task):
+        pids.append(os.getpid())
+        return real_worker(task)
+
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(cli, "_level_worker", worker)
+    assert main(base + ["--out", str(out2), "--jobs", "2"]) == 0
+    assert pids == [os.getpid()] * 3
+    assert_same_files(out1, out2)
+
+
+def test_jobs_fork_one_child_per_share_beyond_the_first(tmp_path, monkeypatch):
+    # three levels: --jobs 64 makes three shares, the command's own and two
+    # forked children
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    config = write_config(tmp_path)
+    base = ["run", "--config", str(config), "--cache", str(tmp_path / "c")]
+    assert main(base + ["--out", str(tmp_path / "o"), "--jobs", "64"]) == 0
+    assert len(forks) == 2
+
+
+def test_split_levels_balances_by_group_order():
+    def tasks(*levels):
+        return [(None, mi(level), 1, True, True, None) for level in levels]
+
+    def split(task_list, jobs):
+        return [[t[1] for t in share] for share in cli._split_levels(task_list, jobs)]
+
+    # k-equals n=3..7 at --jobs 2: 7! outweighs the rest, so the command
+    # computes level 7 and one child computes levels 3-6
+    assert split(tasks((3,), (4,), (5,), (6,), (7,)), 2) == [
+        [mi((7,))],
+        [mi((6,)), mi((5,)), mi((4,)), mi((3,))],
+    ]
+    # ties in |Aut(n)| go by level, ties in share totals to the lower share
+    assert split(tasks((1, 1), (1, 2), (2, 1), (2, 2)), 3) == [
+        [mi((2, 2))],
+        [mi((1, 2)), mi((1, 1))],
+        [mi((2, 1))],
+    ]
+    assert split(tasks((2,), (3,)), 9) == [[mi((3,))], [mi((2,))]]
+
+
+# Runs ``arrstab run --jobs 2`` on a three-level job (levels 2-4; the command
+# computes level 4, one child levels 2 and 3) with a failure injected, then
+# reports the exit status and whether any child is left unreaped.
+FAILURE_PROBE = """
+import json, os, sys, time
+from arrstab import cli
+from arrstab.arrangement import LatticeError
+
+case, config, work = sys.argv[1:]
+parent = os.getpid()
+real_worker = cli._level_worker
+
+
+def worker(task):
+    if os.getpid() == parent:
+        if case == "parent-raises":
+            time.sleep(0.5)  # the child is blocked writing its payload by now
+            raise LatticeError("injected in the parent")
+        return real_worker(task)
+    if case == "child-raises":
+        raise LatticeError("injected in a child")
+    if case == "child-exits":
+        os._exit(0)
+    payload = real_worker(task)
+    payload["padding"] = "x" * (256 * 1024)
+    return payload
+
+
+cli._level_worker = worker
+code = cli.main(
+    ["run", "--config", config, "--cache", work + "/c", "--out", work + "/o", "--jobs", "2"]
+)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    reaped = False
+except ChildProcessError:
+    reaped = True
+print(json.dumps({"code": code, "reaped": reaped}))
+"""
+
+
+def run_python(source: str, *args: str) -> subprocess.CompletedProcess:
+    src = Path(cli.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-c", source, *args],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("child-raises", "internal error: injected in a child"),
+        (
+            "child-exits",
+            "internal error: level worker for levels 2, 3 exited without a result",
+        ),
+        ("parent-raises", "internal error: injected in the parent"),
+    ],
+)
+def test_forked_share_failure_exits_three_with_children_reaped(tmp_path, case, message):
+    config = write_config(tmp_path)
+    result = run_python(FAILURE_PROBE, case, str(config), str(tmp_path))
+    assert json.loads(result.stdout) == {"code": 3, "reaped": True}
+    assert message in result.stderr
 
 
 def test_stability_falsification_exits_two(tmp_path, capsys):
@@ -347,19 +507,21 @@ def test_config_lookup_error_still_exits_one(tmp_path, capsys):
     assert "error: invalid config" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
-    # the pool is imported by ``run`` only when it uses more than one worker
-    src = Path(cli.__file__).resolve().parent.parent
+def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
+    # ``--jobs`` forks its children itself, so neither an import nor a
+    # parallel run loads a process pool
     probe = "import sys, arrstab.cli; print('concurrent.futures' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=60,
-        check=True,
+    assert run_python(probe).stdout.strip() == "False"
+    config = write_config(tmp_path)
+    probe = (
+        "import sys\n"
+        "from arrstab.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
     )
-    assert result.stdout.strip() == "False"
+    args = ["run", "--config", str(config), "--cache", str(tmp_path / "c")]
+    args += ["--out", str(tmp_path / "o"), "--jobs", "2"]
+    assert run_python(probe, *args).stdout.strip() == "0 []"
 
 
 def test_cache_miss_on_other_parameters(tmp_path):

@@ -6,7 +6,8 @@ This test reads that file by path, without changing it, and runs the
 ``readme``, ``kequals-closure`` and ``braid-homology`` jobs through
 ``cli.main`` with their recorded ``--jobs``, cold and then warm on the same
 cache, so a report that drifts fails here as well as in the benchmark.
-``kequals-closure`` is the one job that runs its levels in a process pool.
+``kequals-closure`` is the one job that computes its levels in two processes
+(``--jobs 2``).
 """
 
 import hashlib
