@@ -195,8 +195,7 @@ def list_catalog() -> str:
 
 
 def _level_worker(args):
-    spec, level, i_max, want_betti, want_chars, cache_dir = args
-    get = cache_mod.CachingBuilder(cache_dir)
+    spec, level, i_max, want_betti, want_chars, get = args
     # One context on the top lattice serves every degree: the elements of
     # lower codim are its prefix, and each class acts on it once.
     ctx = LatticeHomology(get(spec, level, i_max)) if i_max >= 1 else None
@@ -331,8 +330,9 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
     levels = config.levels()
     out_dir = Path(config.out_dir or DEFAULT_OUT)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cache_dir = config.cache_dir
-    get = cache_mod.CachingBuilder(cache_dir)
+    # one builder per command: the freeness block reads the lattices the
+    # level workers built or loaded from its memo (a forked share gets a copy)
+    get = cache_mod.CachingBuilder(config.cache_dir)
     findings: list[str] = []
     results: dict[str, object] = {}
 
@@ -344,7 +344,7 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
     payloads = []
     if want_betti or want_chars:
         tasks = [
-            (spec, level, config.i_max, want_betti, want_chars, cache_dir)
+            (spec, level, config.i_max, want_betti, want_chars, get)
             for level in levels
         ]
         if jobs > 1 and hasattr(os, "fork"):

@@ -181,57 +181,9 @@ class RationalMatrix:
             cols = len(data[0])
         return cls(data, cols)
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(tuple(tuple(_ZERO for _ in range(cols)) for _ in range(rows)), cols)
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            tuple(
-                tuple(self.entries[r][c] for r in range(self.rows))
-                for c in range(self.cols)
-            ),
-            self.rows,
-        )
-
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = []
-        for row in self.entries:
-            acc = [_ZERO] * other.cols
-            for k, a in enumerate(row):
-                if a == 0:
-                    continue
-                brow = other.entries[k]
-                acc = [s + a * b for s, b in zip(acc, brow)]
-            out.append(tuple(acc))
-        return RationalMatrix(tuple(out), other.cols)
-
-    __matmul__ = matmul
-
-    def apply(self, vector: Sequence[Fraction]) -> Vector:
-        if len(vector) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(
-            sum((a * v for a, v in zip(row, vector) if a != 0), _ZERO)
-            for row in self.entries
-        )
-
-
-def rref(m: RationalMatrix) -> RationalMatrix:
-    """Unique reduced row echelon form; zero rows dropped, row space preserved."""
-    reduced = _rref_rows(m.entries, m.cols)
-    assert reduced is not None
-    return RationalMatrix(tuple(reduced), m.cols)
-
-
-def rank(m: RationalMatrix) -> int:
-    reduced = _rref_rows(m.entries, m.cols)
-    assert reduced is not None
-    return len(reduced)
-
-
+# No engine path calls ``kernel_basis`` or ``solve_in_basis``; they stay
+# because the benchmark tracer (``perfbench/tracer.py``) hooks both names.
 def kernel_basis(m: RationalMatrix) -> tuple[Vector, ...]:
     """Deterministic basis of ker(m), one vector per free column, ascending."""
     reduced = _rref_rows(m.entries, m.cols)
@@ -249,32 +201,6 @@ def kernel_basis(m: RationalMatrix) -> tuple[Vector, ...]:
                 vec[p] = -row[free]
         basis.append(tuple(vec))
     return tuple(basis)
-
-
-def column_space_basis(m: RationalMatrix) -> tuple[Vector, ...]:
-    """Canonical basis of the column space (RREF rows of the transpose)."""
-    reduced = _rref_rows(m.transpose().entries, m.rows)
-    assert reduced is not None
-    return tuple(reduced)
-
-
-def independent_extension(
-    base: Sequence[Vector], candidates: Sequence[Vector], cols: int
-) -> list[Vector]:
-    """Greedily pick candidates that grow the span of ``base``, in order."""
-    stack = [list(v) for v in base]
-    picked: list[Vector] = []
-    current = _rref_rows(stack, cols)
-    assert current is not None
-    rk = len(current)
-    for cand in candidates:
-        trial = _rref_rows(list(current) + [list(cand)], cols)
-        assert trial is not None
-        if len(trial) > rk:
-            picked.append(cand)
-            current = trial
-            rk += 1
-    return picked
 
 
 def solve_in_basis(
@@ -372,12 +298,6 @@ class Subspace:
                 for chunk in body.split(";")
             )
         return cls(n, RationalMatrix(rows, n))
-
-    def contains_vector(self, vector: Sequence) -> bool:
-        vec = [_coerce(v) for v in vector]
-        if len(vec) != self.ambient_dim:
-            raise ValueError("vector length mismatch")
-        return all(e == 0 for e in self.constraints.apply(vec))
 
     def __repr__(self):
         return f"Subspace({self.serialization!r})"

@@ -20,9 +20,13 @@ chains without signs, and fixes a chain only if it fixes each element of it
 (Stanley).  By the Hopf trace formula the alternating sum of g's traces on
 the local homology is therefore the reduced Euler characteristic of the
 g-fixed subposet, a Moebius number that needs no chains.  When the local
-homology sits in a single degree that number is the trace; otherwise (k-equals
-intervals can carry homology in several degrees, Bjoerner-Welker) the trace
-is read off in an exact cycles-modulo-boundaries basis.
+homology sits in a single degree that number is the trace.  k-equals
+intervals can carry homology in several degrees (Bjoerner-Welker); there the
+trace comes from orbit complexes.  Over Q the invariants of each cyclic
+subgroup <g^j> are the homology of the complex of chain-orbit sums
+(transfer), whose dimension is an orbit count minus two sparse ranks, and
+the rational characters of a cyclic group turn those dimensions into the
+trace of g.  Betti numbers and traces thus share one integer rank kernel.
 """
 
 from __future__ import annotations
@@ -32,20 +36,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
-from .exactlin import (
-    RationalMatrix,
-    column_space_basis,
-    independent_extension,
-    kernel_basis,
-    solve_in_basis,
-)
 from .fim import ConjClass, MultiIndex, PermTuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from .arrangement import IntersectionLattice
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -134,37 +128,6 @@ def order_complex(p: RankedPoset) -> OrderComplex:
     return OrderComplex(n, tuple(levels))
 
 
-@dataclass(frozen=True)
-class ChainComplex:
-    """Augmented rational chain complex of an order complex.
-
-    ``boundary(d)`` is the matrix C_d -> C_{d-1}; degree -1 is the
-    one-dimensional augmentation piece, so boundary(0) is a row of ones.
-    """
-
-    complex: OrderComplex
-
-    def boundary(self, d: int) -> RationalMatrix:
-        cx = self.complex
-        cols = cx.chain_count(d)
-        rows = cx.chain_count(d - 1)
-        if d <= -1 or cols == 0:
-            return RationalMatrix.zero(rows, cols)
-        if d == 0:
-            return RationalMatrix(
-                tuple([tuple(_ONE for _ in range(cols))]) if rows else (), cols
-            )
-        faces = {chain: idx for idx, chain in enumerate(cx.chains[d - 1])}
-        entries = [[_ZERO] * cols for _ in range(rows)]
-        for col, chain in enumerate(cx.chains[d]):
-            sign = _ONE
-            for k in range(len(chain)):
-                face = chain[:k] + chain[k + 1 :]
-                entries[faces[face]][col] += sign
-                sign = -sign
-        return RationalMatrix(tuple(tuple(row) for row in entries), cols)
-
-
 def _boundary_columns(cx: OrderComplex, d: int, skip: set[int]) -> list[dict[int, int]]:
     """The columns of the integer boundary map C_d -> C_{d-1} as {row: entry},
     for d >= 1, leaving out the d-chains with an index in ``skip``."""
@@ -249,6 +212,74 @@ def reduced_betti(c: OrderComplex, d: int) -> int:
     return reduced_betti_numbers(c)[d + 1]
 
 
+def _invariant_betti(cx: OrderComplex, h: Sequence[int], d: int) -> int:
+    """dim H~_d(cx)^<h> over Q, for an order automorphism h of the vertices.
+
+    <h> permutes the chains without signs (h maps a chain in poset order to a
+    chain in poset order), so by transfer the invariants are the homology of
+    the complex of orbit sums, the empty chain in degree -1.  Summing the
+    faces of every member of an orbit gives each face orbit rho its
+    coefficient times |rho|: a row scaling, which leaves the ranks and the
+    pivot-row skip of ``reduced_betti_numbers`` as they are.
+    """
+    index: dict[tuple[int, ...], int] = {}  # chain -> its orbit's number
+    orbits: dict[int, list[list[tuple[int, ...]]]] = {}
+    for p in (d - 1, d, d + 1):
+        orbits[p] = []
+        for chain in ((),) if p == -1 else cx.chains[p] if 0 <= p <= cx.dimension else ():
+            members = []
+            while chain not in index:
+                index[chain] = len(orbits[p])
+                members.append(chain)
+                chain = tuple(h[v] for v in chain)
+            if members:
+                orbits[p].append(members)
+
+    def rank(p: int, skip: set[int]) -> tuple[int, set[int]]:
+        columns = []
+        for k, members in enumerate(orbits[p]):
+            if k not in skip:
+                column: dict[int, int] = {}
+                for chain in members:
+                    for t in range(len(chain)):
+                        row = index[chain[:t] + chain[t + 1 :]]
+                        column[row] = column.get(row, 0) + (-1) ** t
+                columns.append({r: v for r, v in column.items() if v})
+        return _sparse_rank(columns)
+
+    above, pivots = rank(d + 1, set())
+    return len(orbits[d]) - above - rank(d, pivots)[0]
+
+
+def _moebius(n: int) -> int:
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+    return (-1) ** len(primes) if math.prod(primes) == n else 0
+
+
+def _orbit_trace(cx: OrderComplex, vertex_perm: Sequence[int], d: int) -> Fraction:
+    """The trace on H~_d(cx) over Q of the order automorphism g that permutes
+    the vertices by ``vertex_perm``.
+
+    Let N be g's order and F(j) = dim H~_d^<g^j>.  g^j fixes the summand of
+    type Q(zeta_e) exactly when e divides j, so a_e = sum_{j | e} mu(e/j) F(j)
+    is phi(e) times that summand's multiplicity, and a generator's trace on
+    Q(zeta_e) is mu(e) (Serre, Linear Representations of Finite Groups,
+    13.1).  The trace is sum_{e | N} mu(e) a_e / phi(e), over square-free e.
+    """
+    powers = [list(range(len(vertex_perm)))]
+    while (power := [vertex_perm[v] for v in powers[-1]]) != powers[0]:
+        powers.append(power)
+    order = len(powers)
+    divisors = [e for e in range(1, order + 1) if order % e == 0 and _moebius(e)]
+    fixed = {j: _invariant_betti(cx, powers[j % order], d) for j in divisors}
+    total = Fraction(0)
+    for e in divisors:
+        a = sum(_moebius(e // j) * fixed[j] for j in divisors if e % j == 0)
+        phi = sum(math.gcd(k, e) == 1 for k in range(1, e + 1))
+        total += Fraction(_moebius(e) * a, phi)
+    return total
+
+
 def whitney_homology_dims(p: RankedPoset) -> dict[int, int]:
     """Per rank n, the total local homology sum_{rank x = n} H~_{n-2}(P^{<x})."""
     out: dict[int, int] = {}
@@ -301,7 +332,7 @@ class LatticeHomology:
     """Per-lattice computation context with memoized local homology data.
 
     The lattice itself stays immutable; this object only caches derived
-    complexes, Betti vectors, homology bases, element permutations and fixed
+    complexes, Betti vectors, element permutations and fixed
     subposet Moebius numbers so that repeated Betti and trace queries (one
     per conjugacy class and degree, say) share the work.  Queries in degree i
     only read elements of codim at most i, which form a prefix of the
@@ -313,7 +344,6 @@ class LatticeHomology:
         self.lattice = lat
         self._intervals: dict[int, tuple[tuple[int, ...], OrderComplex]] = {}
         self._betti: dict[int, tuple[int, ...]] = {}
-        self._homology: dict[tuple[int, int], tuple | None] = {}
         self._actions: dict[PermTuple, tuple[int, ...]] = {}
         self._fixed_sums: dict[PermTuple, list[int]] = {}
 
@@ -368,40 +398,6 @@ class LatticeHomology:
                 total += betti
         return GMReport(lat.level, i, total, tuple(contributions))
 
-    def _chains(self, cx: OrderComplex, d: int) -> tuple[tuple[int, ...], ...]:
-        if d == -1:
-            return ((),)
-        if 0 <= d <= cx.dimension:
-            return cx.chains[d]
-        return ()
-
-    def homology_data(self, idx: int, d: int):
-        """Cycle/boundary bookkeeping for degree d of element idx's interval.
-
-        Returns (chains, chain index map, combined basis [boundaries then
-        homology representatives], boundary count, homology count), or None
-        when the local homology vanishes.
-        """
-        key = (idx, d)
-        if key in self._homology:
-            return self._homology[key]
-        result = None
-        if d >= -1:
-            _, cx = self.interval(idx)
-            chains = self._chains(cx, d)
-            if chains:
-                cc = ChainComplex(cx)
-                dim = len(chains)
-                cycles = kernel_basis(cc.boundary(d))
-                boundaries = list(column_space_basis(cc.boundary(d + 1)))
-                homology = independent_extension(boundaries, cycles, dim)
-                if homology:
-                    chain_index = {chain: t for t, chain in enumerate(chains)}
-                    basis = boundaries + homology
-                    result = (chains, chain_index, basis, len(boundaries), len(homology))
-        self._homology[key] = result
-        return result
-
     def fixed_chain_sums(self, g: PermTuple) -> list[int]:
         """Per element x fixed by g, h(x) = 1 - sum of h(y) over the fixed y
         strictly containing x; 0 on elements g moves.
@@ -429,10 +425,9 @@ class LatticeHomology:
         interval has no homology in the local degree d contributes nothing
         either.  When the interval's homology sits in degree d alone, the
         Hopf trace formula gives (-1)^d times the reduced Euler
-        characteristic of the g-fixed subposet.  Otherwise g permutes the
-        chains of the interval (order automorphisms preserve chain order, so
-        no signs appear) and the trace is taken on a cycles-modulo-boundaries
-        basis.
+        characteristic of the g-fixed subposet.  Otherwise the trace comes
+        from the interval's orbit complexes under the powers of the vertex
+        permutation that g induces (``_orbit_trace``).
         """
         lat = self.lattice
         if i < 1:
@@ -458,32 +453,11 @@ class LatticeHomology:
                 euler = sum(h[y] for y in lat.containing(idx)) - 1
                 total += -euler if d % 2 else euler
             else:
-                total += self.basis_trace(g, idx, d)
+                labels, cx = self.interval(idx)
+                local_pos = {lab: pos for pos, lab in enumerate(labels)}
+                vertex_perm = [local_pos[sigma[lab]] for lab in labels]
+                total += _orbit_trace(cx, vertex_perm, d)
         return total
-
-    def basis_trace(self, g: PermTuple, idx: int, d: int) -> Fraction:
-        """The trace of g, which must fix element idx, on H~_d of its
-        interval, solved in a cycles-modulo-boundaries basis."""
-        data = self.homology_data(idx, d)
-        if data is None:
-            return Fraction(0)
-        sigma = self.action(g)
-        chains, chain_index, basis, b_count, h_count = data
-        labels, _ = self.interval(idx)
-        local_pos = {lab: pos for pos, lab in enumerate(labels)}
-        vertex_map = [local_pos[sigma[lab]] for lab in labels]
-        chain_perm = [
-            chain_index[tuple(vertex_map[v] for v in chain)] for chain in chains
-        ]
-        rhs = []
-        for h in basis[b_count:]:
-            image = [_ZERO] * len(chains)
-            for t, value in enumerate(h):
-                if value != 0:
-                    image[chain_perm[t]] = value
-            rhs.append(tuple(image))
-        coords = solve_in_basis(basis, rhs, len(chains))
-        return sum((coords[b_count + j][j] for j in range(h_count)), Fraction(0))
 
 
 def gm_betti(lat: "IntersectionLattice", i: int, filtered: bool = True) -> GMReport:

@@ -381,6 +381,27 @@ def test_freeness_on_non_normal_spec_is_a_finding(tmp_path):
     assert any("freeness" in f for f in report["findings"])
 
 
+def test_freeness_job_loads_each_level_once(tmp_path, monkeypatch):
+    # the level workers and the freeness block share the command's builder,
+    # so each level's lattice reaches the disk cache once, cold and warm
+    loads = []
+    real_load = cache.load
+
+    def counting(cache_dir, spec, level, max_codim):
+        loads.append((level, max_codim))
+        return real_load(cache_dir, spec, level, max_codim)
+
+    monkeypatch.setattr(cache, "load", counting)
+    config = write_config(
+        tmp_path, levels={"min": [2], "max": [6]}, i_max=3, outputs=["freeness"]
+    )
+    base = ["run", "--config", str(config), "--cache", str(tmp_path / "c"), "--jobs", "1"]
+    for phase in ("cold", "warm"):
+        loads.clear()
+        assert main(base + ["--out", str(tmp_path / phase)]) == 0
+        assert loads == [(mi((n,)), 3) for n in range(2, 7)]
+
+
 def test_clean_cache_subcommand(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
     spec = family_mkr(1, 2, 1)

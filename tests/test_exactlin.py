@@ -14,8 +14,6 @@ from arrstab.exactlin import (
     intersect,
     kernel_basis,
     meet_rows,
-    rank,
-    rref,
     subspace_from_constraints,
 )
 from arrstab.fim import Injection, MultiIndex, enumerate_injections, pullback, pushforward
@@ -25,23 +23,28 @@ def mat(rows, cols=None):
     return RationalMatrix.from_rows(rows, cols)
 
 
+def contains_vector(s, vector):
+    """The former ``Subspace.contains_vector``: every constraint vanishes."""
+    return not any(sum(a * v for a, v in zip(row, vector)) for row in s.constraints.entries)
+
+
 def test_rref_scaling_to_identity():
-    assert rref(mat([[2, 0], [0, 3]])) == mat([[1, 0], [0, 1]])
+    assert _rref_rows([[2, 0], [0, 3]], 2) == [(1, 0), (0, 1)]
 
 
 def test_rref_drops_dependent_row():
-    assert rref(mat([[1, -1], [2, -2]])) == mat([[1, -1]])
+    assert _rref_rows([[1, -1], [2, -2]], 2) == [(1, -1)]
 
 
 def test_rref_pivot_reordering():
-    assert rref(mat([[0, 1, 1], [1, 0, 1]])) == mat([[1, 0, 1], [0, 1, 1]])
+    assert _rref_rows([[0, 1, 1], [1, 0, 1]], 3) == [(1, 0, 1), (0, 1, 1)]
 
 
 def test_subspace_from_constraints_diagonal():
     s = subspace_from_constraints(2, [[1, -1]])
     assert s.codim == 1
-    assert s.contains_vector([5, 5])
-    assert not s.contains_vector([1, 2])
+    assert contains_vector(s, [5, 5])
+    assert not contains_vector(s, [1, 2])
 
 
 def test_subspace_dependent_rows_removed():
@@ -186,8 +189,8 @@ subspaces6 = rows_strategy(6).map(lambda rows: subspace_from_constraints(6, rows
 
 @given(matrices)
 def test_rref_idempotent(m):
-    once = rref(m)
-    assert rref(once) == once
+    once = _rref_rows(m.entries, m.cols)
+    assert _rref_rows(once, m.cols) == once
 
 
 @given(subspaces6, subspaces6)
@@ -296,8 +299,8 @@ def test_preimage_preserves_codim_for_surjections(selection_r, data):
 def test_span_and_kernel_are_inverse_presentations():
     s = subspace_from_constraints(4, [[1, -1, 0, 0], [0, 0, 1, -1]])
     basis = kernel_basis(s.constraints)
-    assert len(basis) == s.dim == rank(mat(basis, 4))
-    assert all(s.contains_vector(v) for v in basis)
+    assert len(basis) == s.dim == len(_rref_rows(basis, 4))
+    assert all(contains_vector(s, v) for v in basis)
     zero = subspace_from_constraints(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert kernel_basis(zero.constraints) == ()
     assert constraint_support(zero) == {0, 1, 2}

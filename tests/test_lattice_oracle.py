@@ -62,6 +62,36 @@ mi = MultiIndex
 # cut the kernel out by its rows, and took direct images by mapping a kernel
 # basis and spanning the images.  It stays here as the reference for
 # ``pullback``, ``pushforward`` and the constraint-support tests.
+#
+# ``dense_matmul``, ``dense_apply``, ``dense_transpose`` and ``dense_rank`` are
+# the former ``RationalMatrix`` products, transpose and ``exactlin.rank``,
+# which only these references used.
+
+
+def dense_matmul(a, b):
+    out = []
+    for row in a.entries:
+        acc = [0] * b.cols
+        for k, x in enumerate(row):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b.entries[k])]
+        out.append(tuple(acc))
+    return RationalMatrix(tuple(out), b.cols)
+
+
+def dense_apply(m, vector):
+    return tuple(sum(a * v for a, v in zip(row, vector)) for row in m.entries)
+
+
+def dense_transpose(m):
+    return RationalMatrix(
+        tuple(tuple(m.entries[r][c] for r in range(m.rows)) for c in range(m.cols)),
+        m.rows,
+    )
+
+
+def dense_rank(m):
+    return len(exactlin._rref_rows(m.entries, m.cols))
 
 
 def selection_matrix(f, r):
@@ -77,7 +107,7 @@ def selection_matrix(f, r):
 
 
 def dense_preimage(f, r, x):
-    composed = x.constraints.matmul(selection_matrix(f, r))
+    composed = dense_matmul(x.constraints, selection_matrix(f, r))
     return subspace_from_constraints(composed.cols, composed.entries)
 
 
@@ -95,7 +125,7 @@ def dense_span(n, vectors):
 
 def dense_direct_image(f, r, x):
     matrix = selection_matrix(f, r)
-    images = [matrix.apply(v) for v in kernel_basis(x.constraints)]
+    images = [dense_apply(matrix, v) for v in kernel_basis(x.constraints)]
     return dense_span(matrix.rows, images)
 
 
@@ -391,7 +421,7 @@ def fraction_closure(spec, n, max_codim):
     first = {}
     for gi, (degree, sub) in enumerate(spec.generators):
         for f in enumerate_injections(degree, n):
-            composed = sub.constraints.matmul(selection_matrix(f, spec.r))
+            composed = dense_matmul(sub.constraints, selection_matrix(f, spec.r))
             pre = fraction_subspace(composed.cols, composed.entries)
             if pre.codim <= max_codim:
                 first.setdefault(pre.serialization, (pre, (gi, f)))
@@ -1034,7 +1064,7 @@ def test_level_worker_acts_once_per_class_and_level(kequals_cache, monkeypatch):
     monkeypatch.setattr(arrangement.IntersectionLattice, "act", counting)
     for n in range(3, 8):
         payload = cli._level_worker(
-            (KEQUALS, mi((n,)), 5, True, True, str(kequals_cache))
+            (KEQUALS, mi((n,)), 5, True, True, cache.CachingBuilder(str(kequals_cache)))
         )
         assert payload["betti"][1:] == [
             payload["characters"][i].identity_value for i in range(1, 6)
