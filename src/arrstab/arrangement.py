@@ -14,10 +14,12 @@ orbit members by the group generators, relabelling atom sets as it goes.
 Every element's atom set is kept as a bitmask, and the order is read off
 those sets with one bitset of elements per atom, without linear algebra.  A
 point permutation acts on the lattice the same way: it permutes the atoms
-(one reduction each) and relabels every element's atom mask, and orbits are
-closed under one transposition and one n-cycle per factor rather than
-walked over the whole group.  Elements are canonically sorted by (codim,
-serialization), which fixes every downstream output byte for byte.
+(one reduction each) and relabels every element's atom mask.  Each orbit is
+walked once, under one transposition and one n-cycle per factor, while the
+lattice is built, and the lattice records it: ``orbits`` is what orbit
+lookups, primitive classes and per-orbit homology read.  Elements are
+canonically sorted by (codim, serialization), which fixes every downstream
+output byte for byte.
 
 A subspace contains the kernel of the map induced by an injection exactly
 when its nonzero constraint columns lie at the injection's coordinates, and
@@ -28,7 +30,6 @@ normality and normalization are all tests on that constraint support.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -59,12 +60,7 @@ from .fim import (
     pullback,
     pushforward,
 )
-from .homology import RankedPoset
-
-
-class LatticeError(RuntimeError):
-    """A lattice failed an internal consistency requirement."""
-
+from .homology import LatticeError, RankedPoset
 
 Witness = tuple[tuple[int, Injection], ...]
 """The atom set of an element.  Each atom is named by the first
@@ -139,6 +135,9 @@ class IntersectionLattice:
     is reverse inclusion and the rank function is codimension.  Each
     element's provenance is its full atom set (see ``Witness``), kept as a
     bitmask from which the order and the group action are derived.
+    ``orbit_labels`` names each element's Aut(n)-orbit by any label shared
+    by exactly its members; ``orbits[i]`` is then the ascending tuple of the
+    indices in element i's orbit, whose first entry is the representative.
     Instances are immutable once built.
     """
 
@@ -149,6 +148,7 @@ class IntersectionLattice:
         "elements",
         "provenance",
         "codims",
+        "orbits",
         "_containing",
         "_index",
         "_by_mask",
@@ -162,6 +162,7 @@ class IntersectionLattice:
         r: int,
         elements: Sequence[Subspace],
         provenance: Sequence[Witness],
+        orbit_labels: Sequence[int],
     ):
         order = sorted(range(len(elements)), key=lambda i: (elements[i].codim, elements[i].serialization))
         self.level = level
@@ -170,6 +171,11 @@ class IntersectionLattice:
         self.elements: tuple[Subspace, ...] = tuple(elements[i] for i in order)
         self.provenance: tuple[Witness, ...] = tuple(provenance[i] for i in order)
         self.codims: tuple[int, ...] = tuple(e.codim for e in self.elements)
+        members: dict[int, list[int]] = {}
+        for idx, i in enumerate(order):
+            members.setdefault(orbit_labels[i], []).append(idx)
+        orbits = {label: tuple(m) for label, m in members.items()}
+        self.orbits: tuple[tuple[int, ...], ...] = tuple(orbits[orbit_labels[i]] for i in order)
         self._index = {e.serialization: i for i, e in enumerate(self.elements)}
         # Bit a stands for an atom; it first appears on its lowest-codim
         # element, which is the atom itself.  Bit i of having[a] is set when
@@ -212,7 +218,8 @@ class IntersectionLattice:
         """The lattice of the same level cut off at a smaller codimension.
 
         Atom sets do not depend on the cutoff, so this equals a fresh build
-        at ``max_codim`` in elements, provenance and order.
+        at ``max_codim`` in elements, provenance and order.  An orbit has a
+        single codim, so the orbits are kept whole.
         """
         if not 1 <= max_codim <= self.max_codim:
             raise ValueError("truncation must lie between 1 and max_codim")
@@ -223,6 +230,7 @@ class IntersectionLattice:
             self.r,
             self.elements[:keep],
             self.provenance[:keep],
+            [orbit[0] for orbit in self.orbits[:keep]],
         )
 
     def __len__(self) -> int:
@@ -336,7 +344,9 @@ def build_lattice(
     member's atom set is the relabelled mask, and its rows cost one
     reduction (``exactlin.scatter_rows``) only when that mask is new.  An
     atom image that is not an atom, or an orbit member whose rows are
-    already indexed under another atom set, raises LatticeError.
+    already indexed under another atom set, raises LatticeError.  Every
+    element is labelled with the walk that reached it, which makes the
+    lattice's orbit partition.
     """
     if max_codim < 1:
         raise ValueError("max_codim must be at least 1")
@@ -356,6 +366,7 @@ def build_lattice(
     pivots_of: list[list[int]] = [_pivot_columns(rows) for rows in atom_rows]
     masks: list[int] = [1 << a for a in range(len(atoms))]  # bit a: atoms[a] contains it
     by_mask: dict[int, int] = {}  # complete atom sets only
+    walk: dict[int, int] = {}  # element -> the element its orbit walk started at
     layers: list[list[int]] = [[] for _ in range(max_codim + 1)]  # representatives
     every_atom = (1 << len(atoms)) - 1
     perms = [coordinate_permutation(g, spec.r) for g in _group_generators(n)]
@@ -380,7 +391,7 @@ def build_lattice(
             if len(atom) < len(rows) and meet_rows(rows, pivots, atom, dim, len(rows)) is not None:
                 masks[idx] |= 1 << a
         layers[len(rows)].append(idx)
-        by_mask[masks[idx]] = idx
+        by_mask[masks[idx]] = walk[idx] = idx
         frontier = [idx]
         while frontier:
             found = []
@@ -398,6 +409,7 @@ def build_lattice(
                             raise LatticeError("orbit member indexed under another atom set")
                         y = add(image, mask)
                     by_mask[mask] = y
+                    walk[y] = idx
                     found.append(y)
             frontier = found
 
@@ -418,7 +430,7 @@ def build_lattice(
         tuple(witness for a, (_, witness) in enumerate(atoms) if mask >> a & 1)
         for mask in masks
     ]
-    return IntersectionLattice(n, max_codim, spec.r, elements, provenance)
+    return IntersectionLattice(n, max_codim, spec.r, elements, provenance, [walk[i] for i in range(len(masks))])
 
 
 def _relabel(mask: int, images: Sequence[int]) -> int:
@@ -541,11 +553,16 @@ def normalize(spec: ArrangementSpec) -> ArrangementSpec:
 
 @dataclass(frozen=True)
 class PrimitiveClass:
-    """An equivalence class of primitive subspaces, by a canonical member."""
+    """An equivalence class of primitive subspaces: the Aut(degree)-orbit
+    of its canonical member ``subspace``, which comes first."""
 
     degree: MultiIndex
-    subspace: Subspace
+    orbit: tuple[Subspace, ...]
     stabilizer_order: int
+
+    @property
+    def subspace(self) -> Subspace:
+        return self.orbit[0]
 
     @property
     def codim(self) -> int:
@@ -568,28 +585,11 @@ def _group_generators(level: MultiIndex) -> list[PermTuple]:
     return gens
 
 
-def orbit_of(
-    lat: IntersectionLattice,
-    idx: int,
-    action: Callable[[PermTuple], tuple[int, ...]] | None = None,
-) -> tuple[tuple[int, ...], int]:
-    """Indices of the group orbit of element ``idx`` and its stabilizer order.
-
-    The orbit is the closure of ``idx`` under the element permutations of
-    the group generators; the stabilizer order is |G| / |orbit|.  ``action``
-    gives the element permutation of a group element (``lat.act`` by
-    default); a memoised one lets every orbit of a lattice share the
-    generators' permutations.
-    """
-    act = action or lat.act
-    sigmas = [act(g) for g in _group_generators(lat.level)]
-    members = {idx}
-    frontier = [idx]
-    while frontier:
-        images = {sigma[x] for x in frontier for sigma in sigmas} - members
-        members |= images
-        frontier = list(images)
-    return tuple(sorted(members)), group_order(lat.level) // len(members)
+def orbit_of(lat: IntersectionLattice, idx: int) -> tuple[tuple[int, ...], int]:
+    """Indices of the group orbit of element ``idx``, as the lattice recorded
+    it, and its stabilizer order |G| / |orbit|."""
+    members = lat.orbits[idx]
+    return members, group_order(lat.level) // len(members)
 
 
 def primitive_classes(
@@ -600,9 +600,10 @@ def primitive_classes(
     """Representatives of primitive-subspace classes of codim <= max_codim.
 
     Scans every degree below max_codim times the top generator degree (no
-    primitive of this codimension can occur later), filters lattice elements
-    by primitivity, and merges group orbits at each degree.  Requires the
-    spec to pass the normality check on its generator degrees.
+    primitive of this codimension can occur later) and keeps, at each degree,
+    the orbits whose representative is primitive: the point action preserves
+    primitivity, so that decides the whole orbit.  Requires the spec to pass
+    the normality check on its generator degrees.
     """
     if not spec.generators:
         return ()
@@ -616,23 +617,10 @@ def primitive_classes(
         if not any(deg.leq(e) for deg, _ in spec.generators):
             continue
         lat = get_lattice(spec, e, max_codim)
-        primitive = [
-            idx
-            for idx in range(len(lat))
-            if is_primitive(spec, e, lat.elements[idx])
-        ]
-        prim_set = set(primitive)
-        claimed: set[int] = set()
-        action = functools.cache(lat.act)
-        for idx in primitive:
-            if idx in claimed:
-                continue
-            members, stab = orbit_of(lat, idx, action)
-            claimed.update(members)
-            # primitivity is preserved by the point action, so the whole
-            # orbit consists of primitives
-            assert prim_set.issuperset(members)
-            classes.append(PrimitiveClass(e, lat.elements[members[0]], stab))
+        for idx, members in enumerate(lat.orbits):
+            if members[0] == idx and is_primitive(spec, e, lat.elements[idx]):
+                orbit = tuple(lat.elements[y] for y in members)
+                classes.append(PrimitiveClass(e, orbit, group_order(e) // len(orbit)))
     return tuple(classes)
 
 
@@ -659,23 +647,6 @@ class OrbitDecomposition:
         return sizes
 
 
-def _subspace_orbit(degree: MultiIndex, r: int, x: Subspace) -> list[Subspace]:
-    """The orbit of x under Aut(degree), closed under the group generators."""
-    perms = [coordinate_permutation(g, r) for g in _group_generators(degree)]
-    seen = {x.serialization: x}
-    frontier = [x]
-    while frontier:
-        images = []
-        for y in frontier:
-            for perm in perms:
-                z = scatter_columns(y, perm, x.ambient_dim)
-                if z.serialization not in seen:
-                    seen[z.serialization] = z
-                    images.append(z)
-        frontier = images
-    return list(seen.values())
-
-
 def orbit_decomposition(
     lat: IntersectionLattice, classes: Sequence[PrimitiveClass]
 ) -> OrbitDecomposition:
@@ -687,16 +658,15 @@ def orbit_decomposition(
 
     The injections of one binomial class are f o h for its order-preserving
     member f and h in Aut(e), and (f o h)^* X = f^*(h^* X).  So a class's
-    preimages are those of its subspace's Aut(e)-orbit along f alone.
+    preimages are those of its orbit's subspaces along f alone.
     """
     table: dict[str, set[tuple[int, tuple]]] = {}
     for ci, cls in enumerate(classes):
         if not cls.degree.leq(lat.level):
             continue
-        orbit = _subspace_orbit(cls.degree, lat.r, cls.subspace)
         for f in binomial_representatives(cls.degree, lat.level):
             key = binomial_class_key(f)
-            for y in orbit:
+            for y in cls.orbit:
                 pre = pullback(f, lat.r, y)
                 table.setdefault(pre.serialization, set()).add((ci, key))
     assignments = []

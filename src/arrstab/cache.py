@@ -2,11 +2,13 @@
 
 Files are keyed by a hash of (spec serialization, level, max_codim) and hold
 one element per line in canonical serialization, together with the element's
-full atom set (see ``arrangement.Witness``).  The order is rebuilt from the
-atom sets, so a load does no linear algebra.  A payload checksum is stored
+full atom set (see ``arrangement.Witness``) and the index of its orbit's
+representative.  The order is rebuilt from the atom sets and the orbits are
+read back, so a load does no linear algebra.  A payload checksum is stored
 alongside; a wrong format version, a checksum mismatch or a parse failure
 (a zero denominator included) makes the loader report a miss so the caller
-recomputes.
+recomputes, and so does an orbit column in which a label is not the
+smallest index of its orbit or an orbit mixes codims.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .arrangement import ArrangementSpec, IntersectionLattice, build_lattice
 from .exactlin import Subspace
 from .fim import Injection, MultiIndex
 
-_MAGIC = "arrstab-lattice v2"
+_MAGIC = "arrstab-lattice v3"
 _SUFFIX = ".lattice.txt"
 
 
@@ -45,8 +47,8 @@ def _parse_witness(text: str, level: MultiIndex):
 
 def _payload_lines(lat: IntersectionLattice) -> list[str]:
     return [
-        f"{element.serialize()}\t{_render_witness(witness)}"
-        for element, witness in zip(lat.elements, lat.provenance)
+        f"{element.serialize()}\t{_render_witness(witness)}\t{orbit[0]}"
+        for element, witness, orbit in zip(lat.elements, lat.provenance, lat.orbits)
     ]
 
 
@@ -108,11 +110,17 @@ def load(
             return None
         elements = []
         provenance = []
+        labels = []
         for line in lines:
-            serial, _, witness = line.partition("\t")
+            serial, witness, label = line.split("\t")
             elements.append(Subspace.parse(serial))
             provenance.append(_parse_witness(witness, level))
-        return IntersectionLattice(level, max_codim, spec.r, elements, provenance)
+            labels.append(int(label))
+        lat = IntersectionLattice(level, max_codim, spec.r, elements, provenance, labels)
+        for label, orbit in zip(labels, lat.orbits):
+            if label != orbit[0] or lat.codims[orbit[0]] != lat.codims[orbit[-1]]:
+                return None
+        return lat
     except (ValueError, KeyError, IndexError, ZeroDivisionError):
         # ZeroDivisionError: a checksum-valid entry such as "1/0"
         return None

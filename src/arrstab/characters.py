@@ -22,7 +22,6 @@ from .arrangement import (
     LatticeBuilder,
     PrimitiveClass,
     build_lattice,
-    orbit_of,
     primitive_classes,
 )
 from .exactlin import _pivot_columns, _rref_rows
@@ -564,8 +563,7 @@ def verify_free_decomposition(
                     get_lattice(spec, cls.degree, i)
                 )
             ctx = contexts[cls.degree]
-            idx = ctx.lattice.index_of(cls.subspace)
-            members, _ = orbit_of(ctx.lattice, idx, ctx.action)
+            members = ctx.lattice.orbits[ctx.lattice.index_of(cls.subspace)]
             chi_gen = ClassFunction(
                 cls.degree,
                 {

@@ -42,6 +42,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from .arrangement import IntersectionLattice
 
 
+class LatticeError(RuntimeError):
+    """A lattice failed an internal consistency requirement."""
+
+
 @dataclass(frozen=True)
 class RankedPoset:
     """A finite poset with a strictly increasing integer rank function.
@@ -221,6 +225,12 @@ def _invariant_betti(cx: OrderComplex, h: Sequence[int], d: int) -> int:
     faces of every member of an orbit gives each face orbit rho its
     coefficient times |rho|: a row scaling, which leaves the ranks and the
     pivot-row skip of ``reduced_betti_numbers`` as they are.
+
+    Overwriting the coefficients instead of summing them is an equivalent
+    change that no test can tell apart.  An order automorphism preserves
+    height, so two faces of one chain never share an orbit, and the entry of
+    an orbit sigma at a face orbit rho is then +-|sigma| when summed and +-1
+    when overwritten: a column scaling, which leaves every rank as it is.
     """
     index: dict[tuple[int, ...], int] = {}  # chain -> its orbit's number
     orbits: dict[int, list[list[tuple[int, ...]]]] = {}
@@ -337,7 +347,8 @@ class LatticeHomology:
     per conjugacy class and degree, say) share the work.  Queries in degree i
     only read elements of codim at most i, which form a prefix of the
     lattice, so one context on a level's top lattice serves every lower
-    degree.
+    degree.  An interval's Betti vector is invariant under Aut(n), so it is
+    ranked once per orbit the lattice recorded (``betti_numbers``).
     """
 
     def __init__(self, lat: "IntersectionLattice"):
@@ -346,6 +357,7 @@ class LatticeHomology:
         self._betti: dict[int, tuple[int, ...]] = {}
         self._actions: dict[PermTuple, tuple[int, ...]] = {}
         self._fixed_sums: dict[PermTuple, list[int]] = {}
+        self._identity = PermTuple.identity(lat.level)
 
     def action(self, g: PermTuple) -> tuple[int, ...]:
         """The element permutation of g, computed once per context; the
@@ -367,11 +379,20 @@ class LatticeHomology:
 
     def betti_numbers(self, idx: int) -> tuple[int, ...]:
         """The reduced Betti vector of element idx's interval, from degree -1
-        up (see ``reduced_betti_numbers``), computed once per element."""
-        if idx not in self._betti:
-            _, cx = self.interval(idx)
-            self._betti[idx] = reduced_betti_numbers(cx)
-        return self._betti[idx]
+        up (see ``reduced_betti_numbers``), computed once per orbit.  By
+        Hall's theorem its alternating sum is mu(0, x), which is -h(x) for
+        the identity's fixed chain sums; a mismatch means a wrong orbit and
+        raises LatticeError.
+        """
+        rep = self.lattice.orbits[idx][0]
+        if rep not in self._betti:
+            _, cx = self.interval(rep)
+            self._betti[rep] = reduced_betti_numbers(cx)
+        betti = self._betti[rep]
+        euler = sum(b if k % 2 else -b for k, b in enumerate(betti))  # degree k - 1
+        if euler != -self.fixed_chain_sums(self._identity)[idx]:
+            raise LatticeError(f"interval of element {idx} fails Hall's theorem; orbits corrupted")
+        return betti
 
     def local_betti(self, idx: int, d: int) -> int:
         betti = self.betti_numbers(idx)

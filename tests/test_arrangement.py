@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from arrstab.arrangement import (
     ArrangementSpec,
     LatticeError,
+    _degrees_below,
+    _group_generators,
     build_lattice,
     family_mkr,
     is_primitive,
@@ -23,7 +25,9 @@ from arrstab.fim import (
     PermTuple,
     ambient_dim,
     binomial_set_size,
+    degree_times,
     enumerate_injections,
+    group_order,
     pullback,
 )
 
@@ -311,6 +315,32 @@ def test_primitive_classes_two_factor(get_lattice):
     spec = family_mkr(2, 1, 1)
     classes = primitive_classes(spec, 1, get_lattice)
     assert [(c.degree, c.codim) for c in classes] == [(mi((1, 1)), 1)]
+
+
+@pytest.mark.parametrize(
+    "spec, max_codim",
+    [(family_mkr(1, 2, 1), 3), (family_mkr(1, 3, 1), 2), (family_mkr(2, 1, 1), 2)],
+)
+def test_primitive_classes_are_the_whole_primitive_orbits(spec, max_codim, get_lattice):
+    # the point action preserves primitivity, so testing representatives
+    # only must still cover every primitive element, each orbit whole
+    classes = primitive_classes(spec, max_codim, get_lattice)
+    for e in _degrees_below(degree_times(max_codim, spec.cmax)):
+        if not any(deg.leq(e) for deg, _ in spec.generators):
+            continue
+        lat = get_lattice(spec, e, max_codim)
+        ours = [cls for cls in classes if cls.degree == e]
+        members = [lat.index_of(x) for cls in ours for x in cls.orbit]
+        assert sorted(members) == [
+            idx for idx, x in enumerate(lat.elements) if is_primitive(spec, e, x)
+        ]
+        for cls in ours:
+            orbit = {lat.index_of(x) for x in cls.orbit}
+            assert cls.stabilizer_order * len(orbit) == group_order(e)
+            assert cls.subspace == lat.elements[min(orbit)]
+            for g in _group_generators(e):
+                sigma = lat.act(g)
+                assert {sigma[idx] for idx in orbit} == orbit
 
 
 def test_non_normal_spec_yields_no_codim_one_classes():

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from arrstab import cache, cli
-from arrstab.arrangement import build_lattice, family_mkr
+from arrstab.arrangement import LatticeError, build_lattice, family_mkr
 from arrstab.cli import list_catalog, load_config, main
 from arrstab.fim import MultiIndex
+from arrstab.homology import LatticeHomology
 
 mi = MultiIndex
 
@@ -460,8 +461,83 @@ def test_cache_v1_file_is_a_miss_and_rebuilt(tmp_path):
     assert cache.load(tmp_path, spec, mi((4,)), 4) is None
     rebuilt = cache.CachingBuilder(tmp_path)(spec, mi((4,)), 4)
     assert rebuilt.provenance == lat.provenance
-    assert read(path).startswith("arrstab-lattice v2\n")
+    assert read(path).startswith("arrstab-lattice v3\n")
     assert cache.load(tmp_path, spec, mi((4,)), 4).provenance == lat.provenance
+
+
+def rewrite_payload(path: Path, edit) -> None:
+    """Replace a cache file's element lines by ``edit(lines)``, keeping the
+    header and the checksum valid."""
+    raw = read(path).splitlines()
+    lines = edit(raw[6:])
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    header = raw[:4] + [f"count={len(lines)}", f"payload-sha256={digest}"]
+    path.write_text("\n".join(header + lines) + "\n", encoding="utf-8")
+
+
+def relabel(lines, labels):
+    """The element lines with their orbit column replaced by ``labels``."""
+    return [line.rsplit("\t", 1)[0] + f"\t{label}" for line, label in zip(lines, labels)]
+
+
+def test_cache_v2_file_is_a_miss_and_rebuilt(tmp_path):
+    # v2 files stored no orbit column; the orbits are rebuilt, not guessed
+    spec = family_mkr(1, 2, 1)
+    lat = build_lattice(spec, mi((4,)), 4)
+    path = cache.store(tmp_path, spec, lat)
+    rewrite_payload(path, lambda lines: [line.rsplit("\t", 1)[0] for line in lines])
+    path.write_text(read(path).replace("arrstab-lattice v3", "arrstab-lattice v2", 1), encoding="utf-8")
+    assert cache.load(tmp_path, spec, mi((4,)), 4) is None
+    rebuilt = cache.CachingBuilder(tmp_path)(spec, mi((4,)), 4)
+    assert rebuilt.orbits == lat.orbits
+    assert read(path).startswith("arrstab-lattice v3\n")
+    assert cache.load(tmp_path, spec, mi((4,)), 4).orbits == lat.orbits
+
+
+# braid n=4 at codim 4: the 6 atoms (0..5), the 4 + 3 elements of types
+# {3,1} and {2,2} at codim 2 (interleaved), and the top element 13 at codim 3
+GOOD_LABELS = [0] * 6 + [6, 7, 6, 7, 6, 7, 6] + [13]
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        [1] + GOOD_LABELS[1:],  # 0 and 1..5 labelled by each other
+        [5] * 6 + GOOD_LABELS[6:],  # an atom orbit labelled by its last index
+        GOOD_LABELS[:13] + [0],  # the top element joins the atoms
+        GOOD_LABELS[:13] + [14],  # a label past the last element
+    ],
+)
+def test_cache_bad_orbit_column_is_a_miss_and_rebuilt(tmp_path, labels):
+    spec = family_mkr(1, 2, 1)
+    lat = build_lattice(spec, mi((4,)), 4)
+    assert [orbit[0] for orbit in lat.orbits] == GOOD_LABELS
+    path = cache.store(tmp_path, spec, lat)
+    rewrite_payload(path, lambda lines: relabel(lines, labels))
+    assert cache.load(tmp_path, spec, mi((4,)), 4) is None
+    rebuilt = cache.CachingBuilder(tmp_path)(spec, mi((4,)), 4)
+    assert rebuilt.orbits == lat.orbits
+    assert cache.load(tmp_path, spec, mi((4,)), 4).orbits == lat.orbits
+
+
+def test_merged_orbits_fail_hall_and_exit_three(tmp_path, capsys):
+    # braid n=5 at codim 2: the 10 elements of type {3,1,1} have mu = 2, the
+    # 15 of type {2,2,1} have mu = 1.  A checksum-valid file that merges the
+    # two orbits loads, but one Betti vector cannot serve both.
+    spec = family_mkr(1, 2, 1)
+    lat = build_lattice(spec, mi((5,)), 2)
+    assert sorted({len(orbit) for orbit in lat.orbits[10:]}) == [10, 15]
+    cache_dir = tmp_path / "cache"
+    path = cache.store(cache_dir, spec, lat)
+    rewrite_payload(path, lambda lines: relabel(lines, [0] * 10 + [10] * 25))
+    merged = cache.load(cache_dir, spec, mi((5,)), 2)
+    assert merged.orbits[10] == tuple(range(10, 35))
+    with pytest.raises(LatticeError, match="Hall's theorem"):
+        LatticeHomology(merged).betti_report(2)
+    config = write_config(tmp_path, levels={"min": [5], "max": [5]})
+    code = main(["run", "--config", str(config), "--cache", str(cache_dir), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "internal error: interval of element" in capsys.readouterr().err
 
 
 def test_cache_zero_denominator_is_a_miss_and_rebuilt(tmp_path):

@@ -41,6 +41,7 @@ from arrstab.exactlin import (
 from arrstab.fim import (
     ConjClass,
     MultiIndex,
+    PermTuple,
     ambient_dim,
     binomial_class_key,
     class_representative,
@@ -52,6 +53,7 @@ from arrstab.fim import (
     pullback,
     pushforward,
 )
+from arrstab.homology import LatticeHomology, order_complex, reduced_betti_numbers
 
 mi = MultiIndex
 
@@ -450,8 +452,10 @@ def fraction_closure(spec, n, max_codim):
         tuple(w for a, (_, w) in enumerate(atoms) if masks[key] >> a & 1)
         for key in found
     ]
-    return arrangement.IntersectionLattice(
-        n, max_codim, spec.r, list(found.values()), provenance
+    return with_generator_orbits(
+        arrangement.IntersectionLattice(
+            n, max_codim, spec.r, list(found.values()), provenance, range(len(found))
+        )
     )
 
 
@@ -463,6 +467,7 @@ def assert_matches_fraction_closure(spec, n, max_codim, tmp_path):
         e.serialization for e in expected.elements
     ]
     assert lat.provenance == expected.provenance
+    assert lat.orbits == expected.orbits
     assert [lat.containing(i) for i in range(len(lat))] == [
         expected.containing(i) for i in range(len(expected))
     ]
@@ -474,6 +479,7 @@ def assert_matches_fraction_closure(spec, n, max_codim, tmp_path):
     assert loaded is not None
     assert loaded.elements == lat.elements
     assert loaded.provenance == lat.provenance
+    assert loaded.orbits == lat.orbits
 
 
 # ``2, 3, -5; 1/2, 0, 7`` reduces to rows with real denominators, so its
@@ -537,7 +543,10 @@ def test_integer_closure_matches_fraction_closure_random(
 #
 # ``atom_closure`` is the former ``build_lattice``: every element below the
 # cutoff, orbit representative or not, is met with every atom not containing
-# it, and each atom set is completed by the meets that land on it.
+# it, and each atom set is completed by the meets that land on it.  Its
+# orbits, like those of ``fraction_closure``, come from
+# ``with_generator_orbits``, so the cache bytes compared below check the
+# orbit column too.
 # ``scan_order`` is the former order table, a subset scan over all lower
 # elements.  They stay here as the reference for the orbit closure and the
 # per-atom bitset order.
@@ -584,7 +593,11 @@ def atom_closure(spec, n, max_codim):
         tuple(witness for a, (_, witness) in enumerate(atoms) if mask >> a & 1)
         for mask in masks
     ]
-    return arrangement.IntersectionLattice(n, max_codim, spec.r, elements, provenance)
+    return with_generator_orbits(
+        arrangement.IntersectionLattice(
+            n, max_codim, spec.r, elements, provenance, range(len(elements))
+        )
+    )
 
 
 def scan_order(lat):
@@ -609,6 +622,7 @@ def assert_matches_atom_closure(spec, n, max_codim, tmp_path):
         e.serialization for e in expected.elements
     ]
     assert lat.provenance == expected.provenance
+    assert lat.orbits == expected.orbits
     assert [lat.containing(i) for i in range(len(lat))] == scan_order(expected)
     ours = cache.store(tmp_path / "ours", spec, lat)
     theirs = cache.store(tmp_path / "theirs", spec, expected)
@@ -715,14 +729,16 @@ def test_orbit_member_indexed_under_another_atom_set_raises(braid, monkeypatch):
         build_lattice(braid, mi((4,)), 2)
 
 
-# --- the group action -------------------------------------------------------
+# --- the group action and the orbits ----------------------------------------
 #
 # ``rref_image`` is the former ``IntersectionLattice.permute_element`` and
 # ``rref_act`` the former ``act``: every element is permuted and reduced on
 # its own.  ``walked_orbit`` is the former ``orbit_of``, a walk over the whole
-# group.  ``dense_preimage`` is the former preimage.  They stay here as the
-# references for the atom permutation, the generator BFS and the column
-# scatter that replaced them.
+# group, and ``with_generator_orbits`` joins the orbits of the oracle
+# closures by union over ``rref_image`` under a transposition and an n-cycle
+# per factor.  ``dense_preimage`` is the former preimage.  They stay here as
+# the references for the atom permutation, the orbits the closure records
+# and the column scatter that replaced them.
 
 
 def rref_image(lat, g, idx):
@@ -744,6 +760,30 @@ def rref_act(lat, g):
 def walked_orbit(lat, idx):
     images = [rref_image(lat, g, idx) for g in perm_tuples(lat.level)]
     return tuple(sorted(set(images))), images.count(idx)
+
+
+def with_generator_orbits(lat):
+    """``lat`` with the orbit labels of its generator images, joined by
+    union-find over ``rref_image``."""
+    parent = list(range(len(lat)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for j, n in enumerate(lat.level):
+        if n < 2:
+            continue
+        for perm in ((1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)):
+            g = PermTuple(tuple(perm if k == j else tuple(range(m)) for k, m in enumerate(lat.level)))
+            for idx in range(len(lat)):
+                a, b = find(idx), find(rref_image(lat, g, idx))
+                parent[max(a, b)] = min(a, b)
+    labels = [find(idx) for idx in range(len(lat))]
+    return arrangement.IntersectionLattice(
+        lat.level, lat.max_codim, lat.r, lat.elements, lat.provenance, labels
+    )
 
 
 def assert_action_matches_oracle(lat):
@@ -778,12 +818,31 @@ def test_atom_action_matches_rref_action_random(spec, max_codim):
         (family_mkr(2, 1, 1), (2, 3), 3),
         (MIXED_FACTOR, (3, 2), 3),
         (MIXED_CODIM, (3,), 3),
-    ],
+    ]
+    + FAMILY_CASES,
 )
-def test_orbit_bfs_matches_group_walk(spec, level, max_codim):
+def test_orbit_bfs_matches_group_walk(spec, level, max_codim, tmp_path):
+    # the orbits recorded by the closure's generator walk, fresh, truncated
+    # and loaded from the cache, against a walk over the whole group
     lat = build_lattice(spec, mi(level), max_codim)
+    cache.store(tmp_path, spec, lat)
+    loaded = cache.load(tmp_path, spec, mi(level), max_codim)
+    for got in (lat, lat.truncated(max(1, max_codim - 1)), loaded):
+        walked = {}
+        for idx in range(len(got)):
+            if idx not in walked:
+                orbit = walked_orbit(got, idx)
+                walked.update(dict.fromkeys(orbit[0], orbit))
+            assert arrangement.orbit_of(got, idx) == walked[idx]
+
+
+@pytest.mark.parametrize("spec, level, max_codim", FAMILY_CASES)
+def test_per_orbit_betti_matches_per_element_betti(spec, level, max_codim):
+    lat = build_lattice(spec, mi(level), max_codim)
+    ctx = LatticeHomology(lat)
     for idx in range(len(lat)):
-        assert arrangement.orbit_of(lat, idx) == walked_orbit(lat, idx)
+        interval = order_complex(lat.lower_interval(idx))
+        assert ctx.betti_numbers(idx) == reduced_betti_numbers(interval)
 
 
 @st.composite
@@ -1092,8 +1151,7 @@ def test_readme_freeness_act_budget(tmp_path, monkeypatch):
     args = ["run", "--config", str(config), "--cache", str(tmp_path / "c")]
     assert cli.main(args + ["--out", str(tmp_path / "o")]) == 0
     # characters: p(n) - 1 non-identity classes at n = 2..6, 1+2+4+6+10 = 23;
-    # primitive classes once, one generator set per degree 2..6: 1+2+2+2+2 = 9;
+    # primitive classes read the recorded orbits and act on nothing;
     # freeness at i = 1, 2, 3: one context per class degree e, acting once
-    # per non-identity class (the generators are class representatives),
-    # p(e) - 1 in all: 1, then 1+2+4, then 1+2+4+6+10
-    assert calls == 23 + 9 + 31
+    # per non-identity class, p(e) - 1 in all: 1, then 1+2+4, then 1+2+4+6+10
+    assert calls == 23 + 31

@@ -1,4 +1,4 @@
-"""Source-level guards on the dense basis layer.
+"""Source-level guards on the dense basis layer and on the recorded orbits.
 
 Traces on intervals whose homology spreads over several degrees come from
 orbit complexes and sparse integer ranks, so no engine path forms a dense
@@ -7,6 +7,10 @@ kernel, column-space basis or solve.  ``exactlin.kernel_basis`` and
 tracer hooks both names (``tests/test_bench_hooks.py``); these checks keep
 them, and the deleted ``column_space_basis`` and ``independent_extension``,
 from quietly returning to an engine path.
+
+The lattice records its Aut(n)-orbits while it is built, so orbit lookups,
+primitive classes and the freeness check read them and act out no group
+element; the orbit walkers that re-derived them stay deleted.
 """
 
 import ast
@@ -44,3 +48,35 @@ def test_no_engine_module_uses_the_dense_basis_names():
             elif isinstance(node, ast.ImportFrom):
                 imported = {alias.name for alias in node.names} & DENSE_BASIS
                 assert not imported, f"{name} imports {imported}"
+
+
+def function(module, name):
+    return next(
+        node
+        for node in ast.walk(MODULES[module])
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def test_orbit_readers_act_out_no_group_element():
+    for module, name in [
+        ("arrangement", "orbit_of"),
+        ("arrangement", "primitive_classes"),
+        ("characters", "verify_free_decomposition"),
+    ]:
+        for node in ast.walk(function(module, name)):
+            used = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            assert used not in {"act", "action"}, f"{module}.{name} uses {used}"
+
+
+def test_orbit_of_is_a_lookup():
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not any(isinstance(node, loops) for node in ast.walk(function("arrangement", "orbit_of")))
+
+
+def test_orbit_walkers_are_gone():
+    defined = {
+        node.name for node in ast.walk(MODULES["arrangement"]) if isinstance(node, ast.FunctionDef)
+    }
+    assert "_subspace_orbit" not in defined
+    assert "orbit_of" in defined  # the benchmark tracer hooks it
