@@ -12,12 +12,13 @@ commutes with intersection, so construction meets one representative per
 orbit with each atom only, never with other elements, and reaches the other
 orbit members by the group generators, relabelling atom sets as it goes.
 Every element's atom set is kept as a bitmask, and the order is read off
-those sets with one bitset of elements per atom, without linear algebra.  A
-point permutation acts on the lattice the same way: it permutes the atoms
-(one reduction each) and relabels every element's atom mask.  Each orbit is
-walked once, under one transposition and one n-cycle per factor, while the
-lattice is built, and the lattice records it: ``orbits`` is what orbit
-lookups, primitive classes and per-orbit homology read.  Elements are
+those sets with one bitset of elements per atom, without linear algebra.
+Every name (generator, injection f) of each atom f^*X is kept, so a point
+permutation g acts by lookup, f^*X going to (g o f)^*X, and relabels every
+element's atom mask; preimages along injections are looked up alike.  Each
+orbit is walked once, under one transposition and one n-cycle per factor,
+while the lattice is built, and the lattice records it: ``orbits`` is what
+orbit lookups, primitive classes and per-orbit homology read.  Elements are
 canonically sorted by (codim, serialization), which fixes every downstream
 output byte for byte.
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exactlin import (
     RationalMatrix,
@@ -40,17 +41,18 @@ from .exactlin import (
     _pivot_columns,
     constraint_support,
     meet_rows,
-    scatter_columns,
     scatter_rows,
     subspace_from_constraints,
 )
 from .fim import (
+    Images,
     Injection,
     MultiIndex,
     PermTuple,
     ambient_dim,
     binomial_class_key,
     binomial_representatives,
+    compose_images,
     componentwise_max,
     coordinate_permutation,
     degree_times,
@@ -62,8 +64,11 @@ from .fim import (
 )
 from .homology import LatticeError, RankedPoset
 
+Name = tuple[int, Images]
+"""A generator index and the images of an injection that pulls it back to an atom."""
+
 Witness = tuple[tuple[int, Injection], ...]
-"""The atom set of an element.  Each atom is named by the first
+"""The atom set of an element.  Each atom is named by its witness, the first
 ``(generator index, injection)`` in ``enumerate_injections`` order whose
 preimage it is, and the atoms are listed in order of their serialization."""
 
@@ -135,6 +140,7 @@ class IntersectionLattice:
     is reverse inclusion and the rank function is codimension.  Each
     element's provenance is its full atom set (see ``Witness``), kept as a
     bitmask from which the order and the group action are derived.
+    ``atom_names`` maps every ``Name`` of every atom to the atom's index.
     ``orbit_labels`` names each element's Aut(n)-orbit by any label shared
     by exactly its members; ``orbits[i]`` is then the ascending tuple of the
     indices in element i's orbit, whose first entry is the representative.
@@ -149,10 +155,14 @@ class IntersectionLattice:
         "provenance",
         "codims",
         "orbits",
+        "atom_names",
         "_containing",
         "_index",
         "_by_mask",
+        "_bits",
         "_atom_elements",
+        "_witnesses",
+        "_having",
     )
 
     def __init__(
@@ -163,6 +173,7 @@ class IntersectionLattice:
         elements: Sequence[Subspace],
         provenance: Sequence[Witness],
         orbit_labels: Sequence[int],
+        atom_names: dict[Name, int],
     ):
         order = sorted(range(len(elements)), key=lambda i: (elements[i].codim, elements[i].serialization))
         self.level = level
@@ -184,18 +195,24 @@ class IntersectionLattice:
         atom_elements: list[int] = []
         having: list[int] = []
         masks = []
+        self._bits: list[list[int]] = []  # the atom bits of each element
         for idx, witness in enumerate(self.provenance):
-            mask = 0
+            own = []
             for atom in witness:
                 if atom not in bits:
                     bits[atom] = len(bits)
                     atom_elements.append(idx)
                     having.append(0)
-                a = bits[atom]
-                mask |= 1 << a
-                having[a] |= 1 << idx
-            masks.append(mask)
+                own.append(bits[atom])
+                having[own[-1]] |= 1 << idx
+            self._bits.append(own)
+            masks.append(sum(1 << a for a in own))
         self._atom_elements: tuple[int, ...] = tuple(atom_elements)
+        self._witnesses: tuple[tuple[int, Injection], ...] = tuple(bits)
+        self._having = dict(zip(atom_elements, having))
+        self.atom_names = {name: self._index[elements[i].serialization] for name, i in atom_names.items()}
+        if set(self.atom_names.values()) != set(atom_elements):
+            raise ValueError("atom names do not match the atoms")
         self._by_mask = {mask: idx for idx, mask in enumerate(masks)}
         # X strictly inside Y iff atoms(Y) is a proper subset of atoms(X):
         # the elements of lower codim that have none of the atoms X lacks
@@ -231,6 +248,7 @@ class IntersectionLattice:
             self.elements[:keep],
             self.provenance[:keep],
             [orbit[0] for orbit in self.orbits[:keep]],
+            {name: a for name, a in self.atom_names.items() if a < keep},
         )
 
     def __len__(self) -> int:
@@ -275,36 +293,40 @@ class IntersectionLattice:
         )
         return RankedPoset(tuple(range(n)), less, self.codims)
 
-    def permute_element(self, g: PermTuple, idx: int) -> Subspace:
-        """The image of element ``idx`` under the point permutation g."""
-        perm = coordinate_permutation(g, self.r)
-        return scatter_columns(self.elements[idx], perm, len(perm))
-
     def act(self, g: PermTuple) -> tuple[int, ...]:
         """The permutation of element indices induced by g; order preserving.
 
-        g maps atoms to atoms, and an element is the intersection of its
-        atoms, so only the atoms are permuted by linear algebra; every other
-        element follows by relabelling the bits of its atom mask.
+        g maps the atom named (gi, f), f^*X, to (g o f)^*X, named (gi, g o f):
+        each atom's image is looked up in ``atom_names``, and every other
+        element follows by relabelling the bits of its atom mask.  A missing
+        name or a result that is not a bijection raises LatticeError.
         """
         if g.level != self.level:
             raise ValueError("permutation level does not match lattice level")
         bit_of = {idx: a for a, idx in enumerate(self._atom_elements)}
-        images = []
-        for idx in self._atom_elements:
-            pos = self._index.get(self.permute_element(g, idx).serialization)
-            if pos not in bit_of:
-                raise LatticeError("group action left the lattice; lattice corrupted")
-            images.append(bit_of[pos])
-        out = [-1] * len(self.elements)
-        for mask, idx in self._by_mask.items():
-            pos = self._by_mask.get(_relabel(mask, images))
-            if pos is None:
-                raise LatticeError("group action left the lattice; lattice corrupted")
-            out[idx] = pos
+        images = [bit_of[idx] for idx in _atom_images(self.atom_names, self._witnesses, g)]
+        weight = [1 << a for a in images]
+        out = [self._by_mask.get(sum(map(weight.__getitem__, own))) for own in self._bits]
+        if None in out:
+            raise LatticeError("group action left the lattice; lattice corrupted")
         if set(out) != set(range(len(out))):
             raise LatticeError("group action is not a bijection; lattice corrupted")
         return tuple(out)
+
+    def meet_of_atoms(self, names: Iterable[Name]) -> int | None:
+        """The lowest element in all the named atoms, their meet; None above the cutoff."""
+        common = -1
+        for name in names:
+            common &= self._having.get(self.atom_names.get(name), 0)
+        return (common & -common).bit_length() - 1 if common > 0 else None
+
+
+def _atom_images(names: dict[Name, int], witnesses: Sequence[tuple], g: PermTuple) -> list[int]:
+    """For each atom named (gi, f), the value of the name (gi, g o f)."""
+    images = [names.get((gi, compose_images(g.perms, f.images))) for gi, f in witnesses]
+    if None in images:
+        raise LatticeError("group action maps an atom name to no atom; lattice corrupted")
+    return images
 
 
 def _bit_indices(bitset: int) -> tuple[int, ...]:
@@ -339,12 +361,12 @@ def build_lattice(
     set starts from the atoms of its two parts and is completed by
     containment tests (a meet capped at its own codim) with the other atoms
     of lower codim; an atom of equal codim containing it would be the
-    element itself.  Each generator permutes the atoms, computed once, and
-    maps an element's full atom set onto that of its image, so an orbit
-    member's atom set is the relabelled mask, and its rows cost one
-    reduction (``exactlin.scatter_rows``) only when that mask is new.  An
-    atom image that is not an atom, or an orbit member whose rows are
-    already indexed under another atom set, raises LatticeError.  Every
+    element itself.  Each generator g permutes the atoms by name, (gi, f)
+    to (gi, g o f), and maps an element's full atom set onto that of its
+    image, so an orbit member's atom set is the relabelled mask, and its
+    rows cost one reduction (``exactlin.scatter_rows``) only when that mask
+    is new.  An orbit member whose rows are already indexed under another
+    atom set raises LatticeError.  Every
     element is labelled with the walk that reached it, which makes the
     lattice's orbit partition.
     """
@@ -353,12 +375,16 @@ def build_lattice(
     if n.m != spec.m:
         raise ValueError("level has wrong number of factors")
     first: dict[str, tuple[Subspace, tuple[int, Injection]]] = {}
+    named: dict[Name, str] = {}
     for gi, (degree, sub) in enumerate(spec.generators):
         for f in enumerate_injections(degree, n):
             pre = pullback(f, spec.r, sub)
             if pre.codim <= max_codim:
                 first.setdefault(pre.serialization, (pre, (gi, f)))
-    atoms = [first[key] for key in sorted(first)]
+                named[gi, f.images] = pre.serialization
+    atom_of = {key: a for a, key in enumerate(sorted(first))}
+    atoms = [first[key] for key in atom_of]
+    names = {name: atom_of[key] for name, key in named.items()}
     dim = ambient_dim(n, spec.r)
     atom_rows = [atom.constraints.entries for atom, _ in atoms]
     index: dict[tuple, int] = {rows: a for a, rows in enumerate(atom_rows)}
@@ -369,13 +395,9 @@ def build_lattice(
     walk: dict[int, int] = {}  # element -> the element its orbit walk started at
     layers: list[list[int]] = [[] for _ in range(max_codim + 1)]  # representatives
     every_atom = (1 << len(atoms)) - 1
-    perms = [coordinate_permutation(g, spec.r) for g in _group_generators(n)]
-    atom_images = []
-    for perm in perms:
-        images = [index.get(scatter_rows(rows, perm, dim)) for rows in atom_rows]
-        if None in images:
-            raise LatticeError("a group generator maps an atom outside the atoms")
-        atom_images.append(images)
+    gens = _group_generators(n)
+    perms = [coordinate_permutation(g, spec.r) for g in gens]
+    atom_images = [_atom_images(names, [w for _, w in atoms], g) for g in gens]
 
     def add(rows: tuple, mask: int) -> int:
         idx = index[rows] = len(masks)
@@ -430,7 +452,7 @@ def build_lattice(
         tuple(witness for a, (_, witness) in enumerate(atoms) if mask >> a & 1)
         for mask in masks
     ]
-    return IntersectionLattice(n, max_codim, spec.r, elements, provenance, [walk[i] for i in range(len(masks))])
+    return IntersectionLattice(n, max_codim, spec.r, elements, provenance, [walk[i] for i in range(len(masks))], names)
 
 
 def _relabel(mask: int, images: Sequence[int]) -> int:
@@ -554,11 +576,12 @@ def normalize(spec: ArrangementSpec) -> ArrangementSpec:
 @dataclass(frozen=True)
 class PrimitiveClass:
     """An equivalence class of primitive subspaces: the Aut(degree)-orbit
-    of its canonical member ``subspace``, which comes first."""
+    of its canonical member ``subspace`` (first) and each member's atoms."""
 
     degree: MultiIndex
     orbit: tuple[Subspace, ...]
     stabilizer_order: int
+    provenance: tuple[Witness, ...]
 
     @property
     def subspace(self) -> Subspace:
@@ -620,7 +643,8 @@ def primitive_classes(
         for idx, members in enumerate(lat.orbits):
             if members[0] == idx and is_primitive(spec, e, lat.elements[idx]):
                 orbit = tuple(lat.elements[y] for y in members)
-                classes.append(PrimitiveClass(e, orbit, group_order(e) // len(orbit)))
+                atoms = tuple(lat.provenance[y] for y in members)
+                classes.append(PrimitiveClass(e, orbit, group_order(e) // len(orbit), atoms))
     return tuple(classes)
 
 
@@ -658,20 +682,22 @@ def orbit_decomposition(
 
     The injections of one binomial class are f o h for its order-preserving
     member f and h in Aut(e), and (f o h)^* X = f^*(h^* X).  So a class's
-    preimages are those of its orbit's subspaces along f alone.
+    preimages are those of its orbit's subspaces along f alone; f^*y meets
+    the atoms named (gi, f o h) over y's atoms (gi, h).
     """
-    table: dict[str, set[tuple[int, tuple]]] = {}
+    table: dict[int, set[tuple[int, tuple]]] = {}
     for ci, cls in enumerate(classes):
         if not cls.degree.leq(lat.level):
             continue
         for f in binomial_representatives(cls.degree, lat.level):
             key = binomial_class_key(f)
-            for y in cls.orbit:
-                pre = pullback(f, lat.r, y)
-                table.setdefault(pre.serialization, set()).add((ci, key))
+            for atoms in cls.provenance:
+                idx = lat.meet_of_atoms((gi, compose_images(f.images, h.images)) for gi, h in atoms)
+                if idx is not None:
+                    table.setdefault(idx, set()).add((ci, key))
     assignments = []
-    for idx, element in enumerate(lat.elements):
-        hits = table.get(element.serialization)
+    for idx in range(len(lat)):
+        hits = table.get(idx)
         if not hits:
             raise LatticeError(
                 f"element {idx} matched by no primitive class"

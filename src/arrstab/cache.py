@@ -2,13 +2,15 @@
 
 Files are keyed by a hash of (spec serialization, level, max_codim) and hold
 one element per line in canonical serialization, together with the element's
-full atom set (see ``arrangement.Witness``) and the index of its orbit's
-representative.  The order is rebuilt from the atom sets and the orbits are
-read back, so a load does no linear algebra.  A payload checksum is stored
-alongside; a wrong format version, a checksum mismatch or a parse failure
-(a zero denominator included) makes the loader report a miss so the caller
-recomputes, and so does an orbit column in which a label is not the
-smallest index of its orbit or an orbit mixes codims.
+full atom set as the indices of its atoms' lines, the index of its orbit's
+representative and, on an atom's line, all of its names (``arrangement.Name``)
+in ``enumerate_injections`` order, the first its witness.  So a load rebuilds
+the order, the orbits and the group action without linear algebra.  A payload
+checksum is stored alongside; a wrong format version, a checksum mismatch or
+a parse failure (a zero denominator included) makes the loader report a miss
+so the caller recomputes, and so does an orbit column in which a label is not
+the smallest index of its orbit or an orbit mixes codims, a name out of order
+or under two atoms, or an atom index at a line without names.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from pathlib import Path
 
 from .arrangement import ArrangementSpec, IntersectionLattice, build_lattice
 from .exactlin import Subspace
-from .fim import Injection, MultiIndex
+from .fim import Injection, MultiIndex, parse_images
 
-_MAGIC = "arrstab-lattice v3"
+_MAGIC = "arrstab-lattice v4"
 _SUFFIX = ".lattice.txt"
 
 
@@ -31,24 +33,20 @@ def lattice_key(spec: ArrangementSpec, level: MultiIndex, max_codim: int) -> str
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _render_witness(witness) -> str:
-    return "&".join(f"g{gi}@{f.render()}" for gi, f in witness)
-
-
-def _parse_witness(text: str, level: MultiIndex):
-    out = []
-    if not text:
-        return tuple(out)
-    for chunk in text.split("&"):
-        head, _, body = chunk.partition("@")
-        out.append((int(head[1:]), Injection.parse(body, level)))
-    return tuple(out)
+def _parse_name(text: str):
+    head, _, body = text.partition("@")
+    return int(head[1:]), parse_images(body)
 
 
 def _payload_lines(lat: IntersectionLattice) -> list[str]:
+    names: dict[int, list[str]] = {}
+    for (gi, images), atom in sorted(lat.atom_names.items()):
+        names.setdefault(atom, []).append(f"g{gi}@{Injection(images, lat.level).render()}")
     return [
-        f"{element.serialize()}\t{_render_witness(witness)}\t{orbit[0]}"
-        for element, witness, orbit in zip(lat.elements, lat.provenance, lat.orbits)
+        f"{element.serialize()}\t"
+        + ",".join(str(lat.atom_names[gi, f.images]) for gi, f in witness)
+        + f"\t{orbit[0]}\t{'&'.join(names.get(idx, ()))}"
+        for idx, (element, witness, orbit) in enumerate(zip(lat.elements, lat.provenance, lat.orbits))
     ]
 
 
@@ -108,15 +106,23 @@ def load(
         lines = raw[6 : 6 + count]
         if len(lines) != count or _payload_hash(lines) != meta["payload-sha256"]:
             return None
-        elements = []
-        provenance = []
-        labels = []
-        for line in lines:
-            serial, witness, label = line.split("\t")
+        elements, atom_sets, labels = [], [], []
+        names: dict = {}
+        witnesses: dict[int, tuple[int, Injection]] = {}  # by atom line
+        for idx, line in enumerate(lines):
+            serial, atoms, label, named = line.split("\t")
             elements.append(Subspace.parse(serial))
-            provenance.append(_parse_witness(witness, level))
+            atom_sets.append(atoms.split(","))
             labels.append(int(label))
-        lat = IntersectionLattice(level, max_codim, spec.r, elements, provenance, labels)
+            if named:
+                own = [_parse_name(text) for text in named.split("&")]
+                if own != sorted(set(own)) or any(names.setdefault(x, idx) != idx for x in own):
+                    return None
+                gi, images = own[0]
+                witnesses[idx] = (gi, Injection(images, level))
+        # a KeyError here: an atom index at a line with no names
+        provenance = [tuple(witnesses[int(a)] for a in atoms) for atoms in atom_sets]
+        lat = IntersectionLattice(level, max_codim, spec.r, elements, provenance, labels, names)
         for label, orbit in zip(labels, lat.orbits):
             if label != orbit[0] or lat.codims[orbit[0]] != lat.codims[orbit[-1]]:
                 return None

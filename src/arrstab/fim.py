@@ -116,22 +116,26 @@ class Injection:
 
     @classmethod
     def parse(cls, text: str, target: MultiIndex) -> "Injection":
-        images = tuple(
-            tuple(int(x) for x in chunk.split(",")) if chunk else ()
-            for chunk in text.split("|")
-        )
-        return cls(images, target)
+        return cls(parse_images(text), target)
+
+
+Images = tuple[tuple[int, ...], ...]  # the component images of a map
+
+
+def parse_images(text: str) -> Images:
+    return tuple(tuple(map(int, chunk.split(","))) if chunk else () for chunk in text.split("|"))
+
+
+def compose_images(outer: Images, inner: Images) -> Images:
+    """The images of outer o inner, each map given by its images."""
+    return tuple(tuple(out[i] for i in imgs) for out, imgs in zip(outer, inner))
 
 
 def compose_injections(outer: Injection, inner: Injection) -> Injection:
     """outer o inner, defined when inner's target equals outer's source."""
     if inner.target != outer.source:
         raise ValueError("injections do not compose")
-    images = tuple(
-        tuple(out_imgs[i] for i in in_imgs)
-        for out_imgs, in_imgs in zip(outer.images, inner.images)
-    )
-    return Injection(images, outer.target)
+    return Injection(compose_images(outer.images, inner.images), outer.target)
 
 
 def enumerate_injections(c: MultiIndex, d: MultiIndex) -> tuple[Injection, ...]:
@@ -357,6 +361,7 @@ class ConjClass:
         return f"ConjClass({self.render()!r})"
 
 
+@lru_cache(maxsize=None)
 def conj_classes(n: MultiIndex) -> tuple[ConjClass, ...]:
     """All conjugacy classes of Aut(n), deterministically ordered."""
     factor_parts = [partitions(nj) for nj in n]

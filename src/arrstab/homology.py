@@ -119,7 +119,9 @@ class OrderComplex:
 def order_complex(p: RankedPoset) -> OrderComplex:
     """Enumerate all strict chains of p."""
     n = p.size
-    succ = [sorted(b for (a, b) in p.less if a == i) for i in range(n)]
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for a, b in sorted(p.less):
+        succ[a].append(b)
     levels: list[tuple[tuple[int, ...], ...]] = []
     current = [(v,) for v in range(n)]
     while current:

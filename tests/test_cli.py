@@ -7,13 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from arrstab import cache, cli
+from arrstab import arrangement, cache, cli, exactlin
 from arrstab.arrangement import LatticeError, build_lattice, family_mkr
 from arrstab.cli import list_catalog, load_config, main
 from arrstab.fim import MultiIndex
 from arrstab.homology import LatticeHomology
 
 mi = MultiIndex
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json"
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -461,8 +462,33 @@ def test_cache_v1_file_is_a_miss_and_rebuilt(tmp_path):
     assert cache.load(tmp_path, spec, mi((4,)), 4) is None
     rebuilt = cache.CachingBuilder(tmp_path)(spec, mi((4,)), 4)
     assert rebuilt.provenance == lat.provenance
-    assert read(path).startswith("arrstab-lattice v3\n")
+    assert read(path).startswith("arrstab-lattice v4\n")
     assert cache.load(tmp_path, spec, mi((4,)), 4).provenance == lat.provenance
+
+
+def test_cache_v3_file_is_a_miss_and_rebuilt(tmp_path):
+    # v3 files stored each element's atom set as rendered witnesses and no
+    # other atom names, which the group action now looks up
+    spec = family_mkr(1, 2, 1)
+    lat = build_lattice(spec, mi((4,)), 4)
+    lines = [
+        f"{element.serialize()}\t"
+        + "&".join(f"g{gi}@{f.render()}" for gi, f in witness)
+        + f"\t{orbit[0]}"
+        for element, witness, orbit in zip(lat.elements, lat.provenance, lat.orbits)
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    header = ["arrstab-lattice v3", "level=4", "max_codim=4", "r=1"]
+    header += [f"count={len(lines)}", f"payload-sha256={digest}"]
+    path = tmp_path / f"{cache.lattice_key(spec, mi((4,)), 4)}.lattice.txt"
+    path.write_text("\n".join(header + lines) + "\n", encoding="utf-8")
+    assert cache.load(tmp_path, spec, mi((4,)), 4) is None
+    rebuilt = cache.CachingBuilder(tmp_path)(spec, mi((4,)), 4)
+    assert rebuilt.atom_names == lat.atom_names
+    assert read(path).startswith("arrstab-lattice v4\n")
+    loaded = cache.load(tmp_path, spec, mi((4,)), 4)
+    assert loaded.provenance == lat.provenance
+    assert loaded.atom_names == lat.atom_names
 
 
 def rewrite_payload(path: Path, edit) -> None:
@@ -477,7 +503,11 @@ def rewrite_payload(path: Path, edit) -> None:
 
 def relabel(lines, labels):
     """The element lines with their orbit column replaced by ``labels``."""
-    return [line.rsplit("\t", 1)[0] + f"\t{label}" for line, label in zip(lines, labels)]
+    out = []
+    for line, label in zip(lines, labels):
+        serial, atoms, _, names = line.split("\t")
+        out.append(f"{serial}\t{atoms}\t{label}\t{names}")
+    return out
 
 
 def test_cache_v2_file_is_a_miss_and_rebuilt(tmp_path):
@@ -486,11 +516,11 @@ def test_cache_v2_file_is_a_miss_and_rebuilt(tmp_path):
     lat = build_lattice(spec, mi((4,)), 4)
     path = cache.store(tmp_path, spec, lat)
     rewrite_payload(path, lambda lines: [line.rsplit("\t", 1)[0] for line in lines])
-    path.write_text(read(path).replace("arrstab-lattice v3", "arrstab-lattice v2", 1), encoding="utf-8")
+    path.write_text(read(path).replace("arrstab-lattice v4", "arrstab-lattice v2", 1), encoding="utf-8")
     assert cache.load(tmp_path, spec, mi((4,)), 4) is None
     rebuilt = cache.CachingBuilder(tmp_path)(spec, mi((4,)), 4)
     assert rebuilt.orbits == lat.orbits
-    assert read(path).startswith("arrstab-lattice v3\n")
+    assert read(path).startswith("arrstab-lattice v4\n")
     assert cache.load(tmp_path, spec, mi((4,)), 4).orbits == lat.orbits
 
 
@@ -518,6 +548,61 @@ def test_cache_bad_orbit_column_is_a_miss_and_rebuilt(tmp_path, labels):
     rebuilt = cache.CachingBuilder(tmp_path)(spec, mi((4,)), 4)
     assert rebuilt.orbits == lat.orbits
     assert cache.load(tmp_path, spec, mi((4,)), 4).orbits == lat.orbits
+
+
+def edit_names(lines, edit):
+    """The element lines with each atom's names (the fourth column) split
+    at "&", passed through ``edit(names_by_line)`` and joined again."""
+    rows = [line.split("\t") for line in lines]
+    names = edit([row[3].split("&") if row[3] else [] for row in rows])
+    return ["\t".join(row[:3] + ["&".join(own)]) for row, own in zip(rows, names)]
+
+
+def name_under_two_atoms(names):
+    # atom 0 also lists atom 1's last name, in order
+    names[0] = sorted(names[0] + names[1][-1:])
+    return names
+
+
+def witness_not_first(names):
+    names[0] = names[0][::-1]
+    return names
+
+
+def atom_index(index):
+    """The top element's atom set with its first index replaced."""
+
+    def edit(lines):
+        serial, atoms, label, names = lines[-1].split("\t")
+        atoms = ",".join([index] + atoms.split(",")[1:])
+        return lines[:-1] + [f"{serial}\t{atoms}\t{label}\t{names}"]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: edit_names(lines, name_under_two_atoms),
+        lambda lines: edit_names(lines, witness_not_first),
+        atom_index("6"),  # the first element of codim 2, not an atom
+        atom_index("14"),  # past the last element
+        atom_index("-1"),
+    ],
+    ids=["name-under-two-atoms", "witness-not-first", "non-atom", "out-of-range", "negative"],
+)
+def test_cache_bad_atom_names_are_a_miss_and_rebuilt(tmp_path, edit):
+    spec = family_mkr(1, 2, 1)
+    lat = build_lattice(spec, mi((4,)), 4)
+    path = cache.store(tmp_path, spec, lat)
+    before = read(path)
+    rewrite_payload(path, edit)
+    assert read(path) != before
+    assert cache.load(tmp_path, spec, mi((4,)), 4) is None
+    rebuilt = cache.CachingBuilder(tmp_path)(spec, mi((4,)), 4)
+    assert rebuilt.atom_names == lat.atom_names
+    assert read(path) == before
+    assert cache.load(tmp_path, spec, mi((4,)), 4).atom_names == lat.atom_names
 
 
 def test_merged_orbits_fail_hall_and_exit_three(tmp_path, capsys):
@@ -653,3 +738,52 @@ def test_load_config_validation(tmp_path):
     config = write_config(tmp_path, levels={"min": [4], "max": [2]})
     with pytest.raises(Exception):
         load_config(config)
+
+
+def test_warm_runs_reduce_no_rows_for_the_action_orbits_or_loads(tmp_path, monkeypatch):
+    # A warm run rebuilds every lattice from the cache and maps its elements
+    # by atom names: row reductions are left to the config's generators and,
+    # in the README job, the fit, normality and freeness checks.
+    workloads = json.loads(read(WORKLOADS))
+    depth = 0
+    calls = {"rref": 0, "inside": 0, "entered": 0}
+    original = exactlin._rref_rows
+
+    def counting(*args, **kwargs):
+        calls["rref"] += 1
+        calls["inside"] += depth > 0
+        return original(*args, **kwargs)
+
+    def flagged(function):
+        def wrapper(*args, **kwargs):
+            nonlocal depth
+            depth += 1
+            calls["entered"] += 1
+            try:
+                return function(*args, **kwargs)
+            finally:
+                depth -= 1
+
+        return wrapper
+
+    for name in ("kequals-closure", "readme"):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(workloads[name]["config"]), encoding="utf-8")
+        argv = ["run", "--config", str(config), "--cache", str(tmp_path / name)]
+        assert main(argv + ["--out", str(tmp_path / f"{name}-cold")]) in (0, 2)
+        calls.update(rref=0, inside=0, entered=0)
+        monkeypatch.setattr(exactlin, "_rref_rows", counting)
+        load_config(config)
+        config_calls = calls["rref"]
+        calls["rref"] = 0
+        monkeypatch.setattr(cache, "load", flagged(cache.load))
+        monkeypatch.setattr(cli, "orbit_decomposition", flagged(cli.orbit_decomposition))
+        act = arrangement.IntersectionLattice.act
+        monkeypatch.setattr(arrangement.IntersectionLattice, "act", flagged(act))
+        assert main(argv + ["--out", str(tmp_path / f"{name}-warm")]) in (0, 2)
+        monkeypatch.undo()
+        assert calls["entered"] > 0
+        assert calls["inside"] == 0, name
+        if name == "kequals-closure":
+            assert calls["rref"] == config_calls == 1
+

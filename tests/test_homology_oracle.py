@@ -31,6 +31,7 @@ from arrstab.homology import (
 )
 from test_lattice_oracle import (
     FAMILY_CASES,
+    assert_action_matches_oracle,
     dense_rank,
     dense_transpose,
     never,
@@ -204,7 +205,9 @@ def test_ranks_and_traces_match_dense_paths(spec, level, max_codim, dense_memo):
 @given(two_codim_specs(), st.integers(1, 3))
 @settings(max_examples=25, deadline=None)
 def test_ranks_and_traces_match_dense_paths_random(spec, max_codim):
-    assert_matches_dense(build_lattice(spec, mi((3,)), max_codim), {})
+    lat = build_lattice(spec, mi((3,)), max_codim)
+    assert_action_matches_oracle(lat)
+    assert_matches_dense(lat, {})
 
 
 def test_sparse_rank_takes_fraction_free_steps():

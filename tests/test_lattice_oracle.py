@@ -44,6 +44,7 @@ from arrstab.fim import (
     PermTuple,
     ambient_dim,
     binomial_class_key,
+    binomial_representatives,
     class_representative,
     conj_classes,
     coord_index,
@@ -152,6 +153,21 @@ def pairwise_closure(spec, n, max_codim):
     return sorted(known.values(), key=lambda e: (e.codim, e.serialization))
 
 
+def named_atoms(spec, n, max_codim, preimage):
+    """The distinct generator preimages ``preimage(f, generator)`` of codim
+    <= max_codim, by serialization, each with its first (gi, f), and the
+    index of each one's atom for every name (gi, f.images)."""
+    first, named = {}, {}
+    for gi, (degree, sub) in enumerate(spec.generators):
+        for f in enumerate_injections(degree, n):
+            pre = preimage(f, sub)
+            if pre.codim <= max_codim:
+                first.setdefault(pre.serialization, (pre, (gi, f)))
+                named[gi, f.images] = pre.serialization
+    keys = sorted(first)
+    return [first[key] for key in keys], {name: keys.index(key) for name, key in named.items()}
+
+
 def atom_witnesses(spec, n):
     """Each distinct generator preimage with its first (gi, f), by serialization."""
     first = {}
@@ -185,6 +201,13 @@ def assert_matches_oracle(spec, n, max_codim):
         assert lat.provenance[i] == tuple(
             witness for atom, witness in atoms if contains(atom, low)
         )
+    # every name of every atom: each injection's dense preimage
+    assert lat.atom_names == {
+        (gi, f.images): lat.index_of(pre)
+        for gi, (degree, sub) in enumerate(spec.generators)
+        for f in enumerate_injections(degree, n)
+        if (pre := dense_preimage(f, spec.r, sub)).codim <= max_codim
+    }
 
 
 PADDED = ArrangementSpec(
@@ -359,11 +382,11 @@ def test_rref_budget_braid6_codim3(braid, monkeypatch):
         o for o in set(orbit.values()) if lat.codims[o] > 1
     )
     assert len(meets) == 39 + tested
-    # The only full reductions: the atom pullbacks, one per injection; the
-    # images of the 15 atoms under each of the 2 generators; and one per
-    # element reached in an orbit walk, which is every element but the 15
-    # atoms and the 5 other representatives.
-    assert rref_calls == [True] * 30 + [False] * (2 * 15 + 170 - 15 - 5)
+    # The only full reductions: the atom pullbacks, one per injection, and
+    # one per element reached in an orbit walk, which is every element but
+    # the 15 atoms and the 5 other representatives.  The generators' atom
+    # images are read from the atom names.
+    assert rref_calls == [True] * 30 + [False] * (170 - 15 - 5)
 
 
 def test_lattice_build_and_load_do_no_containment_tests(braid, tmp_path, monkeypatch):
@@ -419,15 +442,16 @@ def concat_intersect(a, b, max_codim):
     return fraction_subspace(a.ambient_dim, rows, max_codim)
 
 
+def fraction_preimage(spec):
+    def preimage(f, sub):
+        composed = dense_matmul(sub.constraints, selection_matrix(f, spec.r))
+        return fraction_subspace(composed.cols, composed.entries)
+
+    return preimage
+
+
 def fraction_closure(spec, n, max_codim):
-    first = {}
-    for gi, (degree, sub) in enumerate(spec.generators):
-        for f in enumerate_injections(degree, n):
-            composed = dense_matmul(sub.constraints, selection_matrix(f, spec.r))
-            pre = fraction_subspace(composed.cols, composed.entries)
-            if pre.codim <= max_codim:
-                first.setdefault(pre.serialization, (pre, (gi, f)))
-    atoms = [first[key] for key in sorted(first)]
+    atoms, names = named_atoms(spec, n, max_codim, fraction_preimage(spec))
     found, masks = {}, {}
     layers = [[] for _ in range(max_codim + 1)]
 
@@ -454,7 +478,7 @@ def fraction_closure(spec, n, max_codim):
     ]
     return with_generator_orbits(
         arrangement.IntersectionLattice(
-            n, max_codim, spec.r, list(found.values()), provenance, range(len(found))
+            n, max_codim, spec.r, list(found.values()), provenance, range(len(found)), names
         )
     )
 
@@ -553,13 +577,7 @@ def test_integer_closure_matches_fraction_closure_random(
 
 
 def atom_closure(spec, n, max_codim):
-    first = {}
-    for gi, (degree, sub) in enumerate(spec.generators):
-        for f in enumerate_injections(degree, n):
-            pre = pullback(f, spec.r, sub)
-            if pre.codim <= max_codim:
-                first.setdefault(pre.serialization, (pre, (gi, f)))
-    atoms = [first[key] for key in sorted(first)]
+    atoms, names = named_atoms(spec, n, max_codim, lambda f, sub: pullback(f, spec.r, sub))
     dim = ambient_dim(n, spec.r)
     index, rows_of, pivots_of, masks = {}, [], [], []
     layers = [[] for _ in range(max_codim + 1)]
@@ -595,7 +613,7 @@ def atom_closure(spec, n, max_codim):
     ]
     return with_generator_orbits(
         arrangement.IntersectionLattice(
-            n, max_codim, spec.r, elements, provenance, range(len(elements))
+            n, max_codim, spec.r, elements, provenance, range(len(elements)), names
         )
     )
 
@@ -693,28 +711,36 @@ def test_orbit_closure_matches_atom_closure_product(case, max_codim, tmp_path_fa
     assert_matches_atom_closure(spec, level, max_codim, tmp_path)
 
 
+def without_name(lat, name):
+    """``lat`` with one name of an atom dropped from its name table."""
+    names = {key: atom for key, atom in lat.atom_names.items() if key != name}
+    labels = [orbit[0] for orbit in lat.orbits]
+    return arrangement.IntersectionLattice(
+        lat.level, lat.max_codim, lat.r, lat.elements, lat.provenance, labels, names
+    )
+
+
 def test_atom_image_outside_the_atoms_exits_three(braid, tmp_path, capsys, monkeypatch):
-    original = arrangement.scatter_rows
-    calls = 0
-
-    def one_image_missing(rows, columns, n):
-        nonlocal calls
-        calls += 1
-        return () if calls == 1 else original(rows, columns, n)
-
-    monkeypatch.setattr(arrangement, "scatter_rows", one_image_missing)
-    with pytest.raises(LatticeError, match="maps an atom outside the atoms"):
-        build_lattice(braid, mi((4,)), 2)
-    calls = 0
+    # The atom x0 = x1 is named (0, (0, 1)) and (0, (1, 0)).  Without its
+    # second name, the transposition (0 1) maps its witness to no atom.
+    swapped = (0, ((1, 0),))
+    for level in (2, 3):
+        lat = without_name(build_lattice(braid, mi((level,)), 2), swapped)
+        with pytest.raises(LatticeError, match="maps an atom name to no atom"):
+            lat.act(class_representative(ConjClass(((2,) + (1,) * (level - 2),))))
+    original = cache.build_lattice
+    monkeypatch.setattr(
+        cache, "build_lattice", lambda *args: without_name(original(*args), swapped)
+    )
     config = tmp_path / "job.json"
     config.write_text(
         '{"family": {"kind": "mkr", "m": 1, "k": 2, "r": 1},'
-        ' "levels": {"min": [2], "max": [3]}, "i_max": 1, "outputs": ["betti"]}',
+        ' "levels": {"min": [2], "max": [3]}, "i_max": 1, "outputs": ["characters"]}',
         encoding="utf-8",
     )
     argv = ["run", "--config", str(config), "--cache", str(tmp_path / "c"), "--out", str(tmp_path / "o")]
     assert cli.main(argv) == 3
-    assert "internal error: a group generator maps an atom" in capsys.readouterr().err
+    assert "internal error: group action maps an atom name to no atom" in capsys.readouterr().err
 
 
 def test_orbit_member_indexed_under_another_atom_set_raises(braid, monkeypatch):
@@ -782,7 +808,7 @@ def with_generator_orbits(lat):
                 parent[max(a, b)] = min(a, b)
     labels = [find(idx) for idx in range(len(lat))]
     return arrangement.IntersectionLattice(
-        lat.level, lat.max_codim, lat.r, lat.elements, lat.provenance, labels
+        lat.level, lat.max_codim, lat.r, lat.elements, lat.provenance, labels, lat.atom_names
     )
 
 
@@ -843,6 +869,26 @@ def test_per_orbit_betti_matches_per_element_betti(spec, level, max_codim):
     for idx in range(len(lat)):
         interval = order_complex(lat.lower_interval(idx))
         assert ctx.betti_numbers(idx) == reduced_betti_numbers(interval)
+
+
+def scan_order_complex(p):
+    """The former ``order_complex``: each vertex's successors by a scan of
+    the whole relation."""
+    succ = [sorted(b for (a, b) in p.less if a == i) for i in range(p.size)]
+    levels = []
+    current = [(v,) for v in range(p.size)]
+    while current:
+        levels.append(tuple(current))
+        current = sorted(chain + (b,) for chain in current for b in succ[chain[-1]])
+    return tuple(levels)
+
+
+@pytest.mark.parametrize("spec, level, max_codim", FAMILY_CASES)
+def test_order_complex_matches_relation_scan(spec, level, max_codim):
+    lat = build_lattice(spec, mi(level), max_codim)
+    for idx in range(len(lat)):
+        interval = lat.lower_interval(idx)
+        assert order_complex(interval).chains == scan_order_complex(interval)
 
 
 @st.composite
@@ -1022,6 +1068,35 @@ def injection_orbit_decomposition(lat, classes):
     return OrbitDecomposition(tuple(assignments))
 
 
+def pullback_orbit_decomposition(lat, classes):
+    """The former ``orbit_decomposition``: the preimage of every orbit
+    member along each binomial class's order-preserving injection, found by
+    its serialization."""
+    table = {}
+    for ci, cls in enumerate(classes):
+        if not cls.degree.leq(lat.level):
+            continue
+        for f in binomial_representatives(cls.degree, lat.level):
+            key = binomial_class_key(f)
+            for y in cls.orbit:
+                pre = pullback(f, lat.r, y)
+                table.setdefault(pre.serialization, set()).add((ci, key))
+    assignments = []
+    for idx, element in enumerate(lat.elements):
+        hits = table.get(element.serialization)
+        if not hits:
+            raise LatticeError(f"element {idx} matched by no primitive class")
+        class_ids = {ci for ci, _ in hits}
+        if len(class_ids) > 1:
+            raise LatticeError(
+                f"element {idx} matched by {len(class_ids)} primitive classes"
+            )
+        if len(hits) > 1:
+            raise LatticeError(f"element {idx} matched by several binomial classes")
+        assignments.append(next(iter(hits)))
+    return OrbitDecomposition(tuple(assignments))
+
+
 def decompose(decomposition, lat, classes):
     try:
         return decomposition(lat, classes)
@@ -1032,17 +1107,39 @@ def decompose(decomposition, lat, classes):
 @pytest.mark.parametrize(
     "spec, level, max_codim", FAMILY_CASES + [(PADDED, (4,), 3)]
 )
-def test_orbit_decomposition_matches_injection_table(spec, level, max_codim):
+def test_orbit_decomposition_matches_injection_table(spec, level, max_codim, tmp_path):
     # classes of codim 2 keep the degrees scanned small; where the lattice
-    # reaches higher codims, its elements there match no class and both
-    # paths must raise the same error
-    get = cache.CachingBuilder()
-    classes = primitive_classes(spec, 2, get)
-    for codim in sorted({min(2, max_codim), max_codim}):
-        lat = get(spec, mi(level), codim)
-        assert decompose(orbit_decomposition, lat, classes) == decompose(
-            injection_orbit_decomposition, lat, classes
-        )
+    # reaches higher codims, its elements there match no class and every
+    # path must raise the same error.  The lattice is checked fresh, cut to
+    # codim 2 and loaded from the cache.
+    classes = primitive_classes(spec, 2, cache.CachingBuilder())
+    lat = build_lattice(spec, mi(level), max_codim)
+    cache.store(tmp_path, spec, lat)
+    loaded = cache.load(tmp_path, spec, mi(level), max_codim)
+    for got in (lat, lat.truncated(min(2, max_codim)), loaded):
+        expected = decompose(injection_orbit_decomposition, got, classes)
+        assert decompose(pullback_orbit_decomposition, got, classes) == expected
+        assert decompose(orbit_decomposition, got, classes) == expected
+
+
+def assert_meets_match_pullbacks(spec, low, high):
+    """Every element's preimage along every injection low -> high, looked up
+    by atom names, is the scattered preimage, or None above the cutoff."""
+    for f in enumerate_injections(low.level, high.level):
+        for y, atoms in zip(low.elements, low.provenance):
+            pre = pullback(f, spec.r, y)
+            expected = high.index_of(pre) if pre in high else None
+            names = [(gi, fim.compose_images(f.images, h.images)) for gi, h in atoms]
+            assert high.meet_of_atoms(names) == expected
+
+
+@given(two_codim_specs(), st.integers(1, 3))
+@settings(max_examples=25, deadline=None)
+def test_preimage_by_atom_names_matches_pullback_random(spec, max_codim):
+    low = build_lattice(spec, mi((3,)), 3)
+    high = build_lattice(spec, mi((4,)), max_codim)
+    assert_meets_match_pullbacks(spec, low, high)
+    assert_meets_match_pullbacks(spec, low, high.truncated(1))
 
 
 def test_orbit_decomposition_of_non_normal_spec_raises():
@@ -1097,10 +1194,10 @@ def test_act_rref_budget_kequals7_codim5(kequals_cache, monkeypatch):
 
     monkeypatch.setattr(exactlin, "_rref_rows", counting)
     sigma = lat.act(class_representative(ConjClass(((3, 2, 1, 1),))))
-    # 35 atoms x_a = x_b = x_c, one reduction each; the other 168 elements
-    # follow by relabelling their atom masks
+    # the images of the 35 atoms x_a = x_b = x_c are looked up by name; the
+    # other 168 elements follow by relabelling their atom masks
     assert len(lat) == 203
-    assert 0 < calls <= 35
+    assert calls == 0
     assert sorted(sigma) == list(range(len(lat)))
 
 

@@ -11,6 +11,11 @@ from quietly returning to an engine path.
 The lattice records its Aut(n)-orbits while it is built, so orbit lookups,
 primitive classes and the freeness check read them and act out no group
 element; the orbit walkers that re-derived them stay deleted.
+
+The lattice keeps every atom's names, so the group action, the orbit
+decomposition and a cache load map elements by lookup and reduce no rows:
+none of them calls the column scatters, ``pullback`` or ``_rref_rows``, and
+the per-element reduction ``permute_element`` stays deleted.
 """
 
 import ast
@@ -80,3 +85,38 @@ def test_orbit_walkers_are_gone():
     }
     assert "_subspace_orbit" not in defined
     assert "orbit_of" in defined  # the benchmark tracer hooks it
+
+
+def method(module, cls, name):
+    owner = next(
+        node
+        for node in ast.walk(MODULES[module])
+        if isinstance(node, ast.ClassDef) and node.name == cls
+    )
+    return next(node for node in owner.body if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+ROW_REDUCTIONS = {"scatter_rows", "scatter_columns", "pullback", "_rref_rows"}
+
+
+def test_lookups_reduce_no_rows():
+    for label, tree in [
+        ("IntersectionLattice.act", method("arrangement", "IntersectionLattice", "act")),
+        ("IntersectionLattice.meet_of_atoms", method("arrangement", "IntersectionLattice", "meet_of_atoms")),
+        ("_atom_images", function("arrangement", "_atom_images")),
+        ("orbit_decomposition", function("arrangement", "orbit_decomposition")),
+        ("cache.load", function("cache", "load")),
+    ]:
+        for node in ast.walk(tree):
+            used = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            assert used not in ROW_REDUCTIONS, f"{label} uses {used}"
+
+
+def test_permute_element_is_gone():
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            used = getattr(node, "name", None) or getattr(node, "attr", None)
+            assert used != "permute_element", f"{name} mentions permute_element"
+    # the benchmark tracer hooks the action
+    assert method("arrangement", "IntersectionLattice", "act")
+
