@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .exactlin import (
@@ -63,6 +62,7 @@ from .fim import (
     pushforward,
 )
 from .homology import LatticeError, RankedPoset
+from .record import record
 
 Name = tuple[int, Images]
 """A generator index and the images of an injection that pulls it back to an atom."""
@@ -73,7 +73,7 @@ Witness = tuple[tuple[int, Injection], ...]
 preimage it is, and the atoms are listed in order of their serialization."""
 
 
-@dataclass(frozen=True)
+@record
 class ArrangementSpec:
     """A finitely-generated arrangement family over point space Q^r.
 
@@ -481,7 +481,7 @@ def is_primitive(spec: ArrangementSpec, degree: MultiIndex, x: Subspace) -> bool
     return len({c // spec.r for c in constraint_support(x)}) == degree.total
 
 
-@dataclass(frozen=True)
+@record
 class NormalityViolation:
     source: MultiIndex
     target: MultiIndex
@@ -490,7 +490,7 @@ class NormalityViolation:
     image: Subspace
 
 
-@dataclass(frozen=True)
+@record
 class NormalityReport:
     normal: bool
     checked_degrees: tuple[MultiIndex, ...]
@@ -573,7 +573,7 @@ def normalize(spec: ArrangementSpec) -> ArrangementSpec:
     return ArrangementSpec(spec.m, spec.r, tuple(new_gens))
 
 
-@dataclass(frozen=True)
+@record
 class PrimitiveClass:
     """An equivalence class of primitive subspaces: the Aut(degree)-orbit
     of its canonical member ``subspace`` (first) and each member's atoms."""
@@ -648,7 +648,7 @@ def primitive_classes(
     return tuple(classes)
 
 
-@dataclass(frozen=True)
+@record
 class OrbitDecomposition:
     """Assignment of each lattice element to one primitive class and one
     binomial class of injections."""
@@ -715,7 +715,7 @@ def orbit_decomposition(
     return OrbitDecomposition(tuple(assignments))
 
 
-@dataclass(frozen=True)
+@record
 class DownwardStabilityReport:
     stable: bool
     source: MultiIndex

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Mapping, Sequence
@@ -35,6 +34,7 @@ from .fim import (
     partitions,
 )
 from .homology import LatticeHomology
+from .record import record
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -56,7 +56,7 @@ class FitUnderdeterminedError(FitError):
     """The samples do not pin the polynomial down; more levels are needed."""
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class ClassFunction:
     """A total map from the conjugacy classes of one level to Q."""
 
@@ -108,7 +108,7 @@ def sum_characters(level: MultiIndex, items: Sequence[ClassFunction]) -> ClassFu
     return ClassFunction(level, out)
 
 
-@dataclass(frozen=True)
+@record
 class CharacterPolynomial:
     """Rational polynomial in the X_k^{(j)}, canonically ordered."""
 
@@ -502,7 +502,7 @@ def induction_character(
     return ClassFunction(n, values)
 
 
-@dataclass(frozen=True)
+@record
 class FreenessClassSummary:
     degree: MultiIndex
     codim: int
@@ -511,7 +511,7 @@ class FreenessClassSummary:
     degree_bound_ok: bool
 
 
-@dataclass(frozen=True)
+@record
 class FreenessReport:
     degree: int
     classes: tuple[FreenessClassSummary, ...]
@@ -677,7 +677,7 @@ def irreducible_multiplicities(
     return out
 
 
-@dataclass(frozen=True)
+@record
 class StabilityReport:
     stable_value: Fraction | None
     onsets: tuple[MultiIndex, ...]

@@ -22,7 +22,6 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -49,6 +48,7 @@ from .characters import (
 )
 from .fim import MultiIndex, conj_classes, degree_add, degree_times, group_order
 from .homology import LatticeHomology
+from .record import record, replace
 
 ENV_CACHE = "ARRSTAB_CACHE"
 DEFAULT_CACHE = ".arrstab-cache"
@@ -76,7 +76,7 @@ class ConfigError(ValueError):
     """The job configuration is unusable."""
 
 
-@dataclass(frozen=True)
+@record
 class JobConfig:
     spec: ArrangementSpec
     level_min: MultiIndex

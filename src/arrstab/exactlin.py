@@ -22,10 +22,11 @@ contains exactly the coordinate vectors outside its constraint support
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
+
+from .record import record
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -154,18 +155,22 @@ def _pivot_columns(rref_rows: Sequence[Sequence[Fraction]]) -> list[int]:
     return pivots
 
 
-@dataclass(frozen=True)
+@record
 class RationalMatrix:
     """Dense matrix of exact rationals, stored row-major and immutable."""
 
     entries: tuple[tuple[Fraction, ...], ...]
     cols: int
 
-    def __post_init__(self):
-        if self.cols < 0:
+    def __init__(self, entries: tuple[tuple[Fraction, ...], ...], cols: int):
+        # written out rather than bound by ``record``: built on hot paths
+        fields = self.__dict__
+        fields["entries"] = entries
+        fields["cols"] = cols
+        if cols < 0:
             raise ValueError("negative column count")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise ValueError("ragged matrix rows")
 
     @property
@@ -235,7 +240,7 @@ def solve_in_basis(
     return coords
 
 
-@dataclass(frozen=True)
+@record
 class Subspace:
     """A linear subspace of Q^N as the kernel of a canonical constraint matrix.
 
@@ -247,17 +252,22 @@ class Subspace:
     ambient_dim: int
     constraints: RationalMatrix
 
-    def __post_init__(self):
-        if self.ambient_dim < 0:
+    def __init__(self, ambient_dim: int, constraints: RationalMatrix):
+        # written out rather than bound by ``record``: built on hot paths
+        fields = self.__dict__
+        fields["ambient_dim"] = ambient_dim
+        fields["constraints"] = constraints
+        if ambient_dim < 0:
             raise ValueError("negative ambient dimension")
-        if self.constraints.cols != self.ambient_dim:
+        if constraints.cols != ambient_dim:
             raise ValueError("constraint width does not match ambient dimension")
-        pivots = _pivot_columns(self.constraints.entries)
-        if len(pivots) != self.constraints.rows:
+        entries = constraints.entries
+        pivots = _pivot_columns(entries)
+        if len(pivots) != len(entries):
             raise ValueError("constraint matrix has a zero row")
         if any(b <= a for a, b in zip(pivots, pivots[1:])):
             raise ValueError("constraint matrix is not in RREF order")
-        for i, row in enumerate(self.constraints.entries):
+        for i, row in enumerate(entries):
             if row[pivots[i]] != 1:
                 raise ValueError("pivot entries must be one")
             for k, p in enumerate(pivots):
@@ -312,19 +322,6 @@ def subspace_from_constraints(n: int, rows: Iterable[Sequence]) -> Subspace:
     reduced = _rref_rows(data, n)
     assert reduced is not None
     return Subspace(n, RationalMatrix(tuple(reduced), n))
-
-
-def intersect(a: Subspace, b: Subspace, max_codim: int | None = None) -> Subspace | None:
-    """Canonical a .. b.  With ``max_codim`` set, returns None past the cutoff."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    rows = a.constraints.entries
-    reduced = meet_rows(
-        rows, _pivot_columns(rows), b.constraints.entries, a.ambient_dim, max_codim
-    )
-    if reduced is None:
-        return None
-    return Subspace(a.ambient_dim, RationalMatrix(reduced, a.ambient_dim))
 
 
 def scatter_rows(

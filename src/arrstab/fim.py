@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
@@ -28,6 +27,7 @@ from .exactlin import (
     scatter_columns,
     subspace_from_constraints,
 )
+from .record import record
 
 
 class MultiIndex(tuple):
@@ -91,17 +91,21 @@ def coord_index(level: MultiIndex, r: int, j: int, i: int, t: int) -> int:
     return (sum(level[:j]) + i) * r + t
 
 
-@dataclass(frozen=True)
+@record
 class Injection:
     """A morphism of FI^m: componentwise injective maps into ``target``."""
 
     images: tuple[tuple[int, ...], ...]
     target: MultiIndex
 
-    def __post_init__(self):
-        if len(self.images) != self.target.m:
+    def __init__(self, images: tuple[tuple[int, ...], ...], target: MultiIndex):
+        # written out rather than bound by ``record``: built on hot paths
+        fields = self.__dict__
+        fields["images"] = images
+        fields["target"] = target
+        if len(images) != target.m:
             raise ValueError("component count does not match target")
-        for imgs, bound in zip(self.images, self.target):
+        for imgs, bound in zip(images, target):
             if len(set(imgs)) != len(imgs):
                 raise ValueError("component map is not injective")
             if any(i < 0 or i >= bound for i in imgs):
@@ -217,14 +221,16 @@ def pushforward(f: Injection, r: int, x: Subspace) -> Subspace:
     )
 
 
-@dataclass(frozen=True)
+@record
 class PermTuple:
     """An automorphism of an object: one permutation per factor."""
 
     perms: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        for p in self.perms:
+    def __init__(self, perms: tuple[tuple[int, ...], ...]):
+        # written out rather than bound by ``record``: built on hot paths
+        self.__dict__["perms"] = perms
+        for p in perms:
             if sorted(p) != list(range(len(p))):
                 raise ValueError("component is not a permutation")
 
@@ -316,14 +322,16 @@ def _zee(partition: tuple[int, ...]) -> int:
     return math.prod(k**m * math.factorial(m) for k, m in mults.items())
 
 
-@dataclass(frozen=True)
+@record
 class ConjClass:
     """A conjugacy class of Aut(n): one partition per factor."""
 
     parts: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        for p in self.parts:
+    def __init__(self, parts: tuple[tuple[int, ...], ...]):
+        # written out rather than bound by ``record``: built on hot paths
+        self.__dict__["parts"] = parts
+        for p in parts:
             if any(x <= 0 for x in p):
                 raise ValueError("partition parts must be positive")
             if any(a < b for a, b in zip(p, p[1:])):

@@ -32,11 +32,11 @@ trace of g.  Betti numbers and traces thus share one integer rank kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
 from .fim import ConjClass, MultiIndex, PermTuple
+from .record import record, replace
 
 if TYPE_CHECKING:  # pragma: no cover
     from .arrangement import IntersectionLattice
@@ -46,7 +46,7 @@ class LatticeError(RuntimeError):
     """A lattice failed an internal consistency requirement."""
 
 
-@dataclass(frozen=True)
+@record
 class RankedPoset:
     """A finite poset with a strictly increasing integer rank function.
 
@@ -91,7 +91,7 @@ class RankedPoset:
         )
 
 
-@dataclass(frozen=True)
+@record
 class OrderComplex:
     """All strict chains of a poset, tabulated by dimension.
 
@@ -302,7 +302,7 @@ def whitney_homology_dims(p: RankedPoset) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class GMReport:
     """Cohomology of an arrangement complement at one level and degree.
 

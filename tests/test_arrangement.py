@@ -19,7 +19,7 @@ from arrstab.arrangement import (
     verify_downward_stability,
     verify_normal,
 )
-from arrstab.exactlin import contains, intersect, subspace_from_constraints
+from arrstab.exactlin import contains, subspace_from_constraints
 from arrstab.fim import (
     MultiIndex,
     PermTuple,
@@ -30,6 +30,7 @@ from arrstab.fim import (
     group_order,
     pullback,
 )
+from test_exactlin import intersect
 
 mi = MultiIndex
 

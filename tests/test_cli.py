@@ -706,6 +706,30 @@ def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
     assert run_python(probe, *args).stdout.strip() == "0 []"
 
 
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded(tmp_path):
+    # the value classes come from ``arrstab.record``, so start-up compiles
+    # no generated methods and loads neither ``dataclasses`` nor ``inspect``
+    unwanted = "('dataclasses', 'inspect')"
+    probe = f"import sys, arrstab.cli; print([m for m in {unwanted} if m in sys.modules])"
+    assert run_python(probe).stdout.strip() == "[]"
+    config = write_config(
+        tmp_path,
+        i_max=1,
+        outputs=list(cli.OUTPUT_KINDS),
+        fit_degree_bound=[2],
+        twisted_polynomial="X1^(1)",
+    )
+    probe = (
+        "import sys\n"
+        "from arrstab.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        f"print(code, [m for m in {unwanted} if m in sys.modules])\n"
+    )
+    args = ["run", "--config", str(config), "--cache", str(tmp_path / "c")]
+    args += ["--out", str(tmp_path / "o"), "--jobs", "2"]
+    assert run_python(probe, *args).stdout.splitlines()[-1] == "0 []"
+
+
 def test_cache_miss_on_other_parameters(tmp_path):
     spec = family_mkr(1, 2, 1)
     lat = build_lattice(spec, mi((4,)), 4)

@@ -11,12 +11,26 @@ from arrstab.exactlin import (
     _rref_rows,
     constraint_support,
     contains,
-    intersect,
     kernel_basis,
     meet_rows,
     subspace_from_constraints,
 )
 from arrstab.fim import Injection, MultiIndex, enumerate_injections, pullback, pushforward
+
+
+def intersect(a, b, max_codim=None):
+    """The former ``exactlin.intersect``: the canonical meet of a and b from
+    one ``meet_rows`` step, or None past ``max_codim``.  The engine meets
+    atoms inside ``build_lattice`` only; this stays as the tests' oracle."""
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("ambient dimensions differ")
+    rows = a.constraints.entries
+    reduced = meet_rows(
+        rows, _pivot_columns(rows), b.constraints.entries, a.ambient_dim, max_codim
+    )
+    if reduced is None:
+        return None
+    return Subspace(a.ambient_dim, RationalMatrix(reduced, a.ambient_dim))
 
 
 def mat(rows, cols=None):

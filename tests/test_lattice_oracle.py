@@ -34,7 +34,6 @@ from arrstab.exactlin import (
     RationalMatrix,
     Subspace,
     contains,
-    intersect,
     kernel_basis,
     subspace_from_constraints,
 )
@@ -55,6 +54,7 @@ from arrstab.fim import (
     pushforward,
 )
 from arrstab.homology import LatticeHomology, order_complex, reduced_betti_numbers
+from test_exactlin import intersect
 
 mi = MultiIndex
 

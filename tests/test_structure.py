@@ -16,6 +16,11 @@ The lattice keeps every atom's names, so the group action, the orbit
 decomposition and a cache load map elements by lookup and reduce no rows:
 none of them calls the column scatters, ``pullback`` or ``_rref_rows``, and
 the per-element reduction ``permute_element`` stays deleted.
+
+The value classes come from ``arrstab.record``, a leaf module, so no engine
+module imports ``dataclasses`` at start-up; and ``exactlin.intersect``, which
+no engine path called once the closure met atoms incrementally, stays
+deleted.
 """
 
 import ast
@@ -120,3 +125,30 @@ def test_permute_element_is_gone():
     # the benchmark tracer hooks the action
     assert method("arrangement", "IntersectionLattice", "act")
 
+
+
+def imported_modules(tree):
+    """Each import of the module as (level, dotted name): level 0 is absolute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((0, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.level, node.module or ""
+
+
+def test_no_engine_module_imports_dataclasses():
+    for name, tree in MODULES.items():
+        for level, module in imported_modules(tree):
+            assert (level, module.split(".")[0]) != (0, "dataclasses"), f"{name} imports dataclasses"
+
+
+def test_record_imports_nothing_from_arrstab():
+    for level, module in imported_modules(MODULES["record"]):
+        assert level == 0 and module.split(".")[0] != "arrstab", f"record imports {module!r}"
+
+
+def test_intersect_is_gone():
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            used = getattr(node, "name", None) or getattr(node, "attr", None) or getattr(node, "id", None)
+            assert used != "intersect", f"{name} mentions intersect"
