@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 from pathlib import Path
 
 from .arrangement import ArrangementSpec, IntersectionLattice, build_lattice
@@ -55,6 +54,8 @@ def _payload_hash(lines: list[str]) -> str:
 
 
 def store(cache_dir: Path | str, spec: ArrangementSpec, lat: IntersectionLattice) -> Path:
+    import tempfile  # here, so that runs which store nothing never import it
+
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     key = lattice_key(spec, lat.level, lat.max_codim)

@@ -14,7 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cache
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .arrangement import (
     ArrangementSpec,
@@ -205,15 +205,7 @@ class CharacterPolynomial:
         return MultiIndex(degs)
 
     def evaluate(self, c: ConjClass) -> Fraction:
-        total = _ZERO
-        for mono, coeff in self.coeffs:
-            term = coeff
-            for (j, k), e in mono:
-                term *= Fraction(c.multiplicity(j, k)) ** e
-                if term == 0:
-                    break
-            total += term
-        return total
+        return sum((coeff * _monomial_value(mono, c) for mono, coeff in self.coeffs), _ZERO)
 
     def as_class_function(self, level: MultiIndex) -> ClassFunction:
         if level.m != self.m:
@@ -221,28 +213,7 @@ class CharacterPolynomial:
         return ClassFunction(level, {c: self.evaluate(c) for c in conj_classes(level)})
 
     def render(self) -> str:
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for mono, coeff in self.coeffs:
-            factors = [
-                f"X{k}^({j + 1})" + (f"^{e}" if e > 1 else "")
-                for (j, k), e in mono
-            ]
-            body = "*".join(factors)
-            mag = abs(coeff)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            pieces.append((coeff < 0, text))
-        first_neg, first = pieces[0]
-        out = ("-" if first_neg else "") + first
-        for neg, text in pieces[1:]:
-            out += (" - " if neg else " + ") + text
-        return out
+        return _render_terms(self.coeffs, _power_factor)
 
     @classmethod
     def parse(cls, text: str, m: int = 1) -> "CharacterPolynomial":
@@ -272,27 +243,55 @@ class CharacterPolynomial:
         return f"CharacterPolynomial({self.render()!r})"
 
 
+def _monomial_value(mono: Monomial, c: ConjClass) -> int:
+    """The monomial at class c: the product of multiplicity(j, k)^e."""
+    return math.prod(c.multiplicity(j, k) ** e for (j, k), e in mono)
+
+
+def _power_factor(j: int, k: int, e: int) -> str:
+    return f"X{k}^({j + 1})" + (f"^{e}" if e > 1 else "")
+
+
+def _binomial_factor(j: int, k: int, b: int) -> str:
+    return f"binom(X{k}^({j + 1}),{b})" if b > 1 else f"X{k}^({j + 1})"
+
+
+def _render_terms(
+    terms: Sequence[tuple[Monomial, Fraction]], factor: Callable[[int, int, int], str]
+) -> str:
+    """The signed sum of the terms in order, each factor rendered by ``factor(j, k, e)``."""
+    out = ""
+    for mono, coeff in terms:
+        body = "*".join(factor(j, k, e) for (j, k), e in mono)
+        mag = abs(coeff)
+        if not body:
+            text = str(mag)
+        elif mag == 1:
+            text = body
+        else:
+            text = f"{mag}*{body}"
+        if out:
+            out += " - " if coeff < 0 else " + "
+        elif coeff < 0:
+            out = "-"
+        out += text
+    return out or "0"
+
+
 def _monomials_within(bound: MultiIndex) -> list[Monomial]:
     """All monomials of multidegree <= bound, canonically ordered."""
-    per_factor: list[list[tuple[tuple[tuple[int, int], int], ...]]] = []
+    per_factor = []
     for j, cap in enumerate(bound):
-        factor_monos: list[tuple] = []
-
-        def rec(k: int, budget: int, acc: list):
-            factor_monos.append(tuple(acc))
-            for kk in range(k, budget + 1):
-                for e in range(1, budget // kk + 1):
-                    acc.append(((j, kk), e))
-                    rec(kk + 1, budget - kk * e, acc)
-                    acc.pop()
-
-        rec(1, cap, [])
-        per_factor.append(sorted(set(factor_monos)))
-    out = []
-    for combo in itertools.product(*per_factor):
-        mono = tuple(sorted(e for chunk in combo for e in chunk))
-        out.append(mono)
-    return sorted(set(out), key=CharacterPolynomial._key)
+        found: list[tuple[Monomial, int]] = [((), 0)]  # (monomial, weight)
+        for k in range(1, cap + 1):
+            found = [
+                (mono + (((j, k), e),) if e else mono, weight + k * e)
+                for mono, weight in found
+                for e in range((cap - weight) // k + 1)
+            ]
+        per_factor.append([mono for mono, _ in found])
+    monos = (sum(chunk, ()) for chunk in itertools.product(*per_factor))
+    return sorted(monos, key=CharacterPolynomial._key)
 
 
 def fit_character_polynomial(
@@ -312,15 +311,12 @@ def fit_character_polynomial(
             raise ValueError("all sampled levels must dominate the degree bound")
         if chi.level != level:
             raise ValueError("sample level mismatch")
-    m = degree_bound.m
     monos = _monomials_within(degree_bound)
-    basis = [CharacterPolynomial.from_dict(m, {mono: _ONE}) for mono in monos]
     rows = []
     for level, chi in samples:
         for c in conj_classes(level):
-            rows.append([b.evaluate(c) for b in basis] + [chi(c)])
-    width = len(monos) + 1
-    reduced = _rref_rows(rows, width)
+            rows.append([_monomial_value(mono, c) for mono in monos] + [chi(c)])
+    reduced = _rref_rows(rows, len(monos) + 1)
     assert reduced is not None
     pivots = _pivot_columns(reduced)
     if any(p == len(monos) for p in pivots):
@@ -331,71 +327,40 @@ def fit_character_polynomial(
         raise FitUnderdeterminedError(
             "samples leave free coefficients; add more levels"
         )
-    # the reduction gives ints where integral; coefficients stay Fractions,
-    # which the reports render as strings
-    coeffs = {mono: _ZERO for mono in monos}
-    for row, p in zip(reduced, pivots):
-        coeffs[monos[p]] = Fraction(row[-1])
-    return CharacterPolynomial.from_dict(m, coeffs)
+    # every monomial is a pivot, so the rows follow the basis order; coefficients
+    # stay Fractions (the reduction gives ints where integral) for the reports
+    coeffs = tuple((mono, Fraction(row[-1])) for mono, row in zip(monos, reduced) if row[-1])
+    return CharacterPolynomial(degree_bound.m, coeffs)
+
+
+@cache
+def _stirling2(e: int, b: int) -> int:
+    """S(e, b), the number of partitions of an e-set into b blocks."""
+    if e == b:
+        return 1
+    if b == 0 or b > e:
+        return 0
+    return b * _stirling2(e - 1, b) + _stirling2(e - 1, b - 1)
 
 
 def binomial_basis_form(p: CharacterPolynomial) -> str:
     """Re-express p in products of binomials choose(X_k^{(j)}, b) and render.
 
-    The binomial basis in the same multidegree box is triangular over the
-    monomials, so the change of basis is an exact solve.
+    A power expands as X^e = sum_b S(e, b) b! choose(X, b), with S the
+    Stirling numbers of the second kind, and a monomial factor by factor.
     """
-    bound = p.multidegree()
-    monos = _monomials_within(bound)
-    expansions = []
-    for mono in monos:
-        poly = CharacterPolynomial.constant(1, p.m)
-        for (j, k), e in mono:
-            x = CharacterPolynomial.variable(k, j + 1, p.m)
-            binom = CharacterPolynomial.constant(1, p.m)
-            for s in range(e):
-                binom = binom * (x - s)
-            poly = poly * binom / math.factorial(e)
-        expansions.append(poly)
-    target = dict(p.coeffs)
-    all_monos = monos
-    rows = []
-    for mono in all_monos:
-        row = [dict(exp.coeffs).get(mono, _ZERO) for exp in expansions]
-        row.append(target.get(mono, _ZERO))
-        rows.append(row)
-    reduced = _rref_rows(rows, len(expansions) + 1)
-    assert reduced is not None
-    coeffs = {}
-    for row, pivot in zip(reduced, _pivot_columns(reduced)):
-        if pivot == len(expansions):
-            raise AssertionError("binomial basis failed to span")
-        coeffs[monos[pivot]] = Fraction(row[-1])
-    pieces = []
-    for mono in monos:
-        coeff = coeffs.get(mono, _ZERO)
-        if coeff == 0:
-            continue
-        factors = [
-            f"binom(X{k}^({j + 1}),{e})" if e > 1 else f"X{k}^({j + 1})"
-            for (j, k), e in mono
-        ]
-        body = "*".join(factors)
-        mag = abs(coeff)
-        if not body:
-            text = str(mag)
-        elif mag == 1:
-            text = body
-        else:
-            text = f"{mag}*{body}"
-        pieces.append((coeff < 0, text))
-    if not pieces:
-        return "0"
-    first_neg, first = pieces[0]
-    out = ("-" if first_neg else "") + first
-    for neg, text in pieces[1:]:
-        out += (" - " if neg else " + ") + text
-    return out
+    data: dict[Monomial, Fraction] = {}
+    for mono, coeff in p.coeffs:
+        terms = [((), coeff)]
+        for key, e in mono:
+            terms = [
+                (acc + ((key, b),), value * _stirling2(e, b) * math.factorial(b))
+                for acc, value in terms
+                for b in range(1, e + 1)
+            ]
+        for acc, value in terms:
+            data[acc] = data.get(acc, _ZERO) + value
+    return _render_terms(CharacterPolynomial.from_dict(p.m, data).coeffs, _binomial_factor)
 
 
 def character_of_cohomology(

@@ -365,7 +365,7 @@ class LatticeHomology:
         """The element permutation of g, computed once per context; the
         identity is not acted out."""
         if g not in self._actions:
-            if g == PermTuple.identity(g.level):
+            if g == self._identity:
                 self._actions[g] = tuple(range(len(self.lattice)))
             else:
                 self._actions[g] = self.lattice.act(g)
@@ -384,17 +384,22 @@ class LatticeHomology:
         up (see ``reduced_betti_numbers``), computed once per orbit.  By
         Hall's theorem its alternating sum is mu(0, x), which is -h(x) for
         the identity's fixed chain sums; a mismatch means a wrong orbit and
-        raises LatticeError.
+        raises LatticeError.  Every member of the orbit is checked when the
+        orbit is ranked.
         """
-        rep = self.lattice.orbits[idx][0]
-        if rep not in self._betti:
-            _, cx = self.interval(rep)
-            self._betti[rep] = reduced_betti_numbers(cx)
-        betti = self._betti[rep]
-        euler = sum(b if k % 2 else -b for k, b in enumerate(betti))  # degree k - 1
-        if euler != -self.fixed_chain_sums(self._identity)[idx]:
-            raise LatticeError(f"interval of element {idx} fails Hall's theorem; orbits corrupted")
-        return betti
+        orbit = self.lattice.orbits[idx]
+        if orbit[0] not in self._betti:
+            _, cx = self.interval(orbit[0])
+            betti = reduced_betti_numbers(cx)
+            euler = sum(b if k % 2 else -b for k, b in enumerate(betti))  # degree k - 1
+            h = self.fixed_chain_sums(self._identity)
+            for member in orbit:
+                if euler != -h[member]:
+                    raise LatticeError(
+                        f"interval of element {member} fails Hall's theorem; orbits corrupted"
+                    )
+            self._betti[orbit[0]] = betti
+        return self._betti[orbit[0]]
 
     def local_betti(self, idx: int, d: int) -> int:
         betti = self.betti_numbers(idx)
@@ -472,9 +477,9 @@ class LatticeHomology:
             if not local:
                 continue
             if local == sum(self.betti_numbers(idx)):
-                h = self.fixed_chain_sums(g)
-                euler = sum(h[y] for y in lat.containing(idx)) - 1
-                total += -euler if d % 2 else euler
+                # the reduced Euler characteristic of the fixed part is -h(idx)
+                h = self.fixed_chain_sums(g)[idx]
+                total += h if d % 2 else -h
             else:
                 labels, cx = self.interval(idx)
                 local_pos = {lab: pos for pos, lab in enumerate(labels)}

@@ -1,10 +1,15 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from arrstab.arrangement import family_mkr
 from arrstab.characters import (
+    _monomial_value,
+    _monomials_within,
+    _stirling2,
     CharacterPolynomial,
     ClassFunction,
     FitInconsistentError,
@@ -23,6 +28,7 @@ from arrstab.characters import (
     twisted_betti,
     verify_free_decomposition,
 )
+from arrstab.exactlin import _pivot_columns, _rref_rows
 from arrstab.fim import (
     ConjClass,
     MultiIndex,
@@ -411,3 +417,231 @@ def test_stability_report_detects_late_onset():
     report = stability_report(values, mi((1,)))
     assert not report.meets_prediction
     assert report.violations == (mi((1,)),)
+
+
+# The former implementations, kept as oracles: the recursive monomial box,
+# the Fraction evaluation loop, the fit over one CharacterPolynomial per basis
+# monomial, the renderer, and the binomial form by a dense change of basis.
+
+
+def old_monomials_within(bound):
+    per_factor = []
+    for j, cap in enumerate(bound):
+        factor_monos = []
+
+        def rec(k, budget, acc):
+            factor_monos.append(tuple(acc))
+            for kk in range(k, budget + 1):
+                for e in range(1, budget // kk + 1):
+                    acc.append(((j, kk), e))
+                    rec(kk + 1, budget - kk * e, acc)
+                    acc.pop()
+
+        rec(1, cap, [])
+        per_factor.append(sorted(set(factor_monos)))
+    out = []
+    for combo in itertools.product(*per_factor):
+        out.append(tuple(sorted(e for chunk in combo for e in chunk)))
+    return sorted(set(out), key=CharacterPolynomial._key)
+
+
+def old_evaluate(p, c):
+    total = Fraction(0)
+    for mono, coeff in p.coeffs:
+        term = coeff
+        for (j, k), e in mono:
+            term *= Fraction(c.multiplicity(j, k)) ** e
+            if term == 0:
+                break
+        total += term
+    return total
+
+
+def old_render_terms(terms, factor):
+    pieces = []
+    for mono, coeff in terms:
+        body = "*".join(factor(j, k, e) for (j, k), e in mono)
+        mag = abs(coeff)
+        if not body:
+            text = str(mag)
+        elif mag == 1:
+            text = body
+        else:
+            text = f"{mag}*{body}"
+        pieces.append((coeff < 0, text))
+    if not pieces:
+        return "0"
+    first_neg, first = pieces[0]
+    out = ("-" if first_neg else "") + first
+    for neg, text in pieces[1:]:
+        out += (" - " if neg else " + ") + text
+    return out
+
+
+def old_render(p):
+    return old_render_terms(
+        p.coeffs, lambda j, k, e: f"X{k}^({j + 1})" + (f"^{e}" if e > 1 else "")
+    )
+
+
+def old_fit(samples, degree_bound):
+    m = degree_bound.m
+    monos = old_monomials_within(degree_bound)
+    basis = [CharacterPolynomial.from_dict(m, {mono: Fraction(1)}) for mono in monos]
+    rows = []
+    for level, chi in samples:
+        for c in conj_classes(level):
+            rows.append([old_evaluate(b, c) for b in basis] + [chi(c)])
+    reduced = _rref_rows(rows, len(monos) + 1)
+    pivots = _pivot_columns(reduced)
+    if any(p == len(monos) for p in pivots):
+        raise FitInconsistentError("inconsistent")
+    if len(pivots) < len(monos):
+        raise FitUnderdeterminedError("underdetermined")
+    coeffs = {mono: Fraction(0) for mono in monos}
+    for row, p in zip(reduced, pivots):
+        coeffs[monos[p]] = Fraction(row[-1])
+    return CharacterPolynomial.from_dict(m, coeffs)
+
+
+def old_binomial_basis_form(p):
+    monos = old_monomials_within(p.multidegree())
+    expansions = []
+    for mono in monos:
+        poly = CharacterPolynomial.constant(1, p.m)
+        for (j, k), e in mono:
+            x = CharacterPolynomial.variable(k, j + 1, p.m)
+            binom = CharacterPolynomial.constant(1, p.m)
+            for s in range(e):
+                binom = binom * (x - s)
+            poly = poly * binom / math.factorial(e)
+        expansions.append(poly)
+    target = dict(p.coeffs)
+    rows = []
+    for mono in monos:
+        row = [dict(exp.coeffs).get(mono, Fraction(0)) for exp in expansions]
+        row.append(target.get(mono, Fraction(0)))
+        rows.append(row)
+    reduced = _rref_rows(rows, len(expansions) + 1)
+    coeffs = {}
+    for row, pivot in zip(reduced, _pivot_columns(reduced)):
+        assert pivot != len(expansions), "binomial basis failed to span"
+        coeffs[monos[pivot]] = Fraction(row[-1])
+    terms = [(mono, coeffs[mono]) for mono in monos if coeffs.get(mono, 0) != 0]
+    return old_render_terms(
+        terms, lambda j, k, e: f"binom(X{k}^({j + 1}),{e})" if e > 1 else f"X{k}^({j + 1})"
+    )
+
+
+def random_polynomial(rng, m, cap):
+    """A seeded polynomial with up to five terms of multidegree <= (cap, ..., cap)."""
+    monos = old_monomials_within(mi((cap,) * m))
+    chosen = rng.sample(monos, min(len(monos), rng.randint(0, 5)))
+    data = {}
+    for mono in chosen:
+        coeff = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+        data[mono] = coeff if rng.random() < 0.8 else coeff.numerator
+    return CharacterPolynomial.from_dict(m, data)
+
+
+def random_polynomials(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.choice((1, 2))
+        yield random_polynomial(rng, m, rng.randint(1, 4 if m == 1 else 3))
+
+
+def test_monomial_box_matches_the_recursive_one():
+    for m, top in ((1, 9), (2, 5), (3, 3)):
+        for bound in itertools.product(range(top), repeat=m):
+            assert _monomials_within(mi(bound)) == old_monomials_within(mi(bound)), bound
+
+
+def test_stirling_numbers_expand_powers_into_falling_factorials():
+    for e in range(7):
+        for x in range(7):
+            falling = [math.prod(range(x - b + 1, x + 1)) for b in range(e + 1)]
+            assert sum(_stirling2(e, b) * falling[b] for b in range(e + 1)) == x**e
+    assert [_stirling2(4, b) for b in range(6)] == [0, 1, 7, 6, 1, 0]
+
+
+def test_monomial_values_are_ints():
+    c = ConjClass(((2, 2, 1, 1, 1), (3, 1)))
+    mono = (((0, 1), 2), ((0, 2), 3), ((1, 3), 1))
+    assert _monomial_value(mono, c) == 9 * 8 * 1
+    assert type(_monomial_value(mono, c)) is int
+    assert _monomial_value((), c) == 1
+    assert _monomial_value((((1, 2), 1),), c) == 0
+
+
+def test_evaluate_matches_the_fraction_loop():
+    levels = {1: [mi((n,)) for n in range(7)], 2: [mi((a, b)) for a in range(4) for b in range(4)]}
+    for p in random_polynomials(5, 150):
+        for level in levels[p.m]:
+            for c in conj_classes(level):
+                value = p.evaluate(c)
+                assert value == old_evaluate(p, c), (p, c)
+                assert type(value) is Fraction
+
+
+def test_render_matches_the_former_renderer():
+    polys = list(random_polynomials(6, 300))
+    polys += [CharacterPolynomial.from_dict(1, {}), CharacterPolynomial.constant(-3, 2)]
+    polys.append(CharacterPolynomial(1, (((), 2), ((((0, 1), 1),), -1))))  # int coefficients
+    for p in polys:
+        assert p.render() == old_render(p)
+
+
+def test_binomial_form_matches_the_dense_solve():
+    polys = list(random_polynomials(7, 100))
+    assert {p.m for p in polys} == {1, 2}
+    assert any(p.m == 2 and len(p.coeffs) > 1 for p in polys)
+    for p in polys:
+        assert binomial_basis_form(p) == old_binomial_basis_form(p), p
+
+
+def fit_or_error(fit, samples, bound):
+    try:
+        poly = fit(samples, bound)
+    except (FitInconsistentError, FitUnderdeterminedError) as exc:
+        return type(exc)
+    assert all(type(v) is Fraction for _, v in poly.coeffs)
+    return poly.coeffs
+
+
+def test_fit_matches_rows_from_per_monomial_polynomials():
+    rng = random.Random(8)
+    outcomes = set()
+    for p in random_polynomials(9, 40):
+        bound = p.multidegree()
+        if p.m == 1:
+            levels = [mi((bound[0] + t,)) for t in range(rng.randint(2, 3))]
+        else:
+            levels = [mi((bound[0] + a, bound[1] + b)) for a in range(2) for b in range(2)]
+        samples = [(lv, p.as_class_function(lv)) for lv in levels]
+        if rng.random() < 0.3:
+            level, chi = samples[-1]
+            c = conj_classes(level)[-1]
+            samples[-1] = (level, ClassFunction(level, {**chi.values, c: chi(c) + 1}))
+        expected = fit_or_error(old_fit, samples, bound)
+        assert fit_or_error(fit_character_polynomial, samples, bound) == expected
+        outcomes.add((p.m, expected if isinstance(expected, type) else "fit"))
+    assert {(m, "fit") for m in (1, 2)} | {(1, FitUnderdeterminedError)} <= outcomes
+    assert {(m, FitInconsistentError) for m in (1, 2)} <= outcomes
+
+
+def test_readme_job_fits_match_the_former_fit_and_binomial_form(braid, get_lattice):
+    # the README job: braid n=2..6, degrees 0..3, degree bound (2); degrees 2
+    # and 3 have no polynomial of that degree
+    levels = [mi((n,)) for n in range(2, 7)]
+    outcomes = []
+    for i in range(4):
+        samples = [(lv, character_of_cohomology(braid, lv, i, get_lattice)) for lv in levels]
+        expected = fit_or_error(old_fit, samples, mi((2,)))
+        assert fit_or_error(fit_character_polynomial, samples, mi((2,))) == expected
+        outcomes.append(expected)
+        if not isinstance(expected, type):
+            poly = fit_character_polynomial(samples, mi((2,)))
+            assert binomial_basis_form(poly) == old_binomial_basis_form(poly)
+    assert outcomes[2:] == [FitInconsistentError, FitInconsistentError]
+    assert binomial_basis_form(CharacterPolynomial(1, outcomes[1])) == "binom(X1^(1),2) + X2^(1)"

@@ -256,10 +256,10 @@ print(json.dumps({"code": code, "reaped": reaped}))
 """
 
 
-def run_python(source: str, *args: str) -> subprocess.CompletedProcess:
+def run_python(source: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
     src = Path(cli.__file__).resolve().parent.parent
     return subprocess.run(
-        [sys.executable, "-c", source, *args],
+        [sys.executable, *flags, "-c", source, *args],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
@@ -728,6 +728,13 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded(tmp_path):
     args = ["run", "--config", str(config), "--cache", str(tmp_path / "c")]
     args += ["--out", str(tmp_path / "o"), "--jobs", "2"]
     assert run_python(probe, *args).stdout.splitlines()[-1] == "0 []"
+
+
+def test_cli_import_leaves_tempfile_unloaded():
+    # only ``cache.store`` needs ``tempfile``, and imports it itself; ``-S``
+    # keeps site hooks, which may load it on their own, out of the probe
+    probe = "import sys, arrstab.cli; print('tempfile' in sys.modules)"
+    assert run_python(probe, flags=("-S",)).stdout.strip() == "False"
 
 
 def test_cache_miss_on_other_parameters(tmp_path):

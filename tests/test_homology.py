@@ -279,3 +279,18 @@ def test_ranked_poset_validation():
         RankedPoset((0, 1), frozenset({(0, 1)}), (1, 1))
     with pytest.raises(ValueError):
         RankedPoset((0,), frozenset({(0, 5)}), (0,))
+
+
+def test_hall_check_runs_once_per_ranked_orbit(get_lattice):
+    # every member of an orbit is checked when the orbit is ranked, so later
+    # queries read the stored vector and the identity's chain sums no more
+    lat = get_lattice(family_mkr(1, 3, 1), mi((6,)), 4)
+    ctx = LatticeHomology(lat)
+    calls = []
+    original = ctx.fixed_chain_sums
+    ctx.fixed_chain_sums = lambda g: calls.append(g) or original(g)
+    first = [ctx.betti_report(i) for i in (2, 3, 4)]
+    assert len(calls) == len(ctx._betti) > 1
+    assert [ctx.betti_report(i) for i in (2, 3, 4)] == first
+    assert len(calls) == len(ctx._betti)
+

@@ -21,6 +21,10 @@ The value classes come from ``arrstab.record``, a leaf module, so no engine
 module imports ``dataclasses`` at start-up; and ``exactlin.intersect``, which
 no engine path called once the closure met atoms incrementally, stays
 deleted.
+
+Character polynomials are evaluated through integer monomial values: the fit
+builds its rows from them without a polynomial per basis monomial, and the
+binomial form expands powers by Stirling numbers instead of a row reduction.
 """
 
 import ast
@@ -152,3 +156,13 @@ def test_intersect_is_gone():
         for node in ast.walk(tree):
             used = getattr(node, "name", None) or getattr(node, "attr", None) or getattr(node, "id", None)
             assert used != "intersect", f"{name} mentions intersect"
+
+
+def test_character_polynomial_fit_and_binomial_form_stay_direct():
+    for name, banned in [
+        ("binomial_basis_form", {"_rref_rows"}),
+        ("fit_character_polynomial", {"evaluate", "from_dict"}),
+    ]:
+        for node in ast.walk(function("characters", name)):
+            used = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            assert used not in banned, f"{name} uses {used}"
