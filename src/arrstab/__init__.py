@@ -29,7 +29,7 @@ from .characters import (
 )
 from .exactlin import RationalMatrix, Subspace, subspace_from_constraints
 from .fim import ConjClass, Injection, MultiIndex, PermTuple
-from .homology import GMReport, equivariant_trace, gm_betti, whitney_homology_dims
+from .homology import GMReport, equivariant_trace, gm_betti
 
 __version__ = "0.1.0"
 
@@ -66,5 +66,4 @@ __all__ = [
     "verify_downward_stability",
     "verify_free_decomposition",
     "verify_normal",
-    "whitney_homology_dims",
 ]

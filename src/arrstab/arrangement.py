@@ -11,11 +11,13 @@ subset of atoms(X).  The level's automorphism group permutes the atoms and
 commutes with intersection, so construction meets one representative per
 orbit with each atom only, never with other elements, and reaches the other
 orbit members by the group generators, relabelling atom sets as it goes.
-Every element's atom set is kept as a bitmask, and the order is read off
-those sets with one bitset of elements per atom, without linear algebra.
-Every name (generator, injection f) of each atom f^*X is kept, so a point
-permutation g acts by lookup, f^*X going to (g o f)^*X, and relabels every
-element's atom mask; preimages along injections are looked up alike.  Each
+The atoms are lattice elements themselves, so every element's atom set is
+kept as the ascending indices of its atoms, one representation from the
+closure to the cache file; the order is read off those sets with one bitset
+of elements per atom, without linear algebra.  Every name (generator,
+injection f) of each atom f^*X is kept, so a point permutation g acts by
+lookup, f^*X going to (g o f)^*X, and relabels every element's atom set;
+preimages along injections are looked up alike.  Each
 orbit is walked once, under one transposition and one n-cycle per factor,
 while the lattice is built, and the lattice records it: ``orbits`` is what
 orbit lookups, primitive classes and per-orbit homology read.  Elements are
@@ -66,11 +68,6 @@ from .record import record
 
 Name = tuple[int, Images]
 """A generator index and the images of an injection that pulls it back to an atom."""
-
-Witness = tuple[tuple[int, Injection], ...]
-"""The atom set of an element.  Each atom is named by its witness, the first
-``(generator index, injection)`` in ``enumerate_injections`` order whose
-preimage it is, and the atoms are listed in order of their serialization."""
 
 
 @record
@@ -137,9 +134,10 @@ class IntersectionLattice:
 
     Only positive-codimension subspaces are stored (the ambient space never
     is), deduplicated and sorted by (codim, serialization).  The poset order
-    is reverse inclusion and the rank function is codimension.  Each
-    element's provenance is its full atom set (see ``Witness``), kept as a
-    bitmask from which the order and the group action are derived.
+    is reverse inclusion and the rank function is codimension.  ``atoms[i]``
+    is element i's full atom set, the ascending indices of the atoms (which
+    are elements too) that contain it; bit a of an element's mask stands for
+    element a, and the order and the group action are derived from the masks.
     ``atom_names`` maps every ``Name`` of every atom to the atom's index.
     ``orbit_labels`` names each element's Aut(n)-orbit by any label shared
     by exactly its members; ``orbits[i]`` is then the ascending tuple of the
@@ -152,16 +150,13 @@ class IntersectionLattice:
         "max_codim",
         "r",
         "elements",
-        "provenance",
+        "atoms",
         "codims",
         "orbits",
         "atom_names",
         "_containing",
         "_index",
         "_by_mask",
-        "_bits",
-        "_atom_elements",
-        "_witnesses",
         "_having",
     )
 
@@ -171,16 +166,33 @@ class IntersectionLattice:
         max_codim: int,
         r: int,
         elements: Sequence[Subspace],
-        provenance: Sequence[Witness],
+        atoms: Sequence[Sequence[int]],
         orbit_labels: Sequence[int],
         atom_names: dict[Name, int],
     ):
-        order = sorted(range(len(elements)), key=lambda i: (elements[i].codim, elements[i].serialization))
+        """``atoms`` and ``atom_names`` index ``elements`` in the order given.
+        A name pointing outside ``elements``, an atom index that no name
+        points at, or a named element outside its own atom set raises
+        ValueError."""
+        count = len(elements)
+        order = sorted(range(count), key=lambda i: (elements[i].codim, elements[i].serialization))
+        position = [0] * count
+        for idx, i in enumerate(order):
+            position[i] = idx
+        named = set(atom_names.values())
+        if not all(0 <= a < count for a in named):
+            raise ValueError("atom name points outside the elements")
+        new = {a: position[a] for a in named}
         self.level = level
         self.max_codim = max_codim
         self.r = r
         self.elements: tuple[Subspace, ...] = tuple(elements[i] for i in order)
-        self.provenance: tuple[Witness, ...] = tuple(provenance[i] for i in order)
+        try:
+            self.atoms: tuple[tuple[int, ...], ...] = tuple(
+                tuple(sorted(map(new.__getitem__, atoms[i]))) for i in order
+            )
+        except KeyError:
+            raise ValueError("atom index that no name points at") from None
         self.codims: tuple[int, ...] = tuple(e.codim for e in self.elements)
         members: dict[int, list[int]] = {}
         for idx, i in enumerate(order):
@@ -188,35 +200,21 @@ class IntersectionLattice:
         orbits = {label: tuple(m) for label, m in members.items()}
         self.orbits: tuple[tuple[int, ...], ...] = tuple(orbits[orbit_labels[i]] for i in order)
         self._index = {e.serialization: i for i, e in enumerate(self.elements)}
-        # Bit a stands for an atom; it first appears on its lowest-codim
-        # element, which is the atom itself.  Bit i of having[a] is set when
-        # element i has atom a.
-        bits: dict[tuple[int, Injection], int] = {}
-        atom_elements: list[int] = []
-        having: list[int] = []
+        self.atom_names = {name: new[a] for name, a in atom_names.items()}
+        # Bit i of having[a] is set when element i has atom a.
+        having = dict.fromkeys(new.values(), 0)
         masks = []
-        self._bits: list[list[int]] = []  # the atom bits of each element
-        for idx, witness in enumerate(self.provenance):
-            own = []
-            for atom in witness:
-                if atom not in bits:
-                    bits[atom] = len(bits)
-                    atom_elements.append(idx)
-                    having.append(0)
-                own.append(bits[atom])
-                having[own[-1]] |= 1 << idx
-            self._bits.append(own)
+        for idx, own in enumerate(self.atoms):
+            for a in own:
+                having[a] |= 1 << idx
             masks.append(sum(1 << a for a in own))
-        self._atom_elements: tuple[int, ...] = tuple(atom_elements)
-        self._witnesses: tuple[tuple[int, Injection], ...] = tuple(bits)
-        self._having = dict(zip(atom_elements, having))
-        self.atom_names = {name: self._index[elements[i].serialization] for name, i in atom_names.items()}
-        if set(self.atom_names.values()) != set(atom_elements):
+        if any(not masks[a] >> a & 1 for a in having):
             raise ValueError("atom names do not match the atoms")
+        self._having = having
         self._by_mask = {mask: idx for idx, mask in enumerate(masks)}
         # X strictly inside Y iff atoms(Y) is a proper subset of atoms(X):
         # the elements of lower codim that have none of the atoms X lacks
-        every_atom = (1 << len(bits)) - 1
+        every_atom = sum(1 << a for a in having)
         below = 0  # the elements of lower codim, as a bitset
         containing = []
         for i, mask in enumerate(masks):
@@ -235,7 +233,7 @@ class IntersectionLattice:
         """The lattice of the same level cut off at a smaller codimension.
 
         Atom sets do not depend on the cutoff, so this equals a fresh build
-        at ``max_codim`` in elements, provenance and order.  An orbit has a
+        at ``max_codim`` in elements, atom sets and order.  An orbit has a
         single codim, so the orbits are kept whole.
         """
         if not 1 <= max_codim <= self.max_codim:
@@ -246,7 +244,7 @@ class IntersectionLattice:
             max_codim,
             self.r,
             self.elements[:keep],
-            self.provenance[:keep],
+            self.atoms[:keep],
             [orbit[0] for orbit in self.orbits[:keep]],
             {name: a for name, a in self.atom_names.items() if a < keep},
         )
@@ -286,27 +284,18 @@ class IntersectionLattice:
             tuple(members), less, tuple(self.codims[i] for i in members)
         )
 
-    def as_ranked_poset(self) -> RankedPoset:
-        n = len(self.elements)
-        less = frozenset(
-            (a, b) for b in range(n) for a in self._containing[b]
-        )
-        return RankedPoset(tuple(range(n)), less, self.codims)
-
     def act(self, g: PermTuple) -> tuple[int, ...]:
         """The permutation of element indices induced by g; order preserving.
 
         g maps the atom named (gi, f), f^*X, to (g o f)^*X, named (gi, g o f):
-        each atom's image is looked up in ``atom_names``, and every other
-        element follows by relabelling the bits of its atom mask.  A missing
-        name or a result that is not a bijection raises LatticeError.
+        each atom's image is looked up in ``atom_names`` under one of its
+        names, and every other element follows by relabelling its atom set.
+        A missing name or a result that is not a bijection raises LatticeError.
         """
         if g.level != self.level:
             raise ValueError("permutation level does not match lattice level")
-        bit_of = {idx: a for a, idx in enumerate(self._atom_elements)}
-        images = [bit_of[idx] for idx in _atom_images(self.atom_names, self._witnesses, g)]
-        weight = [1 << a for a in images]
-        out = [self._by_mask.get(sum(map(weight.__getitem__, own))) for own in self._bits]
+        weight = {a: 1 << b for a, b in _atom_images(self.atom_names, g).items()}
+        out = [self._by_mask.get(sum(map(weight.__getitem__, own))) for own in self.atoms]
         if None in out:
             raise LatticeError("group action left the lattice; lattice corrupted")
         if set(out) != set(range(len(out))):
@@ -321,10 +310,20 @@ class IntersectionLattice:
         return (common & -common).bit_length() - 1 if common > 0 else None
 
 
-def _atom_images(names: dict[Name, int], witnesses: Sequence[tuple], g: PermTuple) -> list[int]:
-    """For each atom named (gi, f), the value of the name (gi, g o f)."""
-    images = [names.get((gi, compose_images(g.perms, f.images))) for gi, f in witnesses]
-    if None in images:
+def _first_names(names: dict[Name, int]) -> dict[int, Name]:
+    """Each atom's first name in ``names``."""
+    first: dict[int, Name] = {}
+    for name, a in names.items():
+        first.setdefault(a, name)
+    return first
+
+
+def _atom_images(names: dict[Name, int], g: PermTuple) -> dict[int, int]:
+    """For each atom, by its first name (gi, f), the value of the name (gi, g o f)."""
+    images = {
+        a: names.get((gi, compose_images(g.perms, f))) for a, (gi, f) in _first_names(names).items()
+    }
+    if None in images.values():
         raise LatticeError("group action maps an atom name to no atom; lattice corrupted")
     return images
 
@@ -374,19 +373,19 @@ def build_lattice(
         raise ValueError("max_codim must be at least 1")
     if n.m != spec.m:
         raise ValueError("level has wrong number of factors")
-    first: dict[str, tuple[Subspace, tuple[int, Injection]]] = {}
+    first: dict[str, Subspace] = {}
     named: dict[Name, str] = {}
     for gi, (degree, sub) in enumerate(spec.generators):
         for f in enumerate_injections(degree, n):
             pre = pullback(f, spec.r, sub)
             if pre.codim <= max_codim:
-                first.setdefault(pre.serialization, (pre, (gi, f)))
+                first.setdefault(pre.serialization, pre)
                 named[gi, f.images] = pre.serialization
     atom_of = {key: a for a, key in enumerate(sorted(first))}
     atoms = [first[key] for key in atom_of]
     names = {name: atom_of[key] for name, key in named.items()}
     dim = ambient_dim(n, spec.r)
-    atom_rows = [atom.constraints.entries for atom, _ in atoms]
+    atom_rows = [atom.constraints.entries for atom in atoms]
     index: dict[tuple, int] = {rows: a for a, rows in enumerate(atom_rows)}
     rows_of: list[tuple] = list(atom_rows)
     pivots_of: list[list[int]] = [_pivot_columns(rows) for rows in atom_rows]
@@ -397,7 +396,7 @@ def build_lattice(
     every_atom = (1 << len(atoms)) - 1
     gens = _group_generators(n)
     perms = [coordinate_permutation(g, spec.r) for g in gens]
-    atom_images = [_atom_images(names, [w for _, w in atoms], g) for g in gens]
+    atom_images = [_atom_images(names, g) for g in gens]
 
     def add(rows: tuple, mask: int) -> int:
         idx = index[rows] = len(masks)
@@ -445,17 +444,12 @@ def build_lattice(
                 rows = meet_rows(rows_of[idx], pivots_of[idx], atom_rows[a], dim, max_codim)
                 if rows is not None and rows not in index:
                     close_orbit(add(rows, masks[idx] | 1 << a))
-    elements = [atom for atom, _ in atoms] + [
-        Subspace(dim, RationalMatrix(rows, dim)) for rows in rows_of[len(atoms) :]
-    ]
-    provenance = [
-        tuple(witness for a, (_, witness) in enumerate(atoms) if mask >> a & 1)
-        for mask in masks
-    ]
-    return IntersectionLattice(n, max_codim, spec.r, elements, provenance, [walk[i] for i in range(len(masks))], names)
+    elements = atoms + [Subspace(dim, RationalMatrix(rows, dim)) for rows in rows_of[len(atoms) :]]
+    labels = [walk[i] for i in range(len(masks))]
+    return IntersectionLattice(n, max_codim, spec.r, elements, list(map(_bit_indices, masks)), labels, names)
 
 
-def _relabel(mask: int, images: Sequence[int]) -> int:
+def _relabel(mask: int, images: dict[int, int]) -> int:
     """The mask with bit a moved to bit images[a]."""
     out = 0
     while mask:
@@ -576,12 +570,13 @@ def normalize(spec: ArrangementSpec) -> ArrangementSpec:
 @record
 class PrimitiveClass:
     """An equivalence class of primitive subspaces: the Aut(degree)-orbit
-    of its canonical member ``subspace`` (first) and each member's atoms."""
+    of its canonical member ``subspace`` (first) and each member's atoms,
+    one ``Name`` each."""
 
     degree: MultiIndex
     orbit: tuple[Subspace, ...]
     stabilizer_order: int
-    provenance: tuple[Witness, ...]
+    atoms: tuple[tuple[Name, ...], ...]
 
     @property
     def subspace(self) -> Subspace:
@@ -640,10 +635,11 @@ def primitive_classes(
         if not any(deg.leq(e) for deg, _ in spec.generators):
             continue
         lat = get_lattice(spec, e, max_codim)
+        name_of = _first_names(lat.atom_names)
         for idx, members in enumerate(lat.orbits):
             if members[0] == idx and is_primitive(spec, e, lat.elements[idx]):
                 orbit = tuple(lat.elements[y] for y in members)
-                atoms = tuple(lat.provenance[y] for y in members)
+                atoms = tuple(tuple(name_of[a] for a in lat.atoms[y]) for y in members)
                 classes.append(PrimitiveClass(e, orbit, group_order(e) // len(orbit), atoms))
     return tuple(classes)
 
@@ -691,8 +687,8 @@ def orbit_decomposition(
             continue
         for f in binomial_representatives(cls.degree, lat.level):
             key = binomial_class_key(f)
-            for atoms in cls.provenance:
-                idx = lat.meet_of_atoms((gi, compose_images(f.images, h.images)) for gi, h in atoms)
+            for atoms in cls.atoms:
+                idx = lat.meet_of_atoms((gi, compose_images(f.images, h)) for gi, h in atoms)
                 if idx is not None:
                     table.setdefault(idx, set()).add((ci, key))
     assignments = []

@@ -2,10 +2,12 @@
 
 Files are keyed by a hash of (spec serialization, level, max_codim) and hold
 one element per line in canonical serialization, together with the element's
-full atom set as the indices of its atoms' lines, the index of its orbit's
-representative and, on an atom's line, all of its names (``arrangement.Name``)
-in ``enumerate_injections`` order, the first its witness.  So a load rebuilds
-the order, the orbits and the group action without linear algebra.  A payload
+full atom set as the indices of its atoms' lines (``IntersectionLattice.atoms``,
+listed by atom serialization), the index of its orbit's representative and,
+on an atom's line, all of its names (``arrangement.Name``) in
+``enumerate_injections`` order.  A load hands those indices and names to the
+lattice as they are, so it rebuilds the order, the orbits and the group
+action without linear algebra.  A payload
 checksum is stored alongside; a wrong format version, a checksum mismatch or
 a parse failure (a zero denominator included) makes the loader report a miss
 so the caller recomputes, and so does an orbit column in which a label is not
@@ -21,7 +23,7 @@ from pathlib import Path
 
 from .arrangement import ArrangementSpec, IntersectionLattice, build_lattice
 from .exactlin import Subspace
-from .fim import Injection, MultiIndex, parse_images
+from .fim import MultiIndex, parse_images, render_images
 
 _MAGIC = "arrstab-lattice v4"
 _SUFFIX = ".lattice.txt"
@@ -40,12 +42,13 @@ def _parse_name(text: str):
 def _payload_lines(lat: IntersectionLattice) -> list[str]:
     names: dict[int, list[str]] = {}
     for (gi, images), atom in sorted(lat.atom_names.items()):
-        names.setdefault(atom, []).append(f"g{gi}@{Injection(images, lat.level).render()}")
+        names.setdefault(atom, []).append(f"g{gi}@{render_images(images)}")
+    rank = {a: k for k, a in enumerate(sorted(names, key=lambda a: lat.elements[a].serialization))}
     return [
         f"{element.serialize()}\t"
-        + ",".join(str(lat.atom_names[gi, f.images]) for gi, f in witness)
+        + ",".join(map(str, sorted(atoms, key=rank.__getitem__)))
         + f"\t{orbit[0]}\t{'&'.join(names.get(idx, ()))}"
-        for idx, (element, witness, orbit) in enumerate(zip(lat.elements, lat.provenance, lat.orbits))
+        for idx, (element, atoms, orbit) in enumerate(zip(lat.elements, lat.atoms, lat.orbits))
     ]
 
 
@@ -109,21 +112,17 @@ def load(
             return None
         elements, atom_sets, labels = [], [], []
         names: dict = {}
-        witnesses: dict[int, tuple[int, Injection]] = {}  # by atom line
         for idx, line in enumerate(lines):
             serial, atoms, label, named = line.split("\t")
             elements.append(Subspace.parse(serial))
-            atom_sets.append(atoms.split(","))
+            atom_sets.append(tuple(map(int, atoms.split(","))))
             labels.append(int(label))
             if named:
                 own = [_parse_name(text) for text in named.split("&")]
                 if own != sorted(set(own)) or any(names.setdefault(x, idx) != idx for x in own):
                     return None
-                gi, images = own[0]
-                witnesses[idx] = (gi, Injection(images, level))
-        # a KeyError here: an atom index at a line with no names
-        provenance = [tuple(witnesses[int(a)] for a in atoms) for atoms in atom_sets]
-        lat = IntersectionLattice(level, max_codim, spec.r, elements, provenance, labels, names)
+        # a ValueError here: an atom index at a line with no names
+        lat = IntersectionLattice(level, max_codim, spec.r, elements, atom_sets, labels, names)
         for label, orbit in zip(labels, lat.orbits):
             if label != orbit[0] or lat.codims[orbit[0]] != lat.codims[orbit[-1]]:
                 return None

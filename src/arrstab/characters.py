@@ -84,10 +84,6 @@ class ClassFunction:
         return self.level == other.level and dict(self.values) == dict(other.values)
 
 
-def class_function(level: MultiIndex, values: Mapping[ConjClass, Fraction]) -> ClassFunction:
-    return ClassFunction(level, dict(values))
-
-
 def trivial_character(level: MultiIndex) -> ClassFunction:
     return ClassFunction(level, {c: _ONE for c in conj_classes(level)})
 

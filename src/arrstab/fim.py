@@ -116,7 +116,7 @@ class Injection:
         return MultiIndex(len(imgs) for imgs in self.images)
 
     def render(self) -> str:
-        return "|".join(",".join(str(i) for i in imgs) for imgs in self.images)
+        return render_images(self.images)
 
     @classmethod
     def parse(cls, text: str, target: MultiIndex) -> "Injection":
@@ -128,6 +128,10 @@ Images = tuple[tuple[int, ...], ...]  # the component images of a map
 
 def parse_images(text: str) -> Images:
     return tuple(tuple(map(int, chunk.split(","))) if chunk else () for chunk in text.split("|"))
+
+
+def render_images(images: Images) -> str:
+    return "|".join(",".join(map(str, imgs)) for imgs in images)
 
 
 def compose_images(outer: Images, inner: Images) -> Images:

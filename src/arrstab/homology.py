@@ -72,23 +72,6 @@ class RankedPoset:
     def size(self) -> int:
         return len(self.labels)
 
-    def below(self, i: int) -> "RankedPoset":
-        """The induced subposet of elements strictly below element i."""
-        members = sorted(a for (a, b) in self.less if b == i)
-        return self.restrict(members)
-
-    def restrict(self, members: Sequence[int]) -> "RankedPoset":
-        index = {orig: new for new, orig in enumerate(members)}
-        sub_less = frozenset(
-            (index[a], index[b])
-            for (a, b) in self.less
-            if a in index and b in index
-        )
-        return RankedPoset(
-            tuple(self.labels[i] for i in members),
-            sub_less,
-            tuple(self.ranks[i] for i in members),
-        )
 
 
 @record
@@ -290,16 +273,6 @@ def _orbit_trace(cx: OrderComplex, vertex_perm: Sequence[int], d: int) -> Fracti
         phi = sum(math.gcd(k, e) == 1 for k in range(1, e + 1))
         total += Fraction(_moebius(e) * a, phi)
     return total
-
-
-def whitney_homology_dims(p: RankedPoset) -> dict[int, int]:
-    """Per rank n, the total local homology sum_{rank x = n} H~_{n-2}(P^{<x})."""
-    out: dict[int, int] = {}
-    for i in range(p.size):
-        n = p.ranks[i]
-        local = reduced_betti(order_complex(p.below(i)), n - 2)
-        out[n] = out.get(n, 0) + local
-    return out
 
 
 @record

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from arrstab.arrangement import (
     ArrangementSpec,
+    IntersectionLattice,
     LatticeError,
     _degrees_below,
     _group_generators,
@@ -21,6 +22,7 @@ from arrstab.arrangement import (
 )
 from arrstab.exactlin import contains, subspace_from_constraints
 from arrstab.fim import (
+    Injection,
     MultiIndex,
     PermTuple,
     ambient_dim,
@@ -439,13 +441,56 @@ def test_downward_stability_identity(braid, get_lattice):
 
 
 def test_provenance_witnesses_reproduce_elements(braid, get_lattice):
+    # every name of an atom pulls a generator back onto it, and every element
+    # is the intersection of its atoms
     lat = get_lattice(braid, mi((4,)), 4)
-    for idx, witness in enumerate(lat.provenance):
-        parts = [pullback(f, braid.r, braid.generators[gi][1]) for gi, f in witness]
+    for (gi, images), a in lat.atom_names.items():
+        f = Injection(images, lat.level)
+        assert pullback(f, braid.r, braid.generators[gi][1]) == lat.elements[a]
+    for idx, atoms in enumerate(lat.atoms):
+        parts = [lat.elements[a] for a in atoms]
         acc = parts[0]
         for p in parts[1:]:
             acc = intersect(acc, p)
         assert acc == lat.elements[idx]
+
+
+def rebuilt(lat, atoms, names):
+    labels = [orbit[0] for orbit in lat.orbits]
+    return IntersectionLattice(lat.level, lat.max_codim, lat.r, lat.elements, atoms, labels, names)
+
+
+# braid n=4 at codim 4: 14 elements, the atoms 0..5 and the top element 13
+@pytest.mark.parametrize(
+    "index",
+    [-1, -14, 14, 6],
+    ids=["negative-to-top", "negative-to-atom", "past-the-end", "unnamed"],
+)
+def test_lattice_rejects_an_atom_index_outside_the_named_atoms(braid, index):
+    lat = build_lattice(braid, mi((4,)), 4)
+    assert rebuilt(lat, lat.atoms, lat.atom_names).atoms == lat.atoms
+    atoms = list(lat.atoms)
+    atoms[13] = (index,) + atoms[13][1:]
+    with pytest.raises(ValueError):
+        rebuilt(lat, atoms, lat.atom_names)
+
+
+@pytest.mark.parametrize("value", [-14, 14])
+def test_lattice_rejects_an_atom_name_outside_the_elements(braid, value):
+    # atom 0 renamed to ``value`` in the names and the atom sets alike;
+    # -14 would wrap back to element 0
+    lat = build_lattice(braid, mi((4,)), 4)
+    names = {name: value if a == 0 else a for name, a in lat.atom_names.items()}
+    atoms = [tuple(value if a == 0 else a for a in own) for own in lat.atoms]
+    with pytest.raises(ValueError):
+        rebuilt(lat, atoms, names)
+
+
+def test_lattice_rejects_a_name_at_an_element_outside_its_atom_set(braid):
+    lat = build_lattice(braid, mi((4,)), 4)
+    assert 6 not in lat.atoms[6]
+    with pytest.raises(ValueError, match="atom names do not match the atoms"):
+        rebuilt(lat, lat.atoms, {**lat.atom_names, (1, ((0, 1),)): 6})
 
 
 def test_spec_serialization_stable(braid):

@@ -10,7 +10,7 @@ import pytest
 from arrstab import arrangement, cache, cli, exactlin
 from arrstab.arrangement import LatticeError, build_lattice, family_mkr
 from arrstab.cli import list_catalog, load_config, main
-from arrstab.fim import MultiIndex
+from arrstab.fim import MultiIndex, render_images
 from arrstab.homology import LatticeHomology
 
 mi = MultiIndex
@@ -433,10 +433,18 @@ def test_cache_roundtrip_preserves_lattice(tmp_path):
     assert [e.serialization for e in loaded.elements] == [
         e.serialization for e in lat.elements
     ]
-    assert loaded.provenance == lat.provenance
+    assert loaded.atoms == lat.atoms
     assert [loaded.containing(i) for i in range(len(loaded))] == [
         lat.containing(i) for i in range(len(lat))
     ]
+
+
+def witnesses(lat):
+    """Each atom's first name, rendered as the v1 and v3 files named atoms."""
+    return {
+        a: f"g{gi}@{render_images(images)}"
+        for a, (gi, images) in arrangement._first_names(lat.atom_names).items()
+    }
 
 
 def test_cache_v1_file_is_a_miss_and_rebuilt(tmp_path):
@@ -444,9 +452,10 @@ def test_cache_v1_file_is_a_miss_and_rebuilt(tmp_path):
     # determine the order; a checksum-valid v1 file must not be trusted
     spec = family_mkr(1, 2, 1)
     lat = build_lattice(spec, mi((4,)), 4)
+    witness = witnesses(lat)
     lines = [
-        f"{element.serialize()}\tg{witness[0][0]}@{witness[0][1].render()}"
-        for element, witness in zip(lat.elements, lat.provenance)
+        f"{element.serialize()}\t{witness[atoms[0]]}"
+        for element, atoms in zip(lat.elements, lat.atoms)
     ]
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     header = [
@@ -461,9 +470,9 @@ def test_cache_v1_file_is_a_miss_and_rebuilt(tmp_path):
     path.write_text("\n".join(header + lines) + "\n", encoding="utf-8")
     assert cache.load(tmp_path, spec, mi((4,)), 4) is None
     rebuilt = cache.CachingBuilder(tmp_path)(spec, mi((4,)), 4)
-    assert rebuilt.provenance == lat.provenance
+    assert rebuilt.atoms == lat.atoms
     assert read(path).startswith("arrstab-lattice v4\n")
-    assert cache.load(tmp_path, spec, mi((4,)), 4).provenance == lat.provenance
+    assert cache.load(tmp_path, spec, mi((4,)), 4).atoms == lat.atoms
 
 
 def test_cache_v3_file_is_a_miss_and_rebuilt(tmp_path):
@@ -471,11 +480,12 @@ def test_cache_v3_file_is_a_miss_and_rebuilt(tmp_path):
     # other atom names, which the group action now looks up
     spec = family_mkr(1, 2, 1)
     lat = build_lattice(spec, mi((4,)), 4)
+    witness = witnesses(lat)
     lines = [
         f"{element.serialize()}\t"
-        + "&".join(f"g{gi}@{f.render()}" for gi, f in witness)
+        + "&".join(witness[a] for a in atoms)
         + f"\t{orbit[0]}"
-        for element, witness, orbit in zip(lat.elements, lat.provenance, lat.orbits)
+        for element, atoms, orbit in zip(lat.elements, lat.atoms, lat.orbits)
     ]
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     header = ["arrstab-lattice v3", "level=4", "max_codim=4", "r=1"]
@@ -487,7 +497,7 @@ def test_cache_v3_file_is_a_miss_and_rebuilt(tmp_path):
     assert rebuilt.atom_names == lat.atom_names
     assert read(path).startswith("arrstab-lattice v4\n")
     loaded = cache.load(tmp_path, spec, mi((4,)), 4)
-    assert loaded.provenance == lat.provenance
+    assert loaded.atoms == lat.atoms
     assert loaded.atom_names == lat.atom_names
 
 
@@ -639,9 +649,9 @@ def test_cache_zero_denominator_is_a_miss_and_rebuilt(tmp_path):
     path.write_text("\n".join(header + lines) + "\n", encoding="utf-8")
     assert cache.load(tmp_path, spec, mi((4,)), 4) is None
     rebuilt = cache.CachingBuilder(tmp_path)(spec, mi((4,)), 4)
-    assert rebuilt.provenance == lat.provenance
+    assert rebuilt.atoms == lat.atoms
     assert "1/0" not in read(path)
-    assert cache.load(tmp_path, spec, mi((4,)), 4).provenance == lat.provenance
+    assert cache.load(tmp_path, spec, mi((4,)), 4).atoms == lat.atoms
 
 
 def test_lattice_missing_an_orbit_member_exits_three(tmp_path, capsys):

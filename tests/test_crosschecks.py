@@ -16,7 +16,8 @@ import itertools
 
 from arrstab.arrangement import build_lattice, family_mkr
 from arrstab.fim import MultiIndex, ambient_dim
-from arrstab.homology import order_complex, reduced_betti, whitney_homology_dims
+from arrstab.homology import order_complex, reduced_betti
+from test_homology import whitney_homology_dims
 
 mi = MultiIndex
 
@@ -145,7 +146,7 @@ def test_k_equals_lattice_census_oracle(get_lattice):
 def test_whitney_braid5(braid, get_lattice):
     # signless Whitney numbers of the rank-4 partition lattice
     lat = get_lattice(braid, mi((5,)), 5)
-    assert whitney_homology_dims(lat.as_ranked_poset()) == {
+    assert whitney_homology_dims(lat) == {
         1: 10,
         2: 35,
         3: 50,

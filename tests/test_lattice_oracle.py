@@ -9,6 +9,7 @@ normalization and the orbit decomposition have their former paths as
 references further down.
 """
 
+import math
 import re
 from fractions import Fraction
 
@@ -155,27 +156,32 @@ def pairwise_closure(spec, n, max_codim):
 
 def named_atoms(spec, n, max_codim, preimage):
     """The distinct generator preimages ``preimage(f, generator)`` of codim
-    <= max_codim, by serialization, each with its first (gi, f), and the
-    index of each one's atom for every name (gi, f.images)."""
+    <= max_codim, by serialization, and the index of each one's atom for
+    every name (gi, f.images)."""
     first, named = {}, {}
     for gi, (degree, sub) in enumerate(spec.generators):
         for f in enumerate_injections(degree, n):
             pre = preimage(f, sub)
             if pre.codim <= max_codim:
-                first.setdefault(pre.serialization, (pre, (gi, f)))
+                first.setdefault(pre.serialization, pre)
                 named[gi, f.images] = pre.serialization
     keys = sorted(first)
     return [first[key] for key in keys], {name: keys.index(key) for name, key in named.items()}
 
 
-def atom_witnesses(spec, n):
-    """Each distinct generator preimage with its first (gi, f), by serialization."""
-    first = {}
-    for gi, (degree, sub) in enumerate(spec.generators):
+def dense_atoms(spec, n):
+    """The distinct dense generator preimages."""
+    found = {}
+    for degree, sub in spec.generators:
         for f in enumerate_injections(degree, n):
             pre = dense_preimage(f, spec.r, sub)
-            first.setdefault(pre.serialization, (pre, (gi, f)))
-    return [first[key] for key in sorted(first)]
+            found[pre.serialization] = pre
+    return found.values()
+
+
+def bit_indices(mask):
+    """The positions of the set bits of ``mask``, ascending."""
+    return tuple(a for a in range(mask.bit_length()) if mask >> a & 1)
 
 
 def never(name):
@@ -191,15 +197,16 @@ def assert_matches_oracle(spec, n, max_codim):
     assert [e.serialization for e in lat.elements] == [
         e.serialization for e in expected
     ]
-    atoms = atom_witnesses(spec, n)
+    atoms = dense_atoms(spec, n)
+    position = {x.serialization: j for j, x in enumerate(expected)}
     for i, low in enumerate(expected):
         assert lat.containing(i) == tuple(
             j
             for j, high in enumerate(expected)
             if high.codim < low.codim and contains(high, low)
         )
-        assert lat.provenance[i] == tuple(
-            witness for atom, witness in atoms if contains(atom, low)
+        assert lat.atoms[i] == tuple(
+            sorted(position[atom.serialization] for atom in atoms if contains(atom, low))
         )
     # every name of every atom: each injection's dense preimage
     assert lat.atom_names == {
@@ -291,7 +298,7 @@ def test_truncation_equals_fresh_build(spec, level, top, low, monkeypatch):
     assert [e.serialization for e in cut.elements] == [
         e.serialization for e in fresh.elements
     ]
-    assert cut.provenance == fresh.provenance
+    assert cut.atoms == fresh.atoms
     assert [cut.containing(i) for i in range(len(cut))] == [
         fresh.containing(i) for i in range(len(fresh))
     ]
@@ -348,15 +355,15 @@ def test_rref_budget_braid6_codim3(braid, monkeypatch):
     assert sorted(orbit[i] for i in starts) == sorted(
         {o for o in orbit.values() if lat.codims[o] < 3}
     )
-    assert len(closure) == sum(15 - len(lat.provenance[i]) for i in starts) == 39
+    assert len(closure) == sum(15 - len(lat.atoms[i]) for i in starts) == 39
     # Each new representative (every orbit but the atoms') is tested, right
     # after the closure meet that found it, against exactly the atoms of
     # lower codim outside the atom sets of its two parts, and gains the ones
-    # that pass.
-    atom_of = {lat.provenance[a][0]: a for a in range(15)}
+    # that pass.  The atoms are the elements 0..14.
+    assert {a for atoms in lat.atoms for a in atoms} == set(range(15))
 
     def atoms_of(i):
-        return {atom_of[w] for w in lat.provenance[i]}
+        return set(lat.atoms[i])
 
     found = []
     tested = 0
@@ -463,22 +470,20 @@ def fraction_closure(spec, n, max_codim):
             layers[x.codim].append(key)
         masks[key] |= mask
 
-    for a, (atom, _) in enumerate(atoms):
+    for a, atom in enumerate(atoms):
         record(atom, 1 << a)
     for layer in layers:
         for key in layer:
-            for a, (atom, _) in enumerate(atoms):
+            for a, atom in enumerate(atoms):
                 if not masks[key] >> a & 1:
                     meet = concat_intersect(found[key], atom, max_codim)
                     if meet is not None:
                         record(meet, masks[key] | 1 << a)
-    provenance = [
-        tuple(w for a, (_, w) in enumerate(atoms) if masks[key] >> a & 1)
-        for key in found
-    ]
+    # the atoms were recorded first, so bit a of a mask is element a
+    atom_sets = [bit_indices(masks[key]) for key in found]
     return with_generator_orbits(
         arrangement.IntersectionLattice(
-            n, max_codim, spec.r, list(found.values()), provenance, range(len(found)), names
+            n, max_codim, spec.r, list(found.values()), atom_sets, range(len(found)), names
         )
     )
 
@@ -490,7 +495,7 @@ def assert_matches_fraction_closure(spec, n, max_codim, tmp_path):
     assert [e.serialization for e in lat.elements] == [
         e.serialization for e in expected.elements
     ]
-    assert lat.provenance == expected.provenance
+    assert lat.atoms == expected.atoms
     assert lat.orbits == expected.orbits
     assert [lat.containing(i) for i in range(len(lat))] == [
         expected.containing(i) for i in range(len(expected))
@@ -502,7 +507,7 @@ def assert_matches_fraction_closure(spec, n, max_codim, tmp_path):
     loaded = cache.load(tmp_path / "theirs", spec, n, max_codim)
     assert loaded is not None
     assert loaded.elements == lat.elements
-    assert loaded.provenance == lat.provenance
+    assert loaded.atoms == lat.atoms
     assert loaded.orbits == lat.orbits
 
 
@@ -592,11 +597,11 @@ def atom_closure(spec, n, max_codim):
             layers[len(rows)].append(idx)
         masks[idx] |= mask
 
-    for a, (atom, _) in enumerate(atoms):
+    for a, atom in enumerate(atoms):
         record(atom.constraints.entries, 1 << a)
     for layer in layers[:max_codim]:
         for idx in layer:
-            for a, (atom, _) in enumerate(atoms):
+            for a, atom in enumerate(atoms):
                 if masks[idx] >> a & 1:
                     continue
                 rows = exactlin.meet_rows(
@@ -604,24 +609,18 @@ def atom_closure(spec, n, max_codim):
                 )
                 if rows is not None:
                     record(rows, masks[idx] | 1 << a)
-    elements = [atom for atom, _ in atoms] + [
+    elements = atoms + [
         Subspace(dim, RationalMatrix(rows, dim)) for rows in rows_of[len(atoms) :]
-    ]
-    provenance = [
-        tuple(witness for a, (_, witness) in enumerate(atoms) if mask >> a & 1)
-        for mask in masks
     ]
     return with_generator_orbits(
         arrangement.IntersectionLattice(
-            n, max_codim, spec.r, elements, provenance, range(len(elements)), names
+            n, max_codim, spec.r, elements, list(map(bit_indices, masks)), range(len(elements)), names
         )
     )
 
 
 def scan_order(lat):
-    bits, masks = {}, []
-    for witness in lat.provenance:
-        masks.append(sum(1 << bits.setdefault(atom, len(bits)) for atom in witness))
+    masks = [sum(1 << a for a in atoms) for atoms in lat.atoms]
     return [
         tuple(
             j
@@ -639,7 +638,7 @@ def assert_matches_atom_closure(spec, n, max_codim, tmp_path):
     assert [e.serialization for e in lat.elements] == [
         e.serialization for e in expected.elements
     ]
-    assert lat.provenance == expected.provenance
+    assert lat.atoms == expected.atoms
     assert lat.orbits == expected.orbits
     assert [lat.containing(i) for i in range(len(lat))] == scan_order(expected)
     ours = cache.store(tmp_path / "ours", spec, lat)
@@ -696,9 +695,28 @@ def product_specs(draw):
     return spec, level
 
 
+# The oracles are quadratic in the lattice size (``atom_closure`` meets every
+# element with every atom, ``scan_order`` compares every pair), so drawn
+# lattices past ORACLE_BUDGET elements would take tens of seconds each; the
+# engine itself is checked on large lattices by the fixed cases above.  An
+# element of codim k is the meet of at most k atoms, so a spec whose names
+# could meet in far more elements is rejected before the engine builds a
+# lattice that can take seconds on its own.
+ORACLE_BUDGET = 3000
+MEET_BOUND = 20000
+
+
+def within_oracle_budget(spec, level, max_codim):
+    names = sum(len(enumerate_injections(degree, level)) for degree, _ in spec.generators)
+    if sum(math.comb(names, k) for k in range(1, max_codim + 1)) > MEET_BOUND:
+        return False
+    return len(build_lattice(spec, level, max_codim)) <= ORACLE_BUDGET
+
+
 @given(spec=two_codim_specs(), level=st.integers(3, 4), max_codim=st.integers(1, 3))
 @settings(max_examples=40, deadline=None)
 def test_orbit_closure_matches_atom_closure_random(spec, level, max_codim, tmp_path_factory):
+    assume(within_oracle_budget(spec, mi((level,)), max_codim))
     tmp_path = tmp_path_factory.mktemp("orbits")
     assert_matches_atom_closure(spec, mi((level,)), max_codim, tmp_path)
 
@@ -707,6 +725,7 @@ def test_orbit_closure_matches_atom_closure_random(spec, level, max_codim, tmp_p
 @settings(max_examples=40, deadline=None)
 def test_orbit_closure_matches_atom_closure_product(case, max_codim, tmp_path_factory):
     spec, level = case
+    assume(within_oracle_budget(spec, level, max_codim))
     tmp_path = tmp_path_factory.mktemp("products")
     assert_matches_atom_closure(spec, level, max_codim, tmp_path)
 
@@ -716,13 +735,13 @@ def without_name(lat, name):
     names = {key: atom for key, atom in lat.atom_names.items() if key != name}
     labels = [orbit[0] for orbit in lat.orbits]
     return arrangement.IntersectionLattice(
-        lat.level, lat.max_codim, lat.r, lat.elements, lat.provenance, labels, names
+        lat.level, lat.max_codim, lat.r, lat.elements, lat.atoms, labels, names
     )
 
 
 def test_atom_image_outside_the_atoms_exits_three(braid, tmp_path, capsys, monkeypatch):
     # The atom x0 = x1 is named (0, (0, 1)) and (0, (1, 0)).  Without its
-    # second name, the transposition (0 1) maps its witness to no atom.
+    # second name, the transposition (0 1) maps its first name to no atom.
     swapped = (0, ((1, 0),))
     for level in (2, 3):
         lat = without_name(build_lattice(braid, mi((level,)), 2), swapped)
@@ -808,7 +827,7 @@ def with_generator_orbits(lat):
                 parent[max(a, b)] = min(a, b)
     labels = [find(idx) for idx in range(len(lat))]
     return arrangement.IntersectionLattice(
-        lat.level, lat.max_codim, lat.r, lat.elements, lat.provenance, labels, lat.atom_names
+        lat.level, lat.max_codim, lat.r, lat.elements, lat.atoms, labels, lat.atom_names
     )
 
 
@@ -1125,11 +1144,12 @@ def test_orbit_decomposition_matches_injection_table(spec, level, max_codim, tmp
 def assert_meets_match_pullbacks(spec, low, high):
     """Every element's preimage along every injection low -> high, looked up
     by atom names, is the scattered preimage, or None above the cutoff."""
+    name_of = arrangement._first_names(low.atom_names)
     for f in enumerate_injections(low.level, high.level):
-        for y, atoms in zip(low.elements, low.provenance):
+        for y, atoms in zip(low.elements, low.atoms):
             pre = pullback(f, spec.r, y)
             expected = high.index_of(pre) if pre in high else None
-            names = [(gi, fim.compose_images(f.images, h.images)) for gi, h in atoms]
+            names = [(gi, fim.compose_images(f.images, h)) for gi, h in map(name_of.get, atoms)]
             assert high.meet_of_atoms(names) == expected
 
 

@@ -25,6 +25,12 @@ deleted.
 Character polynomials are evaluated through integer monomial values: the fit
 builds its rows from them without a polynomial per basis monomial, and the
 binomial form expands powers by Stirling numbers instead of a row reduction.
+
+An element's atom set is held in one form, the indices of its atoms, from
+the closure through the lattice to the cache file: no module brings back the
+per-atom ``(generator, Injection)`` witness tuples, and the cache reads and
+writes atom names as images, not ``Injection`` objects.  The poset helpers
+and the class-function wrapper that no engine path used stay deleted.
 """
 
 import ast
@@ -166,3 +172,37 @@ def test_character_polynomial_fit_and_binomial_form_stay_direct():
         for node in ast.walk(function("characters", name)):
             used = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
             assert used not in banned, f"{name} uses {used}"
+
+
+def test_atom_sets_have_one_representation():
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for word in ("Witness", "provenance"):
+            assert word not in text, f"{path.stem} mentions {word}"
+
+
+def test_cache_reads_and_writes_names_without_injections():
+    for name in ("load", "_payload_lines"):
+        for node in ast.walk(function("cache", name)):
+            used = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            assert used != "Injection", f"cache.{name} uses Injection"
+
+
+def test_unused_poset_and_character_helpers_are_gone():
+    for module, owner, name in [
+        ("homology", None, "whitney_homology_dims"),
+        ("homology", "RankedPoset", "below"),
+        ("homology", "RankedPoset", "restrict"),
+        ("arrangement", "IntersectionLattice", "as_ranked_poset"),
+        ("characters", None, "class_function"),
+    ]:
+        scope = MODULES[module] if owner is None else next(
+            node
+            for node in ast.walk(MODULES[module])
+            if isinstance(node, ast.ClassDef) and node.name == owner
+        )
+        defined = {node.name for node in ast.walk(scope) if isinstance(node, ast.FunctionDef)}
+        assert name not in defined, f"{module} defines {name}"
+    # the benchmark tracer hooks both
+    assert method("arrangement", "IntersectionLattice", "__init__")
+    assert method("arrangement", "IntersectionLattice", "act")
