@@ -1,69 +1,60 @@
 """arrstab: exact intersection lattices, complement cohomology, and
-character-polynomial stability for FI^m families of subspace arrangements."""
+character-polynomial stability for FI^m families of subspace arrangements.
 
-from .arrangement import (
-    ArrangementSpec,
-    IntersectionLattice,
-    PrimitiveClass,
-    build_lattice,
-    family_mkr,
-    is_primitive,
-    normalize,
-    orbit_decomposition,
-    primitive_classes,
-    verify_downward_stability,
-    verify_normal,
-)
-from .characters import (
-    CharacterPolynomial,
-    ClassFunction,
-    character_of_cohomology,
-    fit_character_polynomial,
-    induction_character,
-    inner_product,
-    invariants_dim,
-    irreducible_multiplicities,
-    stability_report,
-    twisted_betti,
-    verify_free_decomposition,
-)
-from .exactlin import RationalMatrix, Subspace, subspace_from_constraints
-from .fim import ConjClass, Injection, MultiIndex, PermTuple
-from .homology import GMReport, equivariant_trace, gm_betti
+Importing the package loads no submodule: each public name is imported from
+its home module on first access (PEP 562), so a process that only loads a job
+config compiles none of the lattice, homology or character code."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArrangementSpec",
-    "CharacterPolynomial",
-    "ClassFunction",
-    "ConjClass",
-    "GMReport",
-    "Injection",
-    "IntersectionLattice",
-    "MultiIndex",
-    "PermTuple",
-    "PrimitiveClass",
-    "RationalMatrix",
-    "Subspace",
-    "build_lattice",
-    "character_of_cohomology",
-    "equivariant_trace",
-    "family_mkr",
-    "fit_character_polynomial",
-    "gm_betti",
-    "induction_character",
-    "inner_product",
-    "invariants_dim",
-    "irreducible_multiplicities",
-    "is_primitive",
-    "normalize",
-    "orbit_decomposition",
-    "primitive_classes",
-    "stability_report",
-    "subspace_from_constraints",
-    "twisted_betti",
-    "verify_downward_stability",
-    "verify_free_decomposition",
-    "verify_normal",
-]
+_HOMES = {
+    "ArrangementSpec": "fim",
+    "CharacterPolynomial": "characters",
+    "ClassFunction": "characters",
+    "ConjClass": "fim",
+    "GMReport": "homology",
+    "Injection": "fim",
+    "IntersectionLattice": "arrangement",
+    "MultiIndex": "fim",
+    "PermTuple": "fim",
+    "PrimitiveClass": "arrangement",
+    "RationalMatrix": "exactlin",
+    "Subspace": "exactlin",
+    "build_lattice": "arrangement",
+    "character_of_cohomology": "characters",
+    "equivariant_trace": "homology",
+    "family_mkr": "fim",
+    "fit_character_polynomial": "characters",
+    "gm_betti": "homology",
+    "induction_character": "characters",
+    "inner_product": "characters",
+    "invariants_dim": "characters",
+    "irreducible_multiplicities": "characters",
+    "is_primitive": "arrangement",
+    "normalize": "arrangement",
+    "orbit_decomposition": "arrangement",
+    "primitive_classes": "arrangement",
+    "stability_report": "characters",
+    "subspace_from_constraints": "exactlin",
+    "twisted_betti": "characters",
+    "verify_downward_stability": "arrangement",
+    "verify_free_decomposition": "characters",
+    "verify_normal": "arrangement",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

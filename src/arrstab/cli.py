@@ -12,43 +12,38 @@ Each level is computed on its own.  ``--jobs N`` splits the levels into at
 most N shares, at most one per level, balanced by |Aut(n)|; the command
 computes the heaviest share itself and forks one child per other share.
 Where ``os.fork`` is missing the levels run in-process, as with one job.
+
+Start-up loads only the config layer (``record``, ``fim`` and, through it,
+``exactlin``); a twisted polynomial in the config also loads ``characters``.
+The engine modules, the cache (and its ``hashlib``), ``csv`` and ``argparse``
+are imported by the functions that use them, so they are looked up when a
+command runs, not bound when ``cli`` is imported.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import itertools
 import json
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import cache as cache_mod
-from .arrangement import (
+from .fim import (
     ArrangementSpec,
-    LatticeError,
+    MultiIndex,
+    ambient_dim,
+    conj_classes,
+    degree_add,
+    degree_times,
     family_mkr,
-    normalize,
-    orbit_decomposition,
-    primitive_classes,
+    group_order,
 )
-from .characters import (
-    CharacterPolynomial,
-    FitInconsistentError,
-    FitUnderdeterminedError,
-    binomial_basis_form,
-    character_of_cohomology,
-    fit_character_polynomial,
-    invariants_dim,
-    stability_report,
-    twisted_betti,
-    verify_free_decomposition,
-)
-from .fim import MultiIndex, conj_classes, degree_add, degree_times, group_order
-from .homology import LatticeHomology
 from .record import record, replace
+
+if TYPE_CHECKING:
+    from .characters import CharacterPolynomial
 
 ENV_CACHE = "ARRSTAB_CACHE"
 DEFAULT_CACHE = ".arrstab-cache"
@@ -116,7 +111,6 @@ def _parse_family(data) -> ArrangementSpec:
             m = int(data["m"])
             r = int(data["r"])
             from .exactlin import subspace_from_constraints
-            from .fim import ambient_dim
 
             gens = []
             for gen in data["generators"]:
@@ -164,6 +158,8 @@ def load_config(path: Path | str) -> JobConfig:
         raise ConfigError("fit output requires fit_degree_bound")
     twisted = None
     if "twisted_polynomial" in data:
+        from .characters import CharacterPolynomial
+
         try:
             twisted = CharacterPolynomial.parse(data["twisted_polynomial"], spec.m)
         except ValueError as exc:
@@ -195,6 +191,9 @@ def list_catalog() -> str:
 
 
 def _level_worker(args):
+    from .characters import character_of_cohomology
+    from .homology import LatticeHomology
+
     spec, level, i_max, want_betti, want_chars, get = args
     # One context on the top lattice serves every degree: the elements of
     # lower codim are its prefix, and each class acts on it once.
@@ -235,6 +234,8 @@ def _run_shares(shares):
     """
     import pickle
     import signal
+
+    from .homology import LatticeError
 
     children = []  # (pid, read end, share)
     try:
@@ -302,6 +303,8 @@ def _jsonable(value):
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    import csv
+
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -321,6 +324,18 @@ def _cell(value) -> str:
 
 def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
     """Execute the configured computations and write the report files."""
+    from .arrangement import LatticeError, normalize, orbit_decomposition, primitive_classes
+    from .cache import CachingBuilder
+    from .characters import (
+        FitInconsistentError,
+        FitUnderdeterminedError,
+        binomial_basis_form,
+        fit_character_polynomial,
+        invariants_dim,
+        stability_report,
+        twisted_betti,
+        verify_free_decomposition,
+    )
 
     def log(message: str) -> None:
         if verbose:
@@ -332,7 +347,7 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     # one builder per command: the freeness block reads the lattices the
     # level workers built or loaded from its memo (a forked share gets a copy)
-    get = cache_mod.CachingBuilder(config.cache_dir)
+    get = CachingBuilder(config.cache_dir)
     findings: list[str] = []
     results: dict[str, object] = {}
 
@@ -602,6 +617,8 @@ def _resolve_cache(flag_value: str | None, config_value: str | None = None) -> s
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="arrstab",
         description="exact cohomology and character stability for arrangement families",
@@ -632,10 +649,14 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "clean-cache":
+        from .cache import clean
+
         cache_dir = _resolve_cache(args.cache)
-        removed = cache_mod.clean(cache_dir)
+        removed = clean(cache_dir)
         print(f"removed {removed} cached lattice(s) from {cache_dir}")
         return 0
+
+    from .homology import LatticeError
 
     try:
         config = load_config(args.config)

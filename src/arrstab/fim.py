@@ -12,6 +12,9 @@ containing the kernel gather them back (``pushforward``).
 Coordinates of V^n with V = Q^r are ordered block-major: factor j, then point
 index within the factor, then vector component.  Points and components are
 0-based internally.
+
+An arrangement family's spec (``ArrangementSpec``, ``family_mkr``) lives here
+rather than in ``arrangement``, so loading a job config needs no lattice code.
 """
 
 from __future__ import annotations
@@ -400,3 +403,62 @@ def class_representative(c: ConjClass) -> PermTuple:
 def coordinate_permutation(g: PermTuple, r: int) -> tuple[int, ...]:
     """The permutation of block-major coordinates induced by g."""
     return injection_coordinates(Injection(g.perms, g.level), r)
+
+
+@record
+class ArrangementSpec:
+    """A finitely-generated arrangement family over point space Q^r.
+
+    Each generator is a subspace of (Q^r)^degree with positive codimension;
+    the family at level n consists of intersections of generator preimages
+    along injections degree -> n.
+    """
+
+    m: int
+    r: int
+    generators: tuple[tuple[MultiIndex, Subspace], ...]
+
+    def __post_init__(self):
+        if self.m < 1 or self.r < 1:
+            raise ValueError("m and r must be positive")
+        for degree, sub in self.generators:
+            if degree.m != self.m:
+                raise ValueError("generator degree has wrong number of factors")
+            if sub.ambient_dim != ambient_dim(degree, self.r):
+                raise ValueError("generator ambient dimension mismatch")
+            if sub.codim < 1:
+                raise ValueError("generators must have positive codimension")
+
+    @property
+    def cmax(self) -> MultiIndex:
+        """Componentwise maximum of the generator degrees."""
+        if not self.generators:
+            return MultiIndex((0,) * self.m)
+        return componentwise_max(deg for deg, _ in self.generators)
+
+    def serialize(self) -> str:
+        gens = ";".join(
+            f"{deg.render()}@{sub.serialize()}" for deg, sub in self.generators
+        )
+        return f"m={self.m};r={self.r};gens={gens}"
+
+
+def family_mkr(m: int, k: int, r: int) -> ArrangementSpec:
+    """The one-generator family whose points avoid a k-fold common value.
+
+    The generator at degree (k,...,k) is the diagonal where all m*k points of
+    Q^r coincide; its codimension is r(mk - 1).
+    """
+    if m < 1 or k < 1 or r < 1:
+        raise ValueError("m, k, r must all be positive")
+    degree = MultiIndex((k,) * m)
+    points = m * k
+    n = r * points
+    rows = []
+    for p in range(points - 1):
+        for t in range(r):
+            row = [0] * n
+            row[p * r + t] = 1
+            row[(p + 1) * r + t] = -1
+            rows.append(row)
+    return ArrangementSpec(m, r, ((degree, subspace_from_constraints(n, rows)),))

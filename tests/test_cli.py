@@ -682,7 +682,7 @@ def test_engine_error_exits_three(tmp_path, capsys, monkeypatch, error):
     def fail(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli.LatticeHomology, "betti_report", fail)
+    monkeypatch.setattr(LatticeHomology, "betti_report", fail)
     config = write_config(tmp_path)
     out = tmp_path / "out"
     code = main(["run", "--config", str(config), "--cache", str(tmp_path / "c"), "--out", str(out)])
@@ -745,6 +745,61 @@ def test_cli_import_leaves_tempfile_unloaded():
     # keeps site hooks, which may load it on their own, out of the probe
     probe = "import sys, arrstab.cli; print('tempfile' in sys.modules)"
     assert run_python(probe, flags=("-S",)).stdout.strip() == "False"
+
+
+ENGINE_MODULES = ("arrstab.arrangement", "arrstab.homology", "arrstab.characters", "arrstab.cache")
+
+
+def test_load_config_leaves_the_engine_unloaded(tmp_path):
+    # loading a config needs record, fim and exactlin only: the engine, the
+    # cache with its ``hashlib``, and ``csv`` wait until a command runs them
+    config = tmp_path / "kequals.json"
+    config.write_text(
+        json.dumps(json.loads(read(WORKLOADS))["kequals-closure"]["config"]), encoding="utf-8"
+    )
+    unwanted = ENGINE_MODULES + ("hashlib", "csv")
+    probe = (
+        "import sys, arrstab.cli\n"
+        "arrstab.cli.load_config(sys.argv[1])\n"
+        f"print([m for m in {unwanted} if m in sys.modules])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('arrstab')))\n"
+    )
+    loaded = run_python(probe, str(config), flags=("-S",)).stdout.splitlines()
+    assert loaded[0] == "[]"
+    assert loaded[1] == str(
+        ["arrstab", "arrstab.cli", "arrstab.exactlin", "arrstab.fim", "arrstab.record"]
+    )
+
+
+def test_import_arrstab_loads_no_submodule():
+    probe = "import sys, arrstab; print([m for m in sys.modules if m.startswith('arrstab.')])"
+    assert run_python(probe, flags=("-S",)).stdout.strip() == "[]"
+
+
+def test_catalog_loads_no_engine_module():
+    probe = (
+        "import sys\n"
+        "from arrstab.cli import main\n"
+        "code = main(['catalog'])\n"
+        f"print(code, [m for m in {ENGINE_MODULES} if m in sys.modules])\n"
+    )
+    assert run_python(probe, flags=("-S",)).stdout.splitlines()[-1] == "0 []"
+
+
+def test_package_names_resolve_lazily_to_their_home_objects():
+    # each public name is first looked up through the package's
+    # ``__getattr__`` and is the very object its defining module holds
+    probe = """
+import sys, arrstab
+mismatched = []
+for name in arrstab.__all__:
+    assert name not in vars(arrstab), name
+    value = getattr(arrstab, name)
+    if getattr(sys.modules[value.__module__], name) is not value or name not in dir(arrstab):
+        mismatched.append(name)
+print(len(arrstab.__all__), mismatched, hasattr(arrstab, "no_such_name"))
+"""
+    assert run_python(probe).stdout.strip() == "32 [] False"
 
 
 def test_cache_miss_on_other_parameters(tmp_path):
@@ -818,7 +873,7 @@ def test_warm_runs_reduce_no_rows_for_the_action_orbits_or_loads(tmp_path, monke
         config_calls = calls["rref"]
         calls["rref"] = 0
         monkeypatch.setattr(cache, "load", flagged(cache.load))
-        monkeypatch.setattr(cli, "orbit_decomposition", flagged(cli.orbit_decomposition))
+        monkeypatch.setattr(arrangement, "orbit_decomposition", flagged(arrangement.orbit_decomposition))
         act = arrangement.IntersectionLattice.act
         monkeypatch.setattr(arrangement.IntersectionLattice, "act", flagged(act))
         assert main(argv + ["--out", str(tmp_path / f"{name}-warm")]) in (0, 2)

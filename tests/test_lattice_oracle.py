@@ -9,6 +9,7 @@ normalization and the orbit decomposition have their former paths as
 references further down.
 """
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -1042,17 +1043,33 @@ def test_normality_matches_dense_scan(spec, get_lattice):
 
 @st.composite
 def point_skipping_specs(draw):
+    """One or two generators, each vanishing off a drawn set of points, on at
+    most three points (two when r = 2).  The degree is drawn from the valid
+    ones, and the first row has a nonzero entry at a used point, so every
+    generator has codim >= 1 by construction and nothing is filtered."""
     m = draw(st.integers(1, 2))
     r = draw(st.integers(1, 2))
+    bound = 3 if r == 1 else 2
+    degrees = [
+        mi(d) for d in itertools.product(range(bound + 1), repeat=m) if 1 <= sum(d) <= bound
+    ]
     gens = []
     for _ in range(draw(st.integers(1, 2))):
-        degree = mi(draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)))
-        assume(1 <= degree.total <= (3 if r == 1 else 2))
-        sub = subspace_from_constraints(
-            r * degree.total, draw(point_skipping_rows(degree, r))
+        degree = draw(st.sampled_from(degrees))
+        n = r * degree.total
+        used = draw(st.lists(st.booleans(), min_size=degree.total, max_size=degree.total))
+        rows = draw(
+            st.lists(
+                st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                min_size=1,
+                max_size=3,
+            )
         )
-        assume(sub.codim >= 1)
-        gens.append((degree, sub))
+        pivot = draw(st.integers(0, n - 1))
+        used[pivot // r] = True
+        rows[0][pivot] = draw(st.sampled_from((-2, -1, 1, 2)))
+        rows = [[e if used[c // r] else 0 for c, e in enumerate(row)] for row in rows]
+        gens.append((degree, subspace_from_constraints(n, rows)))
     return ArrangementSpec(m, r, tuple(gens))
 
 

@@ -31,6 +31,11 @@ the closure through the lattice to the cache file: no module brings back the
 per-atom ``(generator, Injection)`` witness tuples, and the cache reads and
 writes atom names as images, not ``Injection`` objects.  The poset helpers
 and the class-function wrapper that no engine path used stay deleted.
+
+Start-up loads only the config layer: ``cli`` imports no arrstab module but
+``record`` and ``fim`` when it is imported, and the arrangement spec lives in
+``fim``, which imports no engine module, so loading a job config compiles no
+lattice, homology, character or cache code.
 """
 
 import ast
@@ -138,12 +143,15 @@ def test_permute_element_is_gone():
 
 
 def imported_modules(tree):
-    """Each import of the module as (level, dotted name): level 0 is absolute."""
+    """Each import of the module as (level, dotted name): level 0 is absolute,
+    and ``from . import x`` names x."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             yield from ((0, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.level, node.module
         elif isinstance(node, ast.ImportFrom):
-            yield node.level, node.module or ""
+            yield from ((node.level, alias.name) for alias in node.names)
 
 
 def test_no_engine_module_imports_dataclasses():
@@ -206,3 +214,31 @@ def test_unused_poset_and_character_helpers_are_gone():
     # the benchmark tracer hooks both
     assert method("arrangement", "IntersectionLattice", "__init__")
     assert method("arrangement", "IntersectionLattice", "act")
+
+
+def arrstab_modules(nodes):
+    """The arrstab modules that the imports among ``nodes`` name."""
+    for node in nodes:
+        for level, module in imported_modules(node):
+            if level:
+                yield module.split(".")[0]
+            elif module.startswith("arrstab."):
+                yield module.split(".")[1]
+
+
+def runs_on_import(stmt):
+    """Whether a top-level statement runs its imports when the module loads:
+    not a function body, and not an ``if TYPE_CHECKING:`` block."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return False
+    return not (isinstance(stmt, ast.If) and getattr(stmt.test, "id", None) == "TYPE_CHECKING")
+
+
+def test_cli_imports_only_the_config_layer_at_module_level():
+    top = [stmt for stmt in MODULES["cli"].body if runs_on_import(stmt)]
+    assert set(arrstab_modules(top)) <= {"record", "fim"}
+
+
+def test_fim_imports_no_engine_module():
+    imported = set(arrstab_modules([MODULES["fim"]]))
+    assert not imported & {"arrangement", "homology", "characters", "cache"}, imported
