@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "ArrangementSpec": "fim",
-    "CharacterPolynomial": "characters",
-    "ClassFunction": "characters",
+    "CharacterPolynomial": "polynomial",
+    "ClassFunction": "polynomial",
     "ConjClass": "fim",
     "GMReport": "homology",
     "Injection": "fim",

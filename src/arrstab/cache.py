@@ -13,11 +13,13 @@ a parse failure (a zero denominator included) makes the loader report a miss
 so the caller recomputes, and so does an orbit column in which a label is not
 the smallest index of its orbit or an orbit mixes codims, a name out of order
 or under two atoms, or an atom index at a line without names.
+
+SHA-256 comes from the interpreter's built-in module, which, unlike
+``hashlib``, loads no OpenSSL; ``hashlib`` serves builds without one.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 from pathlib import Path
 
@@ -25,13 +27,21 @@ from .arrangement import ArrangementSpec, IntersectionLattice, build_lattice
 from .exactlin import Subspace
 from .fim import MultiIndex, parse_images, render_images
 
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 _MAGIC = "arrstab-lattice v4"
 _SUFFIX = ".lattice.txt"
 
 
 def lattice_key(spec: ArrangementSpec, level: MultiIndex, max_codim: int) -> str:
     payload = f"{spec.serialize()}\n{level.render()}\n{max_codim}"
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return sha256(payload.encode("utf-8")).hexdigest()
 
 
 def _parse_name(text: str):
@@ -53,7 +63,7 @@ def _payload_lines(lat: IntersectionLattice) -> list[str]:
 
 
 def _payload_hash(lines: list[str]) -> str:
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    return sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
 def store(cache_dir: Path | str, spec: ArrangementSpec, lat: IntersectionLattice) -> Path:

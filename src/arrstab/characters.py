@@ -1,11 +1,10 @@
-"""Class functions on products of symmetric groups and character polynomials.
+"""Characters of the cohomology modules, their fits, pairings and freeness.
 
-A character polynomial is a rational polynomial in the simultaneous class
-functions X_k^{(j)} counting k-cycles in the j-th factor; it evaluates on the
-conjugacy classes of every level at once.  Characters of the engine's
-cohomology modules are computed classwise from equivariant traces, fitted to
-polynomials by an exact linear solve, paired by the usual class-size inner
-product, and decomposed against Murnaghan-Nakayama character values.
+Characters of the engine's cohomology modules are computed classwise from
+equivariant traces, fitted to character polynomials by an exact linear
+solve, paired by the usual class-size inner product, and decomposed against
+Murnaghan-Nakayama character values.  Class functions and character
+polynomials live in ``polynomial``, and are imported here too.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .arrangement import (
     ArrangementSpec,
@@ -34,14 +33,9 @@ from .fim import (
     partitions,
 )
 from .homology import LatticeHomology
+from .polynomial import _ZERO, CharacterPolynomial, ClassFunction, Monomial, trivial_character
+from .polynomial import _binomial_factor, _monomial_value, _pointwise, _render_terms, sum_characters
 from .record import record
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-# A monomial maps (factor j, cycle length k) -> exponent; canonical form is a
-# tuple of ((j, k), e) sorted by (j, k) with positive e.  Factors are 0-based.
-Monomial = tuple[tuple[tuple[int, int], int], ...]
 
 
 class FitError(ValueError):
@@ -54,224 +48,6 @@ class FitInconsistentError(FitError):
 
 class FitUnderdeterminedError(FitError):
     """The samples do not pin the polynomial down; more levels are needed."""
-
-
-@record
-class ClassFunction:
-    """A total map from the conjugacy classes of one level to Q."""
-
-    level: MultiIndex
-    values: Mapping[ConjClass, Fraction]
-
-    def __post_init__(self):
-        domain = set(conj_classes(self.level))
-        if set(self.values) != domain:
-            raise ValueError("values must cover exactly the conjugacy classes")
-
-    def __call__(self, c: ConjClass) -> Fraction:
-        return self.values[c]
-
-    @property
-    def identity_value(self) -> Fraction:
-        for c, v in self.values.items():
-            if c.is_identity():
-                return v
-        raise AssertionError("no identity class")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClassFunction):
-            return NotImplemented
-        return self.level == other.level and dict(self.values) == dict(other.values)
-
-
-def trivial_character(level: MultiIndex) -> ClassFunction:
-    return ClassFunction(level, {c: _ONE for c in conj_classes(level)})
-
-
-def _pointwise(a: ClassFunction, b: ClassFunction, op) -> ClassFunction:
-    if a.level != b.level:
-        raise ValueError("class functions live on different levels")
-    return ClassFunction(a.level, {c: op(a(c), b(c)) for c in a.values})
-
-
-def sum_characters(level: MultiIndex, items: Sequence[ClassFunction]) -> ClassFunction:
-    out = {c: _ZERO for c in conj_classes(level)}
-    for chi in items:
-        if chi.level != level:
-            raise ValueError("class functions live on different levels")
-        for c in out:
-            out[c] += chi(c)
-    return ClassFunction(level, out)
-
-
-@record
-class CharacterPolynomial:
-    """Rational polynomial in the X_k^{(j)}, canonically ordered."""
-
-    m: int
-    coeffs: tuple[tuple[Monomial, Fraction], ...]
-
-    @staticmethod
-    def _key(mono: Monomial) -> tuple:
-        total = sum(k * e for (_, k), e in mono)
-        return (total, mono)
-
-    @classmethod
-    def from_dict(cls, m: int, data: Mapping[Monomial, Fraction]) -> "CharacterPolynomial":
-        cleaned = {mono: v for mono, v in data.items() if v != 0}
-        ordered = tuple(sorted(cleaned.items(), key=lambda kv: cls._key(kv[0])))
-        return cls(m, ordered)
-
-    @classmethod
-    def constant(cls, value, m: int = 1) -> "CharacterPolynomial":
-        return cls.from_dict(m, {(): Fraction(value)})
-
-    @classmethod
-    def variable(cls, k: int, j: int = 1, m: int = 1) -> "CharacterPolynomial":
-        """X_k^{(j)} with 1-based factor index j."""
-        if not (1 <= j <= m):
-            raise ValueError("factor index out of range")
-        if k < 1:
-            raise ValueError("cycle length must be positive")
-        return cls.from_dict(m, {(((j - 1, k), 1),): _ONE})
-
-    def _as_dict(self) -> dict[Monomial, Fraction]:
-        return dict(self.coeffs)
-
-    def __add__(self, other) -> "CharacterPolynomial":
-        other = self._coerce(other)
-        data = self._as_dict()
-        for mono, v in other.coeffs:
-            data[mono] = data.get(mono, _ZERO) + v
-        return CharacterPolynomial.from_dict(self.m, data)
-
-    def __sub__(self, other) -> "CharacterPolynomial":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "CharacterPolynomial":
-        return self._coerce(other) + (-self)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "CharacterPolynomial":
-        return CharacterPolynomial.from_dict(
-            self.m, {mono: -v for mono, v in self.coeffs}
-        )
-
-    def __mul__(self, other) -> "CharacterPolynomial":
-        if isinstance(other, (int, Fraction)):
-            return CharacterPolynomial.from_dict(
-                self.m, {mono: v * Fraction(other) for mono, v in self.coeffs}
-            )
-        other = self._coerce(other)
-        data: dict[Monomial, Fraction] = {}
-        for ma, va in self.coeffs:
-            for mb, vb in other.coeffs:
-                exps: dict[tuple[int, int], int] = dict(ma)
-                for key, e in mb:
-                    exps[key] = exps.get(key, 0) + e
-                mono = tuple(sorted(exps.items()))
-                data[mono] = data.get(mono, _ZERO) + va * vb
-        return CharacterPolynomial.from_dict(self.m, data)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "CharacterPolynomial":
-        return CharacterPolynomial.from_dict(
-            self.m, {mono: v / Fraction(scalar) for mono, v in self.coeffs}
-        )
-
-    def _coerce(self, other) -> "CharacterPolynomial":
-        if isinstance(other, CharacterPolynomial):
-            if other.m != self.m:
-                raise ValueError("factor counts differ")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CharacterPolynomial.constant(other, self.m)
-        raise TypeError(f"cannot combine with {other!r}")
-
-    def multidegree(self) -> MultiIndex:
-        """Componentwise max over monomials of the weighted exponent sums."""
-        degs = [0] * self.m
-        for mono, _ in self.coeffs:
-            current = [0] * self.m
-            for (j, k), e in mono:
-                current[j] += k * e
-            degs = [max(a, b) for a, b in zip(degs, current)]
-        return MultiIndex(degs)
-
-    def evaluate(self, c: ConjClass) -> Fraction:
-        return sum((coeff * _monomial_value(mono, c) for mono, coeff in self.coeffs), _ZERO)
-
-    def as_class_function(self, level: MultiIndex) -> ClassFunction:
-        if level.m != self.m:
-            raise ValueError("level has wrong number of factors")
-        return ClassFunction(level, {c: self.evaluate(c) for c in conj_classes(level)})
-
-    def render(self) -> str:
-        return _render_terms(self.coeffs, _power_factor)
-
-    @classmethod
-    def parse(cls, text: str, m: int = 1) -> "CharacterPolynomial":
-        import re
-
-        poly = cls.from_dict(m, {})
-        stripped = text.replace(" ", "")
-        if not stripped or stripped == "0":
-            return poly
-        for sign, term in re.findall(r"([+-]?)([^+-]+)", stripped):
-            coeff = Fraction(-1 if sign == "-" else 1)
-            mono: dict[tuple[int, int], int] = {}
-            for factor in term.split("*"):
-                match = re.fullmatch(r"X(\d+)\^\((\d+)\)(?:\^(\d+))?", factor)
-                if match:
-                    k, j, e = int(match[1]), int(match[2]), int(match[3] or 1)
-                    if not (1 <= j <= m):
-                        raise ValueError(f"factor index {j} out of range")
-                    mono[(j - 1, k)] = mono.get((j - 1, k), 0) + e
-                else:
-                    coeff *= Fraction(factor)
-            key = tuple(sorted(mono.items()))
-            poly = poly + cls.from_dict(m, {key: coeff})
-        return poly
-
-    def __repr__(self):
-        return f"CharacterPolynomial({self.render()!r})"
-
-
-def _monomial_value(mono: Monomial, c: ConjClass) -> int:
-    """The monomial at class c: the product of multiplicity(j, k)^e."""
-    return math.prod(c.multiplicity(j, k) ** e for (j, k), e in mono)
-
-
-def _power_factor(j: int, k: int, e: int) -> str:
-    return f"X{k}^({j + 1})" + (f"^{e}" if e > 1 else "")
-
-
-def _binomial_factor(j: int, k: int, b: int) -> str:
-    return f"binom(X{k}^({j + 1}),{b})" if b > 1 else f"X{k}^({j + 1})"
-
-
-def _render_terms(
-    terms: Sequence[tuple[Monomial, Fraction]], factor: Callable[[int, int, int], str]
-) -> str:
-    """The signed sum of the terms in order, each factor rendered by ``factor(j, k, e)``."""
-    out = ""
-    for mono, coeff in terms:
-        body = "*".join(factor(j, k, e) for (j, k), e in mono)
-        mag = abs(coeff)
-        if not body:
-            text = str(mag)
-        elif mag == 1:
-            text = body
-        else:
-            text = f"{mag}*{body}"
-        if out:
-            out += " - " if coeff < 0 else " + "
-        elif coeff < 0:
-            out = "-"
-        out += text
-    return out or "0"
 
 
 def _monomials_within(bound: MultiIndex) -> list[Monomial]:

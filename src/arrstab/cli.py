@@ -14,10 +14,10 @@ computes the heaviest share itself and forks one child per other share.
 Where ``os.fork`` is missing the levels run in-process, as with one job.
 
 Start-up loads only the config layer (``record``, ``fim`` and, through it,
-``exactlin``); a twisted polynomial in the config also loads ``characters``.
-The engine modules, the cache (and its ``hashlib``), ``csv`` and ``argparse``
-are imported by the functions that use them, so they are looked up when a
-command runs, not bound when ``cli`` is imported.
+``exactlin``); a twisted polynomial in the config also loads ``polynomial``.
+The engine modules, the cache, ``csv`` and ``argparse`` are imported by the
+functions that use them, so they are looked up when a command runs, not
+bound when ``cli`` is imported.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .fim import (
 from .record import record, replace
 
 if TYPE_CHECKING:
-    from .characters import CharacterPolynomial
+    from .polynomial import CharacterPolynomial
 
 ENV_CACHE = "ARRSTAB_CACHE"
 DEFAULT_CACHE = ".arrstab-cache"
@@ -120,7 +120,7 @@ def _parse_family(data) -> ArrangementSpec:
             return ArrangementSpec(m, r, tuple(gens))
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"invalid family: {exc}") from exc
     raise ConfigError(f"unknown family kind {kind!r}")
 
@@ -158,7 +158,7 @@ def load_config(path: Path | str) -> JobConfig:
         raise ConfigError("fit output requires fit_degree_bound")
     twisted = None
     if "twisted_polynomial" in data:
-        from .characters import CharacterPolynomial
+        from .polynomial import CharacterPolynomial
 
         try:
             twisted = CharacterPolynomial.parse(data["twisted_polynomial"], spec.m)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arrstab.arrangement import family_mkr
 from arrstab.characters import (
@@ -61,13 +63,53 @@ def test_evaluate_binomial_combination():
     assert p.evaluate(ConjClass(((3,),))) == 0
 
 
-def test_polynomial_render_and_parse_roundtrip():
+def test_polynomial_render():
     p = X(1, 1, 2) * X(1, 2, 2) - 2 * X(2, 1, 2) * X(2, 2, 2)
     assert p.render() == "X1^(1)*X1^(2) - 2*X2^(1)*X2^(2)"
-    assert CharacterPolynomial.parse(p.render(), m=2) == p
-    q = X(1) * (X(1) - 1) / 2 + X(2)
-    assert CharacterPolynomial.parse(q.render(), m=1) == q
     assert CharacterPolynomial.parse("0", m=1) == CharacterPolynomial.from_dict(1, {})
+
+
+def polynomials(m):
+    """Random polynomials with m factors: up to five terms, each a product of
+    up to three powers X_k^{(j)}^e with k <= 4 and e <= 3."""
+    monomial = st.dictionaries(
+        st.tuples(st.integers(0, m - 1), st.integers(1, 4)), st.integers(1, 3), max_size=3
+    ).map(lambda exps: tuple(sorted(exps.items())))
+    coeff = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+    return st.dictionaries(monomial, coeff, max_size=5).map(
+        lambda data: CharacterPolynomial.from_dict(m, data)
+    )
+
+
+@given(st.sampled_from([1, 2]).flatmap(polynomials))
+@settings(max_examples=200)
+@example(X(1, 1, 2) * X(1, 2, 2) - 2 * X(2, 1, 2) * X(2, 2, 2))
+@example(X(1) * (X(1) - 1) / 2 + X(2))
+def test_polynomial_render_and_parse_roundtrip(p):
+    assert CharacterPolynomial.parse(p.render(), m=p.m) == p
+
+
+def test_parse_drops_zero_exponents():
+    assert CharacterPolynomial.parse("X1^(1)^0") == CharacterPolynomial.constant(1)
+    assert CharacterPolynomial.parse("2*X1^(1)^0*X2^(1)") == 2 * X(2)
+    assert CharacterPolynomial.parse("X1^(1)^0").multidegree() == mi((0,))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("X0^(1)", "cycle length must be positive"),
+        ("X1^(1)-", "malformed polynomial"),
+        ("--X1^(1)", "malformed polynomial"),
+        ("X1^(1)+-X2^(1)", "malformed polynomial"),
+        ("3/0", "zero denominator"),
+        ("X1^(2)", "factor index 2 out of range"),
+        ("X1^(1)**X2^(1)", "Invalid literal"),
+    ],
+)
+def test_parse_rejects_malformed_text(text, message):
+    with pytest.raises(ValueError, match=message):
+        CharacterPolynomial.parse(text)
 
 
 def test_multidegree():

@@ -89,6 +89,39 @@ def test_invalid_family_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_zero_denominator_in_a_custom_row_exits_one(tmp_path, capsys):
+    family = {
+        "kind": "custom",
+        "m": 1,
+        "r": 1,
+        "generators": [{"degree": [2], "rows": [["1/0", "-1"]]}],
+    }
+    config = write_config(tmp_path, family=family)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert "error: invalid family:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["X0^(1)", "X1^(1)-", "--X1^(1)", "3/0"])
+def test_bad_twisted_polynomial_exits_one(tmp_path, capsys, text):
+    config = write_config(
+        tmp_path, i_max=1, outputs=["twisted"], twisted_polynomial=text
+    )
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert "error: bad twisted polynomial" in capsys.readouterr().err
+
+
+def test_zero_exponent_twisted_polynomial_is_reported_as_computed(tmp_path):
+    # X^0 = 1: the report names the constant whose values it computed
+    config = write_config(
+        tmp_path, i_max=1, outputs=["twisted"], twisted_polynomial="X1^(1)^0"
+    )
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    report = json.loads(read(out / "report.json"))
+    assert [e["polynomial"] for e in report["results"]["twisted"]] == ["1", "1"]
+    assert [e["predicted_onset"] for e in report["results"]["twisted"]] == ["0", "2"]
+
+
 def test_missing_config_exits_one(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -751,24 +784,49 @@ ENGINE_MODULES = ("arrstab.arrangement", "arrstab.homology", "arrstab.characters
 
 
 def test_load_config_leaves_the_engine_unloaded(tmp_path):
-    # loading a config needs record, fim and exactlin only: the engine, the
-    # cache with its ``hashlib``, and ``csv`` wait until a command runs them
-    config = tmp_path / "kequals.json"
-    config.write_text(
-        json.dumps(json.loads(read(WORKLOADS))["kequals-closure"]["config"]), encoding="utf-8"
-    )
-    unwanted = ENGINE_MODULES + ("hashlib", "csv")
+    # loading a config needs record, fim and exactlin only, and polynomial
+    # for a twisted polynomial: the engine, the cache, ``hashlib`` and
+    # ``csv`` wait until a command runs them
+    config_layer = ["arrstab", "arrstab.cli", "arrstab.exactlin", "arrstab.fim"]
+    unwanted = ENGINE_MODULES + ("hashlib", "_hashlib", "csv")
     probe = (
         "import sys, arrstab.cli\n"
         "arrstab.cli.load_config(sys.argv[1])\n"
         f"print([m for m in {unwanted} if m in sys.modules])\n"
         "print(sorted(m for m in sys.modules if m.startswith('arrstab')))\n"
     )
-    loaded = run_python(probe, str(config), flags=("-S",)).stdout.splitlines()
-    assert loaded[0] == "[]"
-    assert loaded[1] == str(
-        ["arrstab", "arrstab.cli", "arrstab.exactlin", "arrstab.fim", "arrstab.record"]
+    for name, extra in [("kequals-closure", []), ("readme", ["arrstab.polynomial"])]:
+        config = tmp_path / f"{name}.json"
+        config.write_text(
+            json.dumps(json.loads(read(WORKLOADS))[name]["config"]), encoding="utf-8"
+        )
+        loaded = run_python(probe, str(config), flags=("-S",)).stdout.splitlines()
+        assert loaded[0] == "[]", name
+        assert loaded[1] == str(config_layer + extra + ["arrstab.record"]), name
+
+
+def test_cold_and_warm_runs_leave_hashlib_unloaded(tmp_path):
+    # the cache hashes with the interpreter's built-in SHA-256, so no run
+    # process loads ``hashlib`` or OpenSSL
+    config = write_config(
+        tmp_path,
+        i_max=1,
+        outputs=list(cli.OUTPUT_KINDS),
+        fit_degree_bound=[2],
+        twisted_polynomial="X1^(1)",
     )
+    probe = (
+        "import sys\n"
+        "from arrstab.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, [m for m in ('hashlib', '_hashlib') if m in sys.modules])\n"
+    )
+    args = ["run", "--config", str(config), "--cache", str(tmp_path / "c"), "--jobs", "2"]
+    for state in ("cold", "warm"):
+        out = run_python(probe, *args, "--out", str(tmp_path / state), flags=("-S",))
+        assert out.stdout.splitlines()[-1] == "0 []", state
+    assert list((tmp_path / "c").glob("*.lattice.txt"))
+    assert read(tmp_path / "cold" / "report.json") == read(tmp_path / "warm" / "report.json")
 
 
 def test_import_arrstab_loads_no_submodule():

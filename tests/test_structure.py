@@ -35,7 +35,10 @@ and the class-function wrapper that no engine path used stay deleted.
 Start-up loads only the config layer: ``cli`` imports no arrstab module but
 ``record`` and ``fim`` when it is imported, and the arrangement spec lives in
 ``fim``, which imports no engine module, so loading a job config compiles no
-lattice, homology, character or cache code.
+lattice, homology, character or cache code.  Character polynomials and
+class functions live in ``polynomial``, which imports only ``fim`` and
+``record``, so a config with a twisted polynomial compiles no engine module
+either.
 """
 
 import ast
@@ -242,3 +245,8 @@ def test_cli_imports_only_the_config_layer_at_module_level():
 def test_fim_imports_no_engine_module():
     imported = set(arrstab_modules([MODULES["fim"]]))
     assert not imported & {"arrangement", "homology", "characters", "cache"}, imported
+
+
+def test_polynomial_imports_only_the_config_layer():
+    imported = set(arrstab_modules([MODULES["polynomial"]]))
+    assert imported <= {"fim", "record"}, imported
