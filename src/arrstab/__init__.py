@@ -17,6 +17,7 @@ _HOMES = {
     "GMReport": "homology",
     "Injection": "fim",
     "IntersectionLattice": "arrangement",
+    "LatticeHomology": "homology",
     "MultiIndex": "fim",
     "PermTuple": "fim",
     "PrimitiveClass": "arrangement",
@@ -24,10 +25,8 @@ _HOMES = {
     "Subspace": "exactlin",
     "build_lattice": "arrangement",
     "character_of_cohomology": "characters",
-    "equivariant_trace": "homology",
     "family_mkr": "fim",
     "fit_character_polynomial": "characters",
-    "gm_betti": "homology",
     "induction_character": "characters",
     "inner_product": "characters",
     "invariants_dim": "characters",

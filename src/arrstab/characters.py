@@ -135,6 +135,15 @@ def binomial_basis_form(p: CharacterPolynomial) -> str:
     return _render_terms(CharacterPolynomial.from_dict(p.m, data).coeffs, _binomial_factor)
 
 
+def _character(
+    ctx: LatticeHomology, n: MultiIndex, i: int, members: Sequence[int] | None = None
+) -> ClassFunction:
+    """Aut(n)'s character on H^i, or on an orbit's part: one trace per class."""
+    return ClassFunction(
+        n, {c: ctx.trace(class_representative(c), i, members) for c in conj_classes(n)}
+    )
+
+
 def character_of_cohomology(
     spec: ArrangementSpec,
     n: MultiIndex,
@@ -145,8 +154,8 @@ def character_of_cohomology(
     """The character of Aut(n) on H^i of the complement at level n.
 
     H^0 is the trivial character (complex arrangement complements are
-    connected); higher degrees evaluate one equivariant trace per class, and
-    the identity class is the Betti number.  ``homology`` may be a context on
+    connected); higher degrees evaluate one equivariant trace per class, the
+    identity's being the Betti number.  ``homology`` may be a context on
     any lattice of level n and codim at least i, shared between degrees so
     that each class acts on the lattice once; otherwise one is made on the
     codim-i lattice.
@@ -154,13 +163,7 @@ def character_of_cohomology(
     if i == 0:
         return trivial_character(n)
     ctx = homology if homology is not None else LatticeHomology(get_lattice(spec, n, i))
-    values: dict[ConjClass, Fraction] = {}
-    for c in conj_classes(n):
-        if c.is_identity():
-            values[c] = Fraction(ctx.betti_report(i).total)
-        else:
-            values[c] = ctx.trace(class_representative(c), i)
-    return ClassFunction(n, values)
+    return _character(ctx, n, i)
 
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
@@ -301,13 +304,7 @@ def verify_free_decomposition(
                 )
             ctx = contexts[cls.degree]
             members = ctx.lattice.orbits[ctx.lattice.index_of(cls.subspace)]
-            chi_gen = ClassFunction(
-                cls.degree,
-                {
-                    c: ctx.trace(class_representative(c), i, members=members)
-                    for c in conj_classes(cls.degree)
-                },
-            )
+            chi_gen = _character(ctx, cls.degree, i, members)
             if all(v == 0 for v in chi_gen.values.values()):
                 continue
             contributors.append((cls, chi_gen))

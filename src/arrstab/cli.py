@@ -89,32 +89,46 @@ class JobConfig:
         return tuple(MultiIndex(t) for t in itertools.product(*ranges))
 
 
+def _count(value, what: str) -> int:
+    """A JSON integer >= 0, exactly: no bool, float or string."""
+    if type(value) is not int or value < 0:
+        raise ConfigError(f"{what} must be a nonnegative integer, not {json.dumps(value)}")
+    return value
+
+
+def _multi_index(value, m: int, what: str) -> MultiIndex:
+    """A JSON list of exactly m counts."""
+    if not isinstance(value, list) or len(value) != m:
+        raise ConfigError(f"{what} must be a list of {m} nonnegative integers")
+    return MultiIndex(_count(v, f"an entry of {what}") for v in value)
+
+
 def _parse_family(data) -> ArrangementSpec:
     if not isinstance(data, dict) or "kind" not in data:
         raise ConfigError("family must be an object with a 'kind'")
     kind = data["kind"]
     try:
         if kind == "mkr":
-            return family_mkr(int(data["m"]), int(data["k"]), int(data["r"]))
+            return family_mkr(*(_count(data[key], key) for key in ("m", "k", "r")))
         if kind == "preset":
             name = data.get("name")
             if name == "braid":
                 return family_mkr(1, 2, 1)
             if name == "conf":
-                return family_mkr(1, 2, int(data["r"]))
+                return family_mkr(1, 2, _count(data["r"], "r"))
             if name == "k-equals":
-                return family_mkr(1, int(data["k"]), 1)
+                return family_mkr(1, _count(data["k"], "k"), 1)
             if name == "rational-maps":
-                return family_mkr(int(data["m"]), 1, 1)
+                return family_mkr(_count(data["m"], "m"), 1, 1)
             raise ConfigError(f"unknown preset {name!r}")
         if kind == "custom":
-            m = int(data["m"])
-            r = int(data["r"])
+            m = _count(data["m"], "m")
+            r = _count(data["r"], "r")
             from .exactlin import subspace_from_constraints
 
             gens = []
             for gen in data["generators"]:
-                degree = MultiIndex(gen["degree"])
+                degree = _multi_index(gen["degree"], m, "generator degree")
                 sub = subspace_from_constraints(ambient_dim(degree, r), gen["rows"])
                 gens.append((degree, sub))
             return ArrangementSpec(m, r, tuple(gens))
@@ -126,6 +140,7 @@ def _parse_family(data) -> ArrangementSpec:
 
 
 def load_config(path: Path | str) -> JobConfig:
+    """Parse and check a job config, so that a bad value fails before any level runs."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -134,26 +149,25 @@ def load_config(path: Path | str) -> JobConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     try:
         spec = _parse_family(data["family"])
-        level_min = MultiIndex(data["levels"]["min"])
-        level_max = MultiIndex(data["levels"]["max"])
-        i_max = int(data["i_max"])
+        level_min = _multi_index(data["levels"]["min"], spec.m, "levels.min")
+        level_max = _multi_index(data["levels"]["max"], spec.m, "levels.max")
+        i_max = _count(data["i_max"], "i_max")
         outputs = tuple(data["outputs"])
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
-    if level_min.m != spec.m or level_max.m != spec.m:
-        raise ConfigError("level range has the wrong number of factors")
     if not level_min.leq(level_max):
         raise ConfigError("empty level range")
-    if i_max < 0:
-        raise ConfigError("i_max must be nonnegative")
+    for key in ("twisted_polynomial", "cache_dir", "out_dir"):
+        if not isinstance(data.get(key, ""), str):
+            raise ConfigError(f"{key} must be a string, not {json.dumps(data[key])}")
     unknown = [o for o in outputs if o not in OUTPUT_KINDS]
     if unknown or not outputs:
         raise ConfigError(f"outputs must be a nonempty subset of {OUTPUT_KINDS}")
     fit_bound = None
     if "fit_degree_bound" in data:
-        fit_bound = MultiIndex(data["fit_degree_bound"])
+        fit_bound = _multi_index(data["fit_degree_bound"], spec.m, "fit_degree_bound")
     if "fit" in outputs and fit_bound is None:
         raise ConfigError("fit output requires fit_degree_bound")
     twisted = None
@@ -168,7 +182,7 @@ def load_config(path: Path | str) -> JobConfig:
         raise ConfigError("twisted output requires twisted_polynomial")
     onset = None
     if "predicted_onset" in data:
-        onset = MultiIndex(data["predicted_onset"])
+        onset = _multi_index(data["predicted_onset"], spec.m, "predicted_onset")
     return JobConfig(
         spec,
         level_min,
@@ -232,11 +246,11 @@ def _run_shares(shares):
     pipe; a child's exception is raised again here.  However this returns,
     every child has been reaped, and killed first if the run failed.
     """
-    import pickle
-    import signal
-
     from .homology import LatticeError
 
+    if len(shares) > 1:  # only a child's outcome needs these
+        import pickle
+        import signal
     children = []  # (pid, read end, share)
     try:
         for share in shares[1:]:
@@ -358,18 +372,11 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
     want_betti = "betti" in config.outputs
     payloads = []
     if want_betti or want_chars:
-        tasks = [
-            (spec, level, config.i_max, want_betti, want_chars, get)
-            for level in levels
-        ]
-        if jobs > 1 and hasattr(os, "fork"):
-            shares = _split_levels(tasks, jobs)
-            log(f"computing {len(tasks)} levels in {len(shares)} processes")
-            payloads = _run_shares(shares)
-        else:
-            for task in tasks:
-                log(f"computing level {task[1].render()}")
-                payloads.append(_level_worker(task))
+        tasks = [(spec, level, config.i_max, want_betti, want_chars, get) for level in levels]
+        # one share keeps the levels in ascending order
+        shares = _split_levels(tasks, jobs) if jobs > 1 and hasattr(os, "fork") else [tasks]
+        log(f"computing {len(tasks)} levels in {len(shares)} processes")
+        payloads = _run_shares(shares)
     by_level = {p["level"]: p for p in payloads}
 
     if want_betti:

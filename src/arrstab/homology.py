@@ -5,7 +5,8 @@ complexes, so dim H~_{-1} of the empty complex is 1 and everything below
 degree -1 vanishes.  The complement-cohomology assembly sums, over lattice
 elements x, the local reduced homology of the order complex of the elements
 strictly containing x, placed in degree 2 cd(x) - i - 2; only codimensions
-with ceil(i/2) <= cd(x) <= i can contribute.
+with ceil(i/2) <= cd(x) <= i can contribute: since codims ascend, one run
+of indices, the degree window that Betti numbers and traces share.
 
 Betti numbers come from the ranks of the integer boundary maps, found by
 sparse elimination over Z: the boundary entries are +-1, pivots are units
@@ -15,7 +16,8 @@ columns of the chains that were pivot rows one degree up are skipped, since
 they lie in the span of the other columns (the boundary of a boundary is
 zero).
 
-Equivariant traces use the fact that an order automorphism g permutes strict
+The identity's trace on local homology is its dimension, the Betti number.
+Other equivariant traces use the fact that an order automorphism g permutes strict
 chains without signs, and fixes a chain only if it fixes each element of it
 (Stanley).  By the Hopf trace formula the alternating sum of g's traces on
 the local homology is therefore the reduced Euler characteristic of the
@@ -31,12 +33,13 @@ trace of g.  Betti numbers and traces thus share one integer rank kernel.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
-from .fim import ConjClass, MultiIndex, PermTuple
-from .record import record, replace
+from .fim import MultiIndex, PermTuple
+from .record import record
 
 if TYPE_CHECKING:  # pragma: no cover
     from .arrangement import IntersectionLattice
@@ -288,42 +291,17 @@ class GMReport:
     degree: int
     total: int
     contributions: tuple[tuple[int, int, int, int], ...]
-    character: tuple[tuple[ConjClass, Fraction], ...] | None = None
-
-    def with_character(
-        self, values: Iterable[tuple[ConjClass, Fraction]]
-    ) -> "GMReport":
-        return replace(self, character=tuple(values))
-
-    def to_text_table(self) -> str:
-        """Tabular form: contribution rows, a totals row, and (when present)
-        a character sub-table keyed by class textual form."""
-        lines = ["element,codim,local_degree,local_betti"]
-        for element, codim, degree, betti in self.contributions:
-            lines.append(f"{element},{codim},{degree},{betti}")
-        lines.append(f"total,,,{self.total}")
-        if self.character is not None:
-            lines.append("class,value")
-            for cls, value in self.character:
-                lines.append(f"{cls.render()},{value}")
-        return "\n".join(lines)
-
-
-def _codim_window(i: int) -> tuple[int, int]:
-    return (i + 1) // 2, i
 
 
 class LatticeHomology:
-    """Per-lattice computation context with memoized local homology data.
-
-    The lattice itself stays immutable; this object only caches derived
-    complexes, Betti vectors, element permutations and fixed
-    subposet Moebius numbers so that repeated Betti and trace queries (one
-    per conjugacy class and degree, say) share the work.  Queries in degree i
-    only read elements of codim at most i, which form a prefix of the
-    lattice, so one context on a level's top lattice serves every lower
-    degree.  An interval's Betti vector is invariant under Aut(n), so it is
-    ranked once per orbit the lattice recorded (``betti_numbers``).
+    """The library's one cohomology object: Betti numbers of H^i
+    (``betti_report``) and character values (``trace``) on a lattice, which
+    stays immutable.  Complexes, Betti vectors, element permutations and
+    fixed subposet Moebius numbers are memoized, so repeated queries (one per
+    class and degree, say) share the work.  Degree i reads only elements of
+    codim at most i, a prefix of the lattice, so one context on a level's top
+    lattice serves every lower degree.  An interval's Betti vector is
+    invariant under Aut(n), so it is ranked once per recorded orbit.
     """
 
     def __init__(self, lat: "IntersectionLattice"):
@@ -378,26 +356,27 @@ class LatticeHomology:
         betti = self.betti_numbers(idx)
         return betti[d + 1] if 0 <= d + 1 < len(betti) else 0
 
-    def betti_report(self, i: int, filtered: bool = True) -> GMReport:
+    def _window(self, i: int) -> range:
+        """The indices of the elements that can contribute to H^i, those of
+        codim ceil(i/2) to i: one run, since codims ascend."""
         lat = self.lattice
         if i < 1:
             raise ValueError("cohomological degree must be at least 1")
         if lat.max_codim < i:
-            raise ValueError(
-                f"lattice truncated at codimension {lat.max_codim}, need {i}"
-            )
-        lo, hi = _codim_window(i)
+            raise ValueError(f"lattice truncated at codimension {lat.max_codim}, need {i}")
+        codims = lat.codims
+        return range(bisect.bisect_left(codims, (i + 1) // 2), bisect.bisect_right(codims, i))
+
+    def betti_report(self, i: int) -> GMReport:
+        lat = self.lattice
         contributions = []
-        total = 0
-        for idx, codim in enumerate(lat.codims):
-            if filtered and not (lo <= codim <= hi):
-                continue
+        for idx in self._window(i):
+            codim = lat.codims[idx]
             d = 2 * codim - i - 2
             betti = self.local_betti(idx, d)
             if betti:
                 contributions.append((idx, codim, d, betti))
-                total += betti
-        return GMReport(lat.level, i, total, tuple(contributions))
+        return GMReport(lat.level, i, sum(c[3] for c in contributions), tuple(contributions))
 
     def fixed_chain_sums(self, g: PermTuple) -> list[int]:
         """Per element x fixed by g, h(x) = 1 - sum of h(y) over the fixed y
@@ -420,36 +399,34 @@ class LatticeHomology:
     def trace(
         self, g: PermTuple, i: int, members: Sequence[int] | None = None
     ) -> Fraction:
-        """Character value of g on H^i; optionally restricted to an orbit.
+        """Character value of g on H^i, the identity's (dim H^i) included;
+        optionally restricted to an orbit.
 
-        Elements not fixed by g contribute nothing.  A fixed element whose
-        interval has no homology in the local degree d contributes nothing
-        either.  When the interval's homology sits in degree d alone, the
+        Only elements of ``_window(i)``, which ``betti_report`` reads too,
+        and fixed by g contribute, and only if their interval has homology in
+        the local degree d.  The identity's trace on H~_d is its dimension.
+        For other g, when the interval's homology sits in degree d alone, the
         Hopf trace formula gives (-1)^d times the reduced Euler
         characteristic of the g-fixed subposet.  Otherwise the trace comes
         from the interval's orbit complexes under the powers of the vertex
         permutation that g induces (``_orbit_trace``).
         """
         lat = self.lattice
-        if i < 1:
-            raise ValueError("cohomological degree must be at least 1")
-        if lat.max_codim < i:
-            raise ValueError(
-                f"lattice truncated at codimension {lat.max_codim}, need {i}"
-            )
+        window = self._window(i)
+        pool = window if members is None else [idx for idx in members if idx in window]
+        identity = g == self._identity
         sigma = self.action(g)
-        lo, hi = _codim_window(i)
-        pool = range(len(lat.elements)) if members is None else members
         total = Fraction(0)
         for idx in pool:
-            codim = lat.codims[idx]
-            if not (lo <= codim <= hi) or sigma[idx] != idx:
+            if sigma[idx] != idx:
                 continue
-            d = 2 * codim - i - 2
+            d = 2 * lat.codims[idx] - i - 2
             local = self.local_betti(idx, d)
             if not local:
                 continue
-            if local == sum(self.betti_numbers(idx)):
+            if identity:
+                total += local
+            elif local == sum(self.betti_numbers(idx)):
                 # the reduced Euler characteristic of the fixed part is -h(idx)
                 h = self.fixed_chain_sums(g)[idx]
                 total += h if d % 2 else -h
@@ -459,13 +436,3 @@ class LatticeHomology:
                 vertex_perm = [local_pos[sigma[lab]] for lab in labels]
                 total += _orbit_trace(cx, vertex_perm, d)
         return total
-
-
-def gm_betti(lat: "IntersectionLattice", i: int, filtered: bool = True) -> GMReport:
-    """Total and per-element Betti data of H^i of the complement at lat.level."""
-    return LatticeHomology(lat).betti_report(i, filtered=filtered)
-
-
-def equivariant_trace(lat: "IntersectionLattice", g: PermTuple, i: int) -> Fraction:
-    """The character value of g on H^i of the complement."""
-    return LatticeHomology(lat).trace(g, i)

@@ -829,6 +829,23 @@ def test_cold_and_warm_runs_leave_hashlib_unloaded(tmp_path):
     assert read(tmp_path / "cold" / "report.json") == read(tmp_path / "warm" / "report.json")
 
 
+def test_cold_and_warm_one_job_runs_leave_pickle_unloaded(tmp_path):
+    # one share runs in the command's own process, and only a forked
+    # child's outcome is pickled
+    config = write_config(tmp_path, outputs=["betti", "characters", "freeness"])
+    probe = (
+        "import sys\n"
+        "from arrstab.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, [m for m in ('pickle', '_pickle') if m in sys.modules])\n"
+    )
+    args = ["run", "--config", str(config), "--cache", str(tmp_path / "c"), "--jobs", "1"]
+    for state in ("cold", "warm"):
+        out = run_python(probe, *args, "--out", str(tmp_path / state), flags=("-S",))
+        assert out.stdout.splitlines()[-1] == "0 []", state
+    assert read(tmp_path / "cold" / "report.json") == read(tmp_path / "warm" / "report.json")
+
+
 def test_import_arrstab_loads_no_submodule():
     probe = "import sys, arrstab; print([m for m in sys.modules if m.startswith('arrstab.')])"
     assert run_python(probe, flags=("-S",)).stdout.strip() == "[]"
@@ -857,7 +874,7 @@ for name in arrstab.__all__:
         mismatched.append(name)
 print(len(arrstab.__all__), mismatched, hasattr(arrstab, "no_such_name"))
 """
-    assert run_python(probe).stdout.strip() == "32 [] False"
+    assert run_python(probe).stdout.strip() == "31 [] False"
 
 
 def test_cache_miss_on_other_parameters(tmp_path):
@@ -876,6 +893,46 @@ def test_cache_tolerates_garbage_files(tmp_path):
     assert cache.load(tmp_path, spec, mi((3,)), 3) is None
     path.write_text("", encoding="utf-8")
     assert cache.load(tmp_path, spec, mi((3,)), 3) is None
+
+
+# Each value once escaped ``load_config`` as a traceback, was coerced
+# without a word, or failed only after every level had run.
+BAD_CONFIG_VALUES = {
+    "fit bound not a list": {"fit_degree_bound": 5},
+    "onset entry null": {"predicted_onset": [None]},
+    "twisted not a string": {"twisted_polynomial": 5},
+    "out_dir not a string": {"out_dir": 5},
+    "cache_dir not a string": {"cache_dir": 5},
+    "fit bound too long": {"outputs": ["betti", "characters", "fit"], "fit_degree_bound": [2, 2]},
+    "onset too long": {"outputs": ["betti", "stability"], "predicted_onset": [2, 2]},
+    "float level": {"levels": {"min": [2.7], "max": [4]}},
+    "float i_max": {"i_max": 1.9},
+    "string level": {"levels": {"min": "2", "max": [4]}},
+    "bool level": {"levels": {"min": [True], "max": [4]}},
+    "bool family count": {"family": {"kind": "mkr", "m": True, "k": 2, "r": 1}},
+    "short generator degree": {
+        "family": {"kind": "custom", "m": 2, "r": 1, "generators": [{"degree": [1], "rows": [[1]]}]}
+    },
+}
+
+
+@pytest.mark.parametrize("overrides", BAD_CONFIG_VALUES.values(), ids=BAD_CONFIG_VALUES)
+def test_bad_config_value_exits_one_before_any_level(tmp_path, capsys, monkeypatch, overrides):
+    # without --out or --cache, so that the config's own directories count
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ARRSTAB_CACHE", raising=False)
+    monkeypatch.setattr(cli, "_level_worker", never_called)
+    config = write_config(tmp_path, **overrides)
+    with pytest.raises(cli.ConfigError):
+        load_config(config)
+    assert main(["run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["job.json"]
+
+
+def never_called(task):
+    raise AssertionError("a level ran on a bad config")
 
 
 def test_load_config_validation(tmp_path):

@@ -11,8 +11,6 @@ from arrstab import homology
 from arrstab.homology import (
     LatticeHomology,
     RankedPoset,
-    equivariant_trace,
-    gm_betti,
     order_complex,
     reduced_betti,
 )
@@ -110,35 +108,35 @@ def test_whitney_empty_poset(braid):
 
 def test_gm_betti_braid3(braid, get_lattice):
     lat = get_lattice(braid, mi((3,)), 3)
-    assert gm_betti(lat, 1).total == 3
-    assert gm_betti(lat, 2).total == 2
+    assert LatticeHomology(lat).betti_report(1).total == 3
+    assert LatticeHomology(lat).betti_report(2).total == 2
 
 
 def test_gm_betti_two_factor(get_lattice):
     spec = family_mkr(2, 1, 1)
     lat = get_lattice(spec, mi((1, 1)), 1)
-    assert gm_betti(lat, 1).total == 1
+    assert LatticeHomology(lat).betti_report(1).total == 1
 
 
 def test_gm_betti_k_equals(get_lattice):
     spec = family_mkr(1, 3, 1)
     lat = get_lattice(spec, mi((4,)), 4)
-    assert gm_betti(lat, 3).total == 4
-    assert gm_betti(lat, 4).total == 3
+    assert LatticeHomology(lat).betti_report(3).total == 4
+    assert LatticeHomology(lat).betti_report(4).total == 3
 
 
 def test_gm_betti_requires_enough_codim(braid, get_lattice):
     lat = get_lattice(braid, mi((4,)), 2)
     with pytest.raises(ValueError):
-        gm_betti(lat, 3)
+        LatticeHomology(lat).betti_report(3)
     with pytest.raises(ValueError):
-        gm_betti(lat, 0)
+        LatticeHomology(lat).betti_report(0)
 
 
 def test_gm_report_contributions_consistent(braid, get_lattice):
     lat = get_lattice(braid, mi((4,)), 4)
     for i in (1, 2, 3):
-        report = gm_betti(lat, i)
+        report = LatticeHomology(lat).betti_report(i)
         assert report.total == sum(c[3] for c in report.contributions)
         lo, hi = (i + 1) // 2, i
         for _, codim, degree, betti in report.contributions:
@@ -148,31 +146,38 @@ def test_gm_report_contributions_consistent(braid, get_lattice):
 
 
 def test_gm_bounds_hold_without_filter(braid, get_lattice):
-    # recompute with the codimension window disabled; nothing extra appears
+    # recompute over every element, with no codimension window; nothing
+    # extra appears
     for n, i in [(3, 1), (3, 2), (4, 2), (4, 3)]:
         lat = get_lattice(braid, mi((n,)), n)
-        filtered = gm_betti(lat, i)
-        unfiltered = gm_betti(lat, i, filtered=False)
-        assert filtered.total == unfiltered.total
-        assert filtered.contributions == unfiltered.contributions
+        ctx = LatticeHomology(lat)
+        filtered = ctx.betti_report(i)
+        unfiltered = []
+        for idx, codim in enumerate(lat.codims):
+            d = 2 * codim - i - 2
+            betti = ctx.local_betti(idx, d)
+            if betti:
+                unfiltered.append((idx, codim, d, betti))
+        assert filtered.total == sum(c[3] for c in unfiltered)
+        assert filtered.contributions == tuple(unfiltered)
 
 
 def test_equivariant_trace_identity_is_betti(braid, get_lattice):
     for n in (3, 4, 5):
         lat = get_lattice(braid, mi((n,)), n)
         for i in range(1, n):
-            trace = equivariant_trace(lat, PermTuple.identity(mi((n,))), i)
-            assert trace == gm_betti(lat, i).total
+            trace = LatticeHomology(lat).trace(PermTuple.identity(mi((n,))), i)
+            assert trace == LatticeHomology(lat).betti_report(i).total
 
 
 def test_equivariant_trace_three_cycle(braid, get_lattice):
     lat = get_lattice(braid, mi((3,)), 3)
-    assert equivariant_trace(lat, PermTuple(((1, 2, 0),)), 2) == -1
+    assert LatticeHomology(lat).trace(PermTuple(((1, 2, 0),)), 2) == -1
 
 
 def test_equivariant_trace_transposition(braid, get_lattice):
     lat = get_lattice(braid, mi((3,)), 3)
-    assert equivariant_trace(lat, PermTuple(((1, 0, 2),)), 2) == 0
+    assert LatticeHomology(lat).trace(PermTuple(((1, 0, 2),)), 2) == 0
 
 
 @given(st.permutations(list(range(4))), st.permutations(list(range(4))))
@@ -271,21 +276,6 @@ def test_homology_basis_count_matches_rank_formula(braid, get_lattice):
             betti = ctx.local_betti(idx, d)
             assert homology._invariant_betti(cx, identity, d) == betti
             assert homology._orbit_trace(cx, identity, d) == betti
-
-
-def test_gm_report_text_table(braid, get_lattice):
-    from arrstab.characters import character_of_cohomology
-
-    lat = get_lattice(braid, mi((3,)), 3)
-    chi = character_of_cohomology(braid, mi((3,)), 2, get_lattice)
-    report = gm_betti(lat, 2).with_character(
-        sorted(chi.values.items(), key=lambda kv: kv[0].render())
-    )
-    lines = report.to_text_table().splitlines()
-    assert lines[0] == "element,codim,local_degree,local_betti"
-    assert lines[-5] == "total,,,2"
-    assert lines[-4] == "class,value"
-    assert lines[-1] == "3,-1"
 
 
 def test_ranked_poset_validation():

@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrstab import exactlin, homology
+from arrstab import cache, exactlin, homology
 from arrstab.arrangement import build_lattice, family_mkr
 from arrstab.characters import character_of_cohomology
 from arrstab.exactlin import RationalMatrix, _rref_rows, kernel_basis, solve_in_basis
-from arrstab.fim import ConjClass, MultiIndex, class_representative, conj_classes
+from arrstab.fim import ConjClass, MultiIndex, PermTuple, class_representative, conj_classes
 from arrstab.homology import (
     LatticeHomology,
     OrderComplex,
@@ -238,6 +238,40 @@ def test_reduced_betti_reads_the_vector():
     assert [reduced_betti(cx, d) for d in range(-2, 3)] == [0, 0, 1, 0, 0]
 
 
+# --- the identity's trace and the degree window ----------------------------
+
+
+def window_oracle(lat, i):
+    return [idx for idx, codim in enumerate(lat.codims) if (i + 1) // 2 <= codim <= i]
+
+
+@pytest.mark.parametrize("spec, level, max_codim", FAMILY_CASES)
+def test_identity_trace_and_degree_window_match_the_betti_report(
+    tmp_path, spec, level, max_codim
+):
+    # the identity's trace sums local Betti numbers over the window, in
+    # total and orbit by orbit; the window is the codim run ceil(i/2)..i
+    level = mi(level)
+    lat = build_lattice(spec, level, max_codim)
+    ctx = LatticeHomology(lat)
+    identity = class_representative(next(c for c in conj_classes(level) if c.is_identity()))
+    assert identity == PermTuple.identity(level)
+    for i in range(1, max_codim + 1):
+        assert ctx.trace(identity, i) == ctx.betti_report(i).total
+        window = window_oracle(lat, i)
+        for orbit in sorted(set(lat.orbits)):
+            expected = sum(
+                ctx.local_betti(idx, 2 * lat.codims[idx] - i - 2) for idx in orbit if idx in window
+            )
+            assert ctx.trace(identity, i, members=orbit) == expected
+    cache.store(tmp_path, spec, lat)
+    loaded = cache.load(tmp_path, spec, level, max_codim)
+    assert loaded is not None
+    for other in [lat, loaded] + [lat.truncated(c) for c in range(1, max_codim)]:
+        for i in range(1, other.max_codim + 1):
+            assert list(LatticeHomology(other)._window(i)) == window_oracle(other, i)
+
+
 # --- the orbit-complex trace ------------------------------------------------
 
 KEQUALS = family_mkr(1, 3, 1)
@@ -264,6 +298,8 @@ def test_k_equals_interval_with_two_degrees_takes_the_orbit_path(monkeypatch):
     original = homology._orbit_trace
 
     def recording(cx, perm, d):
+        # the identity's trace is the local Betti number, no orbit complex
+        assert list(perm) != list(range(len(perm)))
         idx = next(k for k in range(len(lat)) if ctx.interval(k)[1] is cx)
         calls.add((idx, d))
         value = original(cx, perm, d)

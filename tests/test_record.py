@@ -117,9 +117,7 @@ CASES = [
     (OrderComplex, lambda: order_complex(POSET), lambda: {"num_vertices": 4}),
     (
         GMReport,
-        lambda: GMReport(mi((3,)), 1, 3, ((1, 1, 0, 1),)).with_character(
-            (c, Fraction(c.size)) for c in (ConjClass(((1, 1, 1),)), ConjClass(((3,),)))
-        ),
+        lambda: GMReport(mi((3,)), 1, 3, ((1, 1, 0, 1),)),
         lambda: {"total": 2, "contributions": ()},
     ),
 ]

@@ -39,6 +39,12 @@ lattice, homology, character or cache code.  Character polynomials and
 class functions live in ``polynomial``, which imports only ``fim`` and
 ``record``, so a config with a twisted polynomial compiles no engine module
 either.
+
+Every character value comes from ``LatticeHomology.trace``, the identity's
+(the Betti number) included, and ``betti_report`` and ``trace`` read one
+degree window; the wrappers that built a fresh context per call, the
+report's text table and the second window helper stay deleted.  ``run``
+computes its levels through ``_run_shares`` alone, for every ``--jobs``.
 """
 
 import ast
@@ -217,6 +223,34 @@ def test_unused_poset_and_character_helpers_are_gone():
     # the benchmark tracer hooks both
     assert method("arrangement", "IntersectionLattice", "__init__")
     assert method("arrangement", "IntersectionLattice", "act")
+
+
+GONE_HOMOLOGY_PATHS = {"gm_betti", "equivariant_trace", "with_character", "to_text_table", "_codim_window"}
+
+
+def test_character_values_have_one_path():
+    # the fresh-context wrappers, the report's text extras and the second
+    # copy of the degree window stay deleted, and nothing names them
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            used = getattr(node, "name", None) or getattr(node, "attr", None) or getattr(node, "id", None)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used = node.value
+            assert used not in GONE_HOMOLOGY_PATHS, f"{name} mentions {used}"
+    # every character value, the identity's included, comes from ``trace``
+    for name in ("character_of_cohomology", "verify_free_decomposition"):
+        for node in ast.walk(function("characters", name)):
+            used = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            assert used != "betti_report", f"characters.{name} uses betti_report"
+    # one level runner for every --jobs
+    used = {
+        node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        for node in ast.walk(function("cli", "run"))
+    }
+    assert "_run_shares" in used and "_level_worker" not in used
+    # the benchmark tracer hooks these
+    assert method("homology", "LatticeHomology", "betti_report")
+    assert method("homology", "LatticeHomology", "trace")
 
 
 def arrstab_modules(nodes):
