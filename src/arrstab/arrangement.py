@@ -482,6 +482,12 @@ def _degrees_below(bound: MultiIndex) -> list[MultiIndex]:
     return sorted((MultiIndex(t) for t in grid), key=lambda e: (e.total, tuple(e)))
 
 
+def class_degrees(spec: ArrangementSpec, max_codim: int) -> list[MultiIndex]:
+    """The degrees that can carry a primitive class of codim <= max_codim."""
+    bound = degree_times(max_codim, spec.cmax)
+    return [e for e in _degrees_below(bound) if any(deg.leq(e) for deg, _ in spec.generators)]
+
+
 def normalize(spec: ArrangementSpec) -> ArrangementSpec:
     """Push each generator down to the smallest degree that carries it.
 
@@ -558,8 +564,8 @@ def primitive_classes(
 ) -> tuple[PrimitiveClass, ...]:
     """Representatives of primitive-subspace classes of codim <= max_codim.
 
-    Scans every degree below max_codim times the top generator degree (no
-    primitive of this codimension can occur later) and keeps, at each degree,
+    Scans every ``class_degrees`` degree (no primitive of this codimension
+    can occur at a degree above the bound) and keeps, at each degree,
     the orbits whose representative is primitive: the point action preserves
     primitivity, so that decides the whole orbit.  Requires the spec to pass
     the normality check on its generator degrees.
@@ -570,11 +576,8 @@ def primitive_classes(
     report = verify_normal(spec, gen_degrees, get_lattice)
     if not report.normal:
         raise ValueError("spec is not normal on its generator degrees")
-    bound = degree_times(max_codim, spec.cmax)
     classes: list[PrimitiveClass] = []
-    for e in _degrees_below(bound):
-        if not any(deg.leq(e) for deg, _ in spec.generators):
-            continue
+    for e in class_degrees(spec, max_codim):
         lat = get_lattice(spec, e, max_codim)
         name_of = _first_names(lat.atom_names)
         for idx, members in enumerate(lat.orbits):

@@ -37,6 +37,7 @@ except ImportError:
 
 _MAGIC = "arrstab-lattice v4"
 _SUFFIX = ".lattice.txt"
+_TEMP_PREFIX = "arrstab-store-"  # a store's file until its rename
 
 
 def lattice_key(spec: ArrangementSpec, level: MultiIndex, max_codim: int) -> str:
@@ -84,7 +85,7 @@ def store(cache_dir: Path | str, spec: ArrangementSpec, lat: IntersectionLattice
     text = "\n".join(header + lines) + "\n"
     target = cache_dir / f"{key}{_SUFFIX}"
     # atomic replace keeps concurrent writers of identical content safe
-    fd, tmp_name = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    fd, tmp_name = tempfile.mkstemp(dir=cache_dir, prefix=_TEMP_PREFIX, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
@@ -177,12 +178,12 @@ class CachingBuilder:
 
 
 def clean(cache_dir: Path | str) -> int:
-    """Remove all lattice cache files; returns how many were deleted."""
+    """Remove all lattice cache files, and the files of stores killed before
+    their rename; returns how many lattice files were deleted."""
     cache_dir = Path(cache_dir)
     if not cache_dir.is_dir():
         return 0
-    removed = 0
-    for path in sorted(cache_dir.glob(f"*{_SUFFIX}")):
+    lattices = sorted(cache_dir.glob(f"*{_SUFFIX}"))
+    for path in [*cache_dir.glob(f"{_TEMP_PREFIX}*.tmp"), *lattices]:
         path.unlink()
-        removed += 1
-    return removed
+    return len(lattices)

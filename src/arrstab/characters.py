@@ -3,8 +3,9 @@
 Characters of the engine's cohomology modules are computed classwise from
 equivariant traces, fitted to character polynomials by an exact linear
 solve, paired by the usual class-size inner product, and decomposed against
-Murnaghan-Nakayama character values.  Class functions and character
-polynomials live in ``polynomial``, and are imported here too.
+Murnaghan-Nakayama character values.  The freeness check induces the
+generator characters that each degree's one context yields.  Class functions
+and character polynomials live in ``polynomial``, and are imported here too.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .arrangement import (
     LatticeBuilder,
     PrimitiveClass,
     build_lattice,
-    primitive_classes,
+    is_primitive,
 )
 from .exactlin import _pivot_columns, _rref_rows
 from .fim import (
@@ -166,6 +167,22 @@ def character_of_cohomology(
     return _character(ctx, n, i)
 
 
+def primitive_characters(
+    spec: ArrangementSpec, ctx: LatticeHomology, i: int
+) -> dict[str, ClassFunction]:
+    """H^i's nonzero generator characters at the context's level: the trace on
+    each recorded primitive orbit of codim c <= i, by its representative's
+    serialization.  At most c atoms meet in it, so its level is <= c * cmax."""
+    lat = ctx.lattice
+    out: dict[str, ClassFunction] = {}
+    for idx, (x, members) in enumerate(zip(lat.elements, lat.orbits)):
+        if members[0] == idx and x.codim <= i and is_primitive(spec, lat.level, x):
+            chi = _character(ctx, lat.level, i, members)
+            if any(chi.values.values()):
+                out[x.serialization] = chi
+    return out
+
+
 def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
     """Class-size weighted inner product; cycle types are inversion-invariant,
     so the inverse class equals the class itself."""
@@ -269,21 +286,20 @@ def verify_free_decomposition(
     spec: ArrangementSpec,
     i: int,
     characters: Mapping[MultiIndex, ClassFunction],
-    get_lattice: LatticeBuilder = build_lattice,
-    classes: Sequence[PrimitiveClass] | None = None,
+    generators: Mapping[MultiIndex, Mapping[str, ClassFunction]],
+    classes: Sequence[PrimitiveClass],
 ) -> FreenessReport:
     """Check H^i decomposes as induced modules over primitive classes.
 
-    Each contributing class generates, at its own degree, the trace character
-    of its stabilizer orbit on the local homology; summing the induced
-    characters over classes must reproduce ``characters``, the character of
-    H^i at each level it holds, in its order.  Class degrees are also checked
-    against i times the top generator degree.
+    Each contributing class generates its character in ``generators[e]``,
+    ``primitive_characters`` at its degree e, which leaves out zero ones;
+    summing the induced characters over classes must reproduce ``characters``,
+    the character of H^i at each level it holds, in its order.  Class degrees
+    are also checked against i times the top generator degree.
 
     ``classes`` may be ``primitive_classes(spec, c, ...)`` for any c >= i:
     its classes of codim at most i and degree at most i times the top
-    generator degree are, in order, those of codim i.  Without it they are
-    computed.  Classes of one degree share one homology context.
+    generator degree are, in order, those of codim i.
     """
     levels = list(characters)
     bound = degree_times(i, spec.cmax)
@@ -291,23 +307,12 @@ def verify_free_decomposition(
     if i == 0:
         expected = {level: trivial_character(level) for level in levels}
     else:
-        if classes is None:
-            classes = primitive_classes(spec, i, get_lattice)
-        contexts: dict[MultiIndex, LatticeHomology] = {}
-        contributors: list[tuple[PrimitiveClass, ClassFunction]] = []
         for cls in classes:
             if cls.codim > i or not cls.degree.leq(bound):
                 continue
-            if cls.degree not in contexts:
-                contexts[cls.degree] = LatticeHomology(
-                    get_lattice(spec, cls.degree, i)
-                )
-            ctx = contexts[cls.degree]
-            members = ctx.lattice.orbits[ctx.lattice.index_of(cls.subspace)]
-            chi_gen = _character(ctx, cls.degree, i, members)
-            if all(v == 0 for v in chi_gen.values.values()):
+            chi_gen = generators[cls.degree].get(cls.subspace.serialization)
+            if chi_gen is None:
                 continue
-            contributors.append((cls, chi_gen))
             summaries.append(
                 FreenessClassSummary(
                     cls.degree,
@@ -321,8 +326,8 @@ def verify_free_decomposition(
             level: sum_characters(
                 level,
                 [
-                    induction_character(cls.degree, chi, level)
-                    for cls, chi in contributors
+                    induction_character(s.degree, s.generator_character, level)
+                    for s in summaries
                 ],
             )
             for level in levels

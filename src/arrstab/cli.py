@@ -12,6 +12,8 @@ Each level is computed on its own.  ``--jobs N`` splits the levels into at
 most N shares, at most one per level, balanced by |Aut(n)|; the command
 computes the heaviest share itself and forks one child per other share.
 Where ``os.fork`` is missing the levels run in-process, as with one job.
+For freeness each task also returns its degree's generator characters, and
+a class degree outside the levels is a task of its own.
 
 Start-up loads only the config layer (``record``, ``fim`` and, through it,
 ``exactlin``); a twisted polynomial in the config also loads ``polynomial``.
@@ -205,14 +207,14 @@ def list_catalog() -> str:
 
 
 def _level_worker(args):
-    from .characters import character_of_cohomology
+    from .characters import character_of_cohomology, primitive_characters
     from .homology import LatticeHomology
 
-    spec, level, i_max, want_betti, want_chars, get = args
+    spec, level, i_max, want_betti, want_chars, want_generators, get = args
     # One context on the top lattice serves every degree: the elements of
     # lower codim are its prefix, and each class acts on it once.
     ctx = LatticeHomology(get(spec, level, i_max)) if i_max >= 1 else None
-    payload = {"level": level, "betti": None, "characters": None}
+    payload = {"level": level, "betti": None, "characters": None, "generators": None}
     if want_betti:
         payload["betti"] = [1] + [
             ctx.betti_report(i).total for i in range(1, i_max + 1)
@@ -222,6 +224,8 @@ def _level_worker(args):
             i: character_of_cohomology(spec, level, i, get, ctx)
             for i in range(i_max + 1)
         }
+    if want_generators:
+        payload["generators"] = {i: primitive_characters(spec, ctx, i) for i in range(1, i_max + 1)}
     return payload
 
 
@@ -338,7 +342,8 @@ def _cell(value) -> str:
 
 def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
     """Execute the configured computations and write the report files."""
-    from .arrangement import LatticeError, normalize, orbit_decomposition, primitive_classes
+    from .arrangement import LatticeError, normalize, orbit_decomposition
+    from .arrangement import class_degrees, primitive_classes
     from .cache import CachingBuilder
     from .characters import (
         FitInconsistentError,
@@ -370,12 +375,16 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
         & set(config.outputs)
     )
     want_betti = "betti" in config.outputs
+    want_free = "freeness" in config.outputs
+    extra = [e for e in class_degrees(spec, config.i_max) if e not in levels] if want_free else []
     payloads = []
     if want_betti or want_chars:
-        tasks = [(spec, level, config.i_max, want_betti, want_chars, get) for level in levels]
+        tasks = [(spec, n, config.i_max, want_betti, want_chars, want_free, get) for n in levels]
+        tasks += [(spec, e, config.i_max, False, False, True, get) for e in extra]
         # one share keeps the levels in ascending order
         shares = _split_levels(tasks, jobs) if jobs > 1 and hasattr(os, "fork") else [tasks]
-        log(f"computing {len(tasks)} levels in {len(shares)} processes")
+        degrees = f" and {len(extra)} class degrees" if extra else ""
+        log(f"computing {len(levels)} levels{degrees} in {len(shares)} processes")
         payloads = _run_shares(shares)
     by_level = {p["level"]: p for p in payloads}
 
@@ -426,11 +435,11 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
             )
         results["fit"] = fit_entries
 
-    if "freeness" in config.outputs:
+    if want_free:
         classes = ()
         if config.i_max >= 1:
-            for level in levels:
-                get(spec, level, config.i_max)  # lower codims truncate these
+            for degree in by_level:
+                get(spec, degree, config.i_max)  # lower codims truncate these
             # every degree reads its classes off the top degree's
             classes = primitive_classes(spec, config.i_max, get)
         rows = []
@@ -440,7 +449,8 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
             characters = {
                 level: by_level[level]["characters"][i] for level in levels
             }
-            report = verify_free_decomposition(spec, i, characters, get, classes)
+            generators = {e: p["generators"][i] for e, p in by_level.items()} if i else {}
+            report = verify_free_decomposition(spec, i, characters, generators, classes)
             for level, ok in report.level_matches:
                 rows.append([i, level, ok])
                 if not ok:

@@ -22,6 +22,7 @@ contains exactly the coordinate vectors outside its constraint support
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -35,13 +36,13 @@ Vector = tuple[Fraction, ...]
 
 
 def _coerce(value) -> int | Fraction:
-    """Accept ints, 'p/q' strings, and Fractions; integral values become ints.
-    Floats are refused."""
-    if isinstance(value, str):
+    """Accept ints but not bools, Fractions, and strings '[-]p' or '[-]p/q' in
+    ASCII digits; integral values become ints.  Anything else is refused."""
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value):
         value = Fraction(value)
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return int(value)
     raise TypeError(f"not an exact rational: {value!r}")
 

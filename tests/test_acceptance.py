@@ -153,14 +153,14 @@ def test_criterion_7_k_equals(get_lattice):
         assert betti_row(spec, mi((5,)), 5, get_lattice) == [1, 0, 0, 10, 15, 6]
 
 
-def test_criterion_8_degree_bound_and_freeness(braid, get_lattice):
+def test_criterion_8_degree_bound_and_freeness(braid, get_lattice, freeness_inputs):
     with criterion(8, "braid free decompositions hold with degrees <= 2i"):
         levels = [mi((n,)) for n in range(2, 7)]
         for i in range(4):
             chars = {
                 lv: character_of_cohomology(braid, lv, i, get_lattice) for lv in levels
             }
-            report = verify_free_decomposition(braid, i, chars, get_lattice)
+            report = verify_free_decomposition(braid, i, chars, *freeness_inputs(braid, i))
             assert report.passed
             for cls in report.classes:
                 assert cls.degree.leq(mi((2 * i,)))

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arrstab.arrangement import family_mkr
+from arrstab.arrangement import ArrangementSpec, class_degrees, family_mkr, primitive_classes
 from arrstab.characters import (
+    _character,
     _monomial_value,
     _monomials_within,
     _stirling2,
@@ -23,6 +24,7 @@ from arrstab.characters import (
     inner_product,
     invariants_dim,
     irreducible_multiplicities,
+    primitive_characters,
     stability_report,
     sym_character,
     tensor_char,
@@ -30,15 +32,17 @@ from arrstab.characters import (
     twisted_betti,
     verify_free_decomposition,
 )
-from arrstab.exactlin import _pivot_columns, _rref_rows
+from arrstab.exactlin import _pivot_columns, _rref_rows, subspace_from_constraints
 from arrstab.fim import (
     ConjClass,
     MultiIndex,
     class_representative,
     conj_classes,
+    degree_times,
     group_order,
     partitions,
 )
+from arrstab.homology import LatticeHomology
 
 mi = MultiIndex
 
@@ -272,56 +276,98 @@ def test_induction_character_unreachable_level():
     assert all(v == 0 for v in ind.values.values())
 
 
-def test_free_decomposition_braid_h1(braid, get_lattice):
+def test_free_decomposition_braid_h1(braid, get_lattice, freeness_inputs):
     chars = {
         lv: character_of_cohomology(braid, lv, 1, get_lattice)
         for lv in [mi((3,)), mi((4,)), mi((5,))]
     }
-    report = verify_free_decomposition(braid, 1, chars, get_lattice)
+    report = verify_free_decomposition(braid, 1, chars, *freeness_inputs(braid, 1))
     assert report.passed
     assert [c.degree for c in report.classes] == [mi((2,))]
     chi_gen = report.classes[0].generator_character
     assert all(v == 1 for v in chi_gen.values.values())  # trivial rep of S_2
 
 
-def test_free_decomposition_braid_h2(braid, get_lattice):
+def test_free_decomposition_braid_h2(braid, get_lattice, freeness_inputs):
     chars = {
         lv: character_of_cohomology(braid, lv, 2, get_lattice)
         for lv in [mi((4,)), mi((5,))]
     }
-    report = verify_free_decomposition(braid, 2, chars, get_lattice)
+    report = verify_free_decomposition(braid, 2, chars, *freeness_inputs(braid, 2))
     assert report.passed
     assert [c.degree for c in report.classes] == [mi((3,)), mi((4,))]
 
 
-def test_free_decomposition_k_equals_degree_bound(get_lattice):
+def test_free_decomposition_k_equals_degree_bound(get_lattice, freeness_inputs):
     spec = family_mkr(1, 3, 1)
     chars = {
         lv: character_of_cohomology(spec, lv, 1, get_lattice)
         for lv in [mi((3,)), mi((4,))]
     }
-    report = verify_free_decomposition(spec, 1, chars, get_lattice)
+    report = verify_free_decomposition(spec, 1, chars, *freeness_inputs(spec, 1))
     assert report.passed
     assert report.degree_bound == mi((3,))
     assert all(c.degree.leq(mi((3,))) for c in report.classes)
 
 
-def test_free_decomposition_two_factor(get_lattice):
+def test_free_decomposition_two_factor(get_lattice, freeness_inputs):
     spec = family_mkr(2, 1, 1)
     levels = [mi((2, 2)), mi((3, 2)), mi((3, 3))]
     for i in (1, 2):
         chars = {lv: character_of_cohomology(spec, lv, i, get_lattice) for lv in levels}
-        report = verify_free_decomposition(spec, i, chars, get_lattice)
+        report = verify_free_decomposition(spec, i, chars, *freeness_inputs(spec, i))
         assert report.passed
 
 
-def test_free_decomposition_flags_a_wrong_character(braid, get_lattice):
+def test_free_decomposition_flags_a_wrong_character(braid, get_lattice, freeness_inputs):
     levels = [mi((3,)), mi((4,))]
     chars = {lv: character_of_cohomology(braid, lv, 1, get_lattice) for lv in levels}
     chars[mi((4,))] = trivial_character(mi((4,)))
-    report = verify_free_decomposition(braid, 1, chars, get_lattice)
+    report = verify_free_decomposition(braid, 1, chars, *freeness_inputs(braid, 1))
     assert report.level_matches == ((mi((3,)), True), (mi((4,)), False))
     assert not report.passed
+
+
+# generators at (1,1) and (2,0): most class degrees, such as (3,0) or (4,2),
+# lie outside a job's levels (1,1)..(2,2)
+TWO_GENERATOR_FI2 = ArrangementSpec(
+    2,
+    1,
+    (
+        (mi((1, 1)), subspace_from_constraints(2, [[1, -1]])),
+        (mi((2, 0)), subspace_from_constraints(2, [[1, -1]])),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "spec, top",
+    [
+        (family_mkr(1, 2, 1), 3),
+        (family_mkr(1, 3, 1), 3),
+        (family_mkr(1, 2, 2), 4),
+        (family_mkr(2, 1, 1), 2),
+        (TWO_GENERATOR_FI2, 2),
+    ],
+)
+def test_primitive_characters_match_a_context_per_degree(spec, top, get_lattice):
+    # the route the freeness check took before it read the level results:
+    # one context per (class degree e, degree i) on the codim-i lattice
+    classes = primitive_classes(spec, top, get_lattice)
+    for e in class_degrees(spec, top):
+        ctx = LatticeHomology(get_lattice(spec, e, top))
+        for i in range(1, top + 1):
+            expected = {}
+            if e.leq(degree_times(i, spec.cmax)):
+                fresh = LatticeHomology(get_lattice(spec, e, i))
+                for cls in classes:
+                    if cls.degree != e or cls.codim > i:
+                        continue
+                    orbit = fresh.lattice.orbits[fresh.lattice.index_of(cls.subspace)]
+                    chi = _character(fresh, e, i, orbit)
+                    if any(chi.values.values()):
+                        expected[cls.subspace.serialization] = chi
+            assert primitive_characters(spec, ctx, i) == expected, (e, i)
 
 
 def test_invariants_dim(braid, get_lattice):

@@ -101,6 +101,22 @@ def test_zero_denominator_in_a_custom_row_exits_one(tmp_path, capsys):
     assert "error: invalid family:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "row",
+    [[True, "-0.5"], [" 1/2 ", -1], ["1e1", -1], ["1_0", -1], [False, 1], [0.5, -1]],
+)
+def test_undocumented_custom_row_entry_exits_one(tmp_path, capsys, row):
+    # entries are integers or "p/q" strings: no bool, decimal, exponent,
+    # digit separator or padding, and nothing is written
+    family = {"kind": "custom", "m": 1, "r": 1, "generators": [{"degree": [2], "rows": [row]}]}
+    config = write_config(tmp_path, family=family)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid family: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["X0^(1)", "X1^(1)-", "--X1^(1)", "3/0"])
 def test_bad_twisted_polynomial_exits_one(tmp_path, capsys, text):
     config = write_config(
@@ -190,6 +206,54 @@ def test_parallel_jobs_match_serial_on_more_inputs(tmp_path, jobs, family, cache
     assert_same_files(cache1, cache2)
 
 
+FREENESS_JOBS = {
+    "braid 4..6": {"levels": {"min": [4], "max": [6]}, "i_max": 3},
+    "braid 2..4": {"levels": {"min": [2], "max": [4]}, "i_max": 3},
+    "two-generator FI^2": {
+        "family": {
+            "kind": "custom",
+            "m": 2,
+            "r": 1,
+            "generators": [
+                {"degree": [1, 1], "rows": [[1, -1]]},
+                {"degree": [2, 0], "rows": [[1, -1]]},
+            ],
+        },
+        "levels": {"min": [1, 1], "max": [2, 2]},
+        "i_max": 2,
+    },
+}
+
+
+def freeness_classes(out: Path) -> list:
+    return [entry["classes"] for entry in json.loads(read(out / "report.json"))["results"]["freeness"]]
+
+
+@pytest.mark.parametrize("name", sorted(FREENESS_JOBS))
+def test_class_degrees_outside_the_levels_match_for_every_jobs(tmp_path, name):
+    # each class degree outside the levels is a task of its own, dealt to a
+    # share like a level: reports and cache tree are the same for any --jobs
+    outputs = ["betti", "characters", "freeness", "stability"]
+    config = write_config(tmp_path, outputs=outputs, **FREENESS_JOBS[name])
+    codes = set()
+    for jobs in (1, 2, 3):
+        base = ["run", "--config", str(config), "--cache", str(tmp_path / f"c{jobs}")]
+        for phase in ("cold", "warm"):
+            out = ["--out", str(tmp_path / f"{phase}{jobs}"), "--jobs", str(jobs)]
+            codes.add(main(base + out))
+    assert len(codes) == 1
+    for jobs in (1, 2, 3):
+        for phase in ("cold", "warm"):
+            assert_same_files(tmp_path / "cold1", tmp_path / f"{phase}{jobs}")
+        assert_same_files(tmp_path / "c1", tmp_path / f"c{jobs}")
+    if name.startswith("braid"):
+        # the generator characters do not depend on which degrees are levels
+        whole = write_config(tmp_path, outputs=outputs, levels={"min": [2], "max": [6]}, i_max=3)
+        args = ["run", "--config", str(whole), "--cache", str(tmp_path / "c1")]
+        assert main(args + ["--out", str(tmp_path / "whole")]) == 0
+        assert freeness_classes(tmp_path / "whole") == freeness_classes(tmp_path / "cold1")
+
+
 def test_jobs_without_fork_run_in_process(tmp_path, monkeypatch):
     config = write_config(tmp_path, **PARITY_JOBS["braid"])
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -228,7 +292,7 @@ def test_jobs_fork_one_child_per_share_beyond_the_first(tmp_path, monkeypatch):
 
 def test_split_levels_balances_by_group_order():
     def tasks(*levels):
-        return [(None, mi(level), 1, True, True, None) for level in levels]
+        return [(None, mi(level), 1, True, True, False, None) for level in levels]
 
     def split(task_list, jobs):
         return [[t[1] for t in share] for share in cli._split_levels(task_list, jobs)]
@@ -446,6 +510,30 @@ def test_clean_cache_subcommand(tmp_path, capsys):
     assert main(["clean-cache", "--cache", str(cache_dir)]) == 0
     assert "removed 1" in capsys.readouterr().out
     assert not list(cache_dir.glob("*.lattice.txt"))
+
+
+def test_clean_cache_removes_interrupted_stores_and_no_foreign_file(tmp_path, capsys, monkeypatch):
+    cache_dir = tmp_path / "cache"
+    spec = family_mkr(1, 2, 1)
+    cache.store(cache_dir, spec, build_lattice(spec, mi((3,)), 3))
+    temps = []
+
+    def interrupted(src, dst):
+        temps.append(Path(src).name)
+        raise OSError("interrupted before the rename")
+
+    monkeypatch.setattr(cache.os, "replace", interrupted)
+    with pytest.raises(OSError):
+        cache.store(cache_dir, spec, build_lattice(spec, mi((4,)), 2))
+    monkeypatch.undo()
+    # a store killed by SIGKILL at that point skips its cleanup: plant the file
+    (cache_dir / temps[0]).write_text("partial", encoding="utf-8")
+    foreign = ["tmpk2j4x9.tmp", "notes.txt", "arrstab-notes.txt"]
+    for name in foreign:
+        (cache_dir / name).write_text("not the cache's", encoding="utf-8")
+    assert main(["clean-cache", "--cache", str(cache_dir)]) == 0
+    assert "removed 1 cached lattice(s)" in capsys.readouterr().out
+    assert sorted(p.name for p in cache_dir.iterdir()) == sorted(foreign)
 
 
 def test_env_variable_overrides_cache_dir(tmp_path, monkeypatch):

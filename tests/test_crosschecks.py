@@ -154,7 +154,7 @@ def test_whitney_braid5(braid, get_lattice):
     }
 
 
-def test_two_generator_arrangement_free_decomposition(get_lattice):
+def test_two_generator_arrangement_free_decomposition(get_lattice, freeness_inputs):
     # diagonal and antidiagonal generators: two primitive classes share the
     # degree (2), and the freeness decomposition must keep them apart
     from arrstab.arrangement import ArrangementSpec, verify_normal, primitive_classes
@@ -188,9 +188,9 @@ def test_two_generator_arrangement_free_decomposition(get_lattice):
         for i in (1, 2)
     }
     for i in (1, 2):
-        report = verify_free_decomposition(spec, i, chars[i], get_lattice)
+        report = verify_free_decomposition(spec, i, chars[i], *freeness_inputs(spec, i))
         assert report.passed
-    report2 = verify_free_decomposition(spec, 2, chars[2], get_lattice)
+    report2 = verify_free_decomposition(spec, 2, chars[2], *freeness_inputs(spec, 2))
     assert len(report2.classes) == 6  # includes the origin of Q^2 at degree (2)
 
 

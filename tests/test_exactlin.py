@@ -61,6 +61,23 @@ def test_subspace_from_constraints_diagonal():
     assert not contains_vector(s, [1, 2])
 
 
+@pytest.mark.parametrize(
+    "row, serialization",
+    [([2, -1], "2:1,-1/2"), (["1/2", "-1"], "2:1,-2"), (["-3", Fraction(3)], "2:1,-1"), (["007", "0/5"], "2:1,0")],
+)
+def test_constraint_entries_are_ints_fractions_and_ratio_strings(row, serialization):
+    assert subspace_from_constraints(2, [row]).serialize() == serialization
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [True, False, 0.5, "-0.5", " 1/2 ", "1e1", "1_0", "+1", "1/-2", "1/", "", "\u0661", None],
+)
+def test_constraint_entries_outside_the_documented_forms_are_refused(entry):
+    with pytest.raises((TypeError, ValueError)):
+        subspace_from_constraints(2, [[entry, -1]])
+
+
 def test_subspace_dependent_rows_removed():
     s = subspace_from_constraints(3, [[1, -1, 0], [0, 1, -1], [1, 0, -1]])
     assert s.codim == 2

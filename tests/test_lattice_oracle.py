@@ -1257,12 +1257,13 @@ def test_level_worker_acts_once_per_class_and_level(kequals_cache, monkeypatch):
     monkeypatch.setattr(arrangement.IntersectionLattice, "act", counting)
     for n in range(3, 8):
         payload = cli._level_worker(
-            (KEQUALS, mi((n,)), 5, True, True, cache.CachingBuilder(str(kequals_cache)))
+            (KEQUALS, mi((n,)), 5, True, True, True, cache.CachingBuilder(str(kequals_cache)))
         )
         assert payload["betti"][1:] == [
             payload["characters"][i].identity_value for i in range(1, 6)
         ]
-    # one act per non-identity class: p(n) - 1 for n = 3..7
+    # one act per non-identity class: p(n) - 1 for n = 3..7; the generator
+    # characters read the same context and act on nothing
     assert calls == 2 + 4 + 6 + 10 + 14
 
 
@@ -1285,7 +1286,7 @@ def test_readme_freeness_act_budget(tmp_path, monkeypatch):
     args = ["run", "--config", str(config), "--cache", str(tmp_path / "c")]
     assert cli.main(args + ["--out", str(tmp_path / "o")]) == 0
     # characters: p(n) - 1 non-identity classes at n = 2..6, 1+2+4+6+10 = 23;
-    # primitive classes read the recorded orbits and act on nothing;
-    # freeness at i = 1, 2, 3: one context per class degree e, acting once
-    # per non-identity class, p(e) - 1 in all: 1, then 1+2+4, then 1+2+4+6+10
-    assert calls == 23 + 31
+    # primitive classes read the recorded orbits, and every class degree
+    # 2..6 is a level, whose generator characters read the level's context:
+    # neither acts on anything
+    assert calls == 23

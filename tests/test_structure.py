@@ -45,6 +45,11 @@ Every character value comes from ``LatticeHomology.trace``, the identity's
 degree window; the wrappers that built a fresh context per call, the
 report's text table and the second window helper stay deleted.  ``run``
 computes its levels through ``_run_shares`` alone, for every ``--jobs``.
+
+The freeness check reads its generator characters from the level results,
+one context per level or class degree in the level workers: neither
+``verify_free_decomposition`` nor ``run`` builds a lattice or a homology
+context of its own.
 """
 
 import ast
@@ -251,6 +256,21 @@ def test_character_values_have_one_path():
     # the benchmark tracer hooks these
     assert method("homology", "LatticeHomology", "betti_report")
     assert method("homology", "LatticeHomology", "trace")
+
+
+def names_in(node):
+    """Every name, attribute and parameter under ``node``."""
+    return {
+        getattr(sub, "id", None) or getattr(sub, "attr", None) or getattr(sub, "arg", None)
+        for sub in ast.walk(node)
+    }
+
+
+def test_freeness_reads_the_level_results():
+    builders = {"LatticeHomology", "get_lattice", "primitive_classes", "build_lattice"}
+    used = names_in(function("characters", "verify_free_decomposition")) & builders
+    assert not used, f"verify_free_decomposition uses {used}"
+    assert "LatticeHomology" not in names_in(function("cli", "run"))
 
 
 def arrstab_modules(nodes):
