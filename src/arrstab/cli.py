@@ -24,6 +24,7 @@ bound when ``cli`` is imported.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -206,11 +207,22 @@ def list_catalog() -> str:
     return "\n".join(lines)
 
 
+def _freeness_codim(spec: ArrangementSpec, degree: MultiIndex, i_max: int) -> int:
+    """The codim a freeness job builds at ``degree``: i_max, or at a generator
+    degree the whole lattice, which the normality check reads, so that one
+    build serves both and the i_max lattice truncates it."""
+    if any(degree == deg for deg, _ in spec.generators):
+        return max(i_max, ambient_dim(degree, spec.r))
+    return i_max
+
+
 def _level_worker(args):
     from .characters import character_of_cohomology, primitive_characters
     from .homology import LatticeHomology
 
     spec, level, i_max, want_betti, want_chars, want_generators, get = args
+    if want_generators and i_max >= 1:
+        get(spec, level, _freeness_codim(spec, level, i_max))
     # One context on the top lattice serves every degree: the elements of
     # lower codim are its prefix, and each class acts on it once.
     ctx = LatticeHomology(get(spec, level, i_max)) if i_max >= 1 else None
@@ -438,8 +450,8 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
     if want_free:
         classes = ()
         if config.i_max >= 1:
-            for degree in by_level:
-                get(spec, degree, config.i_max)  # lower codims truncate these
+            for degree in by_level:  # lower codims truncate these
+                get(spec, degree, _freeness_codim(spec, degree, config.i_max))
             # every degree reads its classes off the top degree's
             classes = primitive_classes(spec, config.i_max, get)
         rows = []
@@ -633,9 +645,20 @@ def _resolve_cache(flag_value: str | None, config_value: str | None = None) -> s
     return DEFAULT_CACHE
 
 
+@functools.cache
+def _freeze_heap_at_exit() -> None:
+    """Let interpreter exit skip the collector's walk over the live heap: a
+    hook, once, so a caller running main many times keeps its collector."""
+    import atexit
+    import gc
+
+    atexit.register(gc.freeze)
+
+
 def main(argv: list[str] | None = None) -> int:
     import argparse
 
+    _freeze_heap_at_exit()
     parser = argparse.ArgumentParser(
         prog="arrstab",
         description="exact cohomology and character stability for arrangement families",

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arrstab.arrangement import ArrangementSpec, class_degrees, family_mkr, primitive_classes
+from arrstab.arrangement import (
+    ArrangementSpec,
+    PrimitiveClass,
+    class_degrees,
+    family_mkr,
+    primitive_classes,
+)
 from arrstab.characters import (
     _character,
     _monomial_value,
@@ -325,6 +331,27 @@ def test_free_decomposition_flags_a_wrong_character(braid, get_lattice, freeness
     chars[mi((4,))] = trivial_character(mi((4,)))
     report = verify_free_decomposition(braid, 1, chars, *freeness_inputs(braid, 1))
     assert report.level_matches == ((mi((3,)), True), (mi((4,)), False))
+    assert not report.passed
+
+
+def test_free_decomposition_flags_a_class_above_the_degree_bound(braid, get_lattice, freeness_inputs):
+    # no primitive class of codim c lies above c * cmax, so the class is
+    # synthetic: codim 1 at degree 3 > 1 * 2, with a zero generator
+    # character, which leaves every level matching
+    levels = [mi((3,)), mi((4,))]
+    chars = {lv: character_of_cohomology(braid, lv, 1, get_lattice) for lv in levels}
+    generators, classes = freeness_inputs(braid, 1)
+    high = subspace_from_constraints(3, [[1, -1, 0]])
+    synthetic = PrimitiveClass(mi((3,)), (high,), 2, ())
+    zero = ClassFunction(mi((3,)), {c: Fraction(0) for c in conj_classes(mi((3,)))})
+    generators = {**generators, mi((3,)): {high.serialization: zero}}
+    report = verify_free_decomposition(braid, 1, chars, generators, classes + (synthetic,))
+    assert report.degree_bound == mi((2,))
+    assert all(ok for _, ok in report.level_matches)
+    assert [(c.degree, c.degree_bound_ok) for c in report.classes] == [
+        (mi((2,)), True),
+        (mi((3,)), False),
+    ]
     assert not report.passed
 
 

@@ -254,6 +254,27 @@ def test_class_degrees_outside_the_levels_match_for_every_jobs(tmp_path, name):
         assert freeness_classes(tmp_path / "whole") == freeness_classes(tmp_path / "cold1")
 
 
+def test_freeness_builds_a_generator_degree_once(tmp_path):
+    # conf(2)'s generator degree 2 has ambient dimension 4, above i_max: the
+    # normality check reads its whole lattice, and the i_max one truncates it
+    config = write_config(
+        tmp_path,
+        family={"kind": "mkr", "m": 1, "k": 2, "r": 2},
+        levels={"min": [4], "max": [5]},
+        i_max=3,
+        outputs=["freeness"],
+    )
+    for jobs in (1, 2):
+        cache_dir = tmp_path / f"c{jobs}"
+        for phase in ("cold", "warm"):
+            args = ["--cache", str(cache_dir), "--out", str(tmp_path / f"{phase}{jobs}")]
+            assert main(["run", "--config", str(config), *args, "--jobs", str(jobs)]) == 0
+            assert_same_files(tmp_path / "cold1", tmp_path / f"{phase}{jobs}")
+        headers = [read(path).splitlines()[1:3] for path in cache_dir.iterdir()]
+        assert [h for h in headers if h[0] == "level=2"] == [["level=2", "max_codim=4"]]
+        assert sorted(h[1] for h in headers if h[0] != "level=2") == ["max_codim=3"] * 4
+
+
 def test_jobs_without_fork_run_in_process(tmp_path, monkeypatch):
     config = write_config(tmp_path, **PARITY_JOBS["braid"])
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -383,6 +404,63 @@ def test_forked_share_failure_exits_three_with_children_reaped(tmp_path, case, m
     assert message in result.stderr
 
 
+# --- the exit hook ------------------------------------------------------------
+
+
+def test_exit_hook_freezes_the_heap_only_at_interpreter_exit():
+    # atexit handlers run last in, first out: one registered before main
+    # runs after main's hook
+    probe = (
+        "import atexit, gc\n"
+        "from arrstab.cli import main\n"
+        "atexit.register(lambda: print('at exit', gc.get_freeze_count() > 0))\n"
+        "main(['catalog'])\n"
+        "print('after main', gc.get_freeze_count())\n"
+    )
+    lines = run_python(probe).stdout.splitlines()
+    assert lines[-2:] == ["after main 0", "at exit True"]
+
+
+def test_main_registers_one_exit_hook_per_interpreter():
+    probe = (
+        "import atexit\n"
+        "from arrstab.cli import main\n"
+        "counts = [atexit._ncallbacks()]\n"
+        "for _ in range(2):\n"
+        "    main(['catalog'])\n"
+        "    counts.append(atexit._ncallbacks())\n"
+        "print(counts)\n"
+    )
+    before, once, twice = json.loads(run_python(probe).stdout.splitlines()[-1])
+    assert (once, twice) == (before + 1, before + 1)
+
+
+def test_readme_job_output_survives_the_exit_hook_on_a_pipe(tmp_path, capsys):
+    # stdout to a pipe is block-buffered without PYTHONUNBUFFERED: every
+    # line must still be flushed at exit, after the hook has run
+    config = tmp_path / "readme.json"
+    config.write_text(json.dumps(json.loads(read(WORKLOADS))["readme"]["config"]), encoding="utf-8")
+    args = ["run", "--config", str(config), "--cache", str(tmp_path / "c")]
+    assert main(args + ["--out", str(tmp_path / "in-process")]) == 2
+    expected = capsys.readouterr()
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; from arrstab.cli import main; sys.exit(main())"]
+        + args + ["--out", str(tmp_path / "piped")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stdout == expected.out
+    assert result.stderr == expected.err
+    assert sum(line.startswith("fit i=") for line in result.stdout.splitlines()) == 2
+    assert sum(line.startswith("FINDING: ") for line in result.stderr.splitlines()) == 2
+    assert_same_files(tmp_path / "in-process", tmp_path / "piped")
+
+
 def test_stability_falsification_exits_two(tmp_path, capsys):
     config = write_config(
         tmp_path,
@@ -478,6 +556,43 @@ def test_freeness_on_non_normal_spec_is_a_finding(tmp_path):
     assert code == 2
     report = json.loads(read(out / "report.json"))
     assert any("freeness" in f for f in report["findings"])
+
+
+def test_freeness_class_above_the_degree_bound_is_a_finding(tmp_path, capsys, monkeypatch):
+    # no primitive class of codim c lies above c * cmax, so the class is
+    # synthetic: codim 1 at degree 3, above 1 * 2, with a zero generator
+    # character at level 3, so that only the degree check can fail
+    from arrstab import characters
+    from arrstab.arrangement import PrimitiveClass
+    from arrstab.fim import conj_classes
+    from arrstab.polynomial import ClassFunction
+
+    high = exactlin.subspace_from_constraints(3, [[1, -1, 0]])
+    real_classes = arrangement.primitive_classes
+    real_characters = characters.primitive_characters
+
+    def with_synthetic_class(spec, max_codim, get_lattice):
+        return real_classes(spec, max_codim, get_lattice) + (
+            PrimitiveClass(mi((3,)), (high,), 2, ()),
+        )
+
+    def with_its_character(spec, ctx, i):
+        out = real_characters(spec, ctx, i)
+        if ctx.lattice.level == mi((3,)):
+            out[high.serialization] = ClassFunction(mi((3,)), dict.fromkeys(conj_classes(mi((3,))), 0))
+        return out
+
+    monkeypatch.setattr(arrangement, "primitive_classes", with_synthetic_class)
+    monkeypatch.setattr(characters, "primitive_characters", with_its_character)
+    config = write_config(tmp_path, i_max=1, outputs=["freeness"])
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(config), "--cache", str(tmp_path / "c"), "--out", str(out)])
+    assert code == 2
+    finding = "freeness i=1: class degree 3 exceeds bound 2"
+    assert capsys.readouterr().err == f"FINDING: {finding}\n"
+    report = json.loads(read(out / "report.json"))
+    assert report["findings"] == [finding]
+    assert [c["degree_bound_ok"] for c in report["results"]["freeness"][1]["classes"]] == [True, False]
 
 
 def test_freeness_job_loads_each_level_once(tmp_path, monkeypatch):

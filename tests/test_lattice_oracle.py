@@ -1202,6 +1202,8 @@ def test_lower_degree_classes_filter_the_top_degree_classes(spec, i_max):
         assert [c for c in top if c.codim <= i and c.degree.leq(bound)] == list(
             primitive_classes(spec, i, get)
         )
+        # the degree bound removes nothing: codim c lies at degree <= c * cmax
+        assert [c for c in top if c.codim <= i] == list(primitive_classes(spec, i, get))
 
 
 # --- work counts --------------------------------------------------------------

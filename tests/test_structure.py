@@ -50,6 +50,10 @@ The freeness check reads its generator characters from the level results,
 one context per level or class degree in the level workers: neither
 ``verify_free_decomposition`` nor ``run`` builds a lattice or a homology
 context of its own.
+
+Only ``cli`` touches process-global state of the interpreter: ``main``
+registers the exit hook that freezes the heap, and no library module imports
+``gc`` or ``atexit``.
 """
 
 import ast
@@ -304,3 +308,11 @@ def test_fim_imports_no_engine_module():
 def test_polynomial_imports_only_the_config_layer():
     imported = set(arrstab_modules([MODULES["polynomial"]]))
     assert imported <= {"fim", "record"}, imported
+
+
+def test_only_cli_imports_gc_or_atexit():
+    for name, tree in MODULES.items():
+        if name == "cli":
+            continue
+        for level, module in imported_modules(tree):
+            assert (level, module.split(".")[0]) not in {(0, "gc"), (0, "atexit")}, f"{name} imports {module}"
