@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "ArrangementSpec": "fim",
     "CharacterPolynomial": "polynomial",
-    "ClassFunction": "polynomial",
+    "ClassFunction": "fim",
     "ConjClass": "fim",
     "GMReport": "homology",
     "Injection": "fim",

@@ -5,7 +5,9 @@ equivariant traces, fitted to character polynomials by an exact linear
 solve, paired by the usual class-size inner product, and decomposed against
 Murnaghan-Nakayama character values.  The freeness check induces the
 generator characters that each degree's one context yields.  Class functions
-and character polynomials live in ``polynomial``, and are imported here too.
+live in ``fim``; a character's values are ints, and an inner product divides
+by the group order once.  Only the fit and its binomial form import
+``polynomial``, so a job that neither fits nor twists never loads it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cache
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .arrangement import (
     ArrangementSpec,
@@ -25,18 +27,14 @@ from .arrangement import (
 )
 from .exactlin import _pivot_columns, _rref_rows
 from .fim import (
-    ConjClass,
-    MultiIndex,
-    class_representative,
-    conj_classes,
-    degree_times,
-    group_order,
-    partitions,
+    ClassFunction, ConjClass, MultiIndex, _pointwise, class_representative, conj_classes,
+    degree_times, group_order, partitions, sum_characters, trivial_character,
 )
 from .homology import LatticeHomology
-from .polynomial import _ZERO, CharacterPolynomial, ClassFunction, Monomial, trivial_character
-from .polynomial import _binomial_factor, _monomial_value, _pointwise, _render_terms, sum_characters
 from .record import record
+
+if TYPE_CHECKING:
+    from .polynomial import CharacterPolynomial, Monomial
 
 
 class FitError(ValueError):
@@ -53,6 +51,8 @@ class FitUnderdeterminedError(FitError):
 
 def _monomials_within(bound: MultiIndex) -> list[Monomial]:
     """All monomials of multidegree <= bound, canonically ordered."""
+    from .polynomial import CharacterPolynomial
+
     per_factor = []
     for j, cap in enumerate(bound):
         found: list[tuple[Monomial, int]] = [((), 0)]  # (monomial, weight)
@@ -77,6 +77,8 @@ def fit_character_polynomial(
     no such polynomial exists (a falsification signal) and
     FitUnderdeterminedError when the sampled levels leave free coefficients.
     """
+    from .polynomial import CharacterPolynomial, _monomial_value
+
     if len({level for level, _ in samples}) < 2:
         raise ValueError("need samples at two or more distinct levels")
     for level, chi in samples:
@@ -122,6 +124,8 @@ def binomial_basis_form(p: CharacterPolynomial) -> str:
     A power expands as X^e = sum_b S(e, b) b! choose(X, b), with S the
     Stirling numbers of the second kind, and a monomial factor by factor.
     """
+    from .polynomial import CharacterPolynomial, _binomial_factor, _render_terms
+
     data: dict[Monomial, Fraction] = {}
     for mono, coeff in p.coeffs:
         terms = [((), coeff)]
@@ -132,7 +136,7 @@ def binomial_basis_form(p: CharacterPolynomial) -> str:
                 for b in range(1, e + 1)
             ]
         for acc, value in terms:
-            data[acc] = data.get(acc, _ZERO) + value
+            data[acc] = data.get(acc, 0) + value
     return _render_terms(CharacterPolynomial.from_dict(p.m, data).coeffs, _binomial_factor)
 
 
@@ -183,18 +187,18 @@ def primitive_characters(
     return out
 
 
-def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
+def inner_product(a: ClassFunction, b: ClassFunction) -> int | Fraction:
     """Class-size weighted inner product; cycle types are inversion-invariant,
-    so the inverse class equals the class itself."""
+    so the inverse class equals the class itself.  The weighted sum is divided
+    by |G| once: an int when the division is exact, a Fraction otherwise."""
     if a.level != b.level:
         raise ValueError("class functions live on different levels")
     order = group_order(a.level)
     if order == 0:
         raise AssertionError("group order vanished")
-    total = _ZERO
-    for c in conj_classes(a.level):
-        total += Fraction(c.size) * a(c) * b(c)
-    return total / order
+    total = sum(c.size * a(c) * b(c) for c in conj_classes(a.level))
+    quotient, remainder = divmod(total, order)
+    return Fraction(total, order) if remainder else quotient
 
 
 def tensor_char(a: ClassFunction, b: ClassFunction) -> ClassFunction:
@@ -244,13 +248,13 @@ def induction_character(
         raise ValueError("generating character must live at level c")
     classes_n = conj_classes(n)
     if not c.leq(n):
-        return ClassFunction(n, {cls: _ZERO for cls in classes_n})
-    values: dict[ConjClass, Fraction] = {}
+        return ClassFunction(n, dict.fromkeys(classes_n, 0))
+    values: dict[ConjClass, int | Fraction] = {}
     for cls in classes_n:
         per_factor = [
             _sub_cycle_multisets(cls.parts[j], c[j]) for j in range(c.m)
         ]
-        total = _ZERO
+        total = 0
         for combo in itertools.product(*per_factor):
             ways = math.prod(w for _, w in combo)
             induced = ConjClass(tuple(mu for mu, _ in combo))
@@ -344,12 +348,12 @@ def invariants_dim(chi: ClassFunction) -> int:
     value means the input was not a genuine character.
     """
     value = inner_product(chi, trivial_character(chi.level))
-    if value.denominator != 1:
+    if isinstance(value, Fraction):
         raise ValueError(f"invariant dimension {value} is not an integer")
-    return int(value)
+    return value
 
 
-def twisted_betti(chi_h: ClassFunction, chi_n: ClassFunction) -> Fraction:
+def twisted_betti(chi_h: ClassFunction, chi_n: ClassFunction) -> int | Fraction:
     """Sheaf Betti number of the quotient with coefficients of character chi_n.
 
     This pairs chi_n with the dual of chi_h, which is chi_h itself: g and its
@@ -410,16 +414,14 @@ def irreducible_multiplicities(
     out: dict[tuple[tuple[int, ...], ...], Fraction] = {}
     classes = conj_classes(level)
     for lam_tuple in itertools.product(*(partitions(nj) for nj in level)):
-        total = _ZERO
-        for c in classes:
-            total += Fraction(c.size) * chi(c) * irreducible_character_value(lam_tuple, c)
-        out[lam_tuple] = total / order
+        total = sum(c.size * chi(c) * irreducible_character_value(lam_tuple, c) for c in classes)
+        out[lam_tuple] = Fraction(total, order)
     return out
 
 
 @record
 class StabilityReport:
-    stable_value: Fraction | None
+    stable_value: int | Fraction | None
     onsets: tuple[MultiIndex, ...]
     predicted_onset: MultiIndex
     meets_prediction: bool
@@ -427,7 +429,7 @@ class StabilityReport:
 
 
 def stability_report(
-    values: Mapping[MultiIndex, Fraction], predicted_onset: MultiIndex
+    values: Mapping[MultiIndex, int | Fraction], predicted_onset: MultiIndex
 ) -> StabilityReport:
     """Locate the empirical onset of constancy and compare with a prediction.
 

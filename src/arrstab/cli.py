@@ -264,9 +264,8 @@ def _run_shares(shares):
     """
     from .homology import LatticeError
 
-    if len(shares) > 1:  # only a child's outcome needs these
+    if len(shares) > 1:  # only a child's outcome needs it
         import pickle
-        import signal
     children = []  # (pid, read end, share)
     try:
         for share in shares[1:]:
@@ -290,6 +289,8 @@ def _run_shares(shares):
                 raise result
             payloads.extend(result)
     except BaseException:
+        import signal
+
         for pid, _, _ in children:
             os.kill(pid, signal.SIGKILL)
         raise
@@ -411,15 +412,14 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
     if "characters" in config.outputs:
         rows = []
         table: dict[str, dict] = {}
+        # character values are reported as text, "3" or "1/2", in both files
         for level in levels:
+            labels = [(c, c.render()) for c in conj_classes(level)]
             chars = by_level[level]["characters"]
+            by_degree = table[level.render()] = {}
             for i in range(config.i_max + 1):
-                chi = chars[i]
-                for c in conj_classes(level):
-                    rows.append([level, i, c.render(), chi(c)])
-                table.setdefault(level.render(), {})[str(i)] = {
-                    c.render(): chi(c) for c in conj_classes(level)
-                }
+                values = by_degree[str(i)] = {label: str(chars[i](c)) for c, label in labels}
+                rows.extend([level, i, label, value] for label, value in values.items())
         _write_csv(out_dir / "characters.csv", ["level", "i", "class", "value"], rows)
         results["characters"] = table
 
@@ -486,7 +486,7 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
                             "stabilizer_order": cls.stabilizer_order,
                             "degree_bound_ok": cls.degree_bound_ok,
                             "generator_character": {
-                                c.render(): v
+                                c.render(): str(v)
                                 for c, v in cls.generator_character.values.items()
                             },
                         }
@@ -588,7 +588,7 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
                 {
                     "i": i,
                     "polynomial": poly.render(),
-                    "values": {level.render(): values[level] for level in levels},
+                    "values": {level.render(): str(values[level]) for level in levels},
                     "predicted_onset": predicted,
                     "meets_prediction": report.meets_prediction,
                 }

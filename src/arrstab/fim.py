@@ -13,6 +13,9 @@ Coordinates of V^n with V = Q^r are ordered block-major: factor j, then point
 index within the factor, then vector component.  Points and components are
 0-based internally.
 
+Class functions live here beside the conjugacy classes they are defined on;
+a character's values are ints, as for any rational representation.
+
 An arrangement family's spec (``ArrangementSpec``, ``family_mkr``) lives here
 rather than in ``arrangement``, so loading a job config needs no lattice code.
 """
@@ -21,8 +24,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactlin import (
     Subspace,
@@ -383,6 +387,54 @@ def conj_classes(n: MultiIndex) -> tuple[ConjClass, ...]:
     return tuple(
         ConjClass(combo) for combo in itertools.product(*factor_parts)
     )
+
+
+@record
+class ClassFunction:
+    """A total map from the conjugacy classes of one level to Q."""
+
+    level: MultiIndex
+    values: Mapping[ConjClass, int | Fraction]
+
+    def __post_init__(self):
+        domain = set(conj_classes(self.level))
+        if set(self.values) != domain:
+            raise ValueError("values must cover exactly the conjugacy classes")
+
+    def __call__(self, c: ConjClass) -> int | Fraction:
+        return self.values[c]
+
+    @property
+    def identity_value(self) -> int | Fraction:
+        for c, v in self.values.items():
+            if c.is_identity():
+                return v
+        raise AssertionError("no identity class")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ClassFunction):
+            return NotImplemented
+        return self.level == other.level and dict(self.values) == dict(other.values)
+
+
+def trivial_character(level: MultiIndex) -> ClassFunction:
+    return ClassFunction(level, dict.fromkeys(conj_classes(level), 1))
+
+
+def _pointwise(a: ClassFunction, b: ClassFunction, op) -> ClassFunction:
+    if a.level != b.level:
+        raise ValueError("class functions live on different levels")
+    return ClassFunction(a.level, {c: op(a(c), b(c)) for c in a.values})
+
+
+def sum_characters(level: MultiIndex, items: Sequence[ClassFunction]) -> ClassFunction:
+    out = dict.fromkeys(conj_classes(level), 0)
+    for chi in items:
+        if chi.level != level:
+            raise ValueError("class functions live on different levels")
+        for c in out:
+            out[c] += chi(c)
+    return ClassFunction(level, out)
 
 
 def class_representative(c: ConjClass) -> PermTuple:

@@ -254,7 +254,7 @@ def _moebius(n: int) -> int:
     return (-1) ** len(primes) if math.prod(primes) == n else 0
 
 
-def _orbit_trace(cx: OrderComplex, vertex_perm: Sequence[int], d: int) -> Fraction:
+def _orbit_trace(cx: OrderComplex, vertex_perm: Sequence[int], d: int) -> int | Fraction:
     """The trace on H~_d(cx) over Q of the order automorphism g that permutes
     the vertices by ``vertex_perm``.
 
@@ -262,7 +262,8 @@ def _orbit_trace(cx: OrderComplex, vertex_perm: Sequence[int], d: int) -> Fracti
     type Q(zeta_e) exactly when e divides j, so a_e = sum_{j | e} mu(e/j) F(j)
     is phi(e) times that summand's multiplicity, and a generator's trace on
     Q(zeta_e) is mu(e) (Serre, Linear Representations of Finite Groups,
-    13.1).  The trace is sum_{e | N} mu(e) a_e / phi(e), over square-free e.
+    13.1).  The trace is sum_{e | N} mu(e) a_e / phi(e), over square-free e,
+    an int when it is integral.
     """
     powers = [list(range(len(vertex_perm)))]
     while (power := [vertex_perm[v] for v in powers[-1]]) != powers[0]:
@@ -275,7 +276,7 @@ def _orbit_trace(cx: OrderComplex, vertex_perm: Sequence[int], d: int) -> Fracti
         a = sum(_moebius(e // j) * fixed[j] for j in divisors if e % j == 0)
         phi = sum(math.gcd(k, e) == 1 for k in range(1, e + 1))
         total += Fraction(_moebius(e) * a, phi)
-    return total
+    return total.numerator if total.denominator == 1 else total
 
 
 @record
@@ -398,9 +399,10 @@ class LatticeHomology:
 
     def trace(
         self, g: PermTuple, i: int, members: Sequence[int] | None = None
-    ) -> Fraction:
+    ) -> int | Fraction:
         """Character value of g on H^i, the identity's (dim H^i) included;
-        optionally restricted to an orbit.
+        optionally restricted to an orbit.  Each term is an int, as a
+        character's values are integers, and so is the sum.
 
         Only elements of ``_window(i)``, which ``betti_report`` reads too,
         and fixed by g contribute, and only if their interval has homology in
@@ -416,7 +418,7 @@ class LatticeHomology:
         pool = window if members is None else [idx for idx in members if idx in window]
         identity = g == self._identity
         sigma = self.action(g)
-        total = Fraction(0)
+        total = 0
         for idx in pool:
             if sigma[idx] != idx:
                 continue

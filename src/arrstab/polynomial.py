@@ -1,9 +1,11 @@
-"""Class functions and character polynomials, apart from the engine.
+"""Character polynomials, apart from the engine.
 
 A character polynomial is a rational polynomial in the simultaneous class
 functions X_k^{(j)} counting k-cycles in the j-th factor; it evaluates on the
-conjugacy classes of every level at once.  Only ``fim`` and ``record`` are
-imported, so a config's twisted polynomial is parsed without engine code.
+conjugacy classes of every level at once, to a ``fim.ClassFunction``.  Only
+``fim`` and ``record`` are imported, so a config's twisted polynomial is
+parsed without engine code; a job that neither fits nor twists never loads
+this module.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .fim import ConjClass, MultiIndex, conj_classes
+from .fim import ClassFunction, ConjClass, MultiIndex, conj_classes
 from .record import record
 
 _ZERO = Fraction(0)
@@ -21,54 +23,6 @@ _ONE = Fraction(1)
 # A monomial maps (factor j, cycle length k) -> exponent; canonical form is a
 # tuple of ((j, k), e) sorted by (j, k) with positive e.  Factors are 0-based.
 Monomial = tuple[tuple[tuple[int, int], int], ...]
-
-
-@record
-class ClassFunction:
-    """A total map from the conjugacy classes of one level to Q."""
-
-    level: MultiIndex
-    values: Mapping[ConjClass, Fraction]
-
-    def __post_init__(self):
-        domain = set(conj_classes(self.level))
-        if set(self.values) != domain:
-            raise ValueError("values must cover exactly the conjugacy classes")
-
-    def __call__(self, c: ConjClass) -> Fraction:
-        return self.values[c]
-
-    @property
-    def identity_value(self) -> Fraction:
-        for c, v in self.values.items():
-            if c.is_identity():
-                return v
-        raise AssertionError("no identity class")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClassFunction):
-            return NotImplemented
-        return self.level == other.level and dict(self.values) == dict(other.values)
-
-
-def trivial_character(level: MultiIndex) -> ClassFunction:
-    return ClassFunction(level, {c: _ONE for c in conj_classes(level)})
-
-
-def _pointwise(a: ClassFunction, b: ClassFunction, op) -> ClassFunction:
-    if a.level != b.level:
-        raise ValueError("class functions live on different levels")
-    return ClassFunction(a.level, {c: op(a(c), b(c)) for c in a.values})
-
-
-def sum_characters(level: MultiIndex, items: Sequence[ClassFunction]) -> ClassFunction:
-    out = {c: _ZERO for c in conj_classes(level)}
-    for chi in items:
-        if chi.level != level:
-            raise ValueError("class functions live on different levels")
-        for c in out:
-            out[c] += chi(c)
-    return ClassFunction(level, out)
 
 
 @record

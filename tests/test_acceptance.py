@@ -15,7 +15,6 @@ from arrstab.arrangement import (
     normalize,
 )
 from arrstab.characters import (
-    CharacterPolynomial,
     character_of_cohomology,
     fit_character_polynomial,
     inner_product,
@@ -27,6 +26,7 @@ from arrstab.characters import (
 from arrstab.exactlin import subspace_from_constraints
 from arrstab.fim import MultiIndex, conj_classes
 from arrstab.homology import LatticeHomology
+from arrstab.polynomial import CharacterPolynomial
 
 mi = MultiIndex
 

@@ -16,11 +16,8 @@ from arrstab.arrangement import (
 )
 from arrstab.characters import (
     _character,
-    _monomial_value,
     _monomials_within,
     _stirling2,
-    CharacterPolynomial,
-    ClassFunction,
     FitInconsistentError,
     FitUnderdeterminedError,
     binomial_basis_form,
@@ -34,12 +31,12 @@ from arrstab.characters import (
     stability_report,
     sym_character,
     tensor_char,
-    trivial_character,
     twisted_betti,
     verify_free_decomposition,
 )
 from arrstab.exactlin import _pivot_columns, _rref_rows, subspace_from_constraints
 from arrstab.fim import (
+    ClassFunction,
     ConjClass,
     MultiIndex,
     class_representative,
@@ -47,8 +44,10 @@ from arrstab.fim import (
     degree_times,
     group_order,
     partitions,
+    trivial_character,
 )
 from arrstab.homology import LatticeHomology
+from arrstab.polynomial import CharacterPolynomial, _monomial_value
 
 mi = MultiIndex
 
@@ -243,6 +242,27 @@ def test_inner_product_trivial():
     assert inner_product(trivial_character(lv), trivial_character(lv)) == 1
 
 
+def test_inner_product_divides_once_and_is_an_int_when_exact(braid, get_lattice):
+    # sum size * a(c) * b(c), then one division by |G|: an int when exact
+    for n in range(2, 6):
+        lv = mi((n,))
+        for i in range(n):
+            chi = character_of_cohomology(braid, lv, i, get_lattice)
+            assert all(type(v) is int for v in chi.values.values())
+            for other in (chi, trivial_character(lv)):
+                value = inner_product(chi, other)
+                assert type(value) is int
+                assert value == sum(
+                    Fraction(c.size * chi(c) * other(c), group_order(lv)) for c in conj_classes(lv)
+                )
+    # the identity's indicator pairs to 1/|G| with the trivial character
+    lv = mi((3,))
+    point = ClassFunction(lv, {c: int(c.is_identity()) for c in conj_classes(lv)})
+    value = inner_product(point, trivial_character(lv))
+    assert isinstance(value, Fraction) and value == Fraction(1, 6)
+    assert type(inner_product(point, ClassFunction(lv, dict.fromkeys(conj_classes(lv), 6)))) is int
+
+
 def test_tensor_and_dual(braid, get_lattice):
     lv = mi((3,))
     chi = character_of_cohomology(braid, lv, 1, get_lattice)
@@ -412,6 +432,13 @@ def test_invariants_dim_rejects_non_characters():
     )
     with pytest.raises(ValueError):
         invariants_dim(fake)
+    # int values too, when |G| does not divide the weighted sum of size * chi
+    for n in (2, 3, 4):
+        lv = mi((n,))
+        fake = ClassFunction(lv, {c: int(c.is_identity()) for c in conj_classes(lv)})
+        assert sum(c.size * fake(c) for c in conj_classes(lv)) % group_order(lv)
+        with pytest.raises(ValueError, match="not an integer"):
+            invariants_dim(fake)
 
 
 def test_twisted_betti(braid, get_lattice):

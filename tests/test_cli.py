@@ -564,8 +564,7 @@ def test_freeness_class_above_the_degree_bound_is_a_finding(tmp_path, capsys, mo
     # character at level 3, so that only the degree check can fail
     from arrstab import characters
     from arrstab.arrangement import PrimitiveClass
-    from arrstab.fim import conj_classes
-    from arrstab.polynomial import ClassFunction
+    from arrstab.fim import ClassFunction, conj_classes
 
     high = exactlin.subspace_from_constraints(3, [[1, -1, 0]])
     real_classes = arrangement.primitive_classes
@@ -1047,6 +1046,27 @@ def test_cold_and_warm_one_job_runs_leave_pickle_unloaded(tmp_path):
         out = run_python(probe, *args, "--out", str(tmp_path / state), flags=("-S",))
         assert out.stdout.splitlines()[-1] == "0 []", state
     assert read(tmp_path / "cold" / "report.json") == read(tmp_path / "warm" / "report.json")
+
+
+def test_betti_character_stability_runs_load_neither_polynomial_nor_signal(tmp_path):
+    # class functions live in ``fim``, so only a fit, a binomial form or a
+    # twisted polynomial loads ``polynomial``; ``signal`` is imported only to
+    # kill the children of a failed run
+    probe = (
+        "import sys\n"
+        "from arrstab.cli import main\n"
+        "args = sys.argv[1:]\n"
+        "codes = [main(args + ['--out', args[-1] + '-' + state]) for state in ('cold', 'warm')]\n"
+        "print(codes, [m for m in ('arrstab.polynomial', 'signal') if m in sys.modules])\n"
+    )
+    for name, expected in [("kequals-closure", "[0, 0] []"), ("readme", "[2, 2] ['arrstab.polynomial']")]:
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(json.loads(read(WORKLOADS))[name]["config"]), encoding="utf-8")
+        for jobs in ("1", "2"):
+            cache = str(tmp_path / f"{name}-{jobs}")
+            args = ["run", "--config", str(config), "--jobs", jobs, "--cache", cache]
+            out = run_python(probe, *args, flags=("-S",))
+            assert out.stdout.splitlines()[-1] == expected, (name, jobs)
 
 
 def test_import_arrstab_loads_no_submodule():

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from arrstab import arrangement, characters, cli, exactlin, fim, homology, record
+from arrstab import arrangement, characters, cli, exactlin, fim, homology, polynomial, record
 from arrstab.arrangement import (
     ArrangementSpec,
     DownwardStabilityReport,
@@ -29,18 +29,16 @@ from arrstab.arrangement import (
     verify_normal,
 )
 from arrstab.characters import (
-    CharacterPolynomial,
-    ClassFunction,
     FreenessClassSummary,
     FreenessReport,
     StabilityReport,
     stability_report,
-    trivial_character,
 )
 from arrstab.cli import JobConfig
 from arrstab.exactlin import RationalMatrix, Subspace, subspace_from_constraints
-from arrstab.fim import ConjClass, Injection, MultiIndex, PermTuple
+from arrstab.fim import ClassFunction, ConjClass, Injection, MultiIndex, PermTuple, trivial_character
 from arrstab.homology import GMReport, OrderComplex, RankedPoset, order_complex
+from arrstab.polynomial import CharacterPolynomial
 
 mi = MultiIndex
 BRAID = family_mkr(1, 2, 1)
@@ -127,7 +125,7 @@ IDS = [cls.__name__ for cls, _, _ in CASES]
 def test_every_value_class_is_covered():
     records = {
         value
-        for module in (arrangement, characters, cli, exactlin, fim, homology)
+        for module in (arrangement, characters, cli, exactlin, fim, homology, polynomial)
         for value in vars(module).values()
         if isinstance(value, type) and "__record_fields__" in vars(value)
     }

@@ -35,10 +35,13 @@ and the class-function wrapper that no engine path used stay deleted.
 Start-up loads only the config layer: ``cli`` imports no arrstab module but
 ``record`` and ``fim`` when it is imported, and the arrangement spec lives in
 ``fim``, which imports no engine module, so loading a job config compiles no
-lattice, homology, character or cache code.  Character polynomials and
-class functions live in ``polynomial``, which imports only ``fim`` and
+lattice, homology, character or cache code.  Class functions live in
+``fim``, beside the conjugacy classes they are defined on.  Character
+polynomials live in ``polynomial``, which imports only ``fim`` and
 ``record``, so a config with a twisted polynomial compiles no engine module
-either.
+either.  No module imports ``polynomial`` when it loads (a ``TYPE_CHECKING``
+block names it for annotations only): the fit and the binomial form import
+it where they run, so a job that neither fits nor twists never compiles it.
 
 Every character value comes from ``LatticeHomology.trace``, the identity's
 (the Betti number) included, and ``betti_report`` and ``trace`` read one
@@ -308,6 +311,12 @@ def test_fim_imports_no_engine_module():
 def test_polynomial_imports_only_the_config_layer():
     imported = set(arrstab_modules([MODULES["polynomial"]]))
     assert imported <= {"fim", "record"}, imported
+
+
+def test_no_module_imports_polynomial_when_it_loads():
+    for name, tree in MODULES.items():
+        top = [stmt for stmt in tree.body if runs_on_import(stmt)]
+        assert "polynomial" not in set(arrstab_modules(top)), name
 
 
 def test_only_cli_imports_gc_or_atexit():
