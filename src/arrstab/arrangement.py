@@ -5,24 +5,25 @@ a degree.  At a level n the lattice collects every subspace of bounded
 codimension obtainable by intersecting preimages of generators along
 injections into n, ordered by reverse inclusion and ranked by codimension.
 
-The generator preimages are the atoms.  Every element is the intersection of
-the atoms containing it, and X is contained in Y exactly when atoms(Y) is a
-subset of atoms(X).  The level's automorphism group permutes the atoms and
-commutes with intersection, so construction meets one representative per
-orbit with each atom only, never with other elements, and reaches the other
-orbit members by the group generators, relabelling atom sets as it goes.
-The atoms are lattice elements themselves, so every element's atom set is
-kept as the ascending indices of its atoms, one representation from the
-closure to the cache file; the order is read off those sets with one bitset
-of elements per atom, without linear algebra.  Every name (generator,
-injection f) of each atom f^*X is kept, so a point permutation g acts by
-lookup, f^*X going to (g o f)^*X, and relabels every element's atom set;
-preimages along injections are looked up alike.  Each
-orbit is walked once, under one transposition and one n-cycle per factor,
-while the lattice is built, and the lattice records it: ``orbits`` is what
-orbit lookups, primitive classes and per-orbit homology read.  Elements are
-canonically sorted by (codim, serialization), which fixes every downstream
-output byte for byte.
+The generator preimages are the atoms.  An injection f is s o sigma, s
+increasing and sigma a point permutation, so f^*X = s^*(sigma^*X) comes from
+the version sigma^*X, reduced once, by moving its rows.  Every element is the
+intersection of the atoms containing it, and X is contained in Y exactly when
+atoms(Y) is a subset of atoms(X).  The level's automorphism group permutes the
+atoms and commutes with intersection, so construction meets one representative
+per orbit with each atom only, never with other elements, and reaches the
+other orbit members by the group generators, relabelling atom sets as it goes.
+The atoms are lattice elements themselves, so every element's atom set is kept
+as the ascending indices of its atoms, one representation from the closure to
+the cache file; the order is read off those sets with one bitset of elements
+per atom, without linear algebra.  Every name (generator, injection f) of each
+atom f^*X is kept, so a point permutation g acts by lookup, f^*X going to
+(g o f)^*X, and relabels every element's atom set; preimages along injections
+are looked up alike.  Each orbit is walked once, under one transposition and
+one n-cycle per factor, while the lattice is built, and the lattice records
+it: ``orbits`` is what orbit lookups, primitive classes and per-orbit homology
+read.  Elements are canonically sorted by (codim, serialization), which fixes
+every downstream output byte for byte.
 
 A subspace contains the kernel of the map induced by an injection exactly
 when its nonzero constraint columns lie at the injection's coordinates, and
@@ -42,6 +43,7 @@ from .exactlin import (
     _pivot_columns,
     constraint_support,
     meet_rows,
+    place_rows,
     scatter_rows,
 )
 from .fim import (
@@ -280,15 +282,52 @@ def _bit_indices(bitset: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _atoms(
+    spec: ArrangementSpec, n: MultiIndex, max_codim: int
+) -> tuple[list[Subspace], dict[Name, int]]:
+    """The distinct generator preimages of codim <= max_codim, by
+    serialization, and each name's atom, names in ``enumerate_injections``
+    order, which is lexicographic by images.
+
+    An injection f is s o sigma, with s the increasing injection onto f's
+    image and sigma in Aut(degree), so f^*X = s^*(sigma^*X).  Each version
+    sigma^*X costs one reduction, the identity's none, and s moves its RREF
+    rows to increasing columns, where they stay in RREF.
+    """
+    dim = ambient_dim(n, spec.r)
+    first: dict[str, Subspace] = {}
+    named: dict[Name, str] = {}
+    for gi, (degree, sub) in enumerate(spec.generators):
+        if sub.codim > max_codim or not degree.leq(n):
+            continue
+        versions: dict[tuple, list[Images]] = {}  # the rows of sigma^*X -> every such sigma
+        for sigma in itertools.product(*map(itertools.permutations, map(range, degree))):
+            columns = injection_coordinates(Injection(sigma, degree), spec.r)
+            rows = sub.constraints.entries
+            if columns != tuple(range(len(columns))):
+                rows = scatter_rows(rows, columns, sub.ambient_dim)
+            versions.setdefault(rows, []).append(sigma)
+        for s in binomial_representatives(degree, n):
+            columns = injection_coordinates(s, spec.r)
+            for rows, sigmas in versions.items():
+                pre = Subspace(dim, RationalMatrix(place_rows(rows, columns, dim), dim))
+                first.setdefault(pre.serialization, pre)
+                for sigma in sigmas:
+                    named[gi, compose_images(s.images, sigma)] = pre.serialization
+    atom_of = {key: a for a, key in enumerate(sorted(first))}
+    return [first[key] for key in atom_of], {name: atom_of[named[name]] for name in sorted(named)}
+
+
 def build_lattice(
     spec: ArrangementSpec, n: MultiIndex, max_codim: int
 ) -> IntersectionLattice:
     """All arrangement subspaces of codim <= max_codim at level n, saturated.
 
-    The atoms are the distinct generator preimages of codim <= max_codim.
-    Aut(n) permutes them, and g(X .. A) = gX .. gA, so the closure meets
-    only one representative per orbit, by increasing codim, with every atom
-    not containing it, and takes every other orbit member from the group.
+    The atoms are the distinct generator preimages of codim <= max_codim,
+    made once per image set and generator version (``_atoms``).  Aut(n)
+    permutes them, and g(X .. A) = gX .. gA, so the closure meets only one
+    representative per orbit, by increasing codim, with every atom not
+    containing it, and takes every other orbit member from the group.
     That is complete under the cutoff: an element Z that is not an atom is
     X .. A for an element X of lower codim and an atom A not containing X
     (drop one atom from a minimal set of atoms meeting in Z), and if gX
@@ -314,17 +353,7 @@ def build_lattice(
         raise ValueError("max_codim must be at least 1")
     if n.m != spec.m:
         raise ValueError("level has wrong number of factors")
-    first: dict[str, Subspace] = {}
-    named: dict[Name, str] = {}
-    for gi, (degree, sub) in enumerate(spec.generators):
-        for f in enumerate_injections(degree, n):
-            pre = pullback(f, spec.r, sub)
-            if pre.codim <= max_codim:
-                first.setdefault(pre.serialization, pre)
-                named[gi, f.images] = pre.serialization
-    atom_of = {key: a for a, key in enumerate(sorted(first))}
-    atoms = [first[key] for key in atom_of]
-    names = {name: atom_of[key] for name, key in named.items()}
+    atoms, names = _atoms(spec, n, max_codim)
     dim = ambient_dim(n, spec.r)
     atom_rows = [atom.constraints.entries for atom in atoms]
     index: dict[tuple, int] = {rows: a for a, rows in enumerate(atom_rows)}

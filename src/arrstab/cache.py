@@ -7,12 +7,13 @@ listed by atom serialization), the index of its orbit's representative and,
 on an atom's line, all of its names (``arrangement.Name``) in
 ``enumerate_injections`` order.  A load hands those indices and names to the
 lattice as they are, so it rebuilds the order, the orbits and the group
-action without linear algebra.  A payload
-checksum is stored alongside; a wrong format version, a checksum mismatch or
-a parse failure (a zero denominator included) makes the loader report a miss
-so the caller recomputes, and so does an orbit column in which a label is not
-the smallest index of its orbit or an orbit mixes codims, a name out of order
-or under two atoms, or an atom index at a line without names.
+action without linear algebra, and keeps an integer line's canonical text as
+its element's serialization (``Subspace.parse``).  A payload checksum is
+stored alongside; a wrong format version, a checksum mismatch or a parse
+failure (a zero denominator included) makes the loader report a miss so the
+caller recomputes, and so does an orbit column in which a label is not the
+smallest index of its orbit or an orbit mixes codims, a name out of order or
+under two atoms, or an atom index at a line without names.
 
 SHA-256 comes from the interpreter's built-in module, which, unlike
 ``hashlib``, loads no OpenSSL; ``hashlib`` serves builds without one.

@@ -13,7 +13,9 @@ most N shares, at most one per level, balanced by |Aut(n)|; the command
 computes the heaviest share itself and forks one child per other share.
 Where ``os.fork`` is missing the levels run in-process, as with one job.
 For freeness each task also returns its degree's generator characters, and
-a class degree outside the levels is a task of its own.
+a class degree outside the levels is a task of its own.  A task returns plain
+data, class functions as values in ``conj_classes`` order: a forked share is
+sent as ``marshal`` data, and pickled only for an exception or a ``Fraction``.
 
 Start-up loads only the config layer (``record``, ``fim`` and, through it,
 ``exactlin``); a twisted polynomial in the config also loads ``polynomial``.
@@ -27,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import marshal
 import os
 import sys
 from fractions import Fraction
@@ -35,6 +38,7 @@ from typing import TYPE_CHECKING
 
 from .fim import (
     ArrangementSpec,
+    ClassFunction,
     MultiIndex,
     ambient_dim,
     conj_classes,
@@ -226,18 +230,21 @@ def _level_worker(args):
     # One context on the top lattice serves every degree: the elements of
     # lower codim are its prefix, and each class acts on it once.
     ctx = LatticeHomology(get(spec, level, i_max)) if i_max >= 1 else None
-    payload = {"level": level, "betti": None, "characters": None, "generators": None}
+    # plain data: a class function goes as its values in conj_classes order
+    classes = conj_classes(level)
+    payload = {"level": tuple(level), "betti": None, "characters": None, "generators": None}
     if want_betti:
-        payload["betti"] = [1] + [
-            ctx.betti_report(i).total for i in range(1, i_max + 1)
-        ]
+        payload["betti"] = [1] + [ctx.betti_report(i).total for i in range(1, i_max + 1)]
     if want_chars:
-        payload["characters"] = {
-            i: character_of_cohomology(spec, level, i, get, ctx)
+        payload["characters"] = [
+            tuple(map(character_of_cohomology(spec, level, i, get, ctx), classes))
             for i in range(i_max + 1)
-        }
+        ]
     if want_generators:
-        payload["generators"] = {i: primitive_characters(spec, ctx, i) for i in range(1, i_max + 1)}
+        payload["generators"] = {
+            i: {x: tuple(map(ch, classes)) for x, ch in primitive_characters(spec, ctx, i).items()}
+            for i in range(1, i_max + 1)
+        }
     return payload
 
 
@@ -258,14 +265,13 @@ def _run_shares(shares):
     """Compute share 0 here and every other share in a forked child (the
     command starts no threads, so forking it is safe).
 
-    Each child pickles ``(True, payloads)`` or ``(False, exception)`` to a
-    pipe; a child's exception is raised again here.  However this returns,
-    every child has been reaped, and killed first if the run failed.
+    Each child writes ``(True, payloads)`` to a pipe as ``marshal`` data, or
+    ``(False, the pickled (ok, payloads or exception))``; a child's exception
+    is raised again here.  However this returns, every child has been
+    reaped, and killed first if the run failed.
     """
     from .homology import LatticeError
 
-    if len(shares) > 1:  # only a child's outcome needs it
-        import pickle
     children = []  # (pid, read end, share)
     try:
         for share in shares[1:]:
@@ -279,14 +285,17 @@ def _run_shares(shares):
         for _, read_fd, share in children:
             try:
                 with open(read_fd, "rb", closefd=False) as pipe:
-                    ok, result = pickle.loads(pipe.read())
-            except (EOFError, pickle.UnpicklingError):
+                    plain, result = marshal.loads(pipe.read())
+            except (EOFError, ValueError, TypeError):
                 names = ", ".join(level.render() for level in sorted(t[1] for t in share))
                 raise LatticeError(
                     f"level worker for levels {names} exited without a result"
                 ) from None
-            if not ok:
-                raise result
+            if not plain:  # an exception, or a payload value such as a Fraction
+                import pickle
+                ok, result = pickle.loads(result)
+                if not ok:
+                    raise result
             payloads.extend(result)
     except BaseException:
         import signal
@@ -303,8 +312,6 @@ def _run_shares(shares):
 
 def _share_child(share, write_fd, inherited_fds):
     """Body of a forked child: compute the share, write the outcome, exit."""
-    import pickle
-
     status = 1
     try:
         for fd in inherited_fds:
@@ -313,7 +320,11 @@ def _share_child(share, write_fd, inherited_fds):
             outcome = (True, [_level_worker(task) for task in share])
         except Exception as exc:
             outcome = (False, exc)
-        data = pickle.dumps(outcome)
+        try:
+            data = marshal.dumps(outcome)
+        except ValueError:  # what marshal cannot carry is pickled
+            import pickle
+            data = marshal.dumps((False, pickle.dumps(outcome)))
         with open(write_fd, "wb") as pipe:
             pipe.write(data)
         status = 0
@@ -344,13 +355,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _cell(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, MultiIndex):
-        return value.render()
     if isinstance(value, bool):
         return "yes" if value else "no"
-    return str(value)
+    return str(_jsonable(value))
 
 
 def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
@@ -384,8 +391,7 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
     results: dict[str, object] = {}
 
     want_chars = bool(
-        {"characters", "fit", "freeness", "stability", "twisted"}
-        & set(config.outputs)
+        {"characters", "fit", "freeness", "stability", "twisted"} & set(config.outputs)
     )
     want_betti = "betti" in config.outputs
     want_free = "freeness" in config.outputs
@@ -399,15 +405,22 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
         degrees = f" and {len(extra)} class degrees" if extra else ""
         log(f"computing {len(levels)} levels{degrees} in {len(shares)} processes")
         payloads = _run_shares(shares)
-    by_level = {p["level"]: p for p in payloads}
+    by_level = {MultiIndex(p["level"]): p for p in payloads}
+    for level, p in by_level.items():
+
+        def chi(values, level=level):
+            return ClassFunction(level, dict(zip(conj_classes(level), values)))
+
+        p["characters"] = p["characters"] and list(map(chi, p["characters"]))
+        p["generators"] = p["generators"] and {
+            i: dict(zip(g, map(chi, g.values()))) for i, g in p["generators"].items()
+        }
 
     if want_betti:
         header = ["level"] + [f"b{i}" for i in range(config.i_max + 1)]
         rows = [[level] + by_level[level]["betti"] for level in levels]
         _write_csv(out_dir / "betti.csv", header, rows)
-        results["betti"] = {
-            level.render(): by_level[level]["betti"] for level in levels
-        }
+        results["betti"] = {level.render(): by_level[level]["betti"] for level in levels}
 
     if "characters" in config.outputs:
         rows = []
@@ -458,9 +471,7 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
         detail = []
         for i in range(config.i_max + 1):
             log(f"freeness check i={i}")
-            characters = {
-                level: by_level[level]["characters"][i] for level in levels
-            }
+            characters = {level: by_level[level]["characters"][i] for level in levels}
             generators = {e: p["generators"][i] for e, p in by_level.items()} if i else {}
             report = verify_free_decomposition(spec, i, characters, generators, classes)
             for level, ok in report.level_matches:
@@ -571,12 +582,8 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
             values = {}
             for level in levels:
                 chi_n = poly.as_class_function(level)
-                values[level] = twisted_betti(
-                    by_level[level]["characters"][i], chi_n
-                )
-            predicted = degree_add(
-                degree_times(i, spec.cmax), poly.multidegree()
-            )
+                values[level] = twisted_betti(by_level[level]["characters"][i], chi_n)
+            predicted = degree_add(degree_times(i, spec.cmax), poly.multidegree())
             report = stability_report(values, predicted)
             if not report.meets_prediction:
                 findings.append(
@@ -635,14 +642,7 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
 
 
 def _resolve_cache(flag_value: str | None, config_value: str | None = None) -> str:
-    if flag_value:
-        return flag_value
-    env = os.environ.get(ENV_CACHE)
-    if env:
-        return env
-    if config_value:
-        return config_value
-    return DEFAULT_CACHE
+    return flag_value or os.environ.get(ENV_CACHE) or config_value or DEFAULT_CACHE
 
 
 @functools.cache

@@ -31,6 +31,7 @@ from .record import record
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_CANONICAL_INTS = "(?:0|[1-9][0-9]*):(?:(?:0|-?[1-9][0-9]*)(?:[,;](?:0|-?[1-9][0-9]*))*)?"
 
 Vector = tuple[Fraction, ...]
 
@@ -289,9 +290,7 @@ class Subspace:
 
     @cached_property
     def serialization(self) -> str:
-        rows = ";".join(
-            ",".join(map(str, row)) for row in self.constraints.entries
-        )
+        rows = ";".join(",".join(map(str, row)) for row in self.constraints.entries)
         return f"{self.ambient_dim}:{rows}"
 
     def serialize(self) -> str:
@@ -299,16 +298,16 @@ class Subspace:
 
     @classmethod
     def parse(cls, text: str) -> "Subspace":
+        """The subspace serialized as ``text``, kept as its serialization when
+        it is ints written as ``str`` writes them (``_CANONICAL_INTS``, compiled
+        on first use).  "p/q" stays a Fraction, so "1/0" raises ZeroDivisionError."""
         head, _, body = text.partition(":")
-        n = int(head)
-        rows = ()
-        if body:
-            # "p/q" stays a Fraction, so "1/0" raises ZeroDivisionError
-            rows = tuple(
-                tuple(Fraction(e) if "/" in e else int(e) for e in chunk.split(","))
-                for chunk in body.split(";")
-            )
-        return cls(n, RationalMatrix(rows, n))
+        entry = int if "/" not in body else lambda e: Fraction(e) if "/" in e else int(e)
+        rows = tuple(tuple(map(entry, row.split(","))) for row in body.split(";")) if body else ()
+        x = cls(int(head), RationalMatrix(rows, int(head)))
+        if entry is int and re.fullmatch(_CANONICAL_INTS, text):
+            x.__dict__["serialization"] = text  # read by the cached property
+        return x
 
     def __repr__(self):
         return f"Subspace({self.serialization!r})"
@@ -325,20 +324,21 @@ def subspace_from_constraints(n: int, rows: Iterable[Sequence]) -> Subspace:
     return Subspace(n, RationalMatrix(tuple(reduced), n))
 
 
-def scatter_rows(
-    rows: Sequence[Sequence], columns: Sequence[int], n: int
-) -> tuple[tuple, ...]:
-    """The RREF of the constraint rows with column k moved to ``columns[k]``
-    and zeros elsewhere in Q^n."""
+def place_rows(rows: Sequence[Sequence], columns: Sequence[int], n: int) -> tuple[tuple, ...]:
+    """The constraint rows with column k moved to ``columns[k]`` and zeros
+    elsewhere in Q^n; rows in RREF stay in RREF when ``columns`` increases."""
     moved = []
     for row in rows:
         out = [0] * n
         for value, col in zip(row, columns):
             out[col] = value
-        moved.append(out)
-    reduced = _rref_rows(moved, n)
-    assert reduced is not None
-    return tuple(reduced)
+        moved.append(tuple(out))
+    return tuple(moved)
+
+
+def scatter_rows(rows: Sequence[Sequence], columns: Sequence[int], n: int) -> tuple[tuple, ...]:
+    """The RREF of the rows placed by ``place_rows``."""
+    return tuple(_rref_rows(place_rows(rows, columns, n), n))
 
 
 def scatter_columns(x: Subspace, columns: Sequence[int], n: int) -> Subspace:

@@ -889,6 +889,83 @@ def test_cache_zero_denominator_is_a_miss_and_rebuilt(tmp_path):
     assert cache.load(tmp_path, spec, mi((4,)), 4).atoms == lat.atoms
 
 
+# SHA-256 of each cold cache file, by its level line, recorded when each
+# atom was still made by one reduction per injection name
+CACHE_DIGESTS = {
+    "braid": (
+        {"family": {"kind": "mkr", "m": 1, "k": 2, "r": 1}, "levels": {"min": [2], "max": [5]}, "i_max": 3},
+        {
+            "level=2": "81f4d5d9de7edcffc4f8c2ff44573ccea95e4148e27b50733743394e54544a82",
+            "level=3": "e3fea7c5f93528c952577f3eae8d5f8bdbf7b416655f7f5ddce4610415d18548",
+            "level=4": "6b4f95c97ad921296389eab09f589a0bce2312c62fcd716a84de0fef88af06d3",
+            "level=5": "1a73feac1f568057df7c251d378346804c91518446c662909196c4a4c29f2024",
+        },
+    ),
+    "k-equals": (
+        {"family": {"kind": "mkr", "m": 1, "k": 3, "r": 1}, "levels": {"min": [3], "max": [6]}, "i_max": 4},
+        {
+            "level=3": "f2a0a56367d657039263378e2263f0cd838d1756a7448ba9fe166f76ca7a215e",
+            "level=4": "8a47d900a4bae6fefbb6d56d34bd4ffc73811f1817b41faecafdc26bc8fd5f0e",
+            "level=5": "b6d3a512a3e8de350a9d2a1c0372d2c634201714ab5c372280ce257164b9a5e3",
+            "level=6": "289053cfa985d343f2d941731a43a59ffb1ef1575ba93b438c65f8d24fc9b63f",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("job", sorted(CACHE_DIGESTS))
+def test_cold_cache_files_keep_their_bytes(tmp_path, job):
+    family, digests = CACHE_DIGESTS[job]
+    config = write_config(tmp_path, **family, outputs=["betti", "characters"])
+    args = ["run", "--config", str(config), "--cache", str(tmp_path / "c"), "--out", str(tmp_path / "o")]
+    assert main(args) == 0
+    found = {}
+    for path in (tmp_path / "c").iterdir():
+        data = path.read_bytes()
+        found[data.decode("utf-8").splitlines()[1]] = hashlib.sha256(data).hexdigest()
+    assert found == digests
+
+
+HALVES = arrangement.ArrangementSpec(
+    1, 1, ((MultiIndex((2,)), exactlin.subspace_from_constraints(2, [[2, -1]])),)
+)
+
+
+@pytest.mark.parametrize(
+    "spec, canonical, variant",
+    [
+        (family_mkr(1, 2, 1), ":1,", ":01,"),
+        (family_mkr(1, 2, 1), ":1,", ":+1,"),
+        (family_mkr(1, 2, 1), ",0,", ",-0,"),
+        (family_mkr(1, 2, 1), "-1", " -1"),
+        (family_mkr(1, 2, 1), "4:", "04:"),
+        (HALVES, "-1/2", "-2/4"),
+        (HALVES, ":1,", ":2/2,"),
+    ],
+)
+def test_cache_entry_text_that_is_not_canonical_loads_canonical(tmp_path, spec, canonical, variant):
+    # a checksum-valid line may write an entry's value in another form; the
+    # load keeps only canonical text as an element's serialization
+    lat = build_lattice(spec, mi((4,)), 2)
+    path = cache.store(tmp_path, spec, lat)
+
+    def edit(lines):
+        out = []
+        for line in lines:
+            serial, rest = line.split("\t", 1)
+            out.append(f"{serial.replace(canonical, variant)}\t{rest}")
+        return out
+
+    rewrite_payload(path, edit)
+    assert variant in read(path)
+    loaded = cache.load(tmp_path, spec, mi((4,)), 2)
+    expected = [x.serialization for x in lat.elements]
+    assert [x.serialization for x in loaded.elements] == expected
+    assert [exactlin.Subspace.parse(s).serialization for s in expected] == expected
+    assert [loaded.index_of(x) for x in lat.elements] == list(range(len(lat)))
+    assert loaded.atoms == lat.atoms and loaded.orbits == lat.orbits
+
+
 def test_lattice_missing_an_orbit_member_exits_three(tmp_path, capsys):
     # a checksum-valid cache file that lost one element: the group action
     # leaves the lattice, an internal error rather than a usage error
@@ -949,6 +1026,41 @@ def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
     args = ["run", "--config", str(config), "--cache", str(tmp_path / "c")]
     args += ["--out", str(tmp_path / "o"), "--jobs", "2"]
     assert run_python(probe, *args).stdout.strip() == "0 []"
+
+
+def test_parallel_cold_and_warm_runs_leave_pickle_unloaded(tmp_path):
+    # a forked share's payloads are plain data and cross the pipe as marshal
+    # data; only an exception or a Fraction value is pickled
+    config = write_config(tmp_path, outputs=["betti", "characters", "freeness"])
+    probe = (
+        "import sys\n"
+        "from arrstab.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, [m for m in ('pickle', '_pickle') if m in sys.modules])\n"
+    )
+    args = ["run", "--config", str(config), "--cache", str(tmp_path / "c"), "--jobs", "2"]
+    for state in ("cold", "warm"):
+        out = run_python(probe, *args, "--out", str(tmp_path / state), flags=("-S",))
+        assert out.stdout.splitlines()[-1] == "0 []", state
+    assert read(tmp_path / "cold" / "report.json") == read(tmp_path / "warm" / "report.json")
+
+
+def test_forked_share_pickles_only_what_marshal_cannot_carry(monkeypatch):
+    from fractions import Fraction
+
+    def worker(task):
+        if task == "raises":
+            raise LatticeError("injected in a child")
+        return {"level": task, "value": Fraction(1, 2) if task == "fraction" else [3, (4,)]}
+
+    monkeypatch.setattr(cli, "_level_worker", worker)
+    assert cli._run_shares([["here"], ["plain"], ["fraction"]]) == [
+        {"level": "here", "value": [3, (4,)]},
+        {"level": "plain", "value": [3, (4,)]},
+        {"level": "fraction", "value": Fraction(1, 2)},
+    ]
+    with pytest.raises(LatticeError, match="injected in a child"):
+        cli._run_shares([["here"], ["raises"]])
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded(tmp_path):

@@ -306,15 +306,15 @@ def test_truncation_equals_fresh_build(spec, level, top, low, monkeypatch):
 
 
 def test_rref_budget_braid6_codim3(braid, monkeypatch):
-    in_pullback = False
-    rref_calls = []  # whether each full reduction ran inside an atom pullback
+    in_atoms = False
+    rref_calls = []  # whether each full reduction ran while the atoms were made
     meets = []  # (rows, atom rows, cap, result) of each meet
     original_rref = exactlin._rref_rows
     original_meet = arrangement.meet_rows
-    original_pullback = arrangement.pullback
+    original_atoms = arrangement._atoms
 
     def counting_rref(*args, **kwargs):
-        rref_calls.append(in_pullback)
+        rref_calls.append(in_atoms)
         return original_rref(*args, **kwargs)
 
     def counting_meet(rows, pivots, other, cols, cap):
@@ -322,17 +322,17 @@ def test_rref_budget_braid6_codim3(braid, monkeypatch):
         meets.append((rows, other, cap, result))
         return result
 
-    def flagged_pullback(*args, **kwargs):
-        nonlocal in_pullback
-        in_pullback = True
+    def flagged_atoms(*args, **kwargs):
+        nonlocal in_atoms
+        in_atoms = True
         try:
-            return original_pullback(*args, **kwargs)
+            return original_atoms(*args, **kwargs)
         finally:
-            in_pullback = False
+            in_atoms = False
 
     monkeypatch.setattr(exactlin, "_rref_rows", counting_rref)
     monkeypatch.setattr(arrangement, "meet_rows", counting_meet)
-    monkeypatch.setattr(arrangement, "pullback", flagged_pullback)
+    monkeypatch.setattr(arrangement, "_atoms", flagged_atoms)
     lat = build_lattice(braid, mi((6,)), 3)
     monkeypatch.undo()
     # |L| = 170 set partitions of 6 points with at most 3 merges, 15 atoms
@@ -390,11 +390,12 @@ def test_rref_budget_braid6_codim3(braid, monkeypatch):
         o for o in set(orbit.values()) if lat.codims[o] > 1
     )
     assert len(meets) == 39 + tested
-    # The only full reductions: the atom pullbacks, one per injection, and
-    # one per element reached in an orbit walk, which is every element but
-    # the 15 atoms and the 5 other representatives.  The generators' atom
-    # images are read from the atom names.
-    assert rref_calls == [True] * 30 + [False] * (170 - 15 - 5)
+    # The only full reductions: one per version sigma^*X of the generator
+    # other than the identity's, here the swap's, for all 30 injections
+    # [2] -> [6], and one per element reached in an orbit walk, which is
+    # every element but the 15 atoms and the 5 other representatives.  The
+    # generators' atom images are read from the atom names.
+    assert rref_calls == [True] * (math.factorial(2) - 1) + [False] * (170 - 15 - 5)
 
 
 def test_lattice_build_and_load_do_no_containment_tests(braid, tmp_path, monkeypatch):
@@ -404,6 +405,134 @@ def test_lattice_build_and_load_do_no_containment_tests(braid, tmp_path, monkeyp
     loaded = cache.load(tmp_path, braid, mi((5,)), 3)
     assert loaded is not None
     assert len(loaded.truncated(2)) == 35
+
+
+# --- atoms from generator versions -------------------------------------------
+#
+# ``named_atoms`` with ``pullback`` is the former atom construction of
+# ``build_lattice``: one reduction per injection name.  It stays here as the
+# reference for ``arrangement._atoms``, which reduces each version sigma^*X
+# of a generator once and places its rows along the increasing injections.
+
+
+def pullback_atoms(spec, n, max_codim):
+    return named_atoms(spec, n, max_codim, lambda f, sub: pullback(f, spec.r, sub))
+
+
+def assert_atoms_match_pullbacks(spec, n, max_codim):
+    atoms, names = arrangement._atoms(spec, n, max_codim)
+    expected_atoms, expected_names = pullback_atoms(spec, n, max_codim)
+    assert [x.serialization for x in atoms] == [x.serialization for x in expected_atoms]
+    assert list(names.items()) == list(expected_names.items())  # dict order included
+    lat = build_lattice(spec, n, max_codim)
+    real = arrangement._atoms
+    arrangement._atoms = pullback_atoms
+    try:
+        oracle = build_lattice(spec, n, max_codim)
+    finally:
+        arrangement._atoms = real
+    assert [x.serialization for x in lat.elements] == [x.serialization for x in oracle.elements]
+    assert lat.atoms == oracle.atoms
+    assert list(lat.atom_names.items()) == list(oracle.atom_names.items())
+    assert lat.orbits == oracle.orbits
+
+
+# generators that no point permutation fixes, so that their versions differ
+ASYMMETRIC_CASES = [
+    (ArrangementSpec(1, 1, ((mi((3,)), subspace_from_constraints(3, [[1, 2, 3]])),)), (5,), 3),
+    (
+        ArrangementSpec(1, 2, ((mi((2,)), subspace_from_constraints(4, [[1, 0, 0, 2]])),)),
+        (3,),
+        3,
+    ),
+    (
+        ArrangementSpec(2, 2, ((mi((1, 1)), subspace_from_constraints(4, [[1, 2, -1, 0]])),)),
+        (2, 2),
+        3,
+    ),
+    (
+        ArrangementSpec(
+            2,
+            1,
+            (
+                (mi((2, 1)), subspace_from_constraints(3, [[1, -2, 1]])),
+                (mi((1, 1)), subspace_from_constraints(2, [[1, 1]])),
+            ),
+        ),
+        (3, 2),
+        3,
+    ),
+    (MIXED_CODIM, (2,), 4),  # every injection is a permutation
+    (family_mkr(1, 3, 1), (2,), 4),  # no injection: no atoms
+]
+
+
+@pytest.mark.parametrize("spec, level, max_codim", FAMILY_CASES + ASYMMETRIC_CASES)
+def test_atoms_from_versions_match_one_pullback_per_name(spec, level, max_codim):
+    assert_atoms_match_pullbacks(spec, mi(level), max_codim)
+
+
+@st.composite
+def custom_specs(draw):
+    """One or two random generators with m and r in {1, 2}, at a level at
+    or above every generator degree, of at most four points."""
+    m, r = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        degree = mi(draw(st.lists(st.integers(0, 3 - m), min_size=m, max_size=m)))
+        assume(degree.total >= 1)
+        dim = r * degree.total
+        rows = draw(
+            st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim), min_size=1, max_size=2)
+        )
+        sub = subspace_from_constraints(dim, rows)
+        assume(sub.codim >= 1)
+        gens.append((degree, sub))
+    top = fim.componentwise_max(degree for degree, _ in gens)
+    level = mi(d + draw(st.integers(0, 1)) for d in top)
+    assume(level.total <= 4)
+    return ArrangementSpec(m, r, tuple(gens)), level
+
+
+@given(custom_specs(), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_atoms_from_versions_match_one_pullback_per_name_random(case, max_codim):
+    spec, level = case
+    assert_atoms_match_pullbacks(spec, level, max_codim)
+
+
+def count_atom_reductions(monkeypatch, *args):
+    """The atoms and names ``arrangement._atoms(*args)`` makes, and the full
+    reductions it runs."""
+    calls = 0
+    original = exactlin._rref_rows
+
+    def counting(*a, **k):
+        nonlocal calls
+        calls += 1
+        return original(*a, **k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exactlin, "_rref_rows", counting)
+        atoms, names = arrangement._atoms(*args)
+    return atoms, names, calls
+
+
+def test_rref_budget_kequals7_atoms(monkeypatch):
+    # 35 atoms x_a = x_b = x_c under 210 names; the diagonal is symmetric,
+    # so the six versions sigma^*X are one subspace
+    atoms, names, calls = count_atom_reductions(monkeypatch, family_mkr(1, 3, 1), mi((7,)), 5)
+    assert (len(atoms), len(names)) == (35, 210)
+    assert calls <= 6
+
+
+def test_atom_reductions_are_one_per_version_but_the_identity(monkeypatch):
+    # x0 + 2 x1 + 3 x2 = 0 has six versions, one per permutation of its
+    # points, so every image set carries six atoms
+    spec, level, max_codim = ASYMMETRIC_CASES[0]
+    atoms, names, calls = count_atom_reductions(monkeypatch, spec, mi(level), max_codim)
+    assert calls == math.factorial(3) - 1
+    assert (len(atoms), len(names)) == (6 * math.comb(5, 3), 60)
 
 
 # --- the integer-first closure ------------------------------------------------
@@ -1261,9 +1390,9 @@ def test_level_worker_acts_once_per_class_and_level(kequals_cache, monkeypatch):
         payload = cli._level_worker(
             (KEQUALS, mi((n,)), 5, True, True, True, cache.CachingBuilder(str(kequals_cache)))
         )
-        assert payload["betti"][1:] == [
-            payload["characters"][i].identity_value for i in range(1, 6)
-        ]
+        # a character comes as its values in conj_classes order
+        identity = conj_classes(mi((n,))).index(ConjClass(((1,) * n,)))
+        assert payload["betti"][1:] == [payload["characters"][i][identity] for i in range(1, 6)]
     # one act per non-identity class: p(n) - 1 for n = 3..7; the generator
     # characters read the same context and act on nothing
     assert calls == 2 + 4 + 6 + 10 + 14
