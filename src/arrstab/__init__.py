@@ -20,27 +20,27 @@ _HOMES = {
     "LatticeHomology": "homology",
     "MultiIndex": "fim",
     "PermTuple": "fim",
-    "PrimitiveClass": "arrangement",
+    "PrimitiveClass": "checks",
     "RationalMatrix": "exactlin",
     "Subspace": "exactlin",
     "build_lattice": "arrangement",
     "character_of_cohomology": "characters",
     "family_mkr": "fim",
-    "fit_character_polynomial": "characters",
-    "induction_character": "characters",
+    "fit_character_polynomial": "checks",
+    "induction_character": "checks",
     "inner_product": "characters",
     "invariants_dim": "characters",
     "irreducible_multiplicities": "characters",
-    "is_primitive": "arrangement",
-    "normalize": "arrangement",
-    "orbit_decomposition": "arrangement",
-    "primitive_classes": "arrangement",
+    "is_primitive": "checks",
+    "normalize": "checks",
+    "orbit_decomposition": "checks",
+    "primitive_classes": "checks",
     "stability_report": "characters",
     "subspace_from_constraints": "exactlin",
-    "twisted_betti": "characters",
-    "verify_downward_stability": "arrangement",
-    "verify_free_decomposition": "characters",
-    "verify_normal": "arrangement",
+    "twisted_betti": "checks",
+    "verify_downward_stability": "checks",
+    "verify_free_decomposition": "checks",
+    "verify_normal": "checks",
 }
 
 __all__ = list(_HOMES)

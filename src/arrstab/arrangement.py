@@ -1,4 +1,4 @@
-"""FI^m-arrangements: intersection lattices, normality, normalization.
+"""FI^m-arrangements: intersection lattices and the group action on them.
 
 An arrangement family is given by finitely many generating subspaces, each at
 a degree.  At a level n the lattice collects every subspace of bounded
@@ -25,10 +25,8 @@ it: ``orbits`` is what orbit lookups, primitive classes and per-orbit homology
 read.  Elements are canonically sorted by (codim, serialization), which fixes
 every downstream output byte for byte.
 
-A subspace contains the kernel of the map induced by an injection exactly
-when its nonzero constraint columns lie at the injection's coordinates, and
-then its image is read off those columns (``fim.pushforward``).  Primitivity,
-normality and normalization are all tests on that constraint support.
+Primitivity, normality, normalization and primitive classes live in
+``checks``, which only the outputs that use them load.
 """
 
 from __future__ import annotations
@@ -37,36 +35,13 @@ import bisect
 import itertools
 from typing import Callable, Iterable, Sequence
 
-from .exactlin import (
-    RationalMatrix,
-    Subspace,
-    _pivot_columns,
-    constraint_support,
-    meet_rows,
-    place_rows,
-    scatter_rows,
-)
-from .fim import (
-    ArrangementSpec,
-    Images,
-    Injection,
-    MultiIndex,
-    PermTuple,
-    ambient_dim,
-    binomial_class_key,
-    binomial_representatives,
-    compose_images,
-    coordinate_permutation,
-    degree_times,
-    enumerate_injections,
-    family_mkr,  # re-exported: the spec lives in fim
-    group_order,
+from .exactlin import RationalMatrix, Subspace, _pivot_columns, meet_rows, place_rows, scatter_rows
+from .fim import (  # ArrangementSpec and family_mkr re-exported: the spec lives in fim
+    ArrangementSpec, Images, Injection, MultiIndex, PermTuple, ambient_dim,
+    binomial_representatives, compose_images, coordinate_permutation, family_mkr, group_order,
     injection_coordinates,
-    pullback,
-    pushforward,
 )
 from .homology import LatticeError, RankedPoset
-from .record import record
 
 Name = tuple[int, Images]
 """A generator index and the images of an injection that pulls it back to an atom."""
@@ -432,137 +407,6 @@ def _relabel(mask: int, images: dict[int, int]) -> int:
 LatticeBuilder = Callable[[ArrangementSpec, MultiIndex, int], IntersectionLattice]
 
 
-def is_primitive(spec: ArrangementSpec, degree: MultiIndex, x: Subspace) -> bool:
-    """True iff x contains no kernel of a map induced from a smaller degree.
-
-    Among all induced-map kernels the minimal ones are those of corank-one
-    injections missing a single point, and those kernels are the coordinate
-    spans of single points.  So x is primitive exactly when its constraint
-    support touches every point.
-    """
-    if x.ambient_dim != ambient_dim(degree, spec.r):
-        raise ValueError("subspace ambient does not match the degree")
-    return len({c // spec.r for c in constraint_support(x)}) == degree.total
-
-
-@record
-class NormalityViolation:
-    source: MultiIndex
-    target: MultiIndex
-    injection: Injection
-    element: Subspace
-    image: Subspace
-
-
-@record
-class NormalityReport:
-    normal: bool
-    checked_degrees: tuple[MultiIndex, ...]
-    violation: NormalityViolation | None = None
-
-
-def verify_normal(
-    spec: ArrangementSpec,
-    degrees: Sequence[MultiIndex],
-    get_lattice: LatticeBuilder = build_lattice,
-) -> NormalityReport:
-    """Check that kernel-containing elements are preimages from below.
-
-    For every pair c -> d among the listed degrees and every element at d
-    containing the kernel of the induced map, i.e. whose constraint support
-    lies at the injection's coordinates, the pushforward must already be a
-    lattice element at c.  The first failure is reported; violations are
-    report content, not exceptions.
-    """
-    degrees = tuple(degrees)
-    lattices = {
-        d: get_lattice(spec, d, max(1, ambient_dim(d, spec.r))) for d in degrees
-    }
-    supports = {
-        d: [constraint_support(x) for x in lat.elements]
-        for d, lat in lattices.items()
-    }
-    for c in degrees:
-        for d in degrees:
-            if not c.leq(d):
-                continue
-            lat_d = lattices[d]
-            if not len(lat_d):
-                continue
-            lat_c = lattices[c]
-            for f in enumerate_injections(c, d):
-                columns = set(injection_coordinates(f, spec.r))
-                for x, support in zip(lat_d.elements, supports[d]):
-                    if not support <= columns:
-                        continue
-                    image = pushforward(f, spec.r, x)
-                    if image not in lat_c:
-                        return NormalityReport(
-                            False,
-                            degrees,
-                            NormalityViolation(c, d, f, x, image),
-                        )
-    return NormalityReport(True, degrees)
-
-
-def _degrees_below(bound: MultiIndex) -> list[MultiIndex]:
-    """All degrees <= bound, sorted by (total size, lex)."""
-    grid = itertools.product(*(range(b + 1) for b in bound))
-    return sorted((MultiIndex(t) for t in grid), key=lambda e: (e.total, tuple(e)))
-
-
-def class_degrees(spec: ArrangementSpec, max_codim: int) -> list[MultiIndex]:
-    """The degrees that can carry a primitive class of codim <= max_codim."""
-    bound = degree_times(max_codim, spec.cmax)
-    return [e for e in _degrees_below(bound) if any(deg.leq(e) for deg, _ in spec.generators)]
-
-
-def normalize(spec: ArrangementSpec) -> ArrangementSpec:
-    """Push each generator down to the smallest degree that carries it.
-
-    A generator contains the kernel of the map induced by an injection
-    exactly when its constraint support lies on the injection's image points.
-    So the smallest degree that carries it counts, per factor, the points the
-    support touches, and the replacement is the generator's pushforward along
-    the order-preserving injection onto those points (the first such
-    injection in enumeration order).  The result is generated by primitive
-    subspaces and the operation is idempotent.
-    """
-    new_gens = []
-    for degree, sub in spec.generators:
-        points = {c // spec.r for c in constraint_support(sub)}
-        images = []
-        offset = 0
-        for n in degree:
-            images.append(tuple(i for i in range(n) if offset + i in points))
-            offset += n
-        f = Injection(tuple(images), degree)
-        image = pushforward(f, spec.r, sub)
-        assert is_primitive(spec, f.source, image)
-        new_gens.append((f.source, image))
-    return ArrangementSpec(spec.m, spec.r, tuple(new_gens))
-
-
-@record
-class PrimitiveClass:
-    """An equivalence class of primitive subspaces: the Aut(degree)-orbit
-    of its canonical member ``subspace`` (first) and each member's atoms,
-    one ``Name`` each."""
-
-    degree: MultiIndex
-    orbit: tuple[Subspace, ...]
-    stabilizer_order: int
-    atoms: tuple[tuple[Name, ...], ...]
-
-    @property
-    def subspace(self) -> Subspace:
-        return self.orbit[0]
-
-    @property
-    def codim(self) -> int:
-        return self.subspace.codim
-
-
 def _group_generators(level: MultiIndex) -> list[PermTuple]:
     """A transposition and an n-cycle in each factor of size n >= 2; they
     generate the whole automorphism group of ``level``."""
@@ -586,161 +430,11 @@ def orbit_of(lat: IntersectionLattice, idx: int) -> tuple[tuple[int, ...], int]:
     return members, group_order(lat.level) // len(members)
 
 
-def primitive_classes(
-    spec: ArrangementSpec,
-    max_codim: int,
-    get_lattice: LatticeBuilder = build_lattice,
-) -> tuple[PrimitiveClass, ...]:
-    """Representatives of primitive-subspace classes of codim <= max_codim.
+def __getattr__(name: str):
+    """``primitive_classes`` lives in ``checks``; the benchmark tracer still
+    hooks it here, so it resolves here until the tracer names its home."""
+    if name != "primitive_classes":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .checks import primitive_classes
 
-    Scans every ``class_degrees`` degree (no primitive of this codimension
-    can occur at a degree above the bound) and keeps, at each degree,
-    the orbits whose representative is primitive: the point action preserves
-    primitivity, so that decides the whole orbit.  Requires the spec to pass
-    the normality check on its generator degrees.
-    """
-    if not spec.generators:
-        return ()
-    gen_degrees = tuple(dict.fromkeys(deg for deg, _ in spec.generators))
-    report = verify_normal(spec, gen_degrees, get_lattice)
-    if not report.normal:
-        raise ValueError("spec is not normal on its generator degrees")
-    classes: list[PrimitiveClass] = []
-    for e in class_degrees(spec, max_codim):
-        lat = get_lattice(spec, e, max_codim)
-        name_of = _first_names(lat.atom_names)
-        for idx, members in enumerate(lat.orbits):
-            if members[0] == idx and is_primitive(spec, e, lat.elements[idx]):
-                orbit = tuple(lat.elements[y] for y in members)
-                atoms = tuple(tuple(name_of[a] for a in lat.atoms[y]) for y in members)
-                classes.append(PrimitiveClass(e, orbit, group_order(e) // len(orbit), atoms))
-    return tuple(classes)
-
-
-@record
-class OrbitDecomposition:
-    """Assignment of each lattice element to one primitive class and one
-    binomial class of injections."""
-
-    assignments: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]
-
-    def blocks(self) -> dict[int, dict[tuple, tuple[int, ...]]]:
-        out: dict[int, dict[tuple, list[int]]] = {}
-        for idx, (ci, key) in enumerate(self.assignments):
-            out.setdefault(ci, {}).setdefault(key, []).append(idx)
-        return {
-            ci: {key: tuple(v) for key, v in keyed.items()}
-            for ci, keyed in out.items()
-        }
-
-    def class_sizes(self) -> dict[int, int]:
-        sizes: dict[int, int] = {}
-        for ci, _ in self.assignments:
-            sizes[ci] = sizes.get(ci, 0) + 1
-        return sizes
-
-
-def orbit_decomposition(
-    lat: IntersectionLattice, classes: Sequence[PrimitiveClass]
-) -> OrbitDecomposition:
-    """Split the lattice into orbit blocks indexed by binomial classes.
-
-    Every element must arise from exactly one primitive class and, within it,
-    one binomial class of injections; anything else signals a non-normal
-    input or an incomplete class list and raises LatticeError.
-
-    The injections of one binomial class are f o h for its order-preserving
-    member f and h in Aut(e), and (f o h)^* X = f^*(h^* X).  So a class's
-    preimages are those of its orbit's subspaces along f alone; f^*y meets
-    the atoms named (gi, f o h) over y's atoms (gi, h).
-    """
-    table: dict[int, set[tuple[int, tuple]]] = {}
-    for ci, cls in enumerate(classes):
-        if not cls.degree.leq(lat.level):
-            continue
-        for f in binomial_representatives(cls.degree, lat.level):
-            key = binomial_class_key(f)
-            for atoms in cls.atoms:
-                idx = lat.meet_of_atoms((gi, compose_images(f.images, h)) for gi, h in atoms)
-                if idx is not None:
-                    table.setdefault(idx, set()).add((ci, key))
-    assignments = []
-    for idx in range(len(lat)):
-        hits = table.get(idx)
-        if not hits:
-            raise LatticeError(
-                f"element {idx} matched by no primitive class"
-            )
-        class_ids = {ci for ci, _ in hits}
-        if len(class_ids) > 1:
-            raise LatticeError(
-                f"element {idx} matched by {len(class_ids)} primitive classes"
-            )
-        if len(hits) > 1:
-            raise LatticeError(
-                f"element {idx} matched by several binomial classes"
-            )
-        assignments.append(next(iter(hits)))
-    return OrbitDecomposition(tuple(assignments))
-
-
-@record
-class DownwardStabilityReport:
-    stable: bool
-    source: MultiIndex
-    target: MultiIndex
-    failures: tuple[str, ...]
-
-
-def verify_downward_stability(
-    spec: ArrangementSpec,
-    c: MultiIndex,
-    d: MultiIndex,
-    max_codim: int,
-    get_lattice: LatticeBuilder = build_lattice,
-) -> DownwardStabilityReport:
-    """Check lower intervals map isomorphically along injections c -> d.
-
-    One representative injection per binomial class suffices: the others
-    differ by automorphisms, which act by poset isomorphisms.
-    """
-    if not c.leq(d):
-        raise ValueError("need c <= d componentwise")
-    lat_c = get_lattice(spec, c, max_codim)
-    lat_d = get_lattice(spec, d, max_codim)
-    failures: list[str] = []
-    for f in binomial_representatives(c, d):
-        image_index: dict[int, int] = {}
-        for idx in range(len(lat_c)):
-            img = pullback(f, spec.r, lat_c.elements[idx])
-            if img not in lat_d:
-                failures.append(
-                    f"injection {f.render()}: image of element {idx} missing at {d.render()}"
-                )
-                continue
-            image_index[idx] = lat_d.index_of(img)
-        for idx in image_index:
-            below_c = lat_c.containing(idx)
-            below_d = lat_d.containing(image_index[idx])
-            mapped = {image_index[y] for y in below_c if y in image_index}
-            if len(mapped) != len(below_c) or mapped != set(below_d):
-                failures.append(
-                    f"injection {f.render()}: interval of element {idx} not bijective"
-                )
-                continue
-            for y in below_c:
-                if lat_c.codims[y] != lat_d.codims[image_index[y]]:
-                    failures.append(
-                        f"injection {f.render()}: rank not preserved below element {idx}"
-                    )
-                    break
-            for y1 in below_c:
-                for y2 in below_c:
-                    if lat_c.poset_less(y1, y2) != lat_d.poset_less(
-                        image_index[y1], image_index[y2]
-                    ):
-                        failures.append(
-                            f"injection {f.render()}: order not preserved below element {idx}"
-                        )
-                        break
-    return DownwardStabilityReport(not failures, c, d, tuple(failures))
+    return primitive_classes

@@ -21,7 +21,10 @@ Start-up loads only the config layer (``record``, ``fim`` and, through it,
 ``exactlin``); a twisted polynomial in the config also loads ``polynomial``.
 The engine modules, the cache, ``csv`` and ``argparse`` are imported by the
 functions that use them, so they are looked up when a command runs, not
-bound when ``cli`` is imported.
+bound when ``cli`` is imported.  The ``fit``, ``freeness``, ``normalize``
+and ``twisted`` outputs are computed by ``checks`` from the level results as
+plain maps; ``run`` imports it only for a job that asks for one of them, and
+writes every report file itself.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .fim import (
     MultiIndex,
     ambient_dim,
     conj_classes,
-    degree_add,
     degree_times,
     family_mkr,
     group_order,
@@ -211,22 +213,16 @@ def list_catalog() -> str:
     return "\n".join(lines)
 
 
-def _freeness_codim(spec: ArrangementSpec, degree: MultiIndex, i_max: int) -> int:
-    """The codim a freeness job builds at ``degree``: i_max, or at a generator
-    degree the whole lattice, which the normality check reads, so that one
-    build serves both and the i_max lattice truncates it."""
-    if any(degree == deg for deg, _ in spec.generators):
-        return max(i_max, ambient_dim(degree, spec.r))
-    return i_max
-
-
 def _level_worker(args):
-    from .characters import character_of_cohomology, primitive_characters
+    from .characters import character_of_cohomology
     from .homology import LatticeHomology
 
     spec, level, i_max, want_betti, want_chars, want_generators, get = args
-    if want_generators and i_max >= 1:
-        get(spec, level, _freeness_codim(spec, level, i_max))
+    if want_generators:
+        from .checks import _freeness_codim, primitive_characters
+
+        if i_max >= 1:
+            get(spec, level, _freeness_codim(spec, level, i_max))
     # One context on the top lattice serves every degree: the elements of
     # lower codim are its prefix, and each class acts on it once.
     ctx = LatticeHomology(get(spec, level, i_max)) if i_max >= 1 else None
@@ -362,19 +358,8 @@ def _cell(value) -> str:
 
 def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
     """Execute the configured computations and write the report files."""
-    from .arrangement import LatticeError, normalize, orbit_decomposition
-    from .arrangement import class_degrees, primitive_classes
     from .cache import CachingBuilder
-    from .characters import (
-        FitInconsistentError,
-        FitUnderdeterminedError,
-        binomial_basis_form,
-        fit_character_polynomial,
-        invariants_dim,
-        stability_report,
-        twisted_betti,
-        verify_free_decomposition,
-    )
+    from .characters import invariants_dim, stability_report
 
     def log(message: str) -> None:
         if verbose:
@@ -395,6 +380,8 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
     )
     want_betti = "betti" in config.outputs
     want_free = "freeness" in config.outputs
+    if want_free:
+        from .checks import class_degrees
     extra = [e for e in class_degrees(spec, config.i_max) if e not in levels] if want_free else []
     payloads = []
     if want_betti or want_chars:
@@ -406,15 +393,20 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
         log(f"computing {len(levels)} levels{degrees} in {len(shares)} processes")
         payloads = _run_shares(shares)
     by_level = {MultiIndex(p["level"]): p for p in payloads}
-    for level, p in by_level.items():
 
-        def chi(values, level=level):
-            return ClassFunction(level, dict(zip(conj_classes(level), values)))
+    def chi(level, values):
+        return ClassFunction(level, dict(zip(conj_classes(level), values)))
 
-        p["characters"] = p["characters"] and list(map(chi, p["characters"]))
-        p["generators"] = p["generators"] and {
-            i: dict(zip(g, map(chi, g.values()))) for i, g in p["generators"].items()
-        }
+    # the level results as plain maps, which every output reads:
+    # characters[i][level] in level order, generators[i][degree] in task order
+    characters = [
+        {level: chi(level, by_level[level]["characters"][i]) for level in levels}
+        for i in range(config.i_max + 1 if want_chars else 0)
+    ]
+    generators = [{}] + [
+        {e: {x: chi(e, v) for x, v in p["generators"][i].items()} for e, p in by_level.items()}
+        for i in range(1, config.i_max + 1 if want_free else 0)
+    ]
 
     if want_betti:
         header = ["level"] + [f"b{i}" for i in range(config.i_max + 1)]
@@ -428,120 +420,35 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
         # character values are reported as text, "3" or "1/2", in both files
         for level in levels:
             labels = [(c, c.render()) for c in conj_classes(level)]
-            chars = by_level[level]["characters"]
             by_degree = table[level.render()] = {}
-            for i in range(config.i_max + 1):
-                values = by_degree[str(i)] = {label: str(chars[i](c)) for c, label in labels}
+            for i, chars in enumerate(characters):
+                values = by_degree[str(i)] = {label: str(chars[level](c)) for c, label in labels}
                 rows.extend([level, i, label, value] for label, value in values.items())
         _write_csv(out_dir / "characters.csv", ["level", "i", "class", "value"], rows)
         results["characters"] = table
 
     if "fit" in config.outputs:
-        fit_entries = []
-        for i in range(config.i_max + 1):
-            samples = [(level, by_level[level]["characters"][i]) for level in levels]
-            try:
-                poly = fit_character_polynomial(samples, config.fit_degree_bound)
-            except FitInconsistentError as exc:
-                findings.append(f"fit i={i}: {exc}")
-                fit_entries.append({"i": i, "status": "inconsistent"})
-                continue
-            except FitUnderdeterminedError as exc:
-                raise ConfigError(f"fit i={i}: {exc}") from exc
-            print(f"fit i={i}: {poly.render()}")
-            fit_entries.append(
-                {
-                    "i": i,
-                    "status": "ok",
-                    "polynomial": poly.render(),
-                    "binomial_form": binomial_basis_form(poly),
-                    "multidegree": poly.multidegree(),
-                }
-            )
-        results["fit"] = fit_entries
+        from .checks import FitUnderdeterminedError, fit_output
+
+        try:
+            results["fit"], found = fit_output(characters, config.fit_degree_bound)
+        except FitUnderdeterminedError as exc:
+            raise ConfigError(str(exc)) from exc
+        findings += found
 
     if want_free:
-        classes = ()
-        if config.i_max >= 1:
-            for degree in by_level:  # lower codims truncate these
-                get(spec, degree, _freeness_codim(spec, degree, config.i_max))
-            # every degree reads its classes off the top degree's
-            classes = primitive_classes(spec, config.i_max, get)
-        rows = []
-        detail = []
-        for i in range(config.i_max + 1):
-            log(f"freeness check i={i}")
-            characters = {level: by_level[level]["characters"][i] for level in levels}
-            generators = {e: p["generators"][i] for e, p in by_level.items()} if i else {}
-            report = verify_free_decomposition(spec, i, characters, generators, classes)
-            for level, ok in report.level_matches:
-                rows.append([i, level, ok])
-                if not ok:
-                    findings.append(
-                        f"freeness i={i}: character mismatch at level {level.render()}"
-                    )
-            for cls in report.classes:
-                if not cls.degree_bound_ok:
-                    findings.append(
-                        f"freeness i={i}: class degree {cls.degree.render()} "
-                        f"exceeds bound {report.degree_bound.render()}"
-                    )
-            detail.append(
-                {
-                    "i": i,
-                    "degree_bound": report.degree_bound,
-                    "classes": [
-                        {
-                            "degree": cls.degree,
-                            "codim": cls.codim,
-                            "stabilizer_order": cls.stabilizer_order,
-                            "degree_bound_ok": cls.degree_bound_ok,
-                            "generator_character": {
-                                c.render(): str(v)
-                                for c, v in cls.generator_character.values.items()
-                            },
-                        }
-                        for cls in report.classes
-                    ],
-                    "levels": {
-                        level.render(): ok for level, ok in report.level_matches
-                    },
-                }
-            )
-        if config.i_max >= 1:
-            orbit_summary = {}
-            for level in levels:
-                lat = get(spec, level, config.i_max)
-                if not len(lat):
-                    orbit_summary[level.render()] = {}
-                    continue
-                try:
-                    decomposition = orbit_decomposition(lat, classes)
-                except LatticeError as exc:
-                    # non-normal input; the freeness mismatch above is the
-                    # finding, the orbit table just degrades
-                    orbit_summary[level.render()] = {"error": str(exc)}
-                    continue
-                blocks = decomposition.blocks()
-                orbit_summary[level.render()] = {
-                    str(ci): {
-                        "elements": sum(len(v) for v in keyed.values()),
-                        "binomial_classes": len(keyed),
-                    }
-                    for ci, keyed in sorted(blocks.items())
-                }
-            results["orbits"] = orbit_summary
+        from .checks import freeness_output
+
+        rows, entries, found = freeness_output(spec, characters, generators, get, log)
+        findings += found
+        results.update(entries)
         _write_csv(out_dir / "freeness.csv", ["i", "level", "match"], rows)
-        results["freeness"] = detail
 
     if "stability" in config.outputs:
         rows = []
         detail = []
-        for i in range(config.i_max + 1):
-            values = {
-                level: Fraction(invariants_dim(by_level[level]["characters"][i]))
-                for level in levels
-            }
+        for i, chars in enumerate(characters):
+            values = {level: Fraction(invariants_dim(chars[level])) for level in levels}
             predicted = config.predicted_onset or degree_times(i, spec.cmax)
             report = stability_report(values, predicted)
             if not report.meets_prediction:
@@ -575,50 +482,20 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
         results["stability"] = detail
 
     if "twisted" in config.outputs:
-        poly = config.twisted_polynomial
-        rows = []
-        detail = []
-        for i in range(config.i_max + 1):
-            values = {}
-            for level in levels:
-                chi_n = poly.as_class_function(level)
-                values[level] = twisted_betti(by_level[level]["characters"][i], chi_n)
-            predicted = degree_add(degree_times(i, spec.cmax), poly.multidegree())
-            report = stability_report(values, predicted)
-            if not report.meets_prediction:
-                findings.append(
-                    f"twisted i={i}: onset later than predicted {predicted.render()}"
-                )
-            for level in levels:
-                rows.append([i, level, values[level]])
-            detail.append(
-                {
-                    "i": i,
-                    "polynomial": poly.render(),
-                    "values": {level.render(): str(values[level]) for level in levels},
-                    "predicted_onset": predicted,
-                    "meets_prediction": report.meets_prediction,
-                }
-            )
+        from .checks import twisted_output
+
+        rows, results["twisted"], found = twisted_output(
+            spec, characters, config.twisted_polynomial
+        )
+        findings += found
         _write_csv(out_dir / "twisted.csv", ["i", "level", "value"], rows)
-        results["twisted"] = detail
 
     if "normalize" in config.outputs:
-        normalized = normalize(spec)
-        results["normalize"] = {
-            "changed": normalized != spec,
-            "original": [
-                {"degree": deg, "subspace": sub.serialize()}
-                for deg, sub in spec.generators
-            ],
-            "normalized": [
-                {"degree": deg, "subspace": sub.serialize()}
-                for deg, sub in normalized.generators
-            ],
-        }
+        from .checks import normalize_output
+
+        results["normalize"] = normalize_output(spec)
         (out_dir / "normalization.json").write_text(
-            json.dumps(_jsonable(results["normalize"]), indent=2, sort_keys=True)
-            + "\n",
+            json.dumps(_jsonable(results["normalize"]), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
 

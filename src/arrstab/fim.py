@@ -389,6 +389,12 @@ def conj_classes(n: MultiIndex) -> tuple[ConjClass, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _class_set(n: MultiIndex) -> frozenset[ConjClass]:
+    """The conjugacy classes of Aut(n) as a set: the domain of a class function."""
+    return frozenset(conj_classes(n))
+
+
 @record
 class ClassFunction:
     """A total map from the conjugacy classes of one level to Q."""
@@ -397,8 +403,7 @@ class ClassFunction:
     values: Mapping[ConjClass, int | Fraction]
 
     def __post_init__(self):
-        domain = set(conj_classes(self.level))
-        if set(self.values) != domain:
+        if self.values.keys() != _class_set(self.level):
             raise ValueError("values must cover exactly the conjugacy classes")
 
     def __call__(self, c: ConjClass) -> int | Fraction:

@@ -20,8 +20,7 @@ def freeness_inputs(get_lattice):
     """The generator characters and primitive classes that
     ``verify_free_decomposition`` reads for H^i, from one homology context
     per class degree on its codim-i lattice."""
-    from arrstab.arrangement import class_degrees, primitive_classes
-    from arrstab.characters import primitive_characters
+    from arrstab.checks import class_degrees, primitive_characters, primitive_classes
     from arrstab.homology import LatticeHomology
 
     def inputs(spec, i):

@@ -8,21 +8,9 @@ import contextlib
 import math
 from fractions import Fraction
 
-from arrstab.arrangement import (
-    ArrangementSpec,
-    build_lattice,
-    family_mkr,
-    normalize,
-)
-from arrstab.characters import (
-    character_of_cohomology,
-    fit_character_polynomial,
-    inner_product,
-    invariants_dim,
-    stability_report,
-    twisted_betti,
-    verify_free_decomposition,
-)
+from arrstab.arrangement import ArrangementSpec, build_lattice, family_mkr
+from arrstab.characters import character_of_cohomology, inner_product, invariants_dim, stability_report
+from arrstab.checks import fit_character_polynomial, normalize, twisted_betti, verify_free_decomposition
 from arrstab.exactlin import subspace_from_constraints
 from arrstab.fim import MultiIndex, conj_classes
 from arrstab.homology import LatticeHomology

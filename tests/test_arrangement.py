@@ -9,10 +9,12 @@ from arrstab.arrangement import (
     ArrangementSpec,
     IntersectionLattice,
     LatticeError,
-    _degrees_below,
     _group_generators,
     build_lattice,
     family_mkr,
+)
+from arrstab.checks import (
+    _degrees_below,
     is_primitive,
     normalize,
     orbit_decomposition,

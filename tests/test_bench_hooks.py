@@ -46,27 +46,17 @@ def test_traced_entry_point_resolves(module, attr):
     assert callable(target)
 
 
-def test_tracer_sees_the_calls_that_cli_imports_when_it_runs(tmp_path):
-    # ``cli`` imports the engine inside the functions that use it, after
-    # ``tracer.install`` has swapped in the wrappers, so the traced command
-    # still reports every layer, from the command and from its forked share
+def traced_run(tmp_path, name, **job):
+    """Per-layer counts and times of one traced ``arrstab run`` of a braid
+    job at levels 2..4, with two processes."""
     root = TRACER.parent.parent
-    config = tmp_path / "braid.json"
-    config.write_text(
-        json.dumps(
-            {
-                "family": {"kind": "mkr", "m": 1, "k": 2, "r": 1},
-                "levels": {"min": [2], "max": [4]},
-                "i_max": 2,
-                "outputs": ["betti", "characters"],
-            }
-        ),
-        encoding="utf-8",
-    )
-    trace_dir = tmp_path / "trace"
+    config = tmp_path / f"{name}.json"
+    family = {"kind": "mkr", "m": 1, "k": 2, "r": 1}
+    config.write_text(json.dumps({"family": family, "levels": {"min": [2], "max": [4]}, **job}), encoding="utf-8")
+    trace_dir = tmp_path / f"trace-{name}"
     trace_dir.mkdir()
-    argv = ["run", "--config", str(config), "--cache", str(tmp_path / "c")]
-    argv += ["--out", str(tmp_path / "o"), "--jobs", "2"]
+    argv = ["run", "--config", str(config), "--cache", str(tmp_path / f"c-{name}")]
+    argv += ["--out", str(tmp_path / f"o-{name}"), "--jobs", "2"]
     subprocess.run(
         [sys.executable, str(root / "perfbench" / "traced_cli.py"), str(trace_dir), *argv],
         env={**os.environ, "PYTHONPATH": str(root / "src")},
@@ -74,7 +64,14 @@ def test_tracer_sees_the_calls_that_cli_imports_when_it_runs(tmp_path):
         timeout=120,
         check=True,
     )
-    count_values, _ = tracer.summarize(*tracer.load(trace_dir))
+    return tracer.summarize(*tracer.load(trace_dir))
+
+
+def test_tracer_sees_the_calls_that_cli_imports_when_it_runs(tmp_path):
+    # ``cli`` imports the engine inside the functions that use it, after
+    # ``tracer.install`` has swapped in the wrappers, so the traced command
+    # still reports every layer, from the command and from its forked share
+    count_values, _ = traced_run(tmp_path, "braid", i_max=2, outputs=["betti", "characters"])
     for name in (
         "arrangement.build_lattice.calls",
         "homology.betti_report.calls",
@@ -82,3 +79,15 @@ def test_tracer_sees_the_calls_that_cli_imports_when_it_runs(tmp_path):
     ):
         assert count_values[name] > 0, name
     assert count_values["cli.processes"] == 2
+    # the fit and the freeness check live in ``checks``; the
+    # hooks name them in ``characters`` and ``arrangement``, whose forwarders
+    # hand the tracer the functions that ``run`` calls
+    _, time_values = traced_run(
+        tmp_path, "braid-fit", i_max=1, outputs=["fit", "freeness"], fit_degree_bound=[2]
+    )
+    for name in (
+        "characters.verify_free_decomposition.s",
+        "characters.fit_character_polynomial.s",
+        "arrangement.primitive_classes.s",
+    ):
+        assert time_values[name] > 0, name

@@ -7,30 +7,29 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arrstab.arrangement import (
-    ArrangementSpec,
-    PrimitiveClass,
-    class_degrees,
-    family_mkr,
-    primitive_classes,
-)
+from arrstab.arrangement import ArrangementSpec, family_mkr
 from arrstab.characters import (
     _character,
+    character_of_cohomology,
+    inner_product,
+    invariants_dim,
+    irreducible_multiplicities,
+    stability_report,
+    sym_character,
+    tensor_char,
+)
+from arrstab.checks import (
     _monomials_within,
     _stirling2,
     FitInconsistentError,
     FitUnderdeterminedError,
+    PrimitiveClass,
     binomial_basis_form,
-    character_of_cohomology,
+    class_degrees,
     fit_character_polynomial,
     induction_character,
-    inner_product,
-    invariants_dim,
-    irreducible_multiplicities,
     primitive_characters,
-    stability_report,
-    sym_character,
-    tensor_char,
+    primitive_classes,
     twisted_betti,
     verify_free_decomposition,
 )

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from arrstab import arrangement, cache, cli, exactlin
+from arrstab import arrangement, cache, checks, cli, exactlin
 from arrstab.arrangement import LatticeError, build_lattice, family_mkr
 from arrstab.cli import list_catalog, load_config, main
 from arrstab.fim import MultiIndex, render_images
@@ -562,13 +562,12 @@ def test_freeness_class_above_the_degree_bound_is_a_finding(tmp_path, capsys, mo
     # no primitive class of codim c lies above c * cmax, so the class is
     # synthetic: codim 1 at degree 3, above 1 * 2, with a zero generator
     # character at level 3, so that only the degree check can fail
-    from arrstab import characters
-    from arrstab.arrangement import PrimitiveClass
     from arrstab.fim import ClassFunction, conj_classes
+    from arrstab.checks import PrimitiveClass
 
     high = exactlin.subspace_from_constraints(3, [[1, -1, 0]])
-    real_classes = arrangement.primitive_classes
-    real_characters = characters.primitive_characters
+    real_classes = checks.primitive_classes
+    real_characters = checks.primitive_characters
 
     def with_synthetic_class(spec, max_codim, get_lattice):
         return real_classes(spec, max_codim, get_lattice) + (
@@ -581,8 +580,8 @@ def test_freeness_class_above_the_degree_bound_is_a_finding(tmp_path, capsys, mo
             out[high.serialization] = ClassFunction(mi((3,)), dict.fromkeys(conj_classes(mi((3,))), 0))
         return out
 
-    monkeypatch.setattr(arrangement, "primitive_classes", with_synthetic_class)
-    monkeypatch.setattr(characters, "primitive_characters", with_its_character)
+    monkeypatch.setattr(checks, "primitive_classes", with_synthetic_class)
+    monkeypatch.setattr(checks, "primitive_characters", with_its_character)
     config = write_config(tmp_path, i_max=1, outputs=["freeness"])
     out = tmp_path / "out"
     code = main(["run", "--config", str(config), "--cache", str(tmp_path / "c"), "--out", str(out)])
@@ -1094,7 +1093,27 @@ def test_cli_import_leaves_tempfile_unloaded():
     assert run_python(probe, flags=("-S",)).stdout.strip() == "False"
 
 
-ENGINE_MODULES = ("arrstab.arrangement", "arrstab.homology", "arrstab.characters", "arrstab.cache")
+ENGINE_MODULES = (
+    "arrstab.arrangement",
+    "arrstab.homology",
+    "arrstab.characters",
+    "arrstab.cache",
+    "arrstab.checks",
+)
+# the code of the optional outputs (freeness and normalize, fit and twisted)
+# lives in one home
+OPTIONAL_HOMES = dict.fromkeys(
+    (
+        "is_primitive", "NormalityViolation", "NormalityReport", "verify_normal", "_degrees_below",
+        "class_degrees", "normalize", "PrimitiveClass", "primitive_classes", "OrbitDecomposition",
+        "orbit_decomposition", "DownwardStabilityReport", "verify_downward_stability",
+        "primitive_characters", "_sub_cycle_multisets", "induction_character",
+        "FreenessClassSummary", "FreenessReport", "verify_free_decomposition", "_freeness_codim",
+        "FitError", "FitInconsistentError", "FitUnderdeterminedError", "_monomials_within",
+        "fit_character_polynomial", "_stirling2", "binomial_basis_form", "twisted_betti",
+    ),
+    "arrstab.checks",
+)
 
 
 def test_load_config_leaves_the_engine_unloaded(tmp_path):
@@ -1163,22 +1182,28 @@ def test_cold_and_warm_one_job_runs_leave_pickle_unloaded(tmp_path):
 def test_betti_character_stability_runs_load_neither_polynomial_nor_signal(tmp_path):
     # class functions live in ``fim``, so only a fit, a binomial form or a
     # twisted polynomial loads ``polynomial``; ``signal`` is imported only to
-    # kill the children of a failed run
+    # kill the children of a failed run; ``checks`` is loaded only by the
+    # outputs it computes, and no other module holds its names
     probe = (
         "import sys\n"
         "from arrstab.cli import main\n"
         "args = sys.argv[1:]\n"
         "codes = [main(args + ['--out', args[-1] + '-' + state]) for state in ('cold', 'warm')]\n"
-        "print(codes, [m for m in ('arrstab.polynomial', 'signal') if m in sys.modules])\n"
+        "optional = ('arrstab.polynomial', 'signal', 'arrstab.checks')\n"
+        "print(codes, [m for m in optional if m in sys.modules])\n"
+        f"homes = {OPTIONAL_HOMES!r}\n"
+        "loaded = [(key, vars(module)) for key, module in sys.modules.items() if key.startswith('arrstab')]\n"
+        "print(sorted((key, name) for key, names in loaded for name in names if homes.get(name, key) != key))\n"
     )
-    for name, expected in [("kequals-closure", "[0, 0] []"), ("readme", "[2, 2] ['arrstab.polynomial']")]:
+    optional = "['arrstab.polynomial', 'arrstab.checks']"
+    for name, expected in [("kequals-closure", "[0, 0] []"), ("readme", f"[2, 2] {optional}")]:
         config = tmp_path / f"{name}.json"
         config.write_text(json.dumps(json.loads(read(WORKLOADS))[name]["config"]), encoding="utf-8")
         for jobs in ("1", "2"):
             cache = str(tmp_path / f"{name}-{jobs}")
             args = ["run", "--config", str(config), "--jobs", jobs, "--cache", cache]
             out = run_python(probe, *args, flags=("-S",))
-            assert out.stdout.splitlines()[-1] == expected, (name, jobs)
+            assert out.stdout.splitlines()[-2:] == [expected, "[]"], (name, jobs)
 
 
 def test_import_arrstab_loads_no_submodule():
@@ -1323,7 +1348,7 @@ def test_warm_runs_reduce_no_rows_for_the_action_orbits_or_loads(tmp_path, monke
         config_calls = calls["rref"]
         calls["rref"] = 0
         monkeypatch.setattr(cache, "load", flagged(cache.load))
-        monkeypatch.setattr(arrangement, "orbit_decomposition", flagged(arrangement.orbit_decomposition))
+        monkeypatch.setattr(checks, "orbit_decomposition", flagged(checks.orbit_decomposition))
         act = arrangement.IntersectionLattice.act
         monkeypatch.setattr(arrangement.IntersectionLattice, "act", flagged(act))
         assert main(argv + ["--out", str(tmp_path / f"{name}-warm")]) in (0, 2)

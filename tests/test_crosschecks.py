@@ -157,8 +157,9 @@ def test_whitney_braid5(braid, get_lattice):
 def test_two_generator_arrangement_free_decomposition(get_lattice, freeness_inputs):
     # diagonal and antidiagonal generators: two primitive classes share the
     # degree (2), and the freeness decomposition must keep them apart
-    from arrstab.arrangement import ArrangementSpec, verify_normal, primitive_classes
-    from arrstab.characters import character_of_cohomology, verify_free_decomposition
+    from arrstab.arrangement import ArrangementSpec
+    from arrstab.characters import character_of_cohomology
+    from arrstab.checks import primitive_classes, verify_free_decomposition, verify_normal
     from arrstab.exactlin import subspace_from_constraints
     from arrstab.fim import ConjClass
 

@@ -1,10 +1,12 @@
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrstab.exactlin import Subspace, subspace_from_constraints
 from arrstab.fim import (
+    ClassFunction,
     ConjClass,
     Injection,
     MultiIndex,
@@ -151,6 +153,22 @@ def test_conjclass_render_parse():
     c = ConjClass(((2, 1), (1, 1)))
     assert c.render() == "2+1|1+1"
     assert ConjClass.parse("2+1|1+1") == c
+
+
+def test_class_function_domain_is_exactly_the_level_classes():
+    # the domain check compares against one memoised class set per level
+    level = mi((3,))
+    full = dict.fromkeys(conj_classes(level), 1)
+    assert ClassFunction(level, full).values == full
+    # equal classes built afresh are the same domain
+    assert ClassFunction(level, {ConjClass(c.parts): 2 for c in full}) == ClassFunction(level, dict.fromkeys(full, 2))
+    missing = dict(full)
+    del missing[ConjClass(((3,),))]
+    foreign = {**full, ConjClass(((2, 1, 1),)): 1}
+    replaced = {**missing, ConjClass(((1, 1),)): 1}
+    for values in (missing, foreign, replaced, {}):
+        with pytest.raises(ValueError, match="values must cover exactly the conjugacy classes"):
+            ClassFunction(level, values)
 
 
 def test_multiindex_render_parse():

@@ -18,15 +18,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arrstab import arrangement, cache, cli, exactlin, fim
-from arrstab.arrangement import (
-    ArrangementSpec,
-    LatticeError,
+from arrstab import arrangement, cache, checks, cli, exactlin, fim
+from arrstab.arrangement import ArrangementSpec, LatticeError, build_lattice, family_mkr
+from arrstab.checks import (
     NormalityReport,
     NormalityViolation,
     OrbitDecomposition,
-    build_lattice,
-    family_mkr,
     normalize,
     orbit_decomposition,
     primitive_classes,
@@ -1109,7 +1106,7 @@ def scan_normalize(spec):
     for degree, sub in spec.generators:
         e, f = next(
             (e, f)
-            for e in arrangement._degrees_below(degree)
+            for e in checks._degrees_below(degree)
             for f in enumerate_injections(e, degree)
             if contains(sub, dense_kernel(f, spec.r))
         )
@@ -1141,7 +1138,7 @@ def scan_verify_normal(spec, degrees, get_lattice):
 
 def assert_normality_matches_scan(spec, top, get_lattice):
     assert normalize(spec) == scan_normalize(spec)
-    degrees = arrangement._degrees_below(top)
+    degrees = checks._degrees_below(top)
     report = verify_normal(spec, degrees, get_lattice)
     assert report == scan_verify_normal(spec, degrees, get_lattice)
     return report

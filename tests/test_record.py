@@ -14,25 +14,20 @@ from fractions import Fraction
 
 import pytest
 
-from arrstab import arrangement, characters, cli, exactlin, fim, homology, polynomial, record
-from arrstab.arrangement import (
-    ArrangementSpec,
+from arrstab import arrangement, characters, checks, cli, exactlin, fim, homology, polynomial, record
+from arrstab.arrangement import ArrangementSpec, build_lattice, family_mkr
+from arrstab.characters import StabilityReport, stability_report
+from arrstab.checks import (
     DownwardStabilityReport,
+    FreenessClassSummary,
+    FreenessReport,
     NormalityReport,
     NormalityViolation,
     OrbitDecomposition,
     PrimitiveClass,
-    build_lattice,
-    family_mkr,
     orbit_decomposition,
     primitive_classes,
     verify_normal,
-)
-from arrstab.characters import (
-    FreenessClassSummary,
-    FreenessReport,
-    StabilityReport,
-    stability_report,
 )
 from arrstab.cli import JobConfig
 from arrstab.exactlin import RationalMatrix, Subspace, subspace_from_constraints
@@ -125,7 +120,7 @@ IDS = [cls.__name__ for cls, _, _ in CASES]
 def test_every_value_class_is_covered():
     records = {
         value
-        for module in (arrangement, characters, cli, exactlin, fim, homology, polynomial)
+        for module in (arrangement, characters, checks, cli, exactlin, fim, homology, polynomial)
         for value in vars(module).values()
         if isinstance(value, type) and "__record_fields__" in vars(value)
     }

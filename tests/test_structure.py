@@ -23,8 +23,9 @@ no engine path called once the closure met atoms incrementally, stays
 deleted.
 
 Character polynomials are evaluated through integer monomial values: the fit
-builds its rows from them without a polynomial per basis monomial, and the
-binomial form expands powers by Stirling numbers instead of a row reduction.
+(in ``checks``) builds its rows from them without a polynomial per basis
+monomial, and the binomial form expands powers by Stirling numbers instead of
+a row reduction.
 
 An element's atom set is held in one form, the indices of its atoms, from
 the closure through the lattice to the cache file: no module brings back the
@@ -42,6 +43,9 @@ polynomials live in ``polynomial``, which imports only ``fim`` and
 either.  No module imports ``polynomial`` when it loads (a ``TYPE_CHECKING``
 block names it for annotations only): the fit and the binomial form import
 it where they run, so a job that neither fits nor twists never compiles it.
+Likewise no module imports ``checks`` when it loads: ``run`` imports it only
+for the outputs it computes, so a Betti, character or stability job compiles
+none of the freeness, normality, fit or twisted code.
 
 Every character value comes from ``LatticeHomology.trace``, the identity's
 (the Betti number) included, and ``betti_report`` and ``trace`` read one
@@ -51,8 +55,10 @@ computes its levels through ``_run_shares`` alone, for every ``--jobs``.
 
 The freeness check reads its generator characters from the level results,
 one context per level or class degree in the level workers: neither
-``verify_free_decomposition`` nor ``run`` builds a lattice or a homology
-context of its own.
+``checks.verify_free_decomposition`` nor ``run`` and the ``freeness``
+output it calls builds a lattice or a homology context of its own.  The
+outputs in ``checks`` take those results as plain maps, so only ``run``
+reads the level workers' payloads, and none takes the job config.
 
 Only ``cli`` touches process-global state of the interpreter: ``main``
 registers the exit hook that freezes the heap, and no library module imports
@@ -72,7 +78,7 @@ MODULES = {
 
 
 def test_every_engine_module_is_parsed():
-    assert {"exactlin", "homology", "characters", "arrangement", "cli"} <= set(MODULES)
+    assert {"exactlin", "homology", "characters", "arrangement", "cli", "checks"} <= set(MODULES)
 
 
 def test_homology_imports_nothing_from_exactlin():
@@ -107,8 +113,8 @@ def function(module, name):
 def test_orbit_readers_act_out_no_group_element():
     for module, name in [
         ("arrangement", "orbit_of"),
-        ("arrangement", "primitive_classes"),
-        ("characters", "verify_free_decomposition"),
+        ("checks", "primitive_classes"),
+        ("checks", "verify_free_decomposition"),
     ]:
         for node in ast.walk(function(module, name)):
             used = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
@@ -145,7 +151,7 @@ def test_lookups_reduce_no_rows():
         ("IntersectionLattice.act", method("arrangement", "IntersectionLattice", "act")),
         ("IntersectionLattice.meet_of_atoms", method("arrangement", "IntersectionLattice", "meet_of_atoms")),
         ("_atom_images", function("arrangement", "_atom_images")),
-        ("orbit_decomposition", function("arrangement", "orbit_decomposition")),
+        ("orbit_decomposition", function("checks", "orbit_decomposition")),
         ("cache.load", function("cache", "load")),
     ]:
         for node in ast.walk(tree):
@@ -198,7 +204,7 @@ def test_character_polynomial_fit_and_binomial_form_stay_direct():
         ("binomial_basis_form", {"_rref_rows"}),
         ("fit_character_polynomial", {"evaluate", "from_dict"}),
     ]:
-        for node in ast.walk(function("characters", name)):
+        for node in ast.walk(function("checks", name)):
             used = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
             assert used not in banned, f"{name} uses {used}"
 
@@ -250,10 +256,10 @@ def test_character_values_have_one_path():
                 used = node.value
             assert used not in GONE_HOMOLOGY_PATHS, f"{name} mentions {used}"
     # every character value, the identity's included, comes from ``trace``
-    for name in ("character_of_cohomology", "verify_free_decomposition"):
-        for node in ast.walk(function("characters", name)):
+    for module, name in [("characters", "character_of_cohomology"), ("checks", "verify_free_decomposition")]:
+        for node in ast.walk(function(module, name)):
             used = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            assert used != "betti_report", f"characters.{name} uses betti_report"
+            assert used != "betti_report", f"{module}.{name} uses betti_report"
     # one level runner for every --jobs
     used = {
         node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
@@ -275,9 +281,16 @@ def names_in(node):
 
 def test_freeness_reads_the_level_results():
     builders = {"LatticeHomology", "get_lattice", "primitive_classes", "build_lattice"}
-    used = names_in(function("characters", "verify_free_decomposition")) & builders
+    used = names_in(function("checks", "verify_free_decomposition")) & builders
     assert not used, f"verify_free_decomposition uses {used}"
     assert "LatticeHomology" not in names_in(function("cli", "run"))
+    assert "LatticeHomology" not in names_in(function("checks", "freeness_output"))
+    # the outputs read plain maps: no payload key and no job config
+    for name in ("freeness_output", "fit_output", "twisted_output"):
+        node = function("checks", name)
+        keys = {sub.value for sub in ast.walk(node) if isinstance(sub, ast.Constant)}
+        assert not {"characters", "generators"} & keys, name
+        assert "config" not in names_in(node), name
 
 
 def arrstab_modules(nodes):
@@ -314,9 +327,10 @@ def test_polynomial_imports_only_the_config_layer():
 
 
 def test_no_module_imports_polynomial_when_it_loads():
+    # nor the optional outputs' modules, which ``run`` imports on demand
     for name, tree in MODULES.items():
         top = [stmt for stmt in tree.body if runs_on_import(stmt)]
-        assert "polynomial" not in set(arrstab_modules(top)), name
+        assert not {"polynomial", "checks"} & set(arrstab_modules(top)), name
 
 
 def test_only_cli_imports_gc_or_atexit():
