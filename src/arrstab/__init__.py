@@ -38,7 +38,6 @@ _HOMES = {
     "stability_report": "characters",
     "subspace_from_constraints": "exactlin",
     "twisted_betti": "checks",
-    "verify_downward_stability": "checks",
     "verify_free_decomposition": "checks",
     "verify_normal": "checks",
 }

@@ -183,10 +183,6 @@ class IntersectionLattice:
         """Indices of elements strictly containing element ``idx``."""
         return self._containing[idx]
 
-    def poset_less(self, a: int, b: int) -> bool:
-        """Reverse-inclusion order: a < b iff subspace a strictly contains b."""
-        return a in self._containing[b]
-
     def lower_interval(self, x: Subspace | int) -> RankedPoset:
         """The ranked subposet of elements strictly containing x."""
         idx = x if isinstance(x, int) else self.index_of(x)

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .arrangement import ArrangementSpec, LatticeBuilder, build_lattice
 from .fim import (
-    ClassFunction, ConjClass, MultiIndex, _pointwise, class_representative, conj_classes,
+    ClassFunction, ConjClass, MultiIndex, class_representative, conj_classes,
     group_order, partitions, trivial_character,
 )
 from .homology import LatticeHomology
@@ -69,11 +69,6 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> int | Fraction:
     total = sum(c.size * a(c) * b(c) for c in conj_classes(a.level))
     quotient, remainder = divmod(total, order)
     return Fraction(total, order) if remainder else quotient
-
-
-def tensor_char(a: ClassFunction, b: ClassFunction) -> ClassFunction:
-    """Pointwise product: the character of the tensor representation."""
-    return _pointwise(a, b, lambda x, y: x * y)
 
 
 def invariants_dim(chi: ClassFunction) -> int:

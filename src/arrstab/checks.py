@@ -6,7 +6,9 @@ characters of each degree's one homology context.  The character-polynomial
 fit, its binomial form and twisted Betti numbers import ``polynomial`` where
 they run.  Only the ``fit``, ``freeness``, ``normalize`` and ``twisted``
 outputs load this module; each output's function takes the level results as
-plain maps and returns its report rows, entries and findings.
+plain maps and returns its report rows, entries and findings.  The paper's
+lemma that lower intervals map isomorphically along injections is checked by
+the tests, as a property of every lattice they build, not by a command.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .exactlin import Subspace, _pivot_columns, _rref_rows, constraint_support
 from .fim import (
     ArrangementSpec, ClassFunction, ConjClass, Injection, MultiIndex, ambient_dim,
     binomial_class_key, binomial_representatives, compose_images, conj_classes, degree_add,
-    degree_times, enumerate_injections, group_order, injection_coordinates, pullback,
-    pushforward, sum_characters, trivial_character,
+    degree_times, enumerate_injections, group_order, injection_coordinates, pushforward,
+    sum_characters, trivial_character,
 )
 from .homology import LatticeError, LatticeHomology
 from .record import record
@@ -200,12 +202,6 @@ class OrbitDecomposition:
             out.setdefault(ci, {}).setdefault(key, []).append(idx)
         return {ci: {key: tuple(v) for key, v in keyed.items()} for ci, keyed in out.items()}
 
-    def class_sizes(self) -> dict[int, int]:
-        sizes: dict[int, int] = {}
-        for ci, _ in self.assignments:
-            sizes[ci] = sizes.get(ci, 0) + 1
-        return sizes
-
 
 def orbit_decomposition(
     lat: IntersectionLattice, classes: Sequence[PrimitiveClass]
@@ -243,68 +239,6 @@ def orbit_decomposition(
             raise LatticeError(f"element {idx} matched by several binomial classes")
         assignments.append(next(iter(hits)))
     return OrbitDecomposition(tuple(assignments))
-
-
-@record
-class DownwardStabilityReport:
-    stable: bool
-    source: MultiIndex
-    target: MultiIndex
-    failures: tuple[str, ...]
-
-
-def verify_downward_stability(
-    spec: ArrangementSpec,
-    c: MultiIndex,
-    d: MultiIndex,
-    max_codim: int,
-    get_lattice: LatticeBuilder = build_lattice,
-) -> DownwardStabilityReport:
-    """Check lower intervals map isomorphically along injections c -> d.
-
-    One representative injection per binomial class suffices: the others
-    differ by automorphisms, which act by poset isomorphisms.
-    """
-    if not c.leq(d):
-        raise ValueError("need c <= d componentwise")
-    lat_c = get_lattice(spec, c, max_codim)
-    lat_d = get_lattice(spec, d, max_codim)
-    failures: list[str] = []
-    for f in binomial_representatives(c, d):
-        image_index: dict[int, int] = {}
-        for idx in range(len(lat_c)):
-            img = pullback(f, spec.r, lat_c.elements[idx])
-            if img not in lat_d:
-                failures.append(
-                    f"injection {f.render()}: image of element {idx} missing at {d.render()}"
-                )
-                continue
-            image_index[idx] = lat_d.index_of(img)
-        for idx in image_index:
-            below_c = lat_c.containing(idx)
-            below_d = lat_d.containing(image_index[idx])
-            mapped = {image_index[y] for y in below_c if y in image_index}
-            if len(mapped) != len(below_c) or mapped != set(below_d):
-                failures.append(
-                    f"injection {f.render()}: interval of element {idx} not bijective"
-                )
-                continue
-            for y in below_c:
-                if lat_c.codims[y] != lat_d.codims[image_index[y]]:
-                    failures.append(
-                        f"injection {f.render()}: rank not preserved below element {idx}"
-                    )
-                    break
-            for y1 in below_c:
-                for y2 in below_c:
-                    if lat_c.poset_less(y1, y2) != lat_d.poset_less(
-                        image_index[y1], image_index[y2]
-                    ):
-                        failures.append(
-                            f"injection {f.render()}: order not preserved below element {idx}"
-                        )
-                        break
-    return DownwardStabilityReport(not failures, c, d, tuple(failures))
 
 
 def primitive_characters(

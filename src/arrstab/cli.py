@@ -138,7 +138,10 @@ def _parse_family(data) -> ArrangementSpec:
             gens = []
             for gen in data["generators"]:
                 degree = _multi_index(gen["degree"], m, "generator degree")
-                sub = subspace_from_constraints(ambient_dim(degree, r), gen["rows"])
+                rows = gen["rows"]
+                if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+                    raise ConfigError("generator rows must be a list of lists")
+                sub = subspace_from_constraints(ambient_dim(degree, r), rows)
                 gens.append((degree, sub))
             return ArrangementSpec(m, r, tuple(gens))
     except ConfigError:
@@ -161,7 +164,7 @@ def load_config(path: Path | str) -> JobConfig:
         level_min = _multi_index(data["levels"]["min"], spec.m, "levels.min")
         level_max = _multi_index(data["levels"]["max"], spec.m, "levels.max")
         i_max = _count(data["i_max"], "i_max")
-        outputs = tuple(data["outputs"])
+        outputs = data["outputs"]
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -171,9 +174,9 @@ def load_config(path: Path | str) -> JobConfig:
     for key in ("twisted_polynomial", "cache_dir", "out_dir"):
         if not isinstance(data.get(key, ""), str):
             raise ConfigError(f"{key} must be a string, not {json.dumps(data[key])}")
-    unknown = [o for o in outputs if o not in OUTPUT_KINDS]
-    if unknown or not outputs:
+    if not isinstance(outputs, list) or not outputs or any(o not in OUTPUT_KINDS for o in outputs):
         raise ConfigError(f"outputs must be a nonempty subset of {OUTPUT_KINDS}")
+    outputs = tuple(outputs)
     fit_bound = None
     if "fit_degree_bound" in data:
         fit_bound = _multi_index(data["fit_degree_bound"], spec.m, "fit_degree_bound")

@@ -179,15 +179,6 @@ class RationalMatrix:
     def rows(self) -> int:
         return len(self.entries)
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence], cols: int | None = None) -> "RationalMatrix":
-        data = tuple(tuple(_coerce(e) for e in row) for row in rows)
-        if cols is None:
-            if not data:
-                raise ValueError("column count required for an empty matrix")
-            cols = len(data[0])
-        return cls(data, cols)
-
 
 # No engine path calls ``kernel_basis`` or ``solve_in_basis``; they stay
 # because the benchmark tracer (``perfbench/tracer.py``) hooks both names.
@@ -279,14 +270,6 @@ class Subspace:
     @property
     def codim(self) -> int:
         return self.constraints.rows
-
-    @property
-    def dim(self) -> int:
-        return self.ambient_dim - self.codim
-
-    @classmethod
-    def ambient(cls, n: int) -> "Subspace":
-        return cls(n, RationalMatrix((), n))
 
     @cached_property
     def serialization(self) -> str:

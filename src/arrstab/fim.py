@@ -6,8 +6,10 @@ functor sending an object n to the coordinate space (Q^r)^n turns every
 injection into a surjective coordinate selection and every permutation tuple
 into a coordinate permutation.  On subspaces both act by relabelling the
 columns of the constraint matrix, with no map matrix: preimages scatter the
-columns to the selected coordinates (``pullback``), and images of subspaces
-containing the kernel gather them back (``pushforward``).
+columns to the selected coordinates (``pullback``, which the tests use as the
+oracle of the lattice's atoms), and images of subspaces containing the kernel
+gather them back (``pushforward``).  Group arithmetic beyond what the engine
+uses (composition, inverses, cycle types) lives in the tests.
 
 Coordinates of V^n with V = Q^r are ordered block-major: factor j, then point
 index within the factor, then vector component.  Points and components are
@@ -122,13 +124,6 @@ class Injection:
     def source(self) -> MultiIndex:
         return MultiIndex(len(imgs) for imgs in self.images)
 
-    def render(self) -> str:
-        return render_images(self.images)
-
-    @classmethod
-    def parse(cls, text: str, target: MultiIndex) -> "Injection":
-        return cls(parse_images(text), target)
-
 
 Images = tuple[tuple[int, ...], ...]  # the component images of a map
 
@@ -144,13 +139,6 @@ def render_images(images: Images) -> str:
 def compose_images(outer: Images, inner: Images) -> Images:
     """The images of outer o inner, each map given by its images."""
     return tuple(tuple(out[i] for i in imgs) for out, imgs in zip(outer, inner))
-
-
-def compose_injections(outer: Injection, inner: Injection) -> Injection:
-    """outer o inner, defined when inner's target equals outer's source."""
-    if inner.target != outer.source:
-        raise ValueError("injections do not compose")
-    return Injection(compose_images(outer.images, inner.images), outer.target)
 
 
 def enumerate_injections(c: MultiIndex, d: MultiIndex) -> tuple[Injection, ...]:
@@ -181,13 +169,6 @@ def binomial_representatives(c: MultiIndex, d: MultiIndex) -> tuple[Injection, .
     return tuple(
         Injection(images, d) for images in itertools.product(*factor_choices)
     )
-
-
-def binomial_set_size(c: MultiIndex, d: MultiIndex) -> int:
-    """|Hom(c,d)| divided by |Aut(c)|: the product of binomial coefficients."""
-    if len(c) != len(d):
-        raise ValueError("multi-index lengths differ")
-    return math.prod(math.comb(dj, cj) for cj, dj in zip(c, d))
 
 
 def binomial_class_key(f: Injection) -> tuple[tuple[int, ...], ...]:
@@ -253,47 +234,6 @@ class PermTuple:
     def identity(cls, level: MultiIndex) -> "PermTuple":
         return cls(tuple(tuple(range(n)) for n in level))
 
-    def compose(self, other: "PermTuple") -> "PermTuple":
-        """self o other: apply ``other`` first."""
-        if self.level != other.level:
-            raise ValueError("levels differ")
-        return PermTuple(
-            tuple(
-                tuple(p[q[i]] for i in range(len(q)))
-                for p, q in zip(self.perms, other.perms)
-            )
-        )
-
-    def inverse(self) -> "PermTuple":
-        out = []
-        for p in self.perms:
-            inv = [0] * len(p)
-            for i, image in enumerate(p):
-                inv[image] = i
-            out.append(tuple(inv))
-        return PermTuple(tuple(out))
-
-    def cycle_type(self) -> tuple[tuple[int, ...], ...]:
-        types = []
-        for p in self.perms:
-            seen = [False] * len(p)
-            lengths = []
-            for start in range(len(p)):
-                if seen[start]:
-                    continue
-                length = 0
-                i = start
-                while not seen[i]:
-                    seen[i] = True
-                    i = p[i]
-                    length += 1
-                lengths.append(length)
-            types.append(tuple(sorted(lengths, reverse=True)))
-        return tuple(types)
-
-    def conjugacy_class(self) -> "ConjClass":
-        return ConjClass(self.cycle_type())
-
 
 def perm_tuples(level: MultiIndex) -> Iterator[PermTuple]:
     """Every element of the automorphism group of ``level``."""
@@ -358,23 +298,12 @@ class ConjClass:
             math.factorial(sum(p)) // _zee(p) for p in self.parts
         )
 
-    def is_identity(self) -> bool:
-        return all(all(x == 1 for x in p) for p in self.parts)
-
     def multiplicity(self, j: int, k: int) -> int:
         """Number of k-cycles in factor j (0-based factor index)."""
         return sum(1 for part in self.parts[j] if part == k)
 
     def render(self) -> str:
         return "|".join("+".join(str(x) for x in p) for p in self.parts)
-
-    @classmethod
-    def parse(cls, text: str) -> "ConjClass":
-        parts = tuple(
-            tuple(int(x) for x in chunk.split("+")) if chunk else ()
-            for chunk in text.split("|")
-        )
-        return cls(parts)
 
     def __repr__(self):
         return f"ConjClass({self.render()!r})"
@@ -409,13 +338,6 @@ class ClassFunction:
     def __call__(self, c: ConjClass) -> int | Fraction:
         return self.values[c]
 
-    @property
-    def identity_value(self) -> int | Fraction:
-        for c, v in self.values.items():
-            if c.is_identity():
-                return v
-        raise AssertionError("no identity class")
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClassFunction):
             return NotImplemented
@@ -424,12 +346,6 @@ class ClassFunction:
 
 def trivial_character(level: MultiIndex) -> ClassFunction:
     return ClassFunction(level, dict.fromkeys(conj_classes(level), 1))
-
-
-def _pointwise(a: ClassFunction, b: ClassFunction, op) -> ClassFunction:
-    if a.level != b.level:
-        raise ValueError("class functions live on different levels")
-    return ClassFunction(a.level, {c: op(a(c), b(c)) for c in a.values})
 
 
 def sum_characters(level: MultiIndex, items: Sequence[ClassFunction]) -> ClassFunction:

@@ -16,7 +16,6 @@ from arrstab.characters import (
     irreducible_multiplicities,
     stability_report,
     sym_character,
-    tensor_char,
 )
 from arrstab.checks import (
     _monomials_within,
@@ -47,6 +46,7 @@ from arrstab.fim import (
 )
 from arrstab.homology import LatticeHomology
 from arrstab.polynomial import CharacterPolynomial, _monomial_value
+from test_fim import conjugacy_class, identity_class, inverse
 
 mi = MultiIndex
 
@@ -149,7 +149,7 @@ def test_character_of_cohomology_degree_zero(braid):
 def test_character_of_cohomology_two_factor(get_lattice):
     spec = family_mkr(2, 1, 1)
     chi = character_of_cohomology(spec, mi((2, 1)), 1, get_lattice)
-    assert chi.identity_value == 2
+    assert chi(identity_class(chi.level)) == 2
 
 
 def test_fit_pconf_h1(braid, get_lattice):
@@ -256,7 +256,7 @@ def test_inner_product_divides_once_and_is_an_int_when_exact(braid, get_lattice)
                 )
     # the identity's indicator pairs to 1/|G| with the trivial character
     lv = mi((3,))
-    point = ClassFunction(lv, {c: int(c.is_identity()) for c in conj_classes(lv)})
+    point = ClassFunction(lv, {c: int(c == identity_class(lv)) for c in conj_classes(lv)})
     value = inner_product(point, trivial_character(lv))
     assert isinstance(value, Fraction) and value == Fraction(1, 6)
     assert type(inner_product(point, ClassFunction(lv, dict.fromkeys(conj_classes(lv), 6)))) is int
@@ -265,13 +265,15 @@ def test_inner_product_divides_once_and_is_an_int_when_exact(braid, get_lattice)
 def test_tensor_and_dual(braid, get_lattice):
     lv = mi((3,))
     chi = character_of_cohomology(braid, lv, 1, get_lattice)
-    assert tensor_char(trivial_character(lv), chi) == chi
+    # the tensor character is the pointwise product: X1 on ordered pairs of
+    # points is X1^2, and the trivial character is the unit
     x1 = X(1).as_class_function(lv)
-    assert tensor_char(x1, x1).identity_value == 9
+    assert {c: x1(c) * x1(c) for c in x1.values} == (X(1) * X(1)).as_class_function(lv).values
+    assert (X(1) * X(1)).as_class_function(lv)(identity_class(lv)) == 9
+    assert {c: trivial_character(lv)(c) * chi(c) for c in chi.values} == chi.values
     # the dual takes the value at the inverse class, which is the class itself
     for c in conj_classes(lv):
-        inverse = class_representative(c).inverse().conjugacy_class()
-        assert chi(inverse) == chi(c)
+        assert chi(conjugacy_class(inverse(class_representative(c)))) == chi(c)
 
 
 def test_induction_character_points():
@@ -434,7 +436,7 @@ def test_invariants_dim_rejects_non_characters():
     # int values too, when |G| does not divide the weighted sum of size * chi
     for n in (2, 3, 4):
         lv = mi((n,))
-        fake = ClassFunction(lv, {c: int(c.is_identity()) for c in conj_classes(lv)})
+        fake = ClassFunction(lv, {c: int(c == identity_class(lv)) for c in conj_classes(lv)})
         assert sum(c.size * fake(c) for c in conj_classes(lv)) % group_order(lv)
         with pytest.raises(ValueError, match="not an integer"):
             invariants_dim(fake)

@@ -69,7 +69,8 @@ def mobius_side_count(spec, level, q):
             (-1) ** d * reduced_betti(complex_, d)
             for d in range(-1, complex_.dimension + 1)
         )
-        total += euler * q ** lat.elements[idx].dim
+        x = lat.elements[idx]
+        total += euler * q ** (x.ambient_dim - x.codim)
     return total
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from arrstab.exactlin import (
     RationalMatrix,
     Subspace,
+    _coerce,
     _pivot_columns,
     _rref_rows,
     constraint_support,
@@ -34,7 +35,9 @@ def intersect(a, b, max_codim=None):
 
 
 def mat(rows, cols=None):
-    return RationalMatrix.from_rows(rows, cols)
+    """The matrix of exact entries, as ``subspace_from_constraints`` reads them."""
+    data = tuple(tuple(_coerce(e) for e in row) for row in rows)
+    return RationalMatrix(data, len(data[0]) if cols is None else cols)
 
 
 def contains_vector(s, vector):
@@ -86,7 +89,7 @@ def test_subspace_dependent_rows_removed():
 def test_subspace_no_constraints_is_ambient():
     s = subspace_from_constraints(2, [])
     assert s.codim == 0
-    assert s == Subspace.ambient(2)
+    assert s == Subspace(2, RationalMatrix((), 2))
 
 
 def test_intersect_chains_diagonals():
@@ -123,8 +126,8 @@ def test_contains_examples():
     other = subspace_from_constraints(3, [[0, 1, -1]])
     assert contains(hyper, diag)
     assert not contains(hyper, other)
-    assert contains(Subspace.ambient(3), diag)
-    assert contains(Subspace.ambient(3), hyper)
+    assert contains(subspace_from_constraints(3, []), diag)
+    assert contains(subspace_from_constraints(3, []), hyper)
 
 
 # Coordinate selections Q^3 -> Q^2, v -> (v[a], v[b]), are the maps that
@@ -191,7 +194,7 @@ def test_serialization_format_and_roundtrip():
     s = subspace_from_constraints(3, [[2, -1, 0]])
     assert s.serialize() == "3:1,-1/2,0"
     assert Subspace.parse(s.serialize()) == s
-    assert Subspace.ambient(4).serialize() == "4:"
+    assert subspace_from_constraints(4, []).serialize() == "4:"
 
 
 def test_shape_errors():
@@ -330,7 +333,7 @@ def test_preimage_preserves_codim_for_surjections(selection_r, data):
 def test_span_and_kernel_are_inverse_presentations():
     s = subspace_from_constraints(4, [[1, -1, 0, 0], [0, 0, 1, -1]])
     basis = kernel_basis(s.constraints)
-    assert len(basis) == s.dim == len(_rref_rows(basis, 4))
+    assert len(basis) == s.ambient_dim - s.codim == len(_rref_rows(basis, 4))
     assert all(contains_vector(s, v) for v in basis)
     zero = subspace_from_constraints(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert kernel_basis(zero.constraints) == ()

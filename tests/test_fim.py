@@ -4,16 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrstab.exactlin import Subspace, subspace_from_constraints
+from arrstab.exactlin import subspace_from_constraints
 from arrstab.fim import (
     ClassFunction,
     ConjClass,
     Injection,
     MultiIndex,
     PermTuple,
-    binomial_set_size,
     class_representative,
-    compose_injections,
+    compose_images,
     conj_classes,
     coordinate_permutation,
     degree_add,
@@ -27,6 +26,41 @@ from arrstab.fim import (
 )
 
 mi = MultiIndex
+
+
+# Group arithmetic that no engine path needs: the former ``PermTuple``
+# methods, kept here as tools of the tests.
+
+
+def compose(g, h):
+    """g o h: apply h first."""
+    return PermTuple(tuple(tuple(p[i] for i in q) for p, q in zip(g.perms, h.perms)))
+
+
+def inverse(g):
+    return PermTuple(tuple(tuple(sorted(range(len(p)), key=p.__getitem__)) for p in g.perms))
+
+
+def conjugacy_class(g):
+    """The class of g's cycle type, factor by factor."""
+    parts = []
+    for p in g.perms:
+        seen = set()
+        lengths = []
+        for start in range(len(p)):
+            length = 0
+            while start not in seen:
+                seen.add(start)
+                start = p[start]
+                length += 1
+            if length:
+                lengths.append(length)
+        parts.append(tuple(sorted(lengths, reverse=True)))
+    return ConjClass(tuple(parts))
+
+
+def identity_class(level):
+    return ConjClass(tuple((1,) * n for n in level))
 
 
 def test_enumerate_injections_falling_factorial():
@@ -46,12 +80,6 @@ def test_enumerate_injections_lex_order():
     images = [f.images[0] for f in injections]
     assert images == sorted(images)
     assert images[0] == (0, 1)
-
-
-def test_binomial_set_size():
-    assert binomial_set_size(mi((2,)), mi((3,))) == 3
-    assert binomial_set_size(mi((1, 2)), mi((3, 3))) == 9
-    assert binomial_set_size(mi((2, 1)), mi((2, 1))) == 1
 
 
 def zero(n):
@@ -75,7 +103,7 @@ def test_induced_map_selects_points():
 def test_induced_map_identity():
     f = Injection(((0, 1, 2),), mi((3,)))
     assert pullback(f, 1, zero(3)) == zero(3)
-    for x in (zero(3), Subspace.ambient(3), subspace_from_constraints(3, [[1, 2, 3]])):
+    for x in (zero(3), subspace_from_constraints(3, []), subspace_from_constraints(3, [[1, 2, 3]])):
         assert pullback(f, 1, x) == x
         assert pushforward(f, 1, x) == x
 
@@ -84,7 +112,7 @@ def test_induced_map_r2_kernel():
     f = Injection(((1,),), mi((2,)))
     kernel = pullback(f, 2, zero(2))
     assert kernel == subspace_from_constraints(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
-    assert kernel.dim == 2
+    assert kernel.ambient_dim - kernel.codim == 2
 
 
 def test_conj_classes_s3():
@@ -121,7 +149,7 @@ def test_class_representative_examples():
 def test_representative_has_its_class():
     for n in [mi((4,)), mi((2, 2))]:
         for c in conj_classes(n):
-            assert class_representative(c).conjugacy_class() == c
+            assert conjugacy_class(class_representative(c)) == c
 
 
 def test_degree_arithmetic():
@@ -152,7 +180,9 @@ def test_act_on_vector_swap_r2():
 def test_conjclass_render_parse():
     c = ConjClass(((2, 1), (1, 1)))
     assert c.render() == "2+1|1+1"
-    assert ConjClass.parse("2+1|1+1") == c
+    # the text names the class: each factor's cycle lengths, in order
+    parts = tuple(tuple(map(int, chunk.split("+"))) for chunk in c.render().split("|"))
+    assert ConjClass(parts) == c
 
 
 def test_class_function_domain_is_exactly_the_level_classes():
@@ -192,7 +222,7 @@ def test_injection_count_formula(c, d):
         return
     count = len(enumerate_injections(c, d))
     auts = math.prod(math.factorial(x) for x in c)
-    assert count == binomial_set_size(c, d) * auts
+    assert count == math.prod(math.comb(dj, cj) for cj, dj in zip(c, d)) * auts
 
 
 def _random_perm(draw_list):
@@ -205,12 +235,7 @@ perms4 = st.permutations(list(range(4))).map(lambda p: PermTuple((tuple(p),)))
 @given(perms4, perms4)
 def test_act_on_vector_homomorphism(g, h):
     vector = tuple(range(4))
-    assert moved(g.compose(h), 1, vector) == moved(g, 1, moved(h, 1, vector))
-
-
-@given(perms4)
-def test_inverse_composes_to_identity(g):
-    assert g.compose(g.inverse()) == PermTuple.identity(mi((4,)))
+    assert moved(compose(g, h), 1, vector) == moved(g, 1, moved(h, 1, vector))
 
 
 def test_contravariance_of_induced_maps():
@@ -218,7 +243,7 @@ def test_contravariance_of_induced_maps():
     # compose as (f o g)^* = f^* g^* and images as (f o g)_* = g_* f_*
     g = Injection(((2, 0),), mi((3,)))
     f = Injection(((1, 4, 3),), mi((5,)))
-    fg = compose_injections(f, g)
+    fg = Injection(compose_images(f.images, g.images), f.target)
     assert fg.images == ((3, 1),)
     for r in (1, 2):
         for rows in ([[1, -1] * r], [[1, 2] + [0] * (2 * r - 2)], []):

@@ -53,7 +53,7 @@ from arrstab.fim import (
     pushforward,
 )
 from arrstab.homology import LatticeHomology, order_complex, reduced_betti_numbers
-from test_exactlin import intersect
+from test_exactlin import intersect, mat
 
 mi = MultiIndex
 
@@ -105,7 +105,7 @@ def selection_matrix(f, r):
                 row = [0] * ncols
                 row[coord_index(f.target, r, j, image_point, t)] = 1
                 rows.append(row)
-    return RationalMatrix.from_rows(rows, ncols)
+    return mat(rows, ncols)
 
 
 def dense_preimage(f, r, x):
@@ -121,7 +121,7 @@ def dense_kernel(f, r):
 def dense_span(n, vectors):
     """The subspace of Q^n spanned by the vectors (the former ``span``)."""
     return subspace_from_constraints(
-        n, kernel_basis(RationalMatrix.from_rows(vectors, n))
+        n, kernel_basis(mat(vectors, n))
     )
 
 

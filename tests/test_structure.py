@@ -63,12 +63,21 @@ reads the level workers' payloads, and none takes the job config.
 Only ``cli`` touches process-global state of the interpreter: ``main``
 registers the exit hook that freezes the heap, and no library module imports
 ``gc`` or ``atexit``.
+
+Every function and method in ``src/`` is reached: other code in ``src/``
+names it, it is a public name of the package, or the benchmark tracer
+(``perfbench/tracer.py``, read here as source) hooks it.  A short allowlist
+gives the reason for each exception.  The downward-stability lemma is a
+property test (``tests/test_arrangement.py``), not engine code, and the
+permutation, class-function and matrix helpers that no command used stay
+deleted.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "arrstab"
+TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
 DENSE_BASIS = {"kernel_basis", "solve_in_basis", "column_space_basis", "independent_extension"}
 
 MODULES = {
@@ -230,6 +239,25 @@ def test_unused_poset_and_character_helpers_are_gone():
         ("homology", "RankedPoset", "restrict"),
         ("arrangement", "IntersectionLattice", "as_ranked_poset"),
         ("characters", None, "class_function"),
+        ("checks", None, "verify_downward_stability"),
+        ("checks", "OrbitDecomposition", "class_sizes"),
+        ("arrangement", "IntersectionLattice", "poset_less"),
+        ("characters", None, "tensor_char"),
+        ("fim", None, "_pointwise"),
+        ("fim", None, "compose_injections"),
+        ("fim", None, "binomial_set_size"),
+        ("fim", "Injection", "parse"),
+        ("fim", "Injection", "render"),
+        ("fim", "ConjClass", "parse"),
+        ("fim", "ConjClass", "is_identity"),
+        ("fim", "ClassFunction", "identity_value"),
+        ("fim", "PermTuple", "compose"),
+        ("fim", "PermTuple", "inverse"),
+        ("fim", "PermTuple", "cycle_type"),
+        ("fim", "PermTuple", "conjugacy_class"),
+        ("exactlin", "RationalMatrix", "from_rows"),
+        ("exactlin", "Subspace", "dim"),
+        ("exactlin", "Subspace", "ambient"),
     ]:
         scope = MODULES[module] if owner is None else next(
             node
@@ -238,6 +266,8 @@ def test_unused_poset_and_character_helpers_are_gone():
         )
         defined = {node.name for node in ast.walk(scope) if isinstance(node, ast.FunctionDef)}
         assert name not in defined, f"{module} defines {name}"
+    classes = {node.name for node in ast.walk(MODULES["checks"]) if isinstance(node, ast.ClassDef)}
+    assert "DownwardStabilityReport" not in classes
     # the benchmark tracer hooks both
     assert method("arrangement", "IntersectionLattice", "__init__")
     assert method("arrangement", "IntersectionLattice", "act")
@@ -339,3 +369,54 @@ def test_only_cli_imports_gc_or_atexit():
             continue
         for level, module in imported_modules(tree):
             assert (level, module.split(".")[0]) not in {(0, "gc"), (0, "atexit")}, f"{name} imports {module}"
+
+
+def tracer_hooks():
+    """The names ``perfbench/tracer.py`` wraps: the attribute of each entry
+    of its SPANS, COUNTS and YIELDS tables, a method by its own name."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"), filename=str(TRACER))
+    hooks = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and {"SPANS", "COUNTS", "YIELDS"} & names_in(node.targets[0]):
+            hooks.update(entry.elts[1].value.split(".")[-1] for entry in node.value.elts)
+    return hooks
+
+
+def package_names():
+    """The keys of ``arrstab._HOMES``, the package's public names."""
+    for node in MODULES["__init__"].body:
+        if isinstance(node, ast.Assign) and "_HOMES" in names_in(node.targets[0]):
+            return {key.value for key in node.value.keys}
+    raise AssertionError("arrstab defines no _HOMES")
+
+
+# Definitions that no other code in src/ names, each with its reason.
+UNREACHED_ALLOWED = {
+    "pullback": "the tests' oracle for the rows that ``arrangement._atoms`` places",
+    "variable": "CharacterPolynomial arithmetic, for the derived polynomial (ROADMAP item 12)",
+    "passed": "the verdict of a FreenessReport, read by the tests",
+}
+
+
+def test_every_definition_is_reached():
+    referenced = set()
+    defined = []
+    for module, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    hooks = tracer_hooks()
+    assert {"kernel_basis", "orbit_of", "perm_tuples", "act"} <= hooks
+    reached = referenced | package_names() | hooks
+    unreached = {
+        f"{module}.{name}"
+        for module, name in defined
+        if not (name.startswith("__") and name.endswith("__")) and name not in reached
+    }
+    assert {name.split(".")[-1] for name in unreached} == set(UNREACHED_ALLOWED), unreached
