@@ -41,7 +41,7 @@ from .fim import (  # ArrangementSpec and family_mkr re-exported: the spec lives
     binomial_representatives, compose_images, coordinate_permutation, family_mkr, group_order,
     injection_coordinates,
 )
-from .homology import LatticeError, RankedPoset
+from .homology import LatticeError
 
 Name = tuple[int, Images]
 """A generator index and the images of an injection that pulls it back to an atom."""
@@ -170,33 +170,12 @@ class IntersectionLattice:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def index_of(self, x: Subspace) -> int:
-        idx = self._index.get(x.serialization)
-        if idx is None:
-            raise KeyError("subspace is not a lattice element")
-        return idx
-
     def __contains__(self, x: Subspace) -> bool:
         return x.serialization in self._index
 
     def containing(self, idx: int) -> tuple[int, ...]:
         """Indices of elements strictly containing element ``idx``."""
         return self._containing[idx]
-
-    def lower_interval(self, x: Subspace | int) -> RankedPoset:
-        """The ranked subposet of elements strictly containing x."""
-        idx = x if isinstance(x, int) else self.index_of(x)
-        members = self._containing[idx]
-        position = {orig: pos for pos, orig in enumerate(members)}
-        less = frozenset(
-            (position[a], pb)
-            for pb, b in enumerate(members)
-            for a in self._containing[b]
-            if a in position
-        )
-        return RankedPoset(
-            tuple(members), less, tuple(self.codims[i] for i in members)
-        )
 
     def act(self, g: PermTuple) -> tuple[int, ...]:
         """The permutation of element indices induced by g; order preserving.

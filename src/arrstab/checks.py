@@ -636,11 +636,9 @@ def twisted_output(spec: ArrangementSpec, characters: ByDegree, poly: CharacterP
     rows = []
     detail = []
     findings = []
+    twists = {level: poly.as_class_function(level) for level in levels}
     for i, chars in enumerate(characters):
-        values = {}
-        for level in levels:
-            chi_n = poly.as_class_function(level)
-            values[level] = twisted_betti(chars[level], chi_n)
+        values = {level: twisted_betti(chars[level], twists[level]) for level in levels}
         predicted = degree_add(degree_times(i, spec.cmax), poly.multidegree())
         report = stability_report(values, predicted)
         if not report.meets_prediction:

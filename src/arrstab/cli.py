@@ -4,9 +4,10 @@ Reports are CSV tables plus one machine-readable JSON sidecar per run, all
 byte-deterministic so a warm cache reproduces them exactly.  Exit status is 0
 on success, 2 when a falsification finding is present (fit inconsistency,
 freeness mismatch, stability onset later than predicted), 1 on usage or
-configuration errors, and 3 when the engine fails an internal consistency
-check (``LatticeError``, e.g. a corrupted lattice, or an engine
-``AssertionError`` or ``KeyError``).
+configuration errors and on an ``OSError`` (an ``--out`` or ``--cache``
+directory that cannot be created or written), and 3 when the engine fails
+an internal consistency check (``LatticeError``, e.g. a corrupted lattice,
+or an engine ``AssertionError`` or ``KeyError``).
 
 Each level is computed on its own.  ``--jobs N`` splits the levels into at
 most N shares, at most one per level, balanced by |Aut(n)|; the command
@@ -592,10 +593,10 @@ def main(argv: list[str] | None = None) -> int:
         # user's input, and not a finding
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        # config errors, and engine-level precondition failures (e.g. a spec
-        # that is not normal where an operation requires it), are input
-        # problems, not findings
+    except (ValueError, OSError) as exc:
+        # config errors, engine-level precondition failures (e.g. a spec that
+        # is not normal where an operation requires it) and an unusable output
+        # or cache path are input problems, not findings
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -288,10 +288,6 @@ class ConjClass:
             if any(a < b for a, b in zip(p, p[1:])):
                 raise ValueError("partition parts must be weakly decreasing")
 
-    @property
-    def level(self) -> MultiIndex:
-        return MultiIndex(sum(p) for p in self.parts)
-
     @cached_property
     def size(self) -> int:
         return math.prod(

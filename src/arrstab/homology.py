@@ -1,4 +1,4 @@
-"""Order complexes and exact reduced homology of ranked posets.
+"""Order complexes and exact reduced homology of the lattice's intervals.
 
 Reduced simplicial homology is computed over Q from augmented chain
 complexes, so dim H~_{-1} of the empty complex is 1 and everything below
@@ -6,7 +6,10 @@ degree -1 vanishes.  The complement-cohomology assembly sums, over lattice
 elements x, the local reduced homology of the order complex of the elements
 strictly containing x, placed in degree 2 cd(x) - i - 2; only codimensions
 with ceil(i/2) <= cd(x) <= i can contribute: since codims ascend, one run
-of indices, the degree window that Betti numbers and traces share.
+of indices, the degree window that Betti numbers and traces share.  That
+interval's order is read straight off the lattice's order table
+(``IntersectionLattice.containing``) as ascending successor lists, and its
+chains are grown one dimension at a time already sorted.
 
 Betti numbers come from the ranks of the integer boundary maps, found by
 sparse elimination over Z: the boundary entries are +-1, pivots are units
@@ -36,7 +39,7 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .fim import MultiIndex, PermTuple
 from .record import record
@@ -50,34 +53,6 @@ class LatticeError(RuntimeError):
 
 
 @record
-class RankedPoset:
-    """A finite poset with a strictly increasing integer rank function.
-
-    ``less`` holds the full strict order relation (transitively closed) as
-    pairs of element indices; ``labels`` carries caller-side identities.
-    """
-
-    labels: tuple[Hashable, ...]
-    less: frozenset[tuple[int, int]]
-    ranks: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.labels)
-        if len(self.ranks) != n:
-            raise ValueError("rank count does not match element count")
-        for a, b in self.less:
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError("relation index out of range")
-            if self.ranks[a] >= self.ranks[b]:
-                raise ValueError("rank function must strictly increase")
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-
-
-@record
 class OrderComplex:
     """All strict chains of a poset, tabulated by dimension.
 
@@ -86,7 +61,6 @@ class OrderComplex:
     stored.
     """
 
-    num_vertices: int
     chains: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
@@ -102,22 +76,19 @@ class OrderComplex:
         return len(self.chains[d])
 
 
-def order_complex(p: RankedPoset) -> OrderComplex:
-    """Enumerate all strict chains of p."""
-    n = p.size
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for a, b in sorted(p.less):
-        succ[a].append(b)
+def order_complex(succ: Sequence[Sequence[int]]) -> OrderComplex:
+    """Enumerate all strict chains of the poset on ``range(len(succ))`` in
+    which ``succ[v]`` lists, ascending, every vertex above v.
+
+    Extending the sorted p-chains, in order, by their last vertex's ascending
+    successors lists the (p+1)-chains sorted, so no dimension is re-sorted.
+    """
     levels: list[tuple[tuple[int, ...], ...]] = []
-    current = [(v,) for v in range(n)]
+    current = [(v,) for v in range(len(succ))]
     while current:
         levels.append(tuple(current))
-        nxt = []
-        for chain in current:
-            for b in succ[chain[-1]]:
-                nxt.append(chain + (b,))
-        current = sorted(nxt)
-    return OrderComplex(n, tuple(levels))
+        current = [chain + (b,) for chain in current for b in succ[chain[-1]]]
+    return OrderComplex(tuple(levels))
 
 
 def _boundary_columns(cx: OrderComplex, d: int, skip: set[int]) -> list[dict[int, int]]:
@@ -324,11 +295,21 @@ class LatticeHomology:
         return self._actions[g]
 
     def interval(self, idx: int) -> tuple[tuple[int, ...], OrderComplex]:
+        """The elements strictly containing element idx, ascending, and the
+        order complex of that interval on their positions, a chain running
+        from larger subspaces to smaller.  Whatever contains a member
+        contains idx too, so the members' ``containing`` lists stay inside
+        the interval; read in ascending order, they fill each successor list
+        ascending."""
         cached = self._intervals.get(idx)
         if cached is None:
-            poset = self.lattice.lower_interval(idx)
-            cached = (tuple(poset.labels), order_complex(poset))
-            self._intervals[idx] = cached
+            members = self.lattice.containing(idx)
+            position = {y: pos for pos, y in enumerate(members)}
+            succ: list[list[int]] = [[] for _ in members]
+            for pos, y in enumerate(members):
+                for z in self.lattice.containing(y):
+                    succ[position[z]].append(pos)
+            cached = self._intervals[idx] = (members, order_complex(succ))
         return cached
 
     def betti_numbers(self, idx: int) -> tuple[int, ...]:

@@ -24,6 +24,7 @@ from arrstab.checks import (
     verify_normal,
 )
 from arrstab.exactlin import contains, subspace_from_constraints
+from arrstab.homology import LatticeHomology
 from arrstab.fim import (
     Injection,
     MultiIndex,
@@ -139,29 +140,30 @@ def test_lattice_truncation_saturation(braid, get_lattice):
 def test_lower_interval_of_diagonal(braid, get_lattice):
     lat = get_lattice(braid, mi((3,)), 3)
     diag = partition_subspace([[0, 1, 2]], 3)
-    poset = lat.lower_interval(lat.index_of(diag))
-    assert poset.size == 3
-    assert not poset.less  # three hyperplanes form an antichain
+    members, cx = LatticeHomology(lat).interval(lat.elements.index(diag))
+    assert len(members) == 3
+    assert cx.dimension == 0  # three hyperplanes form an antichain
 
 
 def test_lower_interval_of_hyperplane_is_empty(braid, get_lattice):
     lat = get_lattice(braid, mi((3,)), 3)
     hyper = partition_subspace([[0, 1]], 3)
-    assert lat.lower_interval(lat.index_of(hyper)).size == 0
+    members, cx = LatticeHomology(lat).interval(lat.elements.index(hyper))
+    assert members == () and cx.chains == ()
 
 
 def test_lower_interval_in_pi4(braid, get_lattice):
     lat = get_lattice(braid, mi((4,)), 4)
     x = partition_subspace([[0, 1, 2]], 4)
-    poset = lat.lower_interval(lat.index_of(x))
-    assert poset.size == 3
-    assert all(r == 1 for r in poset.ranks)
+    members, _ = LatticeHomology(lat).interval(lat.elements.index(x))
+    assert len(members) == 3
+    assert all(lat.codims[y] == 1 for y in members)
 
 
 def test_act_three_cycle(braid, get_lattice):
     lat = get_lattice(braid, mi((3,)), 3)
     sigma = lat.act(PermTuple(((1, 2, 0),)))
-    diag_idx = lat.index_of(partition_subspace([[0, 1, 2]], 3))
+    diag_idx = lat.elements.index(partition_subspace([[0, 1, 2]], 3))
     assert sigma[diag_idx] == diag_idx
     hyper_indices = [i for i in range(len(lat)) if lat.codims[i] == 1]
     images = {sigma[i] for i in hyper_indices}
@@ -178,8 +180,8 @@ def test_act_transposition(braid, get_lattice):
     lat = get_lattice(braid, mi((3,)), 3)
     sigma = lat.act(PermTuple(((1, 0, 2),)))
     fixed = {i for i in range(len(lat)) if sigma[i] == i}
-    z12 = lat.index_of(partition_subspace([[0, 1]], 3))
-    diag = lat.index_of(partition_subspace([[0, 1, 2]], 3))
+    z12 = lat.elements.index(partition_subspace([[0, 1]], 3))
+    diag = lat.elements.index(partition_subspace([[0, 1, 2]], 3))
     assert fixed == {z12, diag}
 
 
@@ -338,12 +340,12 @@ def test_primitive_classes_are_the_whole_primitive_orbits(spec, max_codim, get_l
             continue
         lat = get_lattice(spec, e, max_codim)
         ours = [cls for cls in classes if cls.degree == e]
-        members = [lat.index_of(x) for cls in ours for x in cls.orbit]
+        members = [lat.elements.index(x) for cls in ours for x in cls.orbit]
         assert sorted(members) == [
             idx for idx, x in enumerate(lat.elements) if is_primitive(spec, e, x)
         ]
         for cls in ours:
-            orbit = {lat.index_of(x) for x in cls.orbit}
+            orbit = {lat.elements.index(x) for x in cls.orbit}
             assert cls.stabilizer_order * len(orbit) == group_order(e)
             assert cls.subspace == lat.elements[min(orbit)]
             for g in _group_generators(e):
@@ -417,7 +419,7 @@ def assert_lower_intervals_embed(lat_c, lat_d, f):
     order among them."""
     preimages = [pullback(f, lat_c.r, x) for x in lat_c.elements]
     assert all(y in lat_d for y in preimages), f.images
-    image = [lat_d.index_of(y) for y in preimages]
+    image = [lat_d.elements.index(y) for y in preimages]
     above_c = [set(lat_c.containing(idx)) for idx in range(len(lat_c))]
     above_d = [set(lat_d.containing(idx)) for idx in range(len(lat_d))]
     for idx, target in enumerate(image):

@@ -411,7 +411,7 @@ def test_primitive_characters_match_a_context_per_degree(spec, top, get_lattice)
                 for cls in classes:
                     if cls.degree != e or cls.codim > i:
                         continue
-                    orbit = fresh.lattice.orbits[fresh.lattice.index_of(cls.subspace)]
+                    orbit = fresh.lattice.orbits[fresh.lattice.elements.index(cls.subspace)]
                     chi = _character(fresh, e, i, orbit)
                     if any(chi.values.values()):
                         expected[cls.subspace.serialization] = chi

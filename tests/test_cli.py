@@ -142,6 +142,21 @@ def test_missing_config_exits_one(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("flag", ["--out", "--cache"])
+def test_unusable_output_or_cache_path_exits_one_with_one_error_line(tmp_path, capsys, flag, jobs):
+    config = write_config(tmp_path)
+    blocker = tmp_path / "a-file"
+    blocker.write_text("not a directory", encoding="utf-8")
+    paths = {"--out": tmp_path / "out", "--cache": tmp_path / "cache", flag: blocker / "sub"}
+    args = ["run", "--config", str(config), "--jobs", jobs]
+    for name, path in paths.items():
+        args += [name, str(path)]
+    assert main(args) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(blocker) in lines[0]
+
+
 def test_warm_cache_reruns_are_byte_identical(tmp_path):
     config = write_config(tmp_path, outputs=["betti", "characters", "stability"])
     cache_dir = tmp_path / "cache"
@@ -512,6 +527,21 @@ def test_freeness_and_twisted_and_normalize_outputs(tmp_path):
     assert norm["changed"] is False
     report = json.loads(read(out / "report.json"))
     assert "orbits" in report["results"]
+
+
+def test_twisted_output_evaluates_the_polynomial_once_per_level(tmp_path, monkeypatch):
+    from arrstab.polynomial import CharacterPolynomial
+
+    calls = []
+    original = CharacterPolynomial.as_class_function
+    monkeypatch.setattr(
+        CharacterPolynomial,
+        "as_class_function",
+        lambda poly, level: calls.append(level) or original(poly, level),
+    )
+    config = write_config(tmp_path, i_max=2, outputs=["twisted"], twisted_polynomial="X1^(1)")
+    assert main(["run", "--config", str(config), "--cache", str(tmp_path / "c"), "--out", str(tmp_path / "o")]) == 0
+    assert sorted(calls) == [mi((2,)), mi((3,)), mi((4,))]
 
 
 def test_custom_family_normalization_diff(tmp_path):
@@ -961,7 +991,7 @@ def test_cache_entry_text_that_is_not_canonical_loads_canonical(tmp_path, spec, 
     expected = [x.serialization for x in lat.elements]
     assert [x.serialization for x in loaded.elements] == expected
     assert [exactlin.Subspace.parse(s).serialization for s in expected] == expected
-    assert [loaded.index_of(x) for x in lat.elements] == list(range(len(lat)))
+    assert [loaded.elements.index(x) for x in lat.elements] == list(range(len(lat)))
     assert loaded.atoms == lat.atoms and loaded.orbits == lat.orbits
 
 

@@ -16,7 +16,7 @@ import itertools
 
 from arrstab.arrangement import build_lattice, family_mkr
 from arrstab.fim import MultiIndex, ambient_dim
-from arrstab.homology import order_complex, reduced_betti
+from arrstab.homology import LatticeHomology, reduced_betti
 from test_homology import whitney_homology_dims
 
 mi = MultiIndex
@@ -62,9 +62,10 @@ def brute_force_complement_count(spec, level, q):
 
 def mobius_side_count(spec, level, q):
     lat = build_lattice(spec, level, max(1, ambient_dim(level, spec.r)))
+    ctx = LatticeHomology(lat)
     total = q ** ambient_dim(level, spec.r)
     for idx in range(len(lat)):
-        complex_ = order_complex(lat.lower_interval(idx))
+        _, complex_ = ctx.interval(idx)
         euler = sum(
             (-1) ** d * reduced_betti(complex_, d)
             for d in range(-1, complex_.dimension + 1)

@@ -52,7 +52,7 @@ from arrstab.fim import (
     pullback,
     pushforward,
 )
-from arrstab.homology import LatticeHomology, order_complex, reduced_betti_numbers
+from arrstab.homology import LatticeHomology, OrderComplex, reduced_betti_numbers
 from test_exactlin import intersect, mat
 
 mi = MultiIndex
@@ -208,7 +208,7 @@ def assert_matches_oracle(spec, n, max_codim):
         )
     # every name of every atom: each injection's dense preimage
     assert lat.atom_names == {
-        (gi, f.images): lat.index_of(pre)
+        (gi, f.images): lat.elements.index(pre)
         for gi, (degree, sub) in enumerate(spec.generators)
         for f in enumerate_injections(degree, n)
         if (pre := dense_preimage(f, spec.r, sub)).codim <= max_codim
@@ -922,7 +922,7 @@ def rref_image(lat, g, idx):
         [row[inverse[b]] for b in range(len(perm))]
         for row in lat.elements[idx].constraints.entries
     ]
-    return lat.index_of(subspace_from_constraints(len(perm), rows))
+    return lat.elements.index(subspace_from_constraints(len(perm), rows))
 
 
 def rref_act(lat, g):
@@ -1008,33 +1008,41 @@ def test_orbit_bfs_matches_group_walk(spec, level, max_codim, tmp_path):
             assert arrangement.orbit_of(got, idx) == walked[idx]
 
 
+def relation_intervals(lat):
+    """Every element's interval, from ``exactlin.contains`` on the element
+    subspaces and not from the lattice's order table: the elements strictly
+    containing it, ascending, and its chains on their positions, grown by
+    scanning the relation and sorted in each dimension."""
+    n = len(lat)
+    above = [
+        [y for y in range(n) if y != x and contains(lat.elements[y], lat.elements[x])]
+        for x in range(n)
+    ]
+    for members in above:
+        succ = [[b for b, y in enumerate(members) if z in above[y]] for z in members]
+        levels = []
+        current = [(v,) for v in range(len(members))]
+        while current:
+            levels.append(tuple(current))
+            current = sorted(chain + (b,) for chain in current for b in succ[chain[-1]])
+        yield tuple(members), tuple(levels)
+
+
 @pytest.mark.parametrize("spec, level, max_codim", FAMILY_CASES)
 def test_per_orbit_betti_matches_per_element_betti(spec, level, max_codim):
     lat = build_lattice(spec, mi(level), max_codim)
     ctx = LatticeHomology(lat)
-    for idx in range(len(lat)):
-        interval = order_complex(lat.lower_interval(idx))
-        assert ctx.betti_numbers(idx) == reduced_betti_numbers(interval)
-
-
-def scan_order_complex(p):
-    """The former ``order_complex``: each vertex's successors by a scan of
-    the whole relation."""
-    succ = [sorted(b for (a, b) in p.less if a == i) for i in range(p.size)]
-    levels = []
-    current = [(v,) for v in range(p.size)]
-    while current:
-        levels.append(tuple(current))
-        current = sorted(chain + (b,) for chain in current for b in succ[chain[-1]])
-    return tuple(levels)
+    for idx, (_, chains) in enumerate(relation_intervals(lat)):
+        assert ctx.betti_numbers(idx) == reduced_betti_numbers(OrderComplex(chains))
 
 
 @pytest.mark.parametrize("spec, level, max_codim", FAMILY_CASES)
 def test_order_complex_matches_relation_scan(spec, level, max_codim):
     lat = build_lattice(spec, mi(level), max_codim)
-    for idx in range(len(lat)):
-        interval = lat.lower_interval(idx)
-        assert order_complex(interval).chains == scan_order_complex(interval)
+    ctx = LatticeHomology(lat)
+    for idx, (members, chains) in enumerate(relation_intervals(lat)):
+        got_members, cx = ctx.interval(idx)
+        assert (got_members, cx.chains) == (members, chains), idx
 
 
 @st.composite
@@ -1291,7 +1299,7 @@ def assert_meets_match_pullbacks(spec, low, high):
     for f in enumerate_injections(low.level, high.level):
         for y, atoms in zip(low.elements, low.atoms):
             pre = pullback(f, spec.r, y)
-            expected = high.index_of(pre) if pre in high else None
+            expected = high.elements.index(pre) if pre in high else None
             names = [(gi, fim.compose_images(f.images, h)) for gi, h in map(name_of.get, atoms)]
             assert high.meet_of_atoms(names) == expected
 

@@ -31,7 +31,10 @@ An element's atom set is held in one form, the indices of its atoms, from
 the closure through the lattice to the cache file: no module brings back the
 per-atom ``(generator, Injection)`` witness tuples, and the cache reads and
 writes atom names as images, not ``Injection`` objects.  The poset helpers
-and the class-function wrapper that no engine path used stay deleted.
+and the class-function wrapper that no engine path used stay deleted, and so
+do ``RankedPoset``, ``IntersectionLattice.lower_interval`` and ``index_of``:
+an interval's order complex is read off the lattice's order table, and
+``order_complex`` grows its chains already sorted.
 
 Start-up loads only the config layer: ``cli`` imports no arrstab module but
 ``record`` and ``fim`` when it is imported, and the arrangement spec lives in
@@ -235,8 +238,10 @@ def test_cache_reads_and_writes_names_without_injections():
 def test_unused_poset_and_character_helpers_are_gone():
     for module, owner, name in [
         ("homology", None, "whitney_homology_dims"),
-        ("homology", "RankedPoset", "below"),
-        ("homology", "RankedPoset", "restrict"),
+        ("homology", None, "RankedPoset"),
+        ("arrangement", "IntersectionLattice", "lower_interval"),
+        ("arrangement", "IntersectionLattice", "index_of"),
+        ("fim", "ConjClass", "level"),
         ("arrangement", "IntersectionLattice", "as_ranked_poset"),
         ("characters", None, "class_function"),
         ("checks", None, "verify_downward_stability"),
@@ -264,13 +269,23 @@ def test_unused_poset_and_character_helpers_are_gone():
             for node in ast.walk(MODULES[module])
             if isinstance(node, ast.ClassDef) and node.name == owner
         )
-        defined = {node.name for node in ast.walk(scope) if isinstance(node, ast.FunctionDef)}
+        defined = {
+            node.name for node in ast.walk(scope) if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
         assert name not in defined, f"{module} defines {name}"
     classes = {node.name for node in ast.walk(MODULES["checks"]) if isinstance(node, ast.ClassDef)}
     assert "DownwardStabilityReport" not in classes
     # the benchmark tracer hooks both
     assert method("arrangement", "IntersectionLattice", "__init__")
     assert method("arrangement", "IntersectionLattice", "act")
+
+
+def test_order_complex_sorts_no_chains():
+    # chains grow by ascending successors from sorted chains, so each
+    # dimension comes out sorted and nothing re-sorts it
+    for node in ast.walk(function("homology", "order_complex")):
+        used = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        assert used not in {"sorted", "sort"}, f"order_complex uses {used}"
 
 
 GONE_HOMOLOGY_PATHS = {"gm_betti", "equivariant_trace", "with_character", "to_text_table", "_codim_window"}
