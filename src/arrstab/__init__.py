@@ -27,14 +27,15 @@ _HOMES = {
     "character_of_cohomology": "characters",
     "family_mkr": "fim",
     "fit_character_polynomial": "checks",
-    "induction_character": "checks",
     "inner_product": "characters",
     "invariants_dim": "characters",
     "irreducible_multiplicities": "characters",
     "is_primitive": "checks",
     "normalize": "checks",
     "orbit_decomposition": "checks",
+    "primitive_characters": "checks",
     "primitive_classes": "checks",
+    "primitive_table": "checks",
     "stability_report": "characters",
     "subspace_from_constraints": "exactlin",
     "twisted_betti": "checks",

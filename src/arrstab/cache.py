@@ -182,9 +182,11 @@ def clean(cache_dir: Path | str) -> int:
     """Remove all lattice cache files, and the files of stores killed before
     their rename; returns how many lattice files were deleted."""
     cache_dir = Path(cache_dir)
-    if not cache_dir.is_dir():
+    try:
+        names = os.listdir(cache_dir)
+    except FileNotFoundError:  # nothing cached; a file in the way raises
         return 0
-    lattices = sorted(cache_dir.glob(f"*{_SUFFIX}"))
-    for path in [*cache_dir.glob(f"{_TEMP_PREFIX}*.tmp"), *lattices]:
-        path.unlink()
+    lattices = [name for name in names if name.endswith(_SUFFIX)]
+    for name in lattices + [n for n in names if n.startswith(_TEMP_PREFIX) and n.endswith(".tmp")]:
+        (cache_dir / name).unlink()
     return len(lattices)

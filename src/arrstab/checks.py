@@ -1,12 +1,15 @@
 """The optional checks: finite generation and character polynomials.
 
 Primitivity, normality and normalization test a subspace's constraint support
-(images by ``fim.pushforward``); the freeness check induces the generator
-characters of each degree's one homology context.  The character-polynomial
-fit, its binomial form and twisted Betti numbers import ``polynomial`` where
-they run.  Only the ``fit``, ``freeness``, ``normalize`` and ``twisted``
-outputs load this module; each output's function takes the level results as
-plain maps and returns its report rows, entries and findings.  The paper's
+(images by ``fim.pushforward``).  By finite generation H^i is induced from its
+primitive classes, so one table per H^i, the sum of the generator characters
+of each degree's one homology context at each class, gives both its character
+at every level, which the freeness check compares, and its character
+polynomial, which the fit renders.  The fit and twisted Betti numbers import
+``polynomial`` where they run.  Only the ``fit``, ``freeness``, ``normalize``
+and ``twisted`` outputs load this module; each output's function takes the
+level results as plain maps and returns its report rows, entries and
+findings.  The paper's
 lemma that lower intervals map isomorphically along injections is checked by
 the tests, as a property of every lattice they build, not by a command.
 """
@@ -21,12 +24,11 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .arrangement import IntersectionLattice, LatticeBuilder, Name, _first_names, build_lattice
 from .characters import _character, inner_product, stability_report
-from .exactlin import Subspace, _pivot_columns, _rref_rows, constraint_support
+from .exactlin import Subspace, constraint_support, subspace_from_constraints
 from .fim import (
-    ArrangementSpec, ClassFunction, ConjClass, Injection, MultiIndex, ambient_dim,
-    binomial_class_key, binomial_representatives, compose_images, conj_classes, degree_add,
-    degree_times, enumerate_injections, group_order, injection_coordinates, pushforward,
-    sum_characters, trivial_character,
+    ArrangementSpec, ClassFunction, Injection, MultiIndex, ambient_dim, binomial_class_key,
+    binomial_representatives, compose_images, conj_classes, degree_add, degree_times,
+    enumerate_injections, group_order, injection_coordinates, pushforward,
 )
 from .homology import LatticeError, LatticeHomology
 from .record import record
@@ -106,9 +108,41 @@ def _degrees_below(bound: MultiIndex) -> list[MultiIndex]:
     return sorted((MultiIndex(t) for t in grid), key=lambda e: (e.total, tuple(e)))
 
 
+def class_degree_bound(spec: ArrangementSpec, max_codim: int) -> MultiIndex:
+    """A bound on the degree of every primitive class of codim <= max_codim.
+
+    A primitive element is a meet of atoms whose constraint supports together
+    touch every point.  An atom that touches j points of a factor that the
+    atoms before it missed raises the codim by at least the rank of its
+    constraint columns over those points: at least the least rank of a
+    generator's columns over j of its support points in that factor.  So each
+    factor's degree is at most the most points that an unbounded knapsack of
+    these (j points, rank) items packs within max_codim.
+    """
+    bound = []
+    for factor in range(spec.m):
+        cost: dict[int, int] = {}  # j -> the least rank over j points of the factor
+        for degree, sub in spec.generators:
+            start = sum(degree[:factor])
+            support = {c // spec.r for c in constraint_support(sub)}
+            points = sorted(support & set(range(start, start + degree[factor])))
+            for j in range(1, len(points) + 1):
+                for chosen in itertools.combinations(points, j):
+                    columns = [p * spec.r + t for p in chosen for t in range(spec.r)]
+                    rows = [[row[c] for c in columns] for row in sub.constraints.entries]
+                    rank = subspace_from_constraints(len(columns), rows).codim
+                    cost[j] = min(rank, cost.get(j, rank))
+        most = [0] * (max_codim + 1)
+        for c in range(1, max_codim + 1):
+            most[c] = max([most[c - 1]] + [most[c - w] + j for j, w in cost.items() if w <= c])
+        bound.append(most[max_codim])
+    return MultiIndex(bound)
+
+
 def class_degrees(spec: ArrangementSpec, max_codim: int) -> list[MultiIndex]:
-    """The degrees that can carry a primitive class of codim <= max_codim."""
-    bound = degree_times(max_codim, spec.cmax)
+    """The degrees that can carry a primitive class of codim <= max_codim:
+    those within ``class_degree_bound`` above some generator degree."""
+    bound = class_degree_bound(spec, max_codim)
     return [e for e in _degrees_below(bound) if any(deg.leq(e) for deg, _ in spec.generators)]
 
 
@@ -166,7 +200,7 @@ def primitive_classes(
     """Representatives of primitive-subspace classes of codim <= max_codim.
 
     Scans every ``class_degrees`` degree (no primitive of this codimension
-    can occur at a degree above the bound) and keeps, at each degree,
+    can occur at a degree above its bound) and keeps, at each degree,
     the orbits whose representative is primitive: the point action preserves
     primitivity, so that decides the whole orbit.  Requires the spec to pass
     the normality check on its generator degrees.
@@ -246,7 +280,7 @@ def primitive_characters(
 ) -> dict[str, ClassFunction]:
     """H^i's nonzero generator characters at the context's level: the trace on
     each recorded primitive orbit of codim c <= i, by its representative's
-    serialization.  At most c atoms meet in it, so its level is <= c * cmax."""
+    serialization."""
     lat = ctx.lattice
     out: dict[str, ClassFunction] = {}
     for idx, (x, members) in enumerate(zip(lat.elements, lat.orbits)):
@@ -257,57 +291,45 @@ def primitive_characters(
     return out
 
 
-def _sub_cycle_multisets(
-    partition: tuple[int, ...], size: int
-) -> list[tuple[tuple[int, ...], int]]:
-    """Sub-multisets of cycle lengths summing to ``size`` with their counts."""
-    mults: dict[int, int] = {}
-    for part in partition:
-        mults[part] = mults.get(part, 0) + 1
-    lengths = sorted(mults)
-    out: list[tuple[tuple[int, ...], int]] = []
-
-    def rec(pos: int, remaining: int, chosen: list[int], ways: int):
-        if remaining == 0:
-            out.append((tuple(sorted(chosen, reverse=True)), ways))
-            return
-        if pos == len(lengths):
-            return
-        k = lengths[pos]
-        for count in range(0, min(mults[k], remaining // k) + 1):
-            rec(
-                pos + 1,
-                remaining - count * k,
-                chosen + [k] * count,
-                ways * math.comb(mults[k], count),
-            )
-
-    rec(0, size, [], 1)
-    return out
+def primitive_table(
+    i: int, generators: Mapping[MultiIndex, Mapping[str, ClassFunction]]
+) -> dict[Monomial, int]:
+    """H^i's primitive part: at each class mu of each class degree, chi_prim(mu),
+    the sum of the generator characters ``generators`` (``primitive_characters``
+    by degree), keyed by mu's cycle counts ((j, k), m_{j,k}(mu)); zeros are left
+    out.  H^0 is generated at degree 0 by the trivial character: {(): 1}."""
+    if i == 0:
+        return {(): 1}
+    table: dict[Monomial, int] = {}
+    for chi in (chi for chars in generators.values() for chi in chars.values()):
+        for c, value in chi.values.items():
+            mono = tuple(((j, k), p.count(k)) for j, p in enumerate(c.parts) for k in sorted(set(p)))
+            table[mono] = table.get(mono, 0) + value
+    return {mono: value for mono, value in table.items() if value}
 
 
-def induction_character(c: MultiIndex, chi_w: ClassFunction, n: MultiIndex) -> ClassFunction:
-    """Character at level n of the free module generated at c by chi_w.
+def induced_character(table: Mapping[Monomial, int], level: MultiIndex) -> ClassFunction:
+    """The character at ``level`` of the module the table's generators induce.
 
-    An element g stabilizes a binomial class iff the underlying point sets
-    are unions of g's cycles, so the value is a sum over sub-multisets of
-    cycle lengths of chi_w at the induced class.
+    An element sigma maps the copy of a generator on a set of points to
+    itself exactly when the set is a union of sigma's cycles, and acts on it
+    by the class of those cycles.  So the value at sigma is the sum of
+    chi_prim(mu) times the ways to pick mu's cycles among sigma's,
+    prod_{j,k} binom(m_{j,k}(sigma), m_{j,k}(mu)): the table's character
+    polynomial at sigma.
     """
-    if chi_w.level != c:
-        raise ValueError("generating character must live at level c")
-    classes_n = conj_classes(n)
-    if not c.leq(n):
-        return ClassFunction(n, dict.fromkeys(classes_n, 0))
-    values: dict[ConjClass, int | Fraction] = {}
-    for cls in classes_n:
-        per_factor = [_sub_cycle_multisets(cls.parts[j], c[j]) for j in range(c.m)]
+    values = {}
+    for c in conj_classes(level):
+        counts = {(j, k): part.count(k) for j, part in enumerate(c.parts) for k in set(part)}
         total = 0
-        for combo in itertools.product(*per_factor):
-            ways = math.prod(w for _, w in combo)
-            induced = ConjClass(tuple(mu for mu, _ in combo))
-            total += ways * chi_w(induced)
-        values[cls] = total
-    return ClassFunction(n, values)
+        for mono, value in table.items():
+            for key, b in mono:
+                value *= math.comb(counts.get(key, 0), b)
+                if not value:
+                    break
+            total += value
+        values[c] = total
+    return ClassFunction(level, values)
 
 
 @record
@@ -339,149 +361,50 @@ def verify_free_decomposition(
     characters: Mapping[MultiIndex, ClassFunction],
     generators: Mapping[MultiIndex, Mapping[str, ClassFunction]],
     classes: Sequence[PrimitiveClass],
+    table: Mapping[Monomial, int],
 ) -> FreenessReport:
     """Check H^i decomposes as induced modules over primitive classes.
 
     Each contributing class generates its character in ``generators[e]``,
-    ``primitive_characters`` at its degree e, which leaves out zero ones;
-    summing the induced characters over classes must reproduce ``characters``,
-    the character of H^i at each level it holds, in its order.  Each
-    contributing class's degree is also checked against i times the top
-    generator degree, which a primitive class of codim c <= i, a meet of at
-    most c atoms, never exceeds.
+    ``primitive_characters`` at its degree e, which leaves out zero ones; the
+    module they induce, ``induced_character`` of their ``primitive_table``,
+    must reproduce ``characters``, the character of H^i at each level it
+    holds, in its order.  Each contributing class's degree is also checked
+    against i times the top generator degree, which a primitive class of codim
+    c <= i, a meet of at most c atoms, never exceeds.
 
     ``classes`` may be ``primitive_classes(spec, c, ...)`` for any c >= i:
     its classes of codim at most i are, in order, those of codim i.
     """
-    levels = list(characters)
     bound = degree_times(i, spec.cmax)
-    summaries: list[FreenessClassSummary] = []
-    if i == 0:
-        expected = {level: trivial_character(level) for level in levels}
-    else:
-        for cls in classes:
-            if cls.codim > i:
-                continue
-            chi_gen = generators[cls.degree].get(cls.subspace.serialization)
-            if chi_gen is None:
-                continue
-            summaries.append(
-                FreenessClassSummary(
-                    cls.degree, cls.codim, cls.stabilizer_order, chi_gen, cls.degree.leq(bound)
-                )
-            )
-        expected = {
-            level: sum_characters(
-                level,
-                [induction_character(s.degree, s.generator_character, level) for s in summaries],
-            )
-            for level in levels
-        }
-    matches = [(level, characters[level] == expected[level]) for level in levels]
-    return FreenessReport(i, tuple(summaries), tuple(matches), bound)
+    summaries = tuple(
+        FreenessClassSummary(cls.degree, cls.codim, cls.stabilizer_order, gen, cls.degree.leq(bound))
+        for cls in classes
+        if cls.codim <= i and (gen := generators[cls.degree].get(cls.subspace.serialization))
+    )
+    matches = tuple((n, chi == induced_character(table, n)) for n, chi in characters.items())
+    return FreenessReport(i, summaries, matches, bound)
 
 
-class FitError(ValueError):
-    """Base class for character-polynomial fitting failures."""
-
-
-class FitInconsistentError(FitError):
-    """No polynomial of the requested degree matches the samples."""
-
-
-class FitUnderdeterminedError(FitError):
-    """The samples do not pin the polynomial down; more levels are needed."""
-
-
-def _monomials_within(bound: MultiIndex) -> list[Monomial]:
-    """All monomials of multidegree <= bound, canonically ordered."""
+def fit_character_polynomial(table: Mapping[Monomial, int], m: int) -> CharacterPolynomial:
+    """H^i's character polynomial, read off its ``primitive_table``:
+    sum_mu chi_prim(mu) * prod_{j,k} binom(X_k^{(j)}, m_{j,k}(mu)), expanded
+    into powers.  It reads the generator characters only."""
     from .polynomial import CharacterPolynomial
 
-    per_factor = []
-    for j, cap in enumerate(bound):
-        found: list[tuple[Monomial, int]] = [((), 0)]  # (monomial, weight)
-        for k in range(1, cap + 1):
-            found = [
-                (mono + (((j, k), e),) if e else mono, weight + k * e)
-                for mono, weight in found
-                for e in range((cap - weight) // k + 1)
-            ]
-        per_factor.append([mono for mono, _ in found])
-    monos = (sum(chunk, ()) for chunk in itertools.product(*per_factor))
-    return sorted(monos, key=CharacterPolynomial._key)
+    @cache
+    def binomial(j: int, k: int, b: int) -> CharacterPolynomial:
+        if not b:
+            return CharacterPolynomial.constant(1, m)
+        return binomial(j, k, b - 1) * (CharacterPolynomial.variable(k, j + 1, m) - (b - 1)) / b
 
-
-def fit_character_polynomial(
-    samples: Sequence[tuple[MultiIndex, ClassFunction]],
-    degree_bound: MultiIndex,
-) -> CharacterPolynomial:
-    """The unique polynomial of multidegree <= degree_bound through the samples.
-
-    Solved exactly over the monomial basis.  Raises FitInconsistentError when
-    no such polynomial exists (a falsification signal) and
-    FitUnderdeterminedError when the sampled levels leave free coefficients.
-    """
-    from .polynomial import CharacterPolynomial, _monomial_value
-
-    if len({level for level, _ in samples}) < 2:
-        raise ValueError("need samples at two or more distinct levels")
-    for level, chi in samples:
-        if not degree_bound.leq(level):
-            raise ValueError("all sampled levels must dominate the degree bound")
-        if chi.level != level:
-            raise ValueError("sample level mismatch")
-    monos = _monomials_within(degree_bound)
-    rows = []
-    for level, chi in samples:
-        for c in conj_classes(level):
-            rows.append([_monomial_value(mono, c) for mono in monos] + [chi(c)])
-    reduced = _rref_rows(rows, len(monos) + 1)
-    assert reduced is not None
-    pivots = _pivot_columns(reduced)
-    if any(p == len(monos) for p in pivots):
-        raise FitInconsistentError(
-            "no character polynomial of this multidegree matches the samples"
-        )
-    if len(pivots) < len(monos):
-        raise FitUnderdeterminedError(
-            "samples leave free coefficients; add more levels"
-        )
-    # every monomial is a pivot, so the rows follow the basis order; coefficients
-    # stay Fractions (the reduction gives ints where integral) for the reports
-    coeffs = tuple((mono, Fraction(row[-1])) for mono, row in zip(monos, reduced) if row[-1])
-    return CharacterPolynomial(degree_bound.m, coeffs)
-
-
-@cache
-def _stirling2(e: int, b: int) -> int:
-    """S(e, b), the number of partitions of an e-set into b blocks."""
-    if e == b:
-        return 1
-    if b == 0 or b > e:
-        return 0
-    return b * _stirling2(e - 1, b) + _stirling2(e - 1, b - 1)
-
-
-def binomial_basis_form(p: CharacterPolynomial) -> str:
-    """Re-express p in products of binomials choose(X_k^{(j)}, b) and render.
-
-    A power expands as X^e = sum_b S(e, b) b! choose(X, b), with S the
-    Stirling numbers of the second kind, and a monomial factor by factor.
-    """
-    from .polynomial import CharacterPolynomial, _binomial_factor, _render_terms
-
-    data: dict[Monomial, Fraction] = {}
-    for mono, coeff in p.coeffs:
-        terms = [((), coeff)]
-        for key, e in mono:
-            terms = [
-                (acc + ((key, b),), value * _stirling2(e, b) * math.factorial(b))
-                for acc, value in terms
-                for b in range(1, e + 1)
-            ]
-        for acc, value in terms:
-            data[acc] = data.get(acc, 0) + value
-    return _render_terms(CharacterPolynomial.from_dict(p.m, data).coeffs, _binomial_factor)
+    terms = []
+    for mono, value in table.items():
+        term = CharacterPolynomial.constant(value, m)
+        for (j, k), b in mono:
+            term = term * binomial(j, k, b)
+        terms.append(term)
+    return sum(terms, CharacterPolynomial.constant(0, m))
 
 
 def twisted_betti(chi_h: ClassFunction, chi_n: ClassFunction) -> int | Fraction:
@@ -510,6 +433,7 @@ def freeness_output(
     spec: ArrangementSpec,
     characters: ByDegree,
     generators: Sequence[Mapping[MultiIndex, Mapping[str, ClassFunction]]],
+    tables: Sequence[Mapping[Monomial, int]],
     get: LatticeBuilder,
     log: Callable[[str], None],
 ):
@@ -517,8 +441,9 @@ def freeness_output(
     (``freeness``, and ``orbits`` when i_max >= 1) and its findings.
 
     ``generators[i]`` maps each computed degree to H^i's
-    ``primitive_characters`` (empty at i = 0).  ``get`` is the run's builder,
-    which holds every lattice read."""
+    ``primitive_characters`` (empty at i = 0), and ``tables[i]`` is their
+    ``primitive_table``.  ``get`` is the run's builder, which holds every
+    lattice read."""
     i_max = len(characters) - 1
     levels = list(characters[0])
     classes = ()
@@ -532,7 +457,9 @@ def freeness_output(
     findings = []
     for i in range(i_max + 1):
         log(f"freeness check i={i}")
-        report = verify_free_decomposition(spec, i, characters[i], generators[i], classes)
+        report = verify_free_decomposition(
+            spec, i, characters[i], generators[i], classes, tables[i]
+        )
         for level, ok in report.level_matches:
             rows.append([i, level, ok])
             if not ok:
@@ -602,29 +529,42 @@ def normalize_output(spec: ArrangementSpec) -> dict:
     }
 
 
-def fit_output(characters: ByDegree, degree_bound: MultiIndex):
+def fit_output(
+    spec: ArrangementSpec,
+    characters: ByDegree,
+    tables: Sequence[Mapping[Monomial, int]],
+    degree_bound: MultiIndex | None,
+):
     """The ``fit`` output of a job: its report entry and its findings.  Each
-    fitted polynomial is printed as it is found; an underdetermined fit raises
-    FitUnderdeterminedError naming its degree."""
+    H^i's character polynomial is read off ``tables[i]`` and printed; a level
+    where it differs from the computed character, and a multidegree above
+    ``degree_bound`` when one is given, are findings."""
+    from .polynomial import CharacterPolynomial, _binomial_factor, _render_terms
+
     entries = []
     findings = []
-    for i, chars in enumerate(characters):
-        try:
-            poly = fit_character_polynomial(list(chars.items()), degree_bound)
-        except FitInconsistentError as exc:
-            findings.append(f"fit i={i}: {exc}")
-            entries.append({"i": i, "status": "inconsistent"})
-            continue
-        except FitUnderdeterminedError as exc:
-            raise FitUnderdeterminedError(f"fit i={i}: {exc}") from exc
+    for i, (chars, table) in enumerate(zip(characters, tables)):
+        poly = fit_character_polynomial(table, spec.m)
         print(f"fit i={i}: {poly.render()}")
+        degree = poly.multidegree()
+        if degree_bound is not None and not degree.leq(degree_bound):
+            findings.append(
+                f"fit i={i}: multidegree {degree.render()} exceeds bound {degree_bound.render()}"
+            )
+        matches = {level: chi == induced_character(table, level) for level, chi in chars.items()}
+        for level, ok in matches.items():
+            if not ok:
+                findings.append(f"fit i={i}: polynomial misses the character at level {level.render()}")
         entries.append(
             {
                 "i": i,
-                "status": "ok",
                 "polynomial": poly.render(),
-                "binomial_form": binomial_basis_form(poly),
-                "multidegree": poly.multidegree(),
+                # the table's own coefficients are those of the binomial basis
+                "binomial_form": _render_terms(
+                    CharacterPolynomial.from_dict(spec.m, table).coeffs, _binomial_factor
+                ),
+                "multidegree": degree,
+                "levels": {level.render(): ok for level, ok in matches.items()},
             }
         )
     return entries, findings

@@ -2,7 +2,8 @@
 
 Reports are CSV tables plus one machine-readable JSON sidecar per run, all
 byte-deterministic so a warm cache reproduces them exactly.  Exit status is 0
-on success, 2 when a falsification finding is present (fit inconsistency,
+on success, 2 when a falsification finding is present (a character
+polynomial that misses a computed character or exceeds the fit degree bound,
 freeness mismatch, stability onset later than predicted), 1 on usage or
 configuration errors and on an ``OSError`` (an ``--out`` or ``--cache``
 directory that cannot be created or written), and 3 when the engine fails
@@ -13,10 +14,12 @@ Each level is computed on its own.  ``--jobs N`` splits the levels into at
 most N shares, at most one per level, balanced by |Aut(n)|; the command
 computes the heaviest share itself and forks one child per other share.
 Where ``os.fork`` is missing the levels run in-process, as with one job.
-For freeness each task also returns its degree's generator characters, and
-a class degree outside the levels is a task of its own.  A task returns plain
-data, class functions as values in ``conj_classes`` order: a forked share is
-sent as ``marshal`` data, and pickled only for an exception or a ``Fraction``.
+For the fit and freeness each task also returns its degree's generator
+characters, and a class degree outside the levels is a task of its own;
+``run`` sums them into one primitive table per H^i, which both outputs read.
+A task returns plain data, class functions as values in ``conj_classes``
+order: a forked share is sent as ``marshal`` data, and pickled only for an
+exception or a ``Fraction``.
 
 Start-up loads only the config layer (``record``, ``fim`` and, through it,
 ``exactlin``); a twisted polynomial in the config also loads ``polynomial``.
@@ -181,8 +184,6 @@ def load_config(path: Path | str) -> JobConfig:
     fit_bound = None
     if "fit_degree_bound" in data:
         fit_bound = _multi_index(data["fit_degree_bound"], spec.m, "fit_degree_bound")
-    if "fit" in outputs and fit_bound is None:
-        raise ConfigError("fit output requires fit_degree_bound")
     twisted = None
     if "twisted_polynomial" in data:
         from .polynomial import CharacterPolynomial
@@ -383,13 +384,14 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
         {"characters", "fit", "freeness", "stability", "twisted"} & set(config.outputs)
     )
     want_betti = "betti" in config.outputs
-    want_free = "freeness" in config.outputs
-    if want_free:
-        from .checks import class_degrees
-    extra = [e for e in class_degrees(spec, config.i_max) if e not in levels] if want_free else []
+    # the fit and the freeness check read the generator characters
+    want_gens = bool({"fit", "freeness"} & set(config.outputs))
+    if want_gens:
+        from .checks import class_degrees, primitive_table
+    extra = [e for e in class_degrees(spec, config.i_max) if e not in levels] if want_gens else []
     payloads = []
     if want_betti or want_chars:
-        tasks = [(spec, n, config.i_max, want_betti, want_chars, want_free, get) for n in levels]
+        tasks = [(spec, n, config.i_max, want_betti, want_chars, want_gens, get) for n in levels]
         tasks += [(spec, e, config.i_max, False, False, True, get) for e in extra]
         # one share keeps the levels in ascending order
         shares = _split_levels(tasks, jobs) if jobs > 1 and hasattr(os, "fork") else [tasks]
@@ -402,15 +404,17 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
         return ClassFunction(level, dict(zip(conj_classes(level), values)))
 
     # the level results as plain maps, which every output reads:
-    # characters[i][level] in level order, generators[i][degree] in task order
+    # characters[i][level] in level order, generators[i][degree] in task order,
+    # and the one primitive table per H^i that the fit and freeness read
     characters = [
         {level: chi(level, by_level[level]["characters"][i]) for level in levels}
         for i in range(config.i_max + 1 if want_chars else 0)
     ]
     generators = [{}] + [
         {e: {x: chi(e, v) for x, v in p["generators"][i].items()} for e, p in by_level.items()}
-        for i in range(1, config.i_max + 1 if want_free else 0)
+        for i in range(1, config.i_max + 1 if want_gens else 0)
     ]
+    tables = [primitive_table(i, g) for i, g in enumerate(generators)] if want_gens else []
 
     if want_betti:
         header = ["level"] + [f"b{i}" for i in range(config.i_max + 1)]
@@ -432,18 +436,15 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
         results["characters"] = table
 
     if "fit" in config.outputs:
-        from .checks import FitUnderdeterminedError, fit_output
+        from .checks import fit_output
 
-        try:
-            results["fit"], found = fit_output(characters, config.fit_degree_bound)
-        except FitUnderdeterminedError as exc:
-            raise ConfigError(str(exc)) from exc
+        results["fit"], found = fit_output(spec, characters, tables, config.fit_degree_bound)
         findings += found
 
-    if want_free:
+    if "freeness" in config.outputs:
         from .checks import freeness_output
 
-        rows, entries, found = freeness_output(spec, characters, generators, get, log)
+        rows, entries, found = freeness_output(spec, characters, generators, tables, get, log)
         findings += found
         results.update(entries)
         _write_csv(out_dir / "freeness.csv", ["i", "level", "match"], rows)
@@ -573,7 +574,11 @@ def main(argv: list[str] | None = None) -> int:
         from .cache import clean
 
         cache_dir = _resolve_cache(args.cache)
-        removed = clean(cache_dir)
+        try:
+            removed = clean(cache_dir)
+        except OSError as exc:  # a regular file, or a path under one
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"removed {removed} cached lattice(s) from {cache_dir}")
         return 0
 

@@ -28,7 +28,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .exactlin import (
     Subspace,
@@ -342,16 +342,6 @@ class ClassFunction:
 
 def trivial_character(level: MultiIndex) -> ClassFunction:
     return ClassFunction(level, dict.fromkeys(conj_classes(level), 1))
-
-
-def sum_characters(level: MultiIndex, items: Sequence[ClassFunction]) -> ClassFunction:
-    out = dict.fromkeys(conj_classes(level), 0)
-    for chi in items:
-        if chi.level != level:
-            raise ValueError("class functions live on different levels")
-        for c in out:
-            out[c] += chi(c)
-    return ClassFunction(level, out)
 
 
 def class_representative(c: ConjClass) -> PermTuple:

@@ -17,10 +17,10 @@ def braid():
 
 @pytest.fixture(scope="session")
 def freeness_inputs(get_lattice):
-    """The generator characters and primitive classes that
+    """The generator characters, primitive classes and primitive table that
     ``verify_free_decomposition`` reads for H^i, from one homology context
     per class degree on its codim-i lattice."""
-    from arrstab.checks import class_degrees, primitive_characters, primitive_classes
+    from arrstab.checks import class_degrees, primitive_characters, primitive_classes, primitive_table
     from arrstab.homology import LatticeHomology
 
     def inputs(spec, i):
@@ -28,6 +28,6 @@ def freeness_inputs(get_lattice):
             e: primitive_characters(spec, LatticeHomology(get_lattice(spec, e, i)), i)
             for e in class_degrees(spec, i)
         }
-        return generators, primitive_classes(spec, i, get_lattice)
+        return generators, primitive_classes(spec, i, get_lattice), primitive_table(i, generators)
 
     return inputs

@@ -88,28 +88,24 @@ def test_criterion_3_higher_r(get_lattice):
         assert betti_row(spec, mi((3,)), 6, get_lattice) == [1, 0, 0, 3, 0, 0, 2]
 
 
-def test_criterion_4_h1_character_polynomial(braid, get_lattice):
+def test_criterion_4_h1_character_polynomial(braid, get_lattice, freeness_inputs):
     with criterion(4, "H^1(PConf) fits X1(X1-1)/2 + X2 and predicts n=7"):
-        samples = [
-            (mi((n,)), character_of_cohomology(braid, mi((n,)), 1, get_lattice))
-            for n in range(2, 7)
-        ]
-        poly = fit_character_polynomial(samples, mi((2,)))
+        poly = fit_character_polynomial(freeness_inputs(braid, 1)[2], 1)
         assert poly == X(1) * (X(1) - 1) / 2 + X(2)
-        chi7 = character_of_cohomology(braid, mi((7,)), 1, get_lattice)
-        assert all(poly.evaluate(c) == chi7(c) for c in conj_classes(mi((7,))))
+        for n in range(2, 8):
+            chi = character_of_cohomology(braid, mi((n,)), 1, get_lattice)
+            assert all(poly.evaluate(c) == chi(c) for c in conj_classes(mi((n,))))
 
 
-def test_criterion_5_product_polynomial(get_lattice):
+def test_criterion_5_product_polynomial(get_lattice, freeness_inputs):
     with criterion(5, "H^1 of the two-factor family fits X1^(1)*X1^(2)"):
         spec = family_mkr(2, 1, 1)
-        levels = [mi((a, b)) for a in (1, 2, 3) for b in (1, 2, 3)]
-        samples = [
-            (lv, character_of_cohomology(spec, lv, 1, get_lattice)) for lv in levels
-        ]
-        poly = fit_character_polynomial(samples, mi((1, 1)))
+        poly = fit_character_polynomial(freeness_inputs(spec, 1)[2], 2)
         assert poly == X(1, 1, 2) * X(1, 2, 2)
         assert poly.multidegree() == mi((1, 1))
+        for lv in [mi((a, b)) for a in (1, 2, 3) for b in (1, 2, 3)]:
+            chi = character_of_cohomology(spec, lv, 1, get_lattice)
+            assert poly.as_class_function(lv) == chi
 
 
 def test_criterion_6_degree22_polynomial(get_lattice):

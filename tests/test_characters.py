@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -17,18 +18,20 @@ from arrstab.characters import (
     stability_report,
     sym_character,
 )
+from arrstab.cache import CachingBuilder
 from arrstab.checks import (
-    _monomials_within,
-    _stirling2,
-    FitInconsistentError,
-    FitUnderdeterminedError,
     PrimitiveClass,
-    binomial_basis_form,
+    _degrees_below,
+    class_degree_bound,
     class_degrees,
     fit_character_polynomial,
-    induction_character,
+    fit_output,
+    induced_character,
+    is_primitive,
+    normalize,
     primitive_characters,
     primitive_classes,
+    primitive_table,
     twisted_betti,
     verify_free_decomposition,
 )
@@ -39,6 +42,7 @@ from arrstab.fim import (
     MultiIndex,
     class_representative,
     conj_classes,
+    degree_add,
     degree_times,
     group_order,
     partitions,
@@ -47,6 +51,7 @@ from arrstab.fim import (
 from arrstab.homology import LatticeHomology
 from arrstab.polynomial import CharacterPolynomial, _monomial_value
 from test_fim import conjugacy_class, identity_class, inverse
+from test_lattice_oracle import FAMILY_CASES, custom_specs
 
 mi = MultiIndex
 
@@ -127,9 +132,18 @@ def test_multidegree():
     assert q.multidegree() == mi((2,))
 
 
-def test_binomial_basis_form():
-    q = X(1) * (X(1) - 1) / 2 + X(2)
-    assert binomial_basis_form(q) == "binom(X1^(1),2) + X2^(1)"
+def test_binomial_basis_form(braid, freeness_inputs, capsys):
+    # the fit renders the primitive table's own values as the binomial form
+    tables = [freeness_inputs(braid, i)[2] for i in range(3)]
+    entries, findings = fit_output(braid, [{}, {}, {}], tables, None)
+    assert [entry["binomial_form"] for entry in entries] == [
+        "1",
+        "binom(X1^(1),2) + X2^(1)",
+        "2*binom(X1^(1),3) - X3^(1) + binom(X1^(1),2)*X2^(1) + 3*binom(X1^(1),4)"
+        " - binom(X2^(1),2) - X4^(1)",
+    ]
+    assert findings == []
+    assert capsys.readouterr().out.splitlines()[1] == "fit i=1: -1/2*X1^(1) + 1/2*X1^(1)^2 + X2^(1)"
 
 
 def test_character_of_cohomology_braid3(braid, get_lattice):
@@ -152,72 +166,72 @@ def test_character_of_cohomology_two_factor(get_lattice):
     assert chi(identity_class(chi.level)) == 2
 
 
-def test_fit_pconf_h1(braid, get_lattice):
-    samples = [
-        (mi((n,)), character_of_cohomology(braid, mi((n,)), 1, get_lattice))
-        for n in range(2, 7)
-    ]
-    poly = fit_character_polynomial(samples, mi((2,)))
+def test_fit_pconf_h1(braid, get_lattice, freeness_inputs):
+    poly = fit_character_polynomial(freeness_inputs(braid, 1)[2], 1)
     assert poly == X(1) * (X(1) - 1) / 2 + X(2)
-    # the reduction returns integral values as ints; reports need Fractions
+    # the reports render Fractions
     assert all(type(v) is Fraction for _, v in poly.coeffs)
-    # verify at a level outside the fit window
+    # the polynomial reads no level: check it at one the table never saw
     chi7 = character_of_cohomology(braid, mi((7,)), 1, get_lattice)
     assert all(poly.evaluate(c) == chi7(c) for c in chi7.values)
 
 
-def test_fit_two_factor_product(get_lattice):
+def test_fit_two_factor_product(freeness_inputs):
     spec = family_mkr(2, 1, 1)
-    levels = [mi((a, b)) for a in (1, 2, 3) for b in (1, 2, 3)]
-    samples = [
-        (lv, character_of_cohomology(spec, lv, 1, get_lattice)) for lv in levels
-    ]
-    poly = fit_character_polynomial(samples, mi((1, 1)))
+    poly = fit_character_polynomial(freeness_inputs(spec, 1)[2], 2)
     assert poly == X(1, 1, 2) * X(1, 2, 2)
     assert poly.multidegree() == mi((1, 1))
 
 
 def test_fit_constant():
-    samples = [(mi((n,)), trivial_character(mi((n,)))) for n in (1, 2)]
-    poly = fit_character_polynomial(samples, mi((0,)))
-    assert poly == CharacterPolynomial.constant(1)
+    # H^0 is generated at degree 0 by the trivial character
+    for m in (1, 2):
+        assert primitive_table(0, {}) == {(): 1}
+        assert fit_character_polynomial(primitive_table(0, {}), m) == CharacterPolynomial.constant(1, m)
 
 
-def test_fit_reproduces_all_samples_exactly(braid, get_lattice):
+def test_fit_reproduces_all_samples_exactly(braid, get_lattice, freeness_inputs):
     jobs = [
-        (braid, [mi((n,)) for n in range(2, 7)], 1, mi((2,))),
-        (family_mkr(2, 1, 1), [mi((a, b)) for a in (1, 2, 3) for b in (1, 2, 3)], 1, mi((1, 1))),
+        (braid, [mi((n,)) for n in range(2, 7)], 1),
+        (family_mkr(2, 1, 1), [mi((a, b)) for a in (1, 2, 3) for b in (1, 2, 3)], 1),
     ]
-    for spec, levels, i, bound in jobs:
-        samples = [
-            (lv, character_of_cohomology(spec, lv, i, get_lattice)) for lv in levels
-        ]
-        poly = fit_character_polynomial(samples, bound)
-        for level, chi in samples:
+    for spec, levels, i in jobs:
+        poly = fit_character_polynomial(freeness_inputs(spec, i)[2], spec.m)
+        for level in levels:
+            chi = character_of_cohomology(spec, level, i, get_lattice)
             for c in conj_classes(level):
                 assert poly.evaluate(c) == chi(c)
 
 
-def test_fit_inconsistent_signal(braid, get_lattice):
-    samples = [
-        (mi((n,)), character_of_cohomology(braid, mi((n,)), 1, get_lattice))
-        for n in range(2, 7)
+def test_fit_inconsistent_signal(braid, get_lattice, freeness_inputs, capsys):
+    # a primitive value off by one: the fit finds its polynomial misses the
+    # computed character, as the freeness check does
+    levels = [mi((n,)) for n in range(2, 6)]
+    chars = [{lv: character_of_cohomology(braid, lv, i, get_lattice) for lv in levels} for i in range(3)]
+    generators, classes, table = freeness_inputs(braid, 2)
+    tables = [freeness_inputs(braid, i)[2] for i in range(2)]
+    assert fit_output(braid, chars, tables + [table], None)[1] == []
+    mono = (((0, 1), 3),)  # the identity of Aut(3)
+    mutated = {**table, mono: table[mono] + 1}
+    _, findings = fit_output(braid, chars, tables + [mutated], mi((3,)))
+    assert findings == [
+        "fit i=2: multidegree 4 exceeds bound 3",
+        "fit i=2: polynomial misses the character at level 3",
+        "fit i=2: polynomial misses the character at level 4",
+        "fit i=2: polynomial misses the character at level 5",
     ]
-    with pytest.raises(FitInconsistentError):
-        fit_character_polynomial(samples, mi((1,)))
+    report = verify_free_decomposition(braid, 2, chars[2], generators, classes, mutated)
+    assert [ok for _, ok in report.level_matches] == [True, False, False, False]
 
 
 def test_fit_underdetermined_signal():
-    # 12 monomials within degree (4) but these two levels only give rank 11
+    # 12 monomials within degree (4) but these two levels only give rank 11:
+    # the former solve needed more levels, the derived polynomial reads none
     samples = [(mi((n,)), trivial_character(mi((n,)))) for n in (4, 5)]
-    with pytest.raises(FitUnderdeterminedError):
-        fit_character_polynomial(samples, mi((4,)))
-
-
-def test_fit_needs_two_levels(braid, get_lattice):
-    chi = character_of_cohomology(braid, mi((3,)), 1, get_lattice)
-    with pytest.raises(ValueError):
-        fit_character_polynomial([(mi((3,)), chi)], mi((2,)))
+    with pytest.raises(Underdetermined):
+        old_fit(samples, mi((4,)))
+    poly = fit_character_polynomial(primitive_table(0, {}), 1)
+    assert all(poly.as_class_function(level) == chi for level, chi in samples)
 
 
 def test_inner_product_burnside():
@@ -276,6 +290,11 @@ def test_tensor_and_dual(braid, get_lattice):
         assert chi(conjugacy_class(inverse(class_representative(c)))) == chi(c)
 
 
+def induction_character(c, chi_w, n):
+    """The character at level n of the free module generated at c by chi_w."""
+    return induced_character(primitive_table(1, {c: {"": chi_w}}), n)
+
+
 def test_induction_character_points():
     for n in (3, 4, 5):
         lv = mi((n,))
@@ -290,6 +309,7 @@ def test_induction_character_pairs():
         ConjClass(((2, 1),)): 1,
         ConjClass(((3,),)): 0,
     }
+    assert all(type(v) is int for v in ind.values.values())
 
 
 def test_induction_character_same_level_is_identity():
@@ -361,12 +381,13 @@ def test_free_decomposition_flags_a_class_above_the_degree_bound(braid, get_latt
     # character, which leaves every level matching
     levels = [mi((3,)), mi((4,))]
     chars = {lv: character_of_cohomology(braid, lv, 1, get_lattice) for lv in levels}
-    generators, classes = freeness_inputs(braid, 1)
+    generators, classes, table = freeness_inputs(braid, 1)
     high = subspace_from_constraints(3, [[1, -1, 0]])
     synthetic = PrimitiveClass(mi((3,)), (high,), 2, ())
     zero = ClassFunction(mi((3,)), {c: Fraction(0) for c in conj_classes(mi((3,)))})
     generators = {**generators, mi((3,)): {high.serialization: zero}}
-    report = verify_free_decomposition(braid, 1, chars, generators, classes + (synthetic,))
+    assert primitive_table(1, generators) == table
+    report = verify_free_decomposition(braid, 1, chars, generators, classes + (synthetic,), table)
     assert report.degree_bound == mi((2,))
     assert all(ok for _, ok in report.level_matches)
     assert [(c.degree, c.degree_bound_ok) for c in report.classes] == [
@@ -563,8 +584,17 @@ def test_stability_report_detects_late_onset():
 
 
 # The former implementations, kept as oracles: the recursive monomial box,
-# the Fraction evaluation loop, the fit over one CharacterPolynomial per basis
-# monomial, the renderer, and the binomial form by a dense change of basis.
+# the Fraction evaluation loop, the renderer, the binomial form by a dense
+# change of basis, and the fit: one exact solve over one CharacterPolynomial
+# per basis monomial, which needs a degree bound and enough sampled levels.
+
+
+class Inconsistent(Exception):
+    """No polynomial of the bound's multidegree matches the samples."""
+
+
+class Underdetermined(Exception):
+    """The samples leave free coefficients."""
 
 
 def old_monomials_within(bound):
@@ -638,9 +668,9 @@ def old_fit(samples, degree_bound):
     reduced = _rref_rows(rows, len(monos) + 1)
     pivots = _pivot_columns(reduced)
     if any(p == len(monos) for p in pivots):
-        raise FitInconsistentError("inconsistent")
+        raise Inconsistent
     if len(pivots) < len(monos):
-        raise FitUnderdeterminedError("underdetermined")
+        raise Underdetermined
     coeffs = {mono: Fraction(0) for mono in monos}
     for row, p in zip(reduced, pivots):
         coeffs[monos[p]] = Fraction(row[-1])
@@ -694,20 +724,6 @@ def random_polynomials(seed, count):
         yield random_polynomial(rng, m, rng.randint(1, 4 if m == 1 else 3))
 
 
-def test_monomial_box_matches_the_recursive_one():
-    for m, top in ((1, 9), (2, 5), (3, 3)):
-        for bound in itertools.product(range(top), repeat=m):
-            assert _monomials_within(mi(bound)) == old_monomials_within(mi(bound)), bound
-
-
-def test_stirling_numbers_expand_powers_into_falling_factorials():
-    for e in range(7):
-        for x in range(7):
-            falling = [math.prod(range(x - b + 1, x + 1)) for b in range(e + 1)]
-            assert sum(_stirling2(e, b) * falling[b] for b in range(e + 1)) == x**e
-    assert [_stirling2(4, b) for b in range(6)] == [0, 1, 7, 6, 1, 0]
-
-
 def test_monomial_values_are_ints():
     c = ConjClass(((2, 2, 1, 1, 1), (3, 1)))
     mono = (((0, 1), 2), ((0, 2), 3), ((1, 3), 1))
@@ -735,56 +751,218 @@ def test_render_matches_the_former_renderer():
         assert p.render() == old_render(p)
 
 
-def test_binomial_form_matches_the_dense_solve():
-    polys = list(random_polynomials(7, 100))
-    assert {p.m for p in polys} == {1, 2}
-    assert any(p.m == 2 and len(p.coeffs) > 1 for p in polys)
-    for p in polys:
-        assert binomial_basis_form(p) == old_binomial_basis_form(p), p
+def random_tables(seed, count):
+    """Seeded primitive tables: up to five classes of degree <= (3, ..., 3)
+    with values in -4..4, as (m, table)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.choice((1, 2))
+        monos = old_monomials_within(mi((3,) * m))
+        chosen = rng.sample(monos, rng.randint(0, 5))
+        yield m, {mono: rng.randint(-4, 4) for mono in chosen}
 
 
-def fit_or_error(fit, samples, bound):
-    try:
-        poly = fit(samples, bound)
-    except (FitInconsistentError, FitUnderdeterminedError) as exc:
-        return type(exc)
-    assert all(type(v) is Fraction for _, v in poly.coeffs)
-    return poly.coeffs
+def test_binomial_form_matches_the_dense_solve(capsys):
+    # the fit renders the table as the binomial form and expands it into
+    # powers; the former dense change of basis takes the powers back
+    cases = list(random_tables(7, 100))
+    assert {m for m, _ in cases} == {1, 2}
+    for m, table in cases:
+        entries, _ = fit_output(family_mkr(m, 2, 1), [{}], [table], None)
+        poly = fit_character_polynomial(table, m)
+        assert entries[0]["binomial_form"] == old_binomial_basis_form(poly), table
+        assert entries[0]["polynomial"] == poly.render()
 
 
 def test_fit_matches_rows_from_per_monomial_polynomials():
+    # sampled at levels that dominate its multidegree, the derived polynomial
+    # is what the former solve over per-monomial rows finds, where the samples
+    # determine it; a sample off by one has no solution of that multidegree
     rng = random.Random(8)
     outcomes = set()
-    for p in random_polynomials(9, 40):
-        bound = p.multidegree()
-        if p.m == 1:
+    for m, table in random_tables(9, 40):
+        poly = fit_character_polynomial(table, m)
+        bound = poly.multidegree()
+        if m == 1:
             levels = [mi((bound[0] + t,)) for t in range(rng.randint(2, 3))]
         else:
             levels = [mi((bound[0] + a, bound[1] + b)) for a in range(2) for b in range(2)]
-        samples = [(lv, p.as_class_function(lv)) for lv in levels]
-        if rng.random() < 0.3:
-            level, chi = samples[-1]
-            c = conj_classes(level)[-1]
-            samples[-1] = (level, ClassFunction(level, {**chi.values, c: chi(c) + 1}))
-        expected = fit_or_error(old_fit, samples, bound)
-        assert fit_or_error(fit_character_polynomial, samples, bound) == expected
-        outcomes.add((p.m, expected if isinstance(expected, type) else "fit"))
-    assert {(m, "fit") for m in (1, 2)} | {(1, FitUnderdeterminedError)} <= outcomes
-    assert {(m, FitInconsistentError) for m in (1, 2)} <= outcomes
+        samples = [(lv, induced_character(table, lv)) for lv in levels]
+        assert all(chi == poly.as_class_function(lv) for lv, chi in samples)
+        try:
+            assert old_fit(samples, bound) == poly
+            outcomes.add((m, "fit"))
+        except Underdetermined:
+            outcomes.add((m, Underdetermined))
+        level, chi = samples[-1]
+        c = conj_classes(level)[-1]
+        samples[-1] = (level, ClassFunction(level, {**chi.values, c: chi(c) + 1}))
+        with pytest.raises(Inconsistent):
+            old_fit(samples, bound)
+    assert {(m, "fit") for m in (1, 2)} <= outcomes
 
 
-def test_readme_job_fits_match_the_former_fit_and_binomial_form(braid, get_lattice):
-    # the README job: braid n=2..6, degrees 0..3, degree bound (2); degrees 2
-    # and 3 have no polynomial of that degree
+def test_readme_job_fits_match_the_former_fit_and_binomial_form(braid, get_lattice, freeness_inputs):
+    # the README job: braid n=2..6, degrees 0..3, degree bound (2).  The
+    # former solve finds P_0 and P_1; P_2 and P_3 have multidegrees 4 and 6,
+    # so no polynomial within (2) matches, and within (4) levels 4..6 pin P_2
     levels = [mi((n,)) for n in range(2, 7)]
-    outcomes = []
+    polys = []
     for i in range(4):
         samples = [(lv, character_of_cohomology(braid, lv, i, get_lattice)) for lv in levels]
-        expected = fit_or_error(old_fit, samples, mi((2,)))
-        assert fit_or_error(fit_character_polynomial, samples, mi((2,))) == expected
-        outcomes.append(expected)
-        if not isinstance(expected, type):
-            poly = fit_character_polynomial(samples, mi((2,)))
-            assert binomial_basis_form(poly) == old_binomial_basis_form(poly)
-    assert outcomes[2:] == [FitInconsistentError, FitInconsistentError]
-    assert binomial_basis_form(CharacterPolynomial(1, outcomes[1])) == "binom(X1^(1),2) + X2^(1)"
+        poly = fit_character_polynomial(freeness_inputs(braid, i)[2], 1)
+        polys.append(poly)
+        if i < 2:
+            assert old_fit(samples, mi((2,))) == poly
+            assert old_binomial_basis_form(poly) == ("1", "binom(X1^(1),2) + X2^(1)")[i]
+        else:
+            with pytest.raises(Inconsistent):
+                old_fit(samples, mi((2,)))
+    assert [p.multidegree() for p in polys] == [mi((0,)), mi((2,)), mi((4,)), mi((6,))]
+    samples = [(lv, character_of_cohomology(braid, lv, 2, get_lattice)) for lv in levels[2:]]
+    assert old_fit(samples, mi((4,))) == polys[2]
+
+
+# --- the character polynomial read off the primitive table -------------------
+#
+# By finite generation H^i is induced from its primitive classes, so the
+# polynomial read off the table is H^i's character at every level where the
+# spec is normal.  A non-normal spec is read through its normalization, whose
+# lattice is the spec's own at and above the top generator degree.
+
+I_TOP = 3  # the degrees i checked on each FAMILY_CASES spec
+
+
+def degree_of(mono, m):
+    """The class degree of the class with these cycle counts."""
+    return mi(sum(k * b for (j, k), b in mono if j == factor) for factor in range(m))
+
+
+def built_levels(spec, level):
+    return [e for e in _degrees_below(mi(level)) if spec.cmax.leq(e)]
+
+
+# one memo for the lattices and characters these tests read
+FAMILY_LATTICES = CachingBuilder()
+
+
+@functools.lru_cache(maxsize=None)
+def family_character(spec, level, i):
+    return character_of_cohomology(spec, level, i, FAMILY_LATTICES)
+
+
+def assert_table_gives_the_characters(spec, levels, i_top, table_of):
+    """P_i, and the induced characters of its table, equal H^i's character
+    at every level; each table value off by one misses it at the first
+    level that reaches its class degree."""
+    for i in range(i_top + 1):
+        table = table_of(i)
+        poly = fit_character_polynomial(table, spec.m)
+        for lv in levels:
+            chi = family_character(spec, lv, i)
+            assert poly.as_class_function(lv) == chi, (i, lv)
+            assert induced_character(table, lv) == chi, (i, lv)
+        for mono, value in table.items():
+            reached = [lv for lv in levels if degree_of(mono, spec.m).leq(lv)]
+            if reached:
+                mutated = fit_character_polynomial({**table, mono: value + 1}, spec.m)
+                assert mutated.as_class_function(reached[0]) != family_character(spec, reached[0], i)
+
+
+@pytest.mark.parametrize("spec, level, max_codim", FAMILY_CASES)
+def test_derived_polynomial_matches_every_built_level(spec, level, max_codim, freeness_inputs):
+    normal = normalize(spec)
+    levels = built_levels(spec, level)
+    assert_table_gives_the_characters(
+        spec, levels, min(max_codim, I_TOP), lambda i: freeness_inputs(normal, i)[2]
+    )
+
+
+@pytest.mark.parametrize("spec, level, max_codim", FAMILY_CASES)
+def test_derived_polynomial_equals_the_former_solve_where_determined(spec, level, max_codim, freeness_inputs):
+    normal = normalize(spec)
+    levels = built_levels(spec, level)
+    determined = 0
+    for i in range(min(max_codim, I_TOP) + 1):
+        poly = fit_character_polynomial(freeness_inputs(normal, i)[2], spec.m)
+        bound = poly.multidegree()
+        samples = [(lv, family_character(spec, lv, i)) for lv in levels if bound.leq(lv)]
+        if len(samples) < 2:
+            continue
+        try:
+            solved = old_fit(samples, bound)
+        except Underdetermined:
+            continue
+        assert solved == poly, i
+        determined += 1
+    assert determined >= 2
+
+
+@given(custom_specs())
+@settings(max_examples=30, deadline=None)
+def test_derived_polynomial_matches_every_built_level_random(case):
+    spec = normalize(case[0])
+    get = CachingBuilder()
+
+    def table_of(i):
+        generators = {
+            e: primitive_characters(spec, LatticeHomology(get(spec, e, i)), i)
+            for e in class_degrees(spec, i)
+        }
+        return primitive_table(i, generators)
+
+    levels = [e for e in _degrees_below(degree_add(spec.cmax, mi((1,) * spec.m))) if e.total <= 4]
+    assert_table_gives_the_characters(spec, levels, 2, table_of)
+
+
+# --- class-degree bounds ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spec, bounds",
+    [
+        (family_mkr(1, 2, 1), [(2 * c,) for c in range(1, 8)]),
+        (family_mkr(1, 3, 1), [(b,) for b in (1, 3, 4, 6, 7, 9, 10)]),
+        (family_mkr(1, 4, 1), [(b,) for b in (1, 2, 4, 5, 6, 8, 9)]),
+        (family_mkr(1, 2, 2), [(b,) for b in (0, 2, 2, 4, 4, 6, 6)]),
+        (family_mkr(2, 1, 1), [(c, c) for c in range(1, 8)]),
+    ],
+    ids=["braid", "k-equals(3)", "k-equals(4)", "conf(2)", "rational-maps(2)"],
+)
+def test_class_degree_bound_is_the_knapsack_optimum(spec, bounds):
+    assert [class_degree_bound(spec, c) for c in range(1, 8)] == [mi(b) for b in bounds]
+
+
+def primitive_degrees(spec, degrees, c, get):
+    """The degrees among ``degrees`` whose codim-c lattice has a primitive element."""
+    return [
+        e
+        for e in degrees
+        if any(deg.leq(e) for deg, _ in spec.generators)
+        and any(is_primitive(spec, e, x) for x in get(spec, e, c).elements)
+    ]
+
+
+def assert_bound_is_sound(spec, c_top, get):
+    """No primitive element lies one degree past the bound in any factor,
+    and the bound covers every class the former c * cmax scan finds."""
+    for c in range(1, c_top + 1):
+        bound = class_degree_bound(spec, c)
+        for factor in range(spec.m):
+            step = mi(int(j == factor) for j in range(spec.m))
+            past = [e for e in _degrees_below(degree_add(bound, step)) if e[factor] == bound[factor] + 1]
+            assert primitive_degrees(spec, past, c, get) == [], (c, factor)
+        found = primitive_degrees(spec, _degrees_below(degree_times(c, spec.cmax)), c, get)
+        assert all(e.leq(bound) for e in found), (c, found)
+        assert found == [e for e in class_degrees(spec, c) if e in found]
+
+
+@pytest.mark.parametrize("spec, level, max_codim", FAMILY_CASES)
+def test_class_degree_bound_is_sound(spec, level, max_codim):
+    assert_bound_is_sound(spec, min(max_codim, 2), FAMILY_LATTICES)
+
+
+@given(custom_specs())
+@settings(max_examples=30, deadline=None)
+def test_class_degree_bound_is_sound_random(case):
+    assert_bound_is_sound(normalize(case[0]), 2, CachingBuilder())

@@ -244,11 +244,15 @@ def freeness_classes(out: Path) -> list:
     return [entry["classes"] for entry in json.loads(read(out / "report.json"))["results"]["freeness"]]
 
 
+def fit_polynomials(out: Path) -> list:
+    return [entry["polynomial"] for entry in json.loads(read(out / "report.json"))["results"]["fit"]]
+
+
 @pytest.mark.parametrize("name", sorted(FREENESS_JOBS))
 def test_class_degrees_outside_the_levels_match_for_every_jobs(tmp_path, name):
     # each class degree outside the levels is a task of its own, dealt to a
     # share like a level: reports and cache tree are the same for any --jobs
-    outputs = ["betti", "characters", "freeness", "stability"]
+    outputs = ["betti", "characters", "fit", "freeness", "stability"]
     config = write_config(tmp_path, outputs=outputs, **FREENESS_JOBS[name])
     codes = set()
     for jobs in (1, 2, 3):
@@ -267,6 +271,7 @@ def test_class_degrees_outside_the_levels_match_for_every_jobs(tmp_path, name):
         args = ["run", "--config", str(whole), "--cache", str(tmp_path / "c1")]
         assert main(args + ["--out", str(tmp_path / "whole")]) == 0
         assert freeness_classes(tmp_path / "whole") == freeness_classes(tmp_path / "cold1")
+        assert fit_polynomials(tmp_path / "whole") == fit_polynomials(tmp_path / "cold1")
 
 
 def test_freeness_builds_a_generator_degree_once(tmp_path):
@@ -287,7 +292,8 @@ def test_freeness_builds_a_generator_degree_once(tmp_path):
             assert_same_files(tmp_path / "cold1", tmp_path / f"{phase}{jobs}")
         headers = [read(path).splitlines()[1:3] for path in cache_dir.iterdir()]
         assert [h for h in headers if h[0] == "level=2"] == [["level=2", "max_codim=4"]]
-        assert sorted(h[1] for h in headers if h[0] != "level=2") == ["max_codim=3"] * 4
+        # the levels 4 and 5: degree 2 is the one class degree of codim <= 3
+        assert sorted(h[1] for h in headers if h[0] != "level=2") == ["max_codim=3"] * 2
 
 
 def test_jobs_without_fork_run_in_process(tmp_path, monkeypatch):
@@ -471,7 +477,7 @@ def test_readme_job_output_survives_the_exit_hook_on_a_pipe(tmp_path, capsys):
     assert result.returncode == 2
     assert result.stdout == expected.out
     assert result.stderr == expected.err
-    assert sum(line.startswith("fit i=") for line in result.stdout.splitlines()) == 2
+    assert sum(line.startswith("fit i=") for line in result.stdout.splitlines()) == 4
     assert sum(line.startswith("FINDING: ") for line in result.stderr.splitlines()) == 2
     assert_same_files(tmp_path / "in-process", tmp_path / "piped")
 
@@ -505,6 +511,48 @@ def test_exit_two_iff_findings(tmp_path):
     assert code == 0
     report = json.loads(read(out / "report.json"))
     assert report["findings"] == []
+
+
+def test_readme_fit_findings_are_the_bound_alone(tmp_path, capsys):
+    # P_2 and P_3 match every level; only their multidegrees exceed [2], and
+    # without a bound the same job has no finding
+    readme = json.loads(read(WORKLOADS))["readme"]["config"]
+    expected = {
+        2: ["fit i=2: multidegree 4 exceeds bound 2", "fit i=3: multidegree 6 exceeds bound 2"],
+        0: [],
+    }
+    for code, findings in expected.items():
+        config = {key: value for key, value in readme.items() if key != "fit_degree_bound" or code}
+        path = tmp_path / f"job-{code}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / f"out-{code}"
+        assert main(["run", "--config", str(path), "--cache", str(tmp_path / "c"), "--out", str(out)]) == code
+        report = json.loads(read(out / "report.json"))
+        assert report["findings"] == findings
+        fits = report["results"]["fit"]
+        assert [entry["multidegree"] for entry in fits] == ["0", "2", "4", "6"]
+        assert all(all(entry["levels"].values()) for entry in fits)
+        printed = capsys.readouterr()
+        assert [line.split(":")[0] for line in printed.out.splitlines()] == [f"fit i={i}" for i in range(4)]
+        assert printed.err == "".join(f"FINDING: {finding}\n" for finding in findings)
+
+
+def test_fit_on_non_normal_spec_is_a_finding_where_freeness_has_one(tmp_path):
+    # the padded generator's primitive classes miss the hyperplanes, so the
+    # polynomial misses H^1 at each level where the freeness check does
+    config = write_config(
+        tmp_path,
+        family={"kind": "custom", "m": 1, "r": 1, "generators": [{"degree": [3], "rows": [[1, -1, 0]]}]},
+        levels={"min": [2], "max": [4]},
+        i_max=1,
+        outputs=["fit", "freeness"],
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--cache", str(tmp_path / "c"), "--out", str(out)]) == 2
+    findings = json.loads(read(out / "report.json"))["findings"]
+    fit = [f.rsplit(" ", 1)[1] for f in findings if f.startswith("fit i=1: polynomial misses")]
+    freeness = [f.rsplit(" ", 1)[1] for f in findings if f.startswith("freeness i=1: character mismatch")]
+    assert fit == freeness == ["3", "4"]
 
 
 def test_freeness_and_twisted_and_normalize_outputs(tmp_path):
@@ -653,6 +701,27 @@ def test_clean_cache_subcommand(tmp_path, capsys):
     assert main(["clean-cache", "--cache", str(cache_dir)]) == 0
     assert "removed 1" in capsys.readouterr().out
     assert not list(cache_dir.glob("*.lattice.txt"))
+
+
+@pytest.mark.parametrize("where", ["a regular file", "a path under a regular file"])
+def test_clean_cache_on_a_file_exits_one_with_one_error_line(tmp_path, capsys, where):
+    # as ``run`` does on the same path; the file is left alone
+    blocker = tmp_path / "a-file"
+    blocker.write_text("not a directory", encoding="utf-8")
+    target = blocker if where == "a regular file" else blocker / "sub"
+    assert main(["clean-cache", "--cache", str(target)]) == 1
+    printed = capsys.readouterr()
+    lines = printed.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(blocker) in lines[0]
+    assert printed.out == ""
+    assert read(blocker) == "not a directory"
+
+
+def test_clean_cache_on_a_missing_directory_removes_nothing(tmp_path, capsys):
+    missing = tmp_path / "never-made"
+    assert main(["clean-cache", "--cache", str(missing)]) == 0
+    assert capsys.readouterr().out == f"removed 0 cached lattice(s) from {missing}\n"
+    assert not missing.exists()
 
 
 def test_clean_cache_removes_interrupted_stores_and_no_foreign_file(tmp_path, capsys, monkeypatch):
@@ -1136,10 +1205,9 @@ OPTIONAL_HOMES = dict.fromkeys(
     (
         "is_primitive", "NormalityViolation", "NormalityReport", "verify_normal", "_degrees_below",
         "class_degrees", "normalize", "PrimitiveClass", "primitive_classes", "OrbitDecomposition",
-        "orbit_decomposition", "primitive_characters", "_sub_cycle_multisets", "induction_character",
+        "orbit_decomposition", "primitive_characters", "primitive_table", "induced_character",
         "FreenessClassSummary", "FreenessReport", "verify_free_decomposition", "_freeness_codim",
-        "FitError", "FitInconsistentError", "FitUnderdeterminedError", "_monomials_within",
-        "fit_character_polynomial", "_stirling2", "binomial_basis_form", "twisted_betti",
+        "class_degree_bound", "fit_character_polynomial", "twisted_betti",
     ),
     "arrstab.checks",
 )
@@ -1263,7 +1331,7 @@ for name in arrstab.__all__:
         mismatched.append(name)
 print(len(arrstab.__all__), mismatched, hasattr(arrstab, "no_such_name"))
 """
-    assert run_python(probe).stdout.strip() == "30 [] False"
+    assert run_python(probe).stdout.strip() == "31 [] False"
 
 
 def test_cache_miss_on_other_parameters(tmp_path):
@@ -1336,9 +1404,8 @@ def test_load_config_validation(tmp_path):
     config = write_config(tmp_path, outputs=["nonsense"])
     with pytest.raises(Exception):
         load_config(config)
-    config = write_config(tmp_path, outputs=["fit"])  # missing bound
-    with pytest.raises(Exception):
-        load_config(config)
+    config = write_config(tmp_path, outputs=["fit"])  # the bound is optional
+    assert load_config(config).fit_degree_bound is None
     config = write_config(tmp_path, levels={"min": [4], "max": [2]})
     with pytest.raises(Exception):
         load_config(config)

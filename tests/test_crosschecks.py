@@ -12,6 +12,7 @@ assembly consumes.  Agreement pins the per-element homology data to a
 computation that never touches chain complexes.
 """
 
+import functools
 import itertools
 
 from arrstab.arrangement import build_lattice, family_mkr
@@ -217,3 +218,114 @@ def test_higher_r_character_matches_fixed_pair_oracle(get_lattice):
                 if {perm[a], perm[b]} == {a, b}
             )
             assert chi(c) == fixed_pairs
+
+
+# --- braid in closed form: twisted point counts of PConf_n ------------------
+#
+# Let sigma have m_l cycles of length l.  The points p of PConf_n over the
+# algebraic closure of F_q with Frob(p) = sigma.p number
+# prod_l prod_{t < m_l} l * (M_l(q) - t), where M_l(q) = (1/l) sum_{d | l}
+# mu(d) q^{l/d} counts the monic irreducibles of degree l; and
+# tr(sigma | H^i) = (-1)^i [q^{n-i}] of that product (Lehrer 1987;
+# Church-Ellenberg-Farb 2014).  The oracle reads no lattice.
+
+
+def mobius_function(d):
+    value, p = 1, 2
+    while p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            value = -value
+        p += 1
+    return -value if d > 1 else value
+
+
+def truncated_product(a, b, top):
+    """The leading ``top`` + 1 coefficients of the product of two polynomials
+    given by their coefficients from the leading one down."""
+    out = [0] * min(top + 1, len(a) + len(b) - 1)
+    for s, x in enumerate(a[: len(out)]):
+        for t, y in enumerate(b[: len(out) - s]):
+            out[s + t] += x * y
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def cycle_factor(length, count, top):
+    """prod_{t < count} length * (M_length(q) - t), from q^(length * count)
+    down, its leading ``top`` + 1 coefficients."""
+    necklaces = [0] * (length + 1)  # length * M_length(q), from q^length down
+    for d in range(1, length + 1):
+        if length % d == 0:
+            necklaces[length - length // d] += mobius_function(d)
+    product = [1]
+    for t in range(count):
+        product = truncated_product(product, necklaces[:-1] + [necklaces[-1] - length * t], top)
+    return product
+
+
+def braid_closed_form_trace(parts, i):
+    """tr(sigma | H^i(PConf_n)) for sigma of cycle type ``parts``: (-1)^i
+    times the coefficient of q^(n - i), the i-th from the leading one."""
+    if sum(parts) - i < 0:
+        return 0  # no such coefficient: never read the list from its far end
+    poly = [1]
+    for length in set(parts):
+        poly = truncated_product(poly, cycle_factor(length, parts.count(length), i), i)
+    return (-1) ** i * poly[i]
+
+
+def test_braid_closed_form_reads_no_negative_coefficient():
+    # n - i < 0: H^i(PConf_n) vanishes; poly[-1] would be the leading 1
+    assert braid_closed_form_trace((1,), 2) == 0
+    assert braid_closed_form_trace((2,), 3) == 0
+    assert braid_closed_form_trace((1, 1), 1) == 1
+    assert braid_closed_form_trace((2,), 1) == 1  # H^1(PConf_2) is trivial
+
+
+def test_braid_engine_characters_match_the_closed_form(braid, get_lattice):
+    from arrstab.characters import character_of_cohomology
+    from arrstab.fim import conj_classes
+
+    for n in range(1, 9):
+        for i in range(6):  # past n - 1 at n <= 5, where H^i is 0
+            chi = character_of_cohomology(braid, mi((n,)), i, get_lattice)
+            for c in conj_classes(mi((n,))):
+                assert chi(c) == braid_closed_form_trace(c.parts[0], i), (n, i, c)
+
+
+def test_braid_polynomials_match_the_closed_form_to_thirty(braid, freeness_inputs):
+    # P_i, read off the primitive table of class degrees <= 2i, at every
+    # class of every level up to 30.  P_i reads the counts of cycles of
+    # length <= 2i only, so it is evaluated once per such counts, in integers
+    import math
+    from collections import Counter
+
+    from arrstab.checks import fit_character_polynomial
+    from arrstab.fim import partitions
+
+    top = 3
+    scaled = []
+    for i in range(top + 1):
+        poly = fit_character_polynomial(freeness_inputs(braid, i)[2], 1)
+        scale = math.lcm(*(v.denominator for _, v in poly.coeffs))
+        scaled.append((scale, [(mono, int(v * scale)) for mono, v in poly.coeffs]))
+
+    @functools.lru_cache(maxsize=None)
+    def scaled_values(counts):
+        return [
+            sum(v * math.prod(counts[k - 1] ** e for (_, k), e in mono) for mono, v in terms)
+            for _, terms in scaled
+        ]
+
+    checked = 0
+    for n in range(31):
+        for parts in partitions(n):
+            counts = Counter(parts)
+            derived = scaled_values(tuple(counts[k] for k in range(1, 2 * top + 1)))
+            expected = [scale * braid_closed_form_trace(parts, i) for i, (scale, _) in enumerate(scaled)]
+            assert derived == expected, parts
+            checked += 1
+    assert checked == sum(len(partitions(n)) for n in range(31)) == 28629

@@ -22,10 +22,14 @@ module imports ``dataclasses`` at start-up; and ``exactlin.intersect``, which
 no engine path called once the closure met atoms incrementally, stays
 deleted.
 
-Character polynomials are evaluated through integer monomial values: the fit
-(in ``checks``) builds its rows from them without a polynomial per basis
-monomial, and the binomial form expands powers by Stirling numbers instead of
-a row reduction.
+Character polynomials are read off the primitive generator characters, not
+fitted: ``checks`` sums them into one table per H^i, whose values are the
+binomial form's coefficients, expands it into powers through the
+``CharacterPolynomial`` operators, and evaluates it at each level by counting
+cycle choices.  No row reduction, degree bound or sampled level enters, so
+``checks`` imports neither ``_rref_rows`` nor ``_pivot_columns``, and the
+former solve, its error classes, the Stirling expansion and the sub-multiset
+induction stay deleted.
 
 An element's atom set is held in one form, the indices of its atoms, from
 the closure through the lattice to the cache file: no module brings back the
@@ -212,13 +216,26 @@ def test_intersect_is_gone():
 
 
 def test_character_polynomial_fit_and_binomial_form_stay_direct():
-    for name, banned in [
-        ("binomial_basis_form", {"_rref_rows"}),
-        ("fit_character_polynomial", {"evaluate", "from_dict"}),
-    ]:
-        for node in ast.walk(function("checks", name)):
-            used = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            assert used not in banned, f"{name} uses {used}"
+    # the table is read off the generator characters, the polynomial off the
+    # table: no lattice, homology, sampled level or linear algebra
+    banned = {
+        "_rref_rows", "_pivot_columns", "evaluate", "as_class_function", "LatticeHomology",
+        "build_lattice", "get_lattice", "trace", "character_of_cohomology",
+    }
+    for name in ("primitive_table", "fit_character_polynomial", "induced_character", "fit_output"):
+        used = names_in(function("checks", name)) & banned
+        assert not used, f"{name} uses {used}"
+    # the binomial form is the table rendered, and the power form is built
+    # from the operators on variables, not from a basis change
+    assert "primitive_table" not in names_in(function("checks", "fit_output"))
+    assert {"constant", "variable"} <= names_in(function("checks", "fit_character_polynomial"))
+    imported = {
+        alias.name
+        for node in ast.walk(MODULES["checks"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not imported & {"_rref_rows", "_pivot_columns"}, imported
 
 
 def test_atom_sets_have_one_representation():
@@ -263,6 +280,15 @@ def test_unused_poset_and_character_helpers_are_gone():
         ("exactlin", "RationalMatrix", "from_rows"),
         ("exactlin", "Subspace", "dim"),
         ("exactlin", "Subspace", "ambient"),
+        ("checks", None, "FitError"),
+        ("checks", None, "FitInconsistentError"),
+        ("checks", None, "FitUnderdeterminedError"),
+        ("checks", None, "_monomials_within"),
+        ("checks", None, "_stirling2"),
+        ("checks", None, "binomial_basis_form"),
+        ("checks", None, "induction_character"),
+        ("checks", None, "_sub_cycle_multisets"),
+        ("fim", None, "sum_characters"),
     ]:
         scope = MODULES[module] if owner is None else next(
             node
@@ -408,7 +434,6 @@ def package_names():
 # Definitions that no other code in src/ names, each with its reason.
 UNREACHED_ALLOWED = {
     "pullback": "the tests' oracle for the rows that ``arrangement._atoms`` places",
-    "variable": "CharacterPolynomial arithmetic, for the derived polynomial (ROADMAP item 12)",
     "passed": "the verdict of a FreenessReport, read by the tests",
 }
 

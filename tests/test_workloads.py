@@ -61,11 +61,11 @@ REPORT_DIGESTS = {
         "characters.csv": "32d796c788a9429b76ec4870278ce59bce0a920197d0232945aa3cebdb4e6b9d",
         "freeness.csv": "0309c2cdd42bc8d80d3435f80ea3f4432139eaf6ad6502110b4b17955007ab17",
         "normalization.json": "93ca2db8ee867e5af0f83c177e354ddb94fd7d223512b8dd9c4e9fa1b07a1cba",
-        "report.json": "ff1275baccbe8508ec8419b9dedecff4b7e584b0c5fbdd87a442b7a3b7b0ec15",
+        "report.json": "499653f4624d5b4c3bb4a194314e1e668b97f56bcdc61f89a9bce4bc0e8d3e54",
         "stability.csv": "0e1311c36b148decb3758ae758300def68bfeeb24124e9b7dd02cd0d8536580e",
         "twisted.csv": "47f023327fe46b1abe87f7b077e942912e6db02667746eff479ae363a326242d",
-        "stdout": "1e0715650fe6b6e045e7eb176a2f3bc8e165a5f2da2690b0ed1d868058f95a33",
-        "stderr": "a90dd5fddc0169abcc60fd63bfbd5aab2887657c36b36982349df651d63cf304",
+        "stdout": "65e5323bf6bc9d338badf095c81fee5454389eae134229d6adf449dc023b7403",
+        "stderr": "2024928dc03f87125448422b36924d45fdc710358701d49a15d5ed232a94cd4d",
     },
     "kequals-closure": {
         "betti.csv": "2ee0a15a392bf6eea00a2fffbe392136f75a1b82122e210b8ca6e6091acc843c",
