@@ -31,7 +31,6 @@ Primitivity, normality, normalization and primitive classes live in
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from typing import Callable, Iterable, Sequence
 
@@ -146,26 +145,6 @@ class IntersectionLattice:
                 excluded |= having[low.bit_length() - 1]
             containing.append(_bit_indices(below & ~excluded))
         self._containing = tuple(containing)
-
-    def truncated(self, max_codim: int) -> "IntersectionLattice":
-        """The lattice of the same level cut off at a smaller codimension.
-
-        Atom sets do not depend on the cutoff, so this equals a fresh build
-        at ``max_codim`` in elements, atom sets and order.  An orbit has a
-        single codim, so the orbits are kept whole.
-        """
-        if not 1 <= max_codim <= self.max_codim:
-            raise ValueError("truncation must lie between 1 and max_codim")
-        keep = bisect.bisect_right(self.codims, max_codim)
-        return IntersectionLattice(
-            self.level,
-            max_codim,
-            self.r,
-            self.elements[:keep],
-            self.atoms[:keep],
-            [orbit[0] for orbit in self.orbits[:keep]],
-            {name: a for name, a in self.atom_names.items() if a < keep},
-        )
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -15,6 +15,10 @@ caller recomputes, and so does an orbit column in which a label is not the
 smallest index of its orbit or an orbit mixes codims, a name out of order or
 under two atoms, or an atom index at a line without names.
 
+Each (spec, level, max_codim) is its own file: a lattice is never cut down
+from one of a larger cutoff, so ``CachingBuilder`` serves a request from its
+memo, else from the disk, else by a build that it stores.
+
 SHA-256 comes from the interpreter's built-in module, which, unlike
 ``hashlib``, loads no OpenSSL; ``hashlib`` serves builds without one.
 """
@@ -145,12 +149,9 @@ def load(
 
 
 class CachingBuilder:
-    """Lattice builder with an in-memory memo and optional disk persistence.
-
-    A request below the codim of a lattice already memoised for the same
-    spec and level is served by truncating that lattice, so asking for the
-    largest codim first builds each level once.
-    """
+    """Lattice builder with an in-memory memo and optional disk persistence:
+    a request is served from the memo, else from the disk, else built (and
+    stored)."""
 
     def __init__(self, cache_dir: Path | str | None = None):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
@@ -163,12 +164,7 @@ class CachingBuilder:
         lat = self._memo.get(key)
         if lat is not None:
             return lat
-        above = [
-            c for s, lv, c in self._memo if s == key[0] and lv == level and c > max_codim
-        ]
-        if above:
-            lat = self._memo[(key[0], level, min(above))].truncated(max_codim)
-        elif self.cache_dir is not None:
+        if self.cache_dir is not None:
             lat = load(self.cache_dir, spec, level, max_codim)
         if lat is None:
             lat = build_lattice(spec, level, max_codim)

@@ -4,14 +4,16 @@ Primitivity, normality and normalization test a subspace's constraint support
 (images by ``fim.pushforward``).  By finite generation H^i is induced from its
 primitive classes, so one table per H^i, the sum of the generator characters
 of each degree's one homology context at each class, gives both its character
-at every level, which the freeness check compares, and its character
-polynomial, which the fit renders.  The fit and twisted Betti numbers import
-``polynomial`` where they run.  Only the ``fit``, ``freeness``, ``normalize``
-and ``twisted`` outputs load this module; each output's function takes the
-level results as plain maps and returns its report rows, entries and
-findings.  The paper's
-lemma that lower intervals map isomorphically along injections is checked by
-the tests, as a property of every lattice they build, not by a command.
+at every level, which ``run`` compares once for the fit and the freeness
+check, and its character polynomial, which the fit renders.  Normality
+compares distinct generator degrees only, so a spec whose generators share
+one degree builds no lattice beyond the job's cutoff.  The fit and twisted
+Betti numbers import ``polynomial`` where they run.  Only the ``fit``,
+``freeness``, ``normalize`` and ``twisted`` outputs load this module; each
+output's function takes the level results as plain maps and returns its
+report rows, entries and findings.  The paper's lemma that lower intervals
+map isomorphically along injections is checked by the tests, as a property
+of every lattice they build, not by a command.
 """
 
 from __future__ import annotations
@@ -73,32 +75,30 @@ def verify_normal(
 ) -> NormalityReport:
     """Check that kernel-containing elements are preimages from below.
 
-    For every pair c -> d among the listed degrees and every element at d
+    For every pair c -> d of distinct listed degrees and every element at d
     containing the kernel of the induced map, i.e. whose constraint support
     lies at the injection's coordinates, the pushforward must already be a
     lattice element at c.  The first failure is reported; violations are
-    report content, not exceptions.
+    report content, not exceptions.  A pair c = d cannot fail: its injections
+    are the automorphisms of d, which map the lattice onto itself.  So only
+    the degrees of a pair c < d have their whole lattices built.
     """
     degrees = tuple(degrees)
-    lattices = {d: get_lattice(spec, d, max(1, ambient_dim(d, spec.r))) for d in degrees}
+    pairs = [(c, d) for c in degrees for d in degrees if c != d and c.leq(d)]
+    compared = dict.fromkeys(deg for pair in pairs for deg in pair)
+    lattices = {d: get_lattice(spec, d, max(1, ambient_dim(d, spec.r))) for d in compared}
     supports = {d: [constraint_support(x) for x in lat.elements] for d, lat in lattices.items()}
-    for c in degrees:
-        for d in degrees:
-            if not c.leq(d):
-                continue
-            lat_d = lattices[d]
-            if not len(lat_d):
-                continue
-            lat_c = lattices[c]
-            for f in enumerate_injections(c, d):
-                columns = set(injection_coordinates(f, spec.r))
-                for x, support in zip(lat_d.elements, supports[d]):
-                    if not support <= columns:
-                        continue
-                    image = pushforward(f, spec.r, x)
-                    if image not in lat_c:
-                        violation = NormalityViolation(c, d, f, x, image)
-                        return NormalityReport(False, degrees, violation)
+    for c, d in pairs:
+        lat_c, lat_d = lattices[c], lattices[d]
+        for f in enumerate_injections(c, d):
+            columns = set(injection_coordinates(f, spec.r))
+            for x, support in zip(lat_d.elements, supports[d]):
+                if not support <= columns:
+                    continue
+                image = pushforward(f, spec.r, x)
+                if image not in lat_c:
+                    violation = NormalityViolation(c, d, f, x, image)
+                    return NormalityReport(False, degrees, violation)
     return NormalityReport(True, degrees)
 
 
@@ -108,6 +108,7 @@ def _degrees_below(bound: MultiIndex) -> list[MultiIndex]:
     return sorted((MultiIndex(t) for t in grid), key=lambda e: (e.total, tuple(e)))
 
 
+@cache
 def class_degree_bound(spec: ArrangementSpec, max_codim: int) -> MultiIndex:
     """A bound on the degree of every primitive class of codim <= max_codim.
 
@@ -117,7 +118,8 @@ def class_degree_bound(spec: ArrangementSpec, max_codim: int) -> MultiIndex:
     constraint columns over those points: at least the least rank of a
     generator's columns over j of its support points in that factor.  So each
     factor's degree is at most the most points that an unbounded knapsack of
-    these (j points, rank) items packs within max_codim.
+    these (j points, rank) items packs within max_codim.  The bound depends
+    on the spec alone, so it is reduced once per spec and codim.
     """
     bound = []
     for factor in range(spec.m):
@@ -358,20 +360,19 @@ class FreenessReport:
 def verify_free_decomposition(
     spec: ArrangementSpec,
     i: int,
-    characters: Mapping[MultiIndex, ClassFunction],
+    matches: Mapping[MultiIndex, bool],
     generators: Mapping[MultiIndex, Mapping[str, ClassFunction]],
     classes: Sequence[PrimitiveClass],
-    table: Mapping[Monomial, int],
 ) -> FreenessReport:
     """Check H^i decomposes as induced modules over primitive classes.
 
     Each contributing class generates its character in ``generators[e]``,
     ``primitive_characters`` at its degree e, which leaves out zero ones; the
     module they induce, ``induced_character`` of their ``primitive_table``,
-    must reproduce ``characters``, the character of H^i at each level it
-    holds, in its order.  Each contributing class's degree is also checked
-    against i times the top generator degree, which a primitive class of codim
-    c <= i, a meet of at most c atoms, never exceeds.
+    must reproduce the character of H^i at each level: ``matches`` holds,
+    in level order, whether it does.  Each contributing class's degree is
+    also checked against i times the top generator degree, which a primitive
+    class of codim c <= i, a meet of at most c atoms, never exceeds.
 
     ``classes`` may be ``primitive_classes(spec, c, ...)`` for any c >= i:
     its classes of codim at most i are, in order, those of codim i.
@@ -382,8 +383,7 @@ def verify_free_decomposition(
         for cls in classes
         if cls.codim <= i and (gen := generators[cls.degree].get(cls.subspace.serialization))
     )
-    matches = tuple((n, chi == induced_character(table, n)) for n, chi in characters.items())
-    return FreenessReport(i, summaries, matches, bound)
+    return FreenessReport(i, summaries, tuple(matches.items()), bound)
 
 
 def fit_character_polynomial(table: Mapping[Monomial, int], m: int) -> CharacterPolynomial:
@@ -416,24 +416,16 @@ def twisted_betti(chi_h: ClassFunction, chi_n: ClassFunction) -> int | Fraction:
     return inner_product(chi_h, chi_n)
 
 
-def _freeness_codim(spec: ArrangementSpec, degree: MultiIndex, i_max: int) -> int:
-    """The codim a freeness job builds at ``degree``: i_max, or at a generator
-    degree the whole lattice, which the normality check reads, so that one
-    build serves both and the i_max lattice truncates it."""
-    if any(degree == deg for deg, _ in spec.generators):
-        return max(i_max, ambient_dim(degree, spec.r))
-    return i_max
-
-
 # the character of H^i at each level, in level order, by i
 ByDegree = Sequence[Mapping[MultiIndex, ClassFunction]]
+# whether H^i's induced character is its character at each level, by i
+Matches = Sequence[Mapping[MultiIndex, bool]]
 
 
 def freeness_output(
     spec: ArrangementSpec,
-    characters: ByDegree,
+    matches: Matches,
     generators: Sequence[Mapping[MultiIndex, Mapping[str, ClassFunction]]],
-    tables: Sequence[Mapping[Monomial, int]],
     get: LatticeBuilder,
     log: Callable[[str], None],
 ):
@@ -441,25 +433,19 @@ def freeness_output(
     (``freeness``, and ``orbits`` when i_max >= 1) and its findings.
 
     ``generators[i]`` maps each computed degree to H^i's
-    ``primitive_characters`` (empty at i = 0), and ``tables[i]`` is their
-    ``primitive_table``.  ``get`` is the run's builder, which holds every
-    lattice read."""
-    i_max = len(characters) - 1
-    levels = list(characters[0])
-    classes = ()
-    if i_max >= 1:
-        for degree in generators[1]:  # lower codims truncate these
-            get(spec, degree, _freeness_codim(spec, degree, i_max))
-        # every degree reads its classes off the top degree's
-        classes = primitive_classes(spec, i_max, get)
+    ``primitive_characters`` (empty at i = 0), and ``matches[i]`` says
+    whether the module they induce has H^i's character at each level.
+    ``get`` is the run's builder."""
+    i_max = len(matches) - 1
+    levels = list(matches[0])
+    # every degree reads its classes off the top degree's
+    classes = primitive_classes(spec, i_max, get) if i_max >= 1 else ()
     rows = []
     detail = []
     findings = []
     for i in range(i_max + 1):
         log(f"freeness check i={i}")
-        report = verify_free_decomposition(
-            spec, i, characters[i], generators[i], classes, tables[i]
-        )
+        report = verify_free_decomposition(spec, i, matches[i], generators[i], classes)
         for level, ok in report.level_matches:
             rows.append([i, level, ok])
             if not ok:
@@ -531,19 +517,20 @@ def normalize_output(spec: ArrangementSpec) -> dict:
 
 def fit_output(
     spec: ArrangementSpec,
-    characters: ByDegree,
     tables: Sequence[Mapping[Monomial, int]],
+    matches: Matches,
     degree_bound: MultiIndex | None,
 ):
     """The ``fit`` output of a job: its report entry and its findings.  Each
     H^i's character polynomial is read off ``tables[i]`` and printed; a level
-    where it differs from the computed character, and a multidegree above
-    ``degree_bound`` when one is given, are findings."""
+    where it differs from the computed character (``matches[i][level]`` is
+    false), and a multidegree above ``degree_bound`` when one is given, are
+    findings."""
     from .polynomial import CharacterPolynomial, _binomial_factor, _render_terms
 
     entries = []
     findings = []
-    for i, (chars, table) in enumerate(zip(characters, tables)):
+    for i, (table, level_matches) in enumerate(zip(tables, matches)):
         poly = fit_character_polynomial(table, spec.m)
         print(f"fit i={i}: {poly.render()}")
         degree = poly.multidegree()
@@ -551,8 +538,7 @@ def fit_output(
             findings.append(
                 f"fit i={i}: multidegree {degree.render()} exceeds bound {degree_bound.render()}"
             )
-        matches = {level: chi == induced_character(table, level) for level, chi in chars.items()}
-        for level, ok in matches.items():
+        for level, ok in level_matches.items():
             if not ok:
                 findings.append(f"fit i={i}: polynomial misses the character at level {level.render()}")
         entries.append(
@@ -564,7 +550,7 @@ def fit_output(
                     CharacterPolynomial.from_dict(spec.m, table).coeffs, _binomial_factor
                 ),
                 "multidegree": degree,
-                "levels": {level.render(): ok for level, ok in matches.items()},
+                "levels": {level.render(): ok for level, ok in level_matches.items()},
             }
         )
     return entries, findings

@@ -16,7 +16,8 @@ computes the heaviest share itself and forks one child per other share.
 Where ``os.fork`` is missing the levels run in-process, as with one job.
 For the fit and freeness each task also returns its degree's generator
 characters, and a class degree outside the levels is a task of its own;
-``run`` sums them into one primitive table per H^i, which both outputs read.
+``run`` sums them into one primitive table per H^i and compares the
+character it induces with H^i's at each level once, for both outputs.
 A task returns plain data, class functions as values in ``conj_classes``
 order: a forked share is sent as ``marshal`` data, and pickled only for an
 exception or a ``Fraction``.
@@ -223,11 +224,6 @@ def _level_worker(args):
     from .homology import LatticeHomology
 
     spec, level, i_max, want_betti, want_chars, want_generators, get = args
-    if want_generators:
-        from .checks import _freeness_codim, primitive_characters
-
-        if i_max >= 1:
-            get(spec, level, _freeness_codim(spec, level, i_max))
     # One context on the top lattice serves every degree: the elements of
     # lower codim are its prefix, and each class acts on it once.
     ctx = LatticeHomology(get(spec, level, i_max)) if i_max >= 1 else None
@@ -242,6 +238,8 @@ def _level_worker(args):
             for i in range(i_max + 1)
         ]
     if want_generators:
+        from .checks import primitive_characters
+
         payload["generators"] = {
             i: {x: tuple(map(ch, classes)) for x, ch in primitive_characters(spec, ctx, i).items()}
             for i in range(1, i_max + 1)
@@ -387,7 +385,7 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
     # the fit and the freeness check read the generator characters
     want_gens = bool({"fit", "freeness"} & set(config.outputs))
     if want_gens:
-        from .checks import class_degrees, primitive_table
+        from .checks import class_degrees, induced_character, primitive_table
     extra = [e for e in class_degrees(spec, config.i_max) if e not in levels] if want_gens else []
     payloads = []
     if want_betti or want_chars:
@@ -405,7 +403,8 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
 
     # the level results as plain maps, which every output reads:
     # characters[i][level] in level order, generators[i][degree] in task order,
-    # and the one primitive table per H^i that the fit and freeness read
+    # the one primitive table per H^i that the fit reads and, for the fit and
+    # the freeness check, whether it induces H^i's character at each level
     characters = [
         {level: chi(level, by_level[level]["characters"][i]) for level in levels}
         for i in range(config.i_max + 1 if want_chars else 0)
@@ -415,6 +414,10 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
         for i in range(1, config.i_max + 1 if want_gens else 0)
     ]
     tables = [primitive_table(i, g) for i, g in enumerate(generators)] if want_gens else []
+    matches = [
+        {level: chi == induced_character(table, level) for level, chi in chars.items()}
+        for chars, table in zip(characters, tables)
+    ]
 
     if want_betti:
         header = ["level"] + [f"b{i}" for i in range(config.i_max + 1)]
@@ -438,13 +441,13 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
     if "fit" in config.outputs:
         from .checks import fit_output
 
-        results["fit"], found = fit_output(spec, characters, tables, config.fit_degree_bound)
+        results["fit"], found = fit_output(spec, tables, matches, config.fit_degree_bound)
         findings += found
 
     if "freeness" in config.outputs:
         from .checks import freeness_output
 
-        rows, entries, found = freeness_output(spec, characters, generators, tables, get, log)
+        rows, entries, found = freeness_output(spec, matches, generators, get, log)
         findings += found
         results.update(entries)
         _write_csv(out_dir / "freeness.csv", ["i", "level", "match"], rows)

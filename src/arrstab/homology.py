@@ -345,7 +345,7 @@ class LatticeHomology:
         if i < 1:
             raise ValueError("cohomological degree must be at least 1")
         if lat.max_codim < i:
-            raise ValueError(f"lattice truncated at codimension {lat.max_codim}, need {i}")
+            raise ValueError(f"lattice cut off at codimension {lat.max_codim}, need {i}")
         codims = lat.codims
         return range(bisect.bisect_left(codims, (i + 1) // 2), bisect.bisect_right(codims, i))
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from arrstab.arrangement import ArrangementSpec, build_lattice, family_mkr
 from arrstab.characters import character_of_cohomology, inner_product, invariants_dim, stability_report
-from arrstab.checks import fit_character_polynomial, normalize, twisted_betti, verify_free_decomposition
+from arrstab.checks import fit_character_polynomial, normalize, twisted_betti
 from arrstab.exactlin import subspace_from_constraints
 from arrstab.fim import MultiIndex, conj_classes
 from arrstab.homology import LatticeHomology
@@ -138,14 +138,14 @@ def test_criterion_7_k_equals(get_lattice):
         assert betti_row(spec, mi((5,)), 5, get_lattice) == [1, 0, 0, 10, 15, 6]
 
 
-def test_criterion_8_degree_bound_and_freeness(braid, get_lattice, freeness_inputs):
+def test_criterion_8_degree_bound_and_freeness(braid, get_lattice, freeness_report):
     with criterion(8, "braid free decompositions hold with degrees <= 2i"):
         levels = [mi((n,)) for n in range(2, 7)]
         for i in range(4):
             chars = {
                 lv: character_of_cohomology(braid, lv, i, get_lattice) for lv in levels
             }
-            report = verify_free_decomposition(braid, i, chars, *freeness_inputs(braid, i))
+            report = freeness_report(braid, i, chars)
             assert report.passed
             for cls in report.classes:
                 assert cls.degree.leq(mi((2 * i,)))

@@ -16,6 +16,7 @@ from arrstab.arrangement import (
     family_mkr,
 )
 from arrstab.checks import (
+    NormalityReport,
     _degrees_below,
     is_primitive,
     normalize,
@@ -252,6 +253,22 @@ def test_verify_normal_violation():
     assert not report.normal
     assert report.violation.source == mi((2,))
     assert report.violation.target == mi((3,))
+
+
+def test_verify_normal_builds_no_lattice_for_one_generator_degree():
+    # at c = d the injections are the automorphisms of d, which map the
+    # lattice onto itself, so one degree compares nothing and builds nothing
+    def get_lattice(spec, level, max_codim):
+        raise AssertionError(f"built {level.render()} at codim {max_codim}")
+
+    padded = ArrangementSpec(1, 1, ((mi((3,)), subspace_from_constraints(3, [[1, -1, 0]])),))
+    for spec in (family_mkr(1, 2, 1), family_mkr(1, 2, 2), family_mkr(2, 1, 1), padded):
+        degrees = tuple(dict.fromkeys(deg for deg, _ in spec.generators))
+        assert verify_normal(spec, degrees, get_lattice) == NormalityReport(True, degrees)
+        # the classes read the i_max lattices alone
+        codims = []
+        primitive_classes(spec, 2, lambda s, e, c: codims.append(c) or build_lattice(s, e, c))
+        assert set(codims) == {2}
 
 
 def test_verify_normal_empty_spec():

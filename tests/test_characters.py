@@ -135,7 +135,7 @@ def test_multidegree():
 def test_binomial_basis_form(braid, freeness_inputs, capsys):
     # the fit renders the primitive table's own values as the binomial form
     tables = [freeness_inputs(braid, i)[2] for i in range(3)]
-    entries, findings = fit_output(braid, [{}, {}, {}], tables, None)
+    entries, findings = fit_output(braid, tables, [{}, {}, {}], None)
     assert [entry["binomial_form"] for entry in entries] == [
         "1",
         "binom(X1^(1),2) + X2^(1)",
@@ -203,24 +203,26 @@ def test_fit_reproduces_all_samples_exactly(braid, get_lattice, freeness_inputs)
                 assert poly.evaluate(c) == chi(c)
 
 
-def test_fit_inconsistent_signal(braid, get_lattice, freeness_inputs, capsys):
+def test_fit_inconsistent_signal(braid, get_lattice, freeness_inputs, level_matches, capsys):
     # a primitive value off by one: the fit finds its polynomial misses the
     # computed character, as the freeness check does
     levels = [mi((n,)) for n in range(2, 6)]
     chars = [{lv: character_of_cohomology(braid, lv, i, get_lattice) for lv in levels} for i in range(3)]
     generators, classes, table = freeness_inputs(braid, 2)
     tables = [freeness_inputs(braid, i)[2] for i in range(2)]
-    assert fit_output(braid, chars, tables + [table], None)[1] == []
+    matches = [level_matches(c, t) for c, t in zip(chars, tables + [table])]
+    assert fit_output(braid, tables + [table], matches, None)[1] == []
     mono = (((0, 1), 3),)  # the identity of Aut(3)
     mutated = {**table, mono: table[mono] + 1}
-    _, findings = fit_output(braid, chars, tables + [mutated], mi((3,)))
+    matches[2] = level_matches(chars[2], mutated)
+    _, findings = fit_output(braid, tables + [mutated], matches, mi((3,)))
     assert findings == [
         "fit i=2: multidegree 4 exceeds bound 3",
         "fit i=2: polynomial misses the character at level 3",
         "fit i=2: polynomial misses the character at level 4",
         "fit i=2: polynomial misses the character at level 5",
     ]
-    report = verify_free_decomposition(braid, 2, chars[2], generators, classes, mutated)
+    report = verify_free_decomposition(braid, 2, matches[2], generators, classes)
     assert [ok for _, ok in report.level_matches] == [True, False, False, False]
 
 
@@ -323,59 +325,61 @@ def test_induction_character_unreachable_level():
     assert all(v == 0 for v in ind.values.values())
 
 
-def test_free_decomposition_braid_h1(braid, get_lattice, freeness_inputs):
+def test_free_decomposition_braid_h1(braid, get_lattice, freeness_report):
     chars = {
         lv: character_of_cohomology(braid, lv, 1, get_lattice)
         for lv in [mi((3,)), mi((4,)), mi((5,))]
     }
-    report = verify_free_decomposition(braid, 1, chars, *freeness_inputs(braid, 1))
+    report = freeness_report(braid, 1, chars)
     assert report.passed
     assert [c.degree for c in report.classes] == [mi((2,))]
     chi_gen = report.classes[0].generator_character
     assert all(v == 1 for v in chi_gen.values.values())  # trivial rep of S_2
 
 
-def test_free_decomposition_braid_h2(braid, get_lattice, freeness_inputs):
+def test_free_decomposition_braid_h2(braid, get_lattice, freeness_report):
     chars = {
         lv: character_of_cohomology(braid, lv, 2, get_lattice)
         for lv in [mi((4,)), mi((5,))]
     }
-    report = verify_free_decomposition(braid, 2, chars, *freeness_inputs(braid, 2))
+    report = freeness_report(braid, 2, chars)
     assert report.passed
     assert [c.degree for c in report.classes] == [mi((3,)), mi((4,))]
 
 
-def test_free_decomposition_k_equals_degree_bound(get_lattice, freeness_inputs):
+def test_free_decomposition_k_equals_degree_bound(get_lattice, freeness_report):
     spec = family_mkr(1, 3, 1)
     chars = {
         lv: character_of_cohomology(spec, lv, 1, get_lattice)
         for lv in [mi((3,)), mi((4,))]
     }
-    report = verify_free_decomposition(spec, 1, chars, *freeness_inputs(spec, 1))
+    report = freeness_report(spec, 1, chars)
     assert report.passed
     assert report.degree_bound == mi((3,))
     assert all(c.degree.leq(mi((3,))) for c in report.classes)
 
 
-def test_free_decomposition_two_factor(get_lattice, freeness_inputs):
+def test_free_decomposition_two_factor(get_lattice, freeness_report):
     spec = family_mkr(2, 1, 1)
     levels = [mi((2, 2)), mi((3, 2)), mi((3, 3))]
     for i in (1, 2):
         chars = {lv: character_of_cohomology(spec, lv, i, get_lattice) for lv in levels}
-        report = verify_free_decomposition(spec, i, chars, *freeness_inputs(spec, i))
+        report = freeness_report(spec, i, chars)
         assert report.passed
 
 
-def test_free_decomposition_flags_a_wrong_character(braid, get_lattice, freeness_inputs):
+def test_free_decomposition_flags_a_wrong_character(braid, get_lattice, freeness_report):
     levels = [mi((3,)), mi((4,))]
     chars = {lv: character_of_cohomology(braid, lv, 1, get_lattice) for lv in levels}
     chars[mi((4,))] = trivial_character(mi((4,)))
-    report = verify_free_decomposition(braid, 1, chars, *freeness_inputs(braid, 1))
+    report = freeness_report(braid, 1, chars)
     assert report.level_matches == ((mi((3,)), True), (mi((4,)), False))
     assert not report.passed
 
 
-def test_free_decomposition_flags_a_class_above_the_degree_bound(braid, get_lattice, freeness_inputs):
+def test_free_decomposition_flags_a_class_above_the_degree_bound(
+    braid, get_lattice, freeness_inputs, level_matches
+):
     # no primitive class of codim c lies above c * cmax, so the class is
     # synthetic: codim 1 at degree 3 > 1 * 2, with a zero generator
     # character, which leaves every level matching
@@ -387,7 +391,8 @@ def test_free_decomposition_flags_a_class_above_the_degree_bound(braid, get_latt
     zero = ClassFunction(mi((3,)), {c: Fraction(0) for c in conj_classes(mi((3,)))})
     generators = {**generators, mi((3,)): {high.serialization: zero}}
     assert primitive_table(1, generators) == table
-    report = verify_free_decomposition(braid, 1, chars, generators, classes + (synthetic,), table)
+    matches = level_matches(chars, table)
+    report = verify_free_decomposition(braid, 1, matches, generators, classes + (synthetic,))
     assert report.degree_bound == mi((2,))
     assert all(ok for _, ok in report.level_matches)
     assert [(c.degree, c.degree_bound_ok) for c in report.classes] == [
@@ -768,7 +773,7 @@ def test_binomial_form_matches_the_dense_solve(capsys):
     cases = list(random_tables(7, 100))
     assert {m for m, _ in cases} == {1, 2}
     for m, table in cases:
-        entries, _ = fit_output(family_mkr(m, 2, 1), [{}], [table], None)
+        entries, _ = fit_output(family_mkr(m, 2, 1), [table], [{}], None)
         poly = fit_character_polynomial(table, m)
         assert entries[0]["binomial_form"] == old_binomial_basis_form(poly), table
         assert entries[0]["polynomial"] == poly.render()
@@ -931,6 +936,24 @@ def test_derived_polynomial_matches_every_built_level_random(case):
 )
 def test_class_degree_bound_is_the_knapsack_optimum(spec, bounds):
     assert [class_degree_bound(spec, c) for c in range(1, 8)] == [mi(b) for b in bounds]
+
+
+def test_class_degree_bound_reduces_once_per_spec_and_codim(monkeypatch):
+    # the run's class degrees and the primitive classes read one bound:
+    # k-equals(3)'s generator has 7 nonempty sets of support points
+    from arrstab import checks
+
+    reductions = []
+    real = checks.subspace_from_constraints
+    monkeypatch.setattr(
+        checks, "subspace_from_constraints", lambda *a: reductions.append(a) or real(*a)
+    )
+    checks.class_degree_bound.cache_clear()
+    spec = family_mkr(1, 3, 1)
+    assert class_degrees(spec, 3) == class_degrees(family_mkr(1, 3, 1), 3)
+    assert len(reductions) == 7
+    class_degree_bound(spec, 4)
+    assert len(reductions) == 14
 
 
 def primitive_degrees(spec, degrees, c, get):

@@ -275,25 +275,43 @@ def test_class_degrees_outside_the_levels_match_for_every_jobs(tmp_path, name):
 
 
 def test_freeness_builds_a_generator_degree_once(tmp_path):
-    # conf(2)'s generator degree 2 has ambient dimension 4, above i_max: the
-    # normality check reads its whole lattice, and the i_max one truncates it
-    config = write_config(
-        tmp_path,
-        family={"kind": "mkr", "m": 1, "k": 2, "r": 2},
-        levels={"min": [4], "max": [5]},
-        i_max=3,
-        outputs=["freeness"],
+    # conf(2)'s one generator degree 2 has ambient dimension 4, above i_max:
+    # with no second generator degree the normality check compares nothing,
+    # so the job builds no whole lattice there, only the i_max one, whether
+    # it asks for the freeness check or for the fit alone
+    for outputs in (["freeness"], ["fit"]):
+        job = tmp_path / outputs[0]
+        job.mkdir()
+        config = write_config(
+            job,
+            family={"kind": "mkr", "m": 1, "k": 2, "r": 2},
+            levels={"min": [4], "max": [5]},
+            i_max=3,
+            outputs=outputs,
+        )
+        for jobs in (1, 2):
+            cache_dir = job / f"c{jobs}"
+            for phase in ("cold", "warm"):
+                args = ["--cache", str(cache_dir), "--out", str(job / f"{phase}{jobs}")]
+                assert main(["run", "--config", str(config), *args, "--jobs", str(jobs)]) == 0
+                assert_same_files(job / "cold1", job / f"{phase}{jobs}")
+            headers = sorted(read(path).splitlines()[1:3] for path in cache_dir.iterdir())
+            # degree 2 is the one class degree of codim <= 3 outside the levels
+            assert headers == [[f"level={n}", "max_codim=3"] for n in (2, 4, 5)], outputs
+
+
+def test_fit_and_freeness_compare_each_induced_character_once(tmp_path, monkeypatch):
+    # the run compares H^i's induced character with its character once per
+    # (i, level), and both outputs read that one comparison
+    levels = []
+    real = checks.induced_character
+    monkeypatch.setattr(
+        checks, "induced_character", lambda table, level: levels.append(level) or real(table, level)
     )
-    for jobs in (1, 2):
-        cache_dir = tmp_path / f"c{jobs}"
-        for phase in ("cold", "warm"):
-            args = ["--cache", str(cache_dir), "--out", str(tmp_path / f"{phase}{jobs}")]
-            assert main(["run", "--config", str(config), *args, "--jobs", str(jobs)]) == 0
-            assert_same_files(tmp_path / "cold1", tmp_path / f"{phase}{jobs}")
-        headers = [read(path).splitlines()[1:3] for path in cache_dir.iterdir()]
-        assert [h for h in headers if h[0] == "level=2"] == [["level=2", "max_codim=4"]]
-        # the levels 4 and 5: degree 2 is the one class degree of codim <= 3
-        assert sorted(h[1] for h in headers if h[0] != "level=2") == ["max_codim=3"] * 2
+    config = write_config(tmp_path, outputs=["fit", "freeness"])
+    args = ["--cache", str(tmp_path / "c"), "--out", str(tmp_path / "o")]
+    assert main(["run", "--config", str(config), *args]) == 0
+    assert sorted(levels) == sorted(mi((n,)) for n in (2, 3, 4) for _ in range(3))
 
 
 def test_jobs_without_fork_run_in_process(tmp_path, monkeypatch):
@@ -1206,8 +1224,7 @@ OPTIONAL_HOMES = dict.fromkeys(
         "is_primitive", "NormalityViolation", "NormalityReport", "verify_normal", "_degrees_below",
         "class_degrees", "normalize", "PrimitiveClass", "primitive_classes", "OrbitDecomposition",
         "orbit_decomposition", "primitive_characters", "primitive_table", "induced_character",
-        "FreenessClassSummary", "FreenessReport", "verify_free_decomposition", "_freeness_codim",
-        "class_degree_bound", "fit_character_polynomial", "twisted_betti",
+        "FreenessClassSummary", "FreenessReport", "verify_free_decomposition", "class_degree_bound", "fit_character_polynomial", "twisted_betti",
     ),
     "arrstab.checks",
 )

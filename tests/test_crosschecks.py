@@ -157,12 +157,12 @@ def test_whitney_braid5(braid, get_lattice):
     }
 
 
-def test_two_generator_arrangement_free_decomposition(get_lattice, freeness_inputs):
+def test_two_generator_arrangement_free_decomposition(get_lattice, freeness_report):
     # diagonal and antidiagonal generators: two primitive classes share the
     # degree (2), and the freeness decomposition must keep them apart
     from arrstab.arrangement import ArrangementSpec
     from arrstab.characters import character_of_cohomology
-    from arrstab.checks import primitive_classes, verify_free_decomposition, verify_normal
+    from arrstab.checks import primitive_classes, verify_normal
     from arrstab.exactlin import subspace_from_constraints
     from arrstab.fim import ConjClass
 
@@ -192,9 +192,9 @@ def test_two_generator_arrangement_free_decomposition(get_lattice, freeness_inpu
         for i in (1, 2)
     }
     for i in (1, 2):
-        report = verify_free_decomposition(spec, i, chars[i], *freeness_inputs(spec, i))
+        report = freeness_report(spec, i, chars[i])
         assert report.passed
-    report2 = verify_free_decomposition(spec, 2, chars[2], *freeness_inputs(spec, 2))
+    report2 = freeness_report(spec, 2, chars[2])
     assert len(report2.classes) == 6  # includes the origin of Q^2 at degree (2)
 
 

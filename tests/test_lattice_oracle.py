@@ -276,32 +276,6 @@ def test_atom_closure_matches_pairwise_closure_random(spec, max_codim):
     assert_matches_oracle(spec, mi((3,)), max_codim)
 
 
-@pytest.mark.parametrize(
-    "spec, level, top, low",
-    [
-        (MIXED_CODIM, (4,), 4, 1),
-        (MIXED_CODIM, (4,), 4, 2),
-        (MIXED_FACTOR, (3, 2), 3, 2),
-        (family_mkr(1, 3, 1), (5,), 3, 1),  # truncates to the empty lattice
-    ],
-)
-def test_truncation_equals_fresh_build(spec, level, top, low, monkeypatch):
-    get = cache.CachingBuilder()
-    get(spec, mi(level), top)
-    monkeypatch.setattr(cache, "build_lattice", never("build_lattice"))
-    cut = get(spec, mi(level), low)
-    monkeypatch.undo()
-    fresh = build_lattice(spec, mi(level), low)
-    assert cut.max_codim == low
-    assert [e.serialization for e in cut.elements] == [
-        e.serialization for e in fresh.elements
-    ]
-    assert cut.atoms == fresh.atoms
-    assert [cut.containing(i) for i in range(len(cut))] == [
-        fresh.containing(i) for i in range(len(fresh))
-    ]
-
-
 def test_rref_budget_braid6_codim3(braid, monkeypatch):
     in_atoms = False
     rref_calls = []  # whether each full reduction ran while the atoms were made
@@ -401,7 +375,6 @@ def test_lattice_build_and_load_do_no_containment_tests(braid, tmp_path, monkeyp
     cache.store(tmp_path, braid, lat)
     loaded = cache.load(tmp_path, braid, mi((5,)), 3)
     assert loaded is not None
-    assert len(loaded.truncated(2)) == 35
 
 
 # --- atoms from generator versions -------------------------------------------
@@ -968,7 +941,7 @@ def assert_action_matches_oracle(lat):
 def test_atom_action_matches_rref_action(spec, level, max_codim, tmp_path):
     lat = build_lattice(spec, mi(level), max_codim)
     assert_action_matches_oracle(lat)
-    assert_action_matches_oracle(lat.truncated(max(1, max_codim - 2)))
+    assert_action_matches_oracle(build_lattice(spec, mi(level), max(1, max_codim - 2)))
     cache.store(tmp_path, spec, lat)
     assert_action_matches_oracle(cache.load(tmp_path, spec, mi(level), max_codim))
 
@@ -978,7 +951,7 @@ def test_atom_action_matches_rref_action(spec, level, max_codim, tmp_path):
 def test_atom_action_matches_rref_action_random(spec, max_codim):
     lat = build_lattice(spec, mi((4,)), max_codim)
     assert_action_matches_oracle(lat)
-    assert_action_matches_oracle(lat.truncated(1))
+    assert_action_matches_oracle(build_lattice(spec, mi((4,)), 1))
 
 
 @pytest.mark.parametrize(
@@ -994,12 +967,12 @@ def test_atom_action_matches_rref_action_random(spec, max_codim):
     + FAMILY_CASES,
 )
 def test_orbit_bfs_matches_group_walk(spec, level, max_codim, tmp_path):
-    # the orbits recorded by the closure's generator walk, fresh, truncated
-    # and loaded from the cache, against a walk over the whole group
+    # the orbits recorded by the closure's generator walk, fresh at two
+    # cutoffs and loaded from the cache, against a walk over the whole group
     lat = build_lattice(spec, mi(level), max_codim)
     cache.store(tmp_path, spec, lat)
     loaded = cache.load(tmp_path, spec, mi(level), max_codim)
-    for got in (lat, lat.truncated(max(1, max_codim - 1)), loaded):
+    for got in (lat, build_lattice(spec, mi(level), max(1, max_codim - 1)), loaded):
         walked = {}
         for idx in range(len(got)):
             if idx not in walked:
@@ -1175,42 +1148,96 @@ def test_normality_matches_dense_scan(spec, get_lattice):
     assert report.normal == (spec not in NON_NORMAL)
 
 
+def point_skipping_generator(draw, degree, r):
+    """A generator at ``degree`` vanishing off a drawn set of points.  The
+    first row has a nonzero entry at a used point, so it has codim >= 1 by
+    construction and nothing is filtered."""
+    n = r * degree.total
+    used = draw(st.lists(st.booleans(), min_size=degree.total, max_size=degree.total))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    pivot = draw(st.integers(0, n - 1))
+    used[pivot // r] = True
+    rows[0][pivot] = draw(st.sampled_from((-2, -1, 1, 2)))
+    rows = [[e if used[c // r] else 0 for c, e in enumerate(row)] for row in rows]
+    return degree, subspace_from_constraints(n, rows)
+
+
 @st.composite
 def point_skipping_specs(draw):
-    """One or two generators, each vanishing off a drawn set of points, on at
-    most three points (two when r = 2).  The degree is drawn from the valid
-    ones, and the first row has a nonzero entry at a used point, so every
-    generator has codim >= 1 by construction and nothing is filtered."""
+    """One or two point-skipping generators on at most three points (two
+    when r = 2), each at a degree drawn from the valid ones."""
     m = draw(st.integers(1, 2))
     r = draw(st.integers(1, 2))
     bound = 3 if r == 1 else 2
     degrees = [
         mi(d) for d in itertools.product(range(bound + 1), repeat=m) if 1 <= sum(d) <= bound
     ]
-    gens = []
-    for _ in range(draw(st.integers(1, 2))):
-        degree = draw(st.sampled_from(degrees))
-        n = r * degree.total
-        used = draw(st.lists(st.booleans(), min_size=degree.total, max_size=degree.total))
-        rows = draw(
-            st.lists(
-                st.lists(st.integers(-2, 2), min_size=n, max_size=n),
-                min_size=1,
-                max_size=3,
-            )
-        )
-        pivot = draw(st.integers(0, n - 1))
-        used[pivot // r] = True
-        rows[0][pivot] = draw(st.sampled_from((-2, -1, 1, 2)))
-        rows = [[e if used[c // r] else 0 for c, e in enumerate(row)] for row in rows]
-        gens.append((degree, subspace_from_constraints(n, rows)))
+    gens = [
+        point_skipping_generator(draw, draw(st.sampled_from(degrees)), r)
+        for _ in range(draw(st.integers(1, 2)))
+    ]
     return ArrangementSpec(m, r, tuple(gens))
+
+
+# pairs of distinct generator degrees: comparable, then not comparable
+DEGREE_PAIRS = [
+    ((1,), (3,)), ((2,), (3,)), ((3,), (2,)), ((1, 1), (2, 1)), ((0, 2), (1, 2)),
+    ((2, 0), (0, 2)), ((2, 1), (1, 2)), ((1, 0), (0, 2)),
+]
+
+
+@st.composite
+def two_degree_specs(draw):
+    """Two point-skipping generators, r = 1, at the two degrees of a pair
+    from ``DEGREE_PAIRS``, in the pair's order."""
+    pair = draw(st.sampled_from(DEGREE_PAIRS))
+    gens = tuple(point_skipping_generator(draw, mi(degree), 1) for degree in pair)
+    return ArrangementSpec(len(pair[0]), 1, gens)
 
 
 @given(point_skipping_specs())
 @settings(max_examples=100, deadline=None)
 def test_normality_matches_dense_scan_random(spec):
     assert_normality_matches_scan(spec, spec.cmax, cache.CachingBuilder())
+
+
+def assert_generator_normality_matches_scan(spec):
+    """``verify_normal`` on the generator degrees, as ``primitive_classes``
+    asks for it, against the scan over every pair, c = d included."""
+    degrees = tuple(dict.fromkeys(deg for deg, _ in spec.generators))
+    get = cache.CachingBuilder()
+    report = verify_normal(spec, degrees, get)
+    assert report == scan_verify_normal(spec, degrees, get)
+    return report
+
+
+@given(two_degree_specs())
+@settings(max_examples=80, deadline=None)
+def test_normality_of_two_generator_degrees_matches_dense_scan_random(spec):
+    assert_generator_normality_matches_scan(spec)
+
+
+@pytest.mark.parametrize(
+    "rows, normal",
+    [
+        ([[1, -1], [1, -1, 0]], True),  # (3)'s generator pushes forward to (2)'s
+        ([[1, 1], [1, -1, 0]], False),  # to x_0 = x_1, which (2) lacks
+        ([[1, -1], [1, 0, -1]], True),
+        ([[1, 1], [1, 1, 1]], True),  # (3)'s generator touches every point
+    ],
+)
+def test_normality_of_comparable_generator_degrees(rows, normal):
+    gens = tuple((mi((len(row),)), subspace_from_constraints(len(row), [row])) for row in rows)
+    report = assert_generator_normality_matches_scan(ArrangementSpec(1, 1, gens))
+    assert report.normal == normal
+    if not normal:
+        assert (report.violation.source, report.violation.target) == (mi((2,)), mi((3,)))
 
 
 def injection_orbit_decomposition(lat, classes):
@@ -1280,13 +1307,13 @@ def decompose(decomposition, lat, classes):
 def test_orbit_decomposition_matches_injection_table(spec, level, max_codim, tmp_path):
     # classes of codim 2 keep the degrees scanned small; where the lattice
     # reaches higher codims, its elements there match no class and every
-    # path must raise the same error.  The lattice is checked fresh, cut to
-    # codim 2 and loaded from the cache.
+    # path must raise the same error.  The lattice is checked fresh, built
+    # to codim 2 and loaded from the cache.
     classes = primitive_classes(spec, 2, cache.CachingBuilder())
     lat = build_lattice(spec, mi(level), max_codim)
     cache.store(tmp_path, spec, lat)
     loaded = cache.load(tmp_path, spec, mi(level), max_codim)
-    for got in (lat, lat.truncated(min(2, max_codim)), loaded):
+    for got in (lat, build_lattice(spec, mi(level), min(2, max_codim)), loaded):
         expected = decompose(injection_orbit_decomposition, got, classes)
         assert decompose(pullback_orbit_decomposition, got, classes) == expected
         assert decompose(orbit_decomposition, got, classes) == expected
@@ -1310,7 +1337,7 @@ def test_preimage_by_atom_names_matches_pullback_random(spec, max_codim):
     low = build_lattice(spec, mi((3,)), 3)
     high = build_lattice(spec, mi((4,)), max_codim)
     assert_meets_match_pullbacks(spec, low, high)
-    assert_meets_match_pullbacks(spec, low, high.truncated(1))
+    assert_meets_match_pullbacks(spec, low, build_lattice(spec, mi((4,)), 1))
 
 
 def test_orbit_decomposition_of_non_normal_spec_raises():

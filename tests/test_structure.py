@@ -38,7 +38,11 @@ writes atom names as images, not ``Injection`` objects.  The poset helpers
 and the class-function wrapper that no engine path used stay deleted, and so
 do ``RankedPoset``, ``IntersectionLattice.lower_interval`` and ``index_of``:
 an interval's order complex is read off the lattice's order table, and
-``order_complex`` grows its chains already sorted.
+``order_complex`` grows its chains already sorted.  Lattices are not cut
+down to a smaller codim: the normality check compares only distinct
+generator degrees, so a job asks for one cutoff per degree but at the
+degrees such a pair compares, and ``IntersectionLattice.truncated`` and
+``checks._freeness_codim`` stay deleted.
 
 Start-up loads only the config layer: ``cli`` imports no arrstab module but
 ``record`` and ``fim`` when it is imported, and the arrangement spec lives in
@@ -289,6 +293,8 @@ def test_unused_poset_and_character_helpers_are_gone():
         ("checks", None, "induction_character"),
         ("checks", None, "_sub_cycle_multisets"),
         ("fim", None, "sum_characters"),
+        ("arrangement", "IntersectionLattice", "truncated"),
+        ("checks", None, "_freeness_codim"),
     ]:
         scope = MODULES[module] if owner is None else next(
             node
@@ -304,6 +310,9 @@ def test_unused_poset_and_character_helpers_are_gone():
     # the benchmark tracer hooks both
     assert method("arrangement", "IntersectionLattice", "__init__")
     assert method("arrangement", "IntersectionLattice", "act")
+    # a builder request is served from the memo, the disk or a build, never
+    # cut from a lattice of a larger cutoff
+    assert "truncated" not in names_in(method("cache", "CachingBuilder", "__call__"))
 
 
 def test_order_complex_sorts_no_chains():
