@@ -72,7 +72,6 @@ class IntersectionLattice:
         "orbits",
         "atom_names",
         "_containing",
-        "_index",
         "_by_mask",
         "_having",
     )
@@ -116,7 +115,6 @@ class IntersectionLattice:
             members.setdefault(orbit_labels[i], []).append(idx)
         orbits = {label: tuple(m) for label, m in members.items()}
         self.orbits: tuple[tuple[int, ...], ...] = tuple(orbits[orbit_labels[i]] for i in order)
-        self._index = {e.serialization: i for i, e in enumerate(self.elements)}
         self.atom_names = {name: new[a] for name, a in atom_names.items()}
         # Bit i of having[a] is set when element i has atom a.
         having = dict.fromkeys(new.values(), 0)
@@ -148,9 +146,6 @@ class IntersectionLattice:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, x: Subspace) -> bool:
-        return x.serialization in self._index
 
     def containing(self, idx: int) -> tuple[int, ...]:
         """Indices of elements strictly containing element ``idx``."""

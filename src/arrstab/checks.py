@@ -5,10 +5,10 @@ Primitivity, normality and normalization test a subspace's constraint support
 primitive classes, so one table per H^i, the sum of the generator characters
 of each degree's one homology context at each class, gives both its character
 at every level, which ``run`` compares once for the fit and the freeness
-check, and its character polynomial, which the fit renders.  Normality
-compares distinct generator degrees only, so a spec whose generators share
-one degree builds no lattice beyond the job's cutoff.  The fit and twisted
-Betti numbers import ``polynomial`` where they run.  Only the ``fit``,
+check, and its character polynomial, which the fit renders.  Normality is
+read off the generators alone: each non-primitive generator's pushforwards
+one point down against the atoms there, with no lattice built.  The fit and
+twisted Betti numbers import ``polynomial`` where they run.  Only the ``fit``,
 ``freeness``, ``normalize`` and ``twisted`` outputs load this module; each
 output's function takes the level results as plain maps and returns its
 report rows, entries and findings.  The paper's lemma that lower intervals
@@ -24,9 +24,9 @@ from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .arrangement import IntersectionLattice, LatticeBuilder, Name, _first_names, build_lattice
+from .arrangement import IntersectionLattice, LatticeBuilder, Name, _atoms, _first_names, build_lattice
 from .characters import _character, inner_product, stability_report
-from .exactlin import Subspace, constraint_support, subspace_from_constraints
+from .exactlin import Subspace, constraint_support, contains, subspace_from_constraints
 from .fim import (
     ArrangementSpec, ClassFunction, Injection, MultiIndex, ambient_dim, binomial_class_key,
     binomial_representatives, compose_images, conj_classes, degree_add, degree_times,
@@ -63,43 +63,45 @@ class NormalityViolation:
 
 @record
 class NormalityReport:
+    """The verdict of ``verify_normal`` and its first violation, if any."""
+
     normal: bool
-    checked_degrees: tuple[MultiIndex, ...]
     violation: NormalityViolation | None = None
 
 
-def verify_normal(
-    spec: ArrangementSpec,
-    degrees: Sequence[MultiIndex],
-    get_lattice: LatticeBuilder = build_lattice,
-) -> NormalityReport:
+def verify_normal(spec: ArrangementSpec) -> NormalityReport:
     """Check that kernel-containing elements are preimages from below.
 
-    For every pair c -> d of distinct listed degrees and every element at d
-    containing the kernel of the induced map, i.e. whose constraint support
-    lies at the injection's coordinates, the pushforward must already be a
-    lattice element at c.  The first failure is reported; violations are
-    report content, not exceptions.  A pair c = d cannot fail: its injections
-    are the automorphisms of d, which map the lattice onto itself.  So only
-    the degrees of a pair c < d have their whole lattices built.
+    Each generator g at degree d must push forward, along each f: d - e_j ->
+    d whose coordinates hold its constraint support, to a lattice element at
+    d - e_j: the meet of the atoms there containing p_f(g).  That is exact
+    at every pair of degrees.  p_f preserves meets of subspaces containing
+    ker f, which all of such an element's atoms do, so some atom phi^*g
+    violates whenever an element does, and then g does along the injection
+    phi induces; an injection of corank >= 2 factors through one of corank
+    one whose image holds its own, so by induction on the generator degree
+    corank one suffices.  A primitive generator has no such f, no lattice is
+    built, and the first failure is the report's violation.
     """
-    degrees = tuple(degrees)
-    pairs = [(c, d) for c in degrees for d in degrees if c != d and c.leq(d)]
-    compared = dict.fromkeys(deg for pair in pairs for deg in pair)
-    lattices = {d: get_lattice(spec, d, max(1, ambient_dim(d, spec.r))) for d in compared}
-    supports = {d: [constraint_support(x) for x in lat.elements] for d, lat in lattices.items()}
-    for c, d in pairs:
-        lat_c, lat_d = lattices[c], lattices[d]
-        for f in enumerate_injections(c, d):
-            columns = set(injection_coordinates(f, spec.r))
-            for x, support in zip(lat_d.elements, supports[d]):
-                if not support <= columns:
+    atoms_at: dict[MultiIndex, list[Subspace]] = {}
+    for d, g in spec.generators:
+        support = constraint_support(g)
+        points = {c // spec.r for c in support}
+        for j in range(spec.m):
+            start = sum(d[:j])
+            if all(start + p in points for p in range(d[j])):
+                continue
+            source = MultiIndex(d[:j] + (d[j] - 1,) + d[j + 1 :])
+            if source not in atoms_at:
+                atoms_at[source] = _atoms(spec, source, ambient_dim(source, spec.r))[0]
+            for f in enumerate_injections(source, d):
+                if not support <= set(injection_coordinates(f, spec.r)):
                     continue
-                image = pushforward(f, spec.r, x)
-                if image not in lat_c:
-                    violation = NormalityViolation(c, d, f, x, image)
-                    return NormalityReport(False, degrees, violation)
-    return NormalityReport(True, degrees)
+                image = pushforward(f, spec.r, g)
+                rows = [row for a in atoms_at[source] if contains(a, image) for row in a.constraints.entries]
+                if subspace_from_constraints(image.ambient_dim, rows) != image:
+                    return NormalityReport(False, NormalityViolation(source, d, f, g, image))
+    return NormalityReport(True)
 
 
 def _degrees_below(bound: MultiIndex) -> list[MultiIndex]:
@@ -204,14 +206,13 @@ def primitive_classes(
     Scans every ``class_degrees`` degree (no primitive of this codimension
     can occur at a degree above its bound) and keeps, at each degree,
     the orbits whose representative is primitive: the point action preserves
-    primitivity, so that decides the whole orbit.  Requires the spec to pass
-    the normality check on its generator degrees.
+    primitivity, so that decides the whole orbit.  Requires the spec to be
+    normal (``verify_normal``, read off the generators); raises ValueError
+    otherwise.
     """
     if not spec.generators:
         return ()
-    gen_degrees = tuple(dict.fromkeys(deg for deg, _ in spec.generators))
-    report = verify_normal(spec, gen_degrees, get_lattice)
-    if not report.normal:
+    if not verify_normal(spec).normal:
         raise ValueError("spec is not normal on its generator degrees")
     classes: list[PrimitiveClass] = []
     for e in class_degrees(spec, max_codim):
@@ -480,18 +481,7 @@ def freeness_output(
     if i_max >= 1:
         orbit_summary = {}
         for level in levels:
-            lat = get(spec, level, i_max)
-            if not len(lat):
-                orbit_summary[level.render()] = {}
-                continue
-            try:
-                decomposition = orbit_decomposition(lat, classes)
-            except LatticeError as exc:
-                # non-normal input; the freeness mismatch above is the
-                # finding, the orbit table just degrades
-                orbit_summary[level.render()] = {"error": str(exc)}
-                continue
-            blocks = decomposition.blocks()
+            blocks = orbit_decomposition(get(spec, level, i_max), classes).blocks()
             orbit_summary[level.render()] = {
                 str(ci): {
                     "elements": sum(len(v) for v in keyed.values()),

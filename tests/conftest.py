@@ -10,6 +10,21 @@ def get_lattice():
     return CachingBuilder()
 
 
+@pytest.fixture
+def ungated_classes(monkeypatch):
+    """``primitive_classes`` past the normality gate, for the tests that need
+    the classes of a spec that is not normal."""
+    from arrstab import checks
+    from arrstab.arrangement import build_lattice
+
+    def classes(spec, max_codim, get_lattice=build_lattice):
+        with monkeypatch.context() as patch:
+            patch.setattr(checks, "verify_normal", lambda spec: checks.NormalityReport(True))
+            return checks.primitive_classes(spec, max_codim, get_lattice)
+
+    return classes
+
+
 @pytest.fixture(scope="session")
 def braid():
     return family_mkr(1, 2, 1)

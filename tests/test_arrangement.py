@@ -15,8 +15,10 @@ from arrstab.arrangement import (
     build_lattice,
     family_mkr,
 )
+from arrstab import arrangement, checks
 from arrstab.checks import (
     NormalityReport,
+    NormalityViolation,
     _degrees_below,
     is_primitive,
     normalize,
@@ -39,7 +41,7 @@ from arrstab.fim import (
 )
 from test_exactlin import intersect
 from test_fim import compose
-from test_lattice_oracle import FAMILY_CASES
+from test_lattice_oracle import FAMILY_CASES, PADDED, never
 
 mi = MultiIndex
 
@@ -241,39 +243,44 @@ def test_is_primitive_matches_kernel_enumeration(braid):
 
 
 def test_verify_normal_braid(braid):
-    degrees = [mi((2,)), mi((3,)), mi((4,))]
-    assert verify_normal(braid, degrees).normal
+    assert verify_normal(braid) == NormalityReport(True)
 
 
 def test_verify_normal_violation():
     bad = ArrangementSpec(
         1, 1, ((mi((3,)), subspace_from_constraints(3, [[1, -1, 0]])),)
     )
-    report = verify_normal(bad, [mi((2,)), mi((3,))])
+    report = verify_normal(bad)
     assert not report.normal
-    assert report.violation.source == mi((2,))
-    assert report.violation.target == mi((3,))
+    # the first injection (2) -> (3) holding the support {0, 1}
+    assert report.violation == NormalityViolation(
+        mi((2,)), mi((3,)), Injection(((0, 1),), mi((3,))), bad.generators[0][1],
+        subspace_from_constraints(2, [[1, -1]]),
+    )
 
 
-def test_verify_normal_builds_no_lattice_for_one_generator_degree():
-    # at c = d the injections are the automorphisms of d, which map the
-    # lattice onto itself, so one degree compares nothing and builds nothing
-    def get_lattice(spec, level, max_codim):
-        raise AssertionError(f"built {level.render()} at codim {max_codim}")
+def test_verify_normal_builds_no_lattice(monkeypatch):
+    # the generators and the atoms one point below them decide it
+    for module in (arrangement, checks):
+        monkeypatch.setattr(module, "build_lattice", never("build_lattice"))
+    for spec in (family_mkr(1, 2, 1), family_mkr(1, 2, 2), family_mkr(2, 1, 1)):
+        assert verify_normal(spec) == NormalityReport(True)
+    assert not verify_normal(PADDED).normal
 
-    padded = ArrangementSpec(1, 1, ((mi((3,)), subspace_from_constraints(3, [[1, -1, 0]])),))
-    for spec in (family_mkr(1, 2, 1), family_mkr(1, 2, 2), family_mkr(2, 1, 1), padded):
-        degrees = tuple(dict.fromkeys(deg for deg, _ in spec.generators))
-        assert verify_normal(spec, degrees, get_lattice) == NormalityReport(True, degrees)
-        # the classes read the i_max lattices alone
+
+def test_primitive_classes_read_the_i_max_lattices_alone():
+    for spec in (family_mkr(1, 2, 1), family_mkr(1, 2, 2), family_mkr(2, 1, 1)):
         codims = []
         primitive_classes(spec, 2, lambda s, e, c: codims.append(c) or build_lattice(s, e, c))
         assert set(codims) == {2}
+    # a spec that is not normal is refused before any lattice is asked for
+    with pytest.raises(ValueError, match="not normal"):
+        primitive_classes(PADDED, 2, never("build_lattice"))
 
 
 def test_verify_normal_empty_spec():
     empty = ArrangementSpec(1, 1, ())
-    assert verify_normal(empty, [mi((2,)), mi((3,))]).normal
+    assert verify_normal(empty).normal
 
 
 def test_normalize_padded_generator():
@@ -306,9 +313,8 @@ def test_normalize_idempotent_and_normal():
     )
     fixed = normalize(bad)
     assert normalize(fixed) == fixed
-    top = fixed.cmax
-    degrees = [mi((a,)) for a in range(top[0] + 2)]
-    assert verify_normal(fixed, degrees).normal
+    assert verify_normal(fixed).normal
+    assert not verify_normal(bad).normal
 
 
 def test_normalized_lattices_agree_above_generators():
@@ -370,14 +376,16 @@ def test_primitive_classes_are_the_whole_primitive_orbits(spec, max_codim, get_l
                 assert {sigma[idx] for idx in orbit} == orbit
 
 
-def test_non_normal_spec_yields_no_codim_one_classes():
+def test_non_normal_spec_yields_no_codim_one_classes(ungated_classes):
     bad = ArrangementSpec(
         1, 1, ((mi((3,)), subspace_from_constraints(3, [[1, -1, 0]])),)
     )
-    # passes the generator-degree normality precondition, but its hyperplanes
-    # all first appear padded, so no primitive class exists and the orbit
-    # decomposition flags the non-normality
-    classes = primitive_classes(bad, 1)
+    # the normality gate refuses it; past the gate, its hyperplanes all first
+    # appear padded, so no primitive class exists and the orbit
+    # decomposition flags the non-normality too
+    with pytest.raises(ValueError, match="not normal"):
+        primitive_classes(bad, 1)
+    classes = ungated_classes(bad, 1)
     assert classes == ()
     lat = build_lattice(bad, mi((3,)), 1)
     with pytest.raises(LatticeError):
@@ -435,7 +443,8 @@ def assert_lower_intervals_embed(lat_c, lat_d, f):
     one onto those strictly containing f^*x, keeping each codim and the
     order among them."""
     preimages = [pullback(f, lat_c.r, x) for x in lat_c.elements]
-    assert all(y in lat_d for y in preimages), f.images
+    stored = {y.serialization for y in lat_d.elements}
+    assert all(y.serialization in stored for y in preimages), f.images
     image = [lat_d.elements.index(y) for y in preimages]
     above_c = [set(lat_c.containing(idx)) for idx in range(len(lat_c))]
     above_d = [set(lat_d.containing(idx)) for idx in range(len(lat_d))]

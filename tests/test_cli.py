@@ -555,22 +555,27 @@ def test_readme_fit_findings_are_the_bound_alone(tmp_path, capsys):
         assert printed.err == "".join(f"FINDING: {finding}\n" for finding in findings)
 
 
-def test_fit_on_non_normal_spec_is_a_finding_where_freeness_has_one(tmp_path):
+PADDED_FAMILY = {"kind": "custom", "m": 1, "r": 1, "generators": [{"degree": [3], "rows": [[1, -1, 0]]}]}
+
+
+def test_fit_on_non_normal_spec_is_a_finding_where_freeness_is_an_error(tmp_path, capsys):
     # the padded generator's primitive classes miss the hyperplanes, so the
-    # polynomial misses H^1 at each level where the freeness check does
-    config = write_config(
-        tmp_path,
-        family={"kind": "custom", "m": 1, "r": 1, "generators": [{"degree": [3], "rows": [[1, -1, 0]]}]},
-        levels={"min": [2], "max": [4]},
-        i_max=1,
-        outputs=["fit", "freeness"],
-    )
+    # polynomial misses H^1 at each level; the fit runs no normality gate,
+    # while the freeness check refuses the spec
+    config = write_config(tmp_path, family=PADDED_FAMILY, levels={"min": [2], "max": [4]}, i_max=1, outputs=["fit"])
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--cache", str(tmp_path / "c"), "--out", str(out)]) == 2
     findings = json.loads(read(out / "report.json"))["findings"]
     fit = [f.rsplit(" ", 1)[1] for f in findings if f.startswith("fit i=1: polynomial misses")]
-    freeness = [f.rsplit(" ", 1)[1] for f in findings if f.startswith("freeness i=1: character mismatch")]
-    assert fit == freeness == ["3", "4"]
+    assert fit == ["3", "4"]
+    capsys.readouterr()
+    config = write_config(
+        tmp_path, family=PADDED_FAMILY, levels={"min": [2], "max": [4]}, i_max=1, outputs=["fit", "freeness"]
+    )
+    out = tmp_path / "both"
+    assert main(["run", "--config", str(config), "--cache", str(tmp_path / "c"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: spec is not normal on its generator degrees\n"
+    assert not (out / "report.json").exists()
 
 
 def test_freeness_and_twisted_and_normalize_outputs(tmp_path):
@@ -632,26 +637,33 @@ def test_custom_family_normalization_diff(tmp_path):
     assert norm["normalized"][0]["subspace"] == "2:1,-1"
 
 
-def test_freeness_on_non_normal_spec_is_a_finding(tmp_path):
-    # a padded generator violates the freeness theorem's hypotheses; the CLI
-    # must surface the character mismatch as an exit-2 finding, not crash
-    config = write_config(
-        tmp_path,
-        family={
-            "kind": "custom",
-            "m": 1,
-            "r": 1,
-            "generators": [{"degree": [3], "rows": [[1, -1, 0]]}],
-        },
-        levels={"min": [2], "max": [4]},
-        i_max=1,
-        outputs=["freeness"],
-    )
+def test_freeness_on_non_normal_spec_is_an_error(tmp_path, capsys):
+    # a padded generator violates the freeness theorem's hypotheses; the
+    # normality gate refuses it, with every output, as its two-degree sibling
+    twisted = {"twisted_polynomial": "X1^(1)"}
+    outputs = ["betti", "characters", "fit", "freeness", "stability", "twisted", "normalize"]
+    sibling = {**PADDED_FAMILY, "generators": [{"degree": [2], "rows": [[1, 1]]}, *PADDED_FAMILY["generators"]]}
+    for family in (PADDED_FAMILY, sibling):
+        config = write_config(tmp_path, family=family, levels={"min": [2], "max": [5]}, outputs=outputs, **twisted)
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(config), "--cache", str(tmp_path / "c"), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: spec is not normal on its generator degrees\n"
+        assert not (out / "report.json").exists()
+
+
+def test_orbit_table_of_a_class_missing_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # with a sound normality gate only a fault leaves an element matched by
+    # no primitive class: the job exits 3 and writes no report
+    real_classes = checks.primitive_classes
+    monkeypatch.setattr(checks, "primitive_classes", lambda *args: real_classes(*args)[1:])
+    config = write_config(tmp_path, i_max=1, outputs=["freeness"])
     out = tmp_path / "out"
     code = main(["run", "--config", str(config), "--cache", str(tmp_path / "c"), "--out", str(out)])
-    assert code == 2
-    report = json.loads(read(out / "report.json"))
-    assert any("freeness" in f for f in report["findings"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and err.endswith("matched by no primitive class\n")
+    assert not (out / "report.json").exists()
 
 
 def test_freeness_class_above_the_degree_bound_is_a_finding(tmp_path, capsys, monkeypatch):

@@ -174,7 +174,7 @@ def test_two_generator_arrangement_free_decomposition(get_lattice, freeness_repo
             (mi((2,)), subspace_from_constraints(2, [[1, 1]])),
         ),
     )
-    assert verify_normal(spec, [mi((2,))]).normal
+    assert verify_normal(spec).normal
     classes = primitive_classes(spec, 1, get_lattice)
     assert [(c.degree, c.subspace.serialize()) for c in classes] == [
         (mi((2,)), "2:1,-1"),

@@ -1096,13 +1096,14 @@ def scan_normalize(spec):
 
 
 def scan_verify_normal(spec, degrees, get_lattice):
-    """The former ``verify_normal``: dense kernel containment, then the
-    direct image, in the same loop order."""
+    """The normality check on whole lattices: every pair c <= d of the listed
+    degrees, dense kernel containment, then the direct image."""
     degrees = tuple(degrees)
     lattices = {
         d: get_lattice(spec, d, max(1, ambient_dim(d, spec.r))) for d in degrees
     }
     for c in degrees:
+        stored = {x.serialization for x in lattices[c].elements}
         for d in degrees:
             if not c.leq(d):
                 continue
@@ -1111,18 +1112,51 @@ def scan_verify_normal(spec, degrees, get_lattice):
                 for x in lattices[d].elements:
                     if contains(x, ker):
                         image = dense_direct_image(f, spec.r, x)
-                        if image not in lattices[c]:
-                            violation = NormalityViolation(c, d, f, x, image)
-                            return NormalityReport(False, degrees, violation)
-    return NormalityReport(True, degrees)
+                        if image.serialization not in stored:
+                            return NormalityReport(False, NormalityViolation(c, d, f, x, image))
+    return NormalityReport(True)
 
 
-def assert_normality_matches_scan(spec, top, get_lattice):
+def gate_without_lattices(spec):
+    """``verify_normal`` with every lattice builder raising."""
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (arrangement, cache, checks):
+            patch.setattr(module, "build_lattice", never("build_lattice"))
+        patch.setattr(cache.CachingBuilder, "__call__", never("CachingBuilder"))
+        return verify_normal(spec)
+
+
+def assert_genuine(violation, spec, get_lattice):
+    """The violating element contains the kernel of its injection, its image
+    is the dense direct image, and the image is no element of the whole
+    lattice at the source."""
+    f, x = violation.injection, violation.element
+    assert (f.source, f.target) == (violation.source, violation.target)
+    assert contains(x, dense_kernel(f, spec.r))
+    assert violation.image == dense_direct_image(f, spec.r, x)
+    lat = get_lattice(spec, f.source, max(1, ambient_dim(f.source, spec.r)))
+    assert violation.image.serialization not in {y.serialization for y in lat.elements}
+
+
+def assert_normality_matches_scan(spec, tops, get_lattice):
+    """The gate's verdict is the scan's over every degree up to each top."""
     assert normalize(spec) == scan_normalize(spec)
-    degrees = checks._degrees_below(top)
-    report = verify_normal(spec, degrees, get_lattice)
-    assert report == scan_verify_normal(spec, degrees, get_lattice)
+    report = gate_without_lattices(spec)
+    for top in tops:
+        scan = scan_verify_normal(spec, checks._degrees_below(top), get_lattice)
+        assert report.normal == scan.normal, top.render()
+    if not report.normal:
+        assert_genuine(report.violation, spec, get_lattice)
     return report
+
+
+def tops_of(spec):
+    """cmax, and where its total is at most 3, cmax with one point more in
+    any one factor."""
+    top = spec.cmax
+    if top.total > 3:
+        return [top]
+    return [top] + [fim.degree_add(top, mi(int(k == j) for k in range(spec.m))) for j in range(spec.m)]
 
 
 NON_NORMAL = [
@@ -1135,6 +1169,15 @@ NON_NORMAL = [
     ArrangementSpec(
         1, 2, ((mi((3,)), subspace_from_constraints(6, [[1, 0, 0, 0, -1, 0]])),)
     ),
+    # the origin of (2) lies in its one atom x_0 = x_1 but is no meet of atoms
+    ArrangementSpec(
+        1,
+        1,
+        (
+            (mi((2,)), subspace_from_constraints(2, [[1, -1]])),
+            (mi((3,)), subspace_from_constraints(3, [[1, 0, 0], [0, 1, 0]])),
+        ),
+    ),
 ]
 
 
@@ -1142,9 +1185,9 @@ NON_NORMAL = [
     "spec", [case[0] for case in FAMILY_CASES] + NON_NORMAL[2:]
 )
 def test_normality_matches_dense_scan(spec, get_lattice):
-    # every degree up to one point more than the generators in each factor
+    # up to cmax, and up to one point more in each factor, at most three
     top = mi(min(c + 1, 3) for c in spec.cmax)
-    report = assert_normality_matches_scan(spec, top, get_lattice)
+    report = assert_normality_matches_scan(spec, [spec.cmax, top], get_lattice)
     assert report.normal == (spec not in NON_NORMAL)
 
 
@@ -1204,23 +1247,13 @@ def two_degree_specs(draw):
 @given(point_skipping_specs())
 @settings(max_examples=100, deadline=None)
 def test_normality_matches_dense_scan_random(spec):
-    assert_normality_matches_scan(spec, spec.cmax, cache.CachingBuilder())
-
-
-def assert_generator_normality_matches_scan(spec):
-    """``verify_normal`` on the generator degrees, as ``primitive_classes``
-    asks for it, against the scan over every pair, c = d included."""
-    degrees = tuple(dict.fromkeys(deg for deg, _ in spec.generators))
-    get = cache.CachingBuilder()
-    report = verify_normal(spec, degrees, get)
-    assert report == scan_verify_normal(spec, degrees, get)
-    return report
+    assert_normality_matches_scan(spec, tops_of(spec), cache.CachingBuilder())
 
 
 @given(two_degree_specs())
 @settings(max_examples=80, deadline=None)
 def test_normality_of_two_generator_degrees_matches_dense_scan_random(spec):
-    assert_generator_normality_matches_scan(spec)
+    assert_normality_matches_scan(spec, tops_of(spec), cache.CachingBuilder())
 
 
 @pytest.mark.parametrize(
@@ -1230,11 +1263,16 @@ def test_normality_of_two_generator_degrees_matches_dense_scan_random(spec):
         ([[1, 1], [1, -1, 0]], False),  # to x_0 = x_1, which (2) lacks
         ([[1, -1], [1, 0, -1]], True),
         ([[1, 1], [1, 1, 1]], True),  # (3)'s generator touches every point
+        # one degree: its automorphisms compare nothing, the points below do
+        ([[1, -1, 0]], False),  # the padded generator alone
+        ([[1, 1, 0], [1, -1, 0]], False),  # both padded, and (2) has no atom
+        ([[1, 1, 1]], True),  # primitive
     ],
 )
 def test_normality_of_comparable_generator_degrees(rows, normal):
     gens = tuple((mi((len(row),)), subspace_from_constraints(len(row), [row])) for row in rows)
-    report = assert_generator_normality_matches_scan(ArrangementSpec(1, 1, gens))
+    spec = ArrangementSpec(1, 1, gens)
+    report = assert_normality_matches_scan(spec, tops_of(spec), cache.CachingBuilder())
     assert report.normal == normal
     if not normal:
         assert (report.violation.source, report.violation.target) == (mi((2,)), mi((3,)))
@@ -1304,12 +1342,15 @@ def decompose(decomposition, lat, classes):
 @pytest.mark.parametrize(
     "spec, level, max_codim", FAMILY_CASES + [(PADDED, (4,), 3)]
 )
-def test_orbit_decomposition_matches_injection_table(spec, level, max_codim, tmp_path):
+def test_orbit_decomposition_matches_injection_table(
+    spec, level, max_codim, tmp_path, ungated_classes
+):
     # classes of codim 2 keep the degrees scanned small; where the lattice
     # reaches higher codims, its elements there match no class and every
     # path must raise the same error.  The lattice is checked fresh, built
-    # to codim 2 and loaded from the cache.
-    classes = primitive_classes(spec, 2, cache.CachingBuilder())
+    # to codim 2 and loaded from the cache.  The classes come past the
+    # normality gate, which PADDED and MIXED_FACTOR fail.
+    classes = ungated_classes(spec, 2, cache.CachingBuilder())
     lat = build_lattice(spec, mi(level), max_codim)
     cache.store(tmp_path, spec, lat)
     loaded = cache.load(tmp_path, spec, mi(level), max_codim)
@@ -1323,10 +1364,10 @@ def assert_meets_match_pullbacks(spec, low, high):
     """Every element's preimage along every injection low -> high, looked up
     by atom names, is the scattered preimage, or None above the cutoff."""
     name_of = arrangement._first_names(low.atom_names)
+    position = {x.serialization: idx for idx, x in enumerate(high.elements)}
     for f in enumerate_injections(low.level, high.level):
         for y, atoms in zip(low.elements, low.atoms):
-            pre = pullback(f, spec.r, y)
-            expected = high.elements.index(pre) if pre in high else None
+            expected = position.get(pullback(f, spec.r, y).serialization)
             names = [(gi, fim.compose_images(f.images, h)) for gi, h in map(name_of.get, atoms)]
             assert high.meet_of_atoms(names) == expected
 
@@ -1340,10 +1381,13 @@ def test_preimage_by_atom_names_matches_pullback_random(spec, max_codim):
     assert_meets_match_pullbacks(spec, low, build_lattice(spec, mi((4,)), 1))
 
 
-def test_orbit_decomposition_of_non_normal_spec_raises():
-    # the padded generator's primitive classes start at degree 3, so no
-    # class yields the hyperplanes x_a = x_b at level 4
-    classes = primitive_classes(PADDED, 2)
+def test_orbit_decomposition_of_non_normal_spec_raises(ungated_classes):
+    # the padded generator's primitive classes, past the normality gate,
+    # start at degree 3, so no class yields the hyperplanes x_a = x_b at
+    # level 4
+    with pytest.raises(ValueError, match="not normal"):
+        primitive_classes(PADDED, 2)
+    classes = ungated_classes(PADDED, 2)
     lat = build_lattice(PADDED, mi((4,)), 2)
     message = "element 0 matched by no primitive class"
     assert decompose(injection_orbit_decomposition, lat, classes) == message

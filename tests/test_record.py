@@ -64,7 +64,7 @@ CASES = [
     ),
     (
         NormalityReport,
-        lambda: verify_normal(BRAID, [mi((2,)), mi((3,))]),
+        lambda: verify_normal(BRAID),
         lambda: {"normal": False},
     ),
     (PrimitiveClass, lambda: classes_of_braid_3()[1][0], lambda: {"stabilizer_order": 1}),

@@ -39,10 +39,13 @@ and the class-function wrapper that no engine path used stay deleted, and so
 do ``RankedPoset``, ``IntersectionLattice.lower_interval`` and ``index_of``:
 an interval's order complex is read off the lattice's order table, and
 ``order_complex`` grows its chains already sorted.  Lattices are not cut
-down to a smaller codim: the normality check compares only distinct
-generator degrees, so a job asks for one cutoff per degree but at the
-degrees such a pair compares, and ``IntersectionLattice.truncated`` and
-``checks._freeness_codim`` stay deleted.
+down to a smaller codim: the normality check reads the generators and the
+atoms one point below them and builds no lattice, so a job asks for one
+cutoff, its ``i_max``, per degree, and ``IntersectionLattice.truncated`` and
+``checks._freeness_codim`` stay deleted.  Nothing asks a lattice whether it
+holds a subspace, so ``IntersectionLattice`` keeps no serialization index.
+With the gate sound, only a fault leaves an element matched by no primitive
+class, so the ``freeness`` output lets that ``LatticeError`` end the job.
 
 Start-up loads only the config layer: ``cli`` imports no arrstab module but
 ``record`` and ``fim`` when it is imported, and the arrangement spec lives in
@@ -295,6 +298,7 @@ def test_unused_poset_and_character_helpers_are_gone():
         ("fim", None, "sum_characters"),
         ("arrangement", "IntersectionLattice", "truncated"),
         ("checks", None, "_freeness_codim"),
+        ("arrangement", "IntersectionLattice", "__contains__"),
     ]:
         scope = MODULES[module] if owner is None else next(
             node
@@ -313,6 +317,38 @@ def test_unused_poset_and_character_helpers_are_gone():
     # a builder request is served from the memo, the disk or a build, never
     # cut from a lattice of a larger cutoff
     assert "truncated" not in names_in(method("cache", "CachingBuilder", "__call__"))
+
+
+def test_normality_reads_the_generators_alone():
+    node = function("checks", "verify_normal")
+    assert [arg.arg for arg in node.args.args] == ["spec"]
+    assert not node.args.defaults and not node.args.kwonlyargs and not node.args.vararg
+    used = names_in(node) & {"get_lattice", "build_lattice", "CachingBuilder"}
+    assert not used, f"verify_normal uses {used}"
+
+
+def test_lattice_keeps_no_serialization_index():
+    # and defines no __contains__ (``test_unused_poset_and_character_helpers_are_gone``)
+    owner = next(
+        node
+        for node in ast.walk(MODULES["arrangement"])
+        if isinstance(node, ast.ClassDef) and node.name == "IntersectionLattice"
+    )
+    slots = next(
+        node.value
+        for node in owner.body
+        if isinstance(node, ast.Assign) and "__slots__" in names_in(node.targets[0])
+    )
+    assert "_index" not in {elt.value for elt in slots.elts}
+    assert "_index" not in names_in(method("arrangement", "IntersectionLattice", "__init__"))
+
+
+def test_freeness_output_catches_no_lattice_error():
+    # nor a base class of it, nor everything
+    catching = {"LatticeError", "RuntimeError", "Exception", "BaseException"}
+    for node in ast.walk(function("checks", "freeness_output")):
+        if isinstance(node, ast.ExceptHandler):
+            assert node.type and not names_in(node.type) & catching, ast.unparse(node)
 
 
 def test_order_complex_sorts_no_chains():
