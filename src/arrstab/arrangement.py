@@ -36,11 +36,10 @@ from typing import Callable, Iterable, Sequence
 
 from .exactlin import RationalMatrix, Subspace, _pivot_columns, meet_rows, place_rows, scatter_rows
 from .fim import (  # ArrangementSpec and family_mkr re-exported: the spec lives in fim
-    ArrangementSpec, Images, Injection, MultiIndex, PermTuple, ambient_dim,
+    ArrangementSpec, Images, Injection, LatticeError, MultiIndex, PermTuple, ambient_dim,
     binomial_representatives, compose_images, coordinate_permutation, family_mkr, group_order,
     injection_coordinates,
 )
-from .homology import LatticeError
 
 Name = tuple[int, Images]
 """A generator index and the images of an injection that pulls it back to an atom."""
@@ -59,7 +58,9 @@ class IntersectionLattice:
     ``orbit_labels`` names each element's Aut(n)-orbit by any label shared
     by exactly its members; ``orbits[i]`` is then the ascending tuple of the
     indices in element i's orbit, whose first entry is the representative.
-    Instances are immutable once built.
+    Instances are immutable once built; the order table behind ``containing``
+    is made on its first use, so a lattice read only for its orbits and atoms,
+    as the freeness check reads one, never makes it.
     """
 
     __slots__ = (
@@ -72,6 +73,7 @@ class IntersectionLattice:
         "orbits",
         "atom_names",
         "_containing",
+        "_masks",
         "_by_mask",
         "_having",
     )
@@ -126,13 +128,30 @@ class IntersectionLattice:
         if any(not masks[a] >> a & 1 for a in having):
             raise ValueError("atom names do not match the atoms")
         self._having = having
+        self._masks = masks
         self._by_mask = {mask: idx for idx, mask in enumerate(masks)}
-        # X strictly inside Y iff atoms(Y) is a proper subset of atoms(X):
-        # the elements of lower codim that have none of the atoms X lacks
+        self._containing = None  # the order table, made by the first ``containing``
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def containing(self, idx: int) -> tuple[int, ...]:
+        """Indices of elements strictly containing element ``idx``."""
+        if self._containing is None:
+            self._containing = self._order_table()
+        return self._containing[idx]
+
+    def _order_table(self) -> tuple[tuple[int, ...], ...]:
+        """For each element, the elements strictly containing it.
+
+        X is strictly inside Y iff atoms(Y) is a proper subset of atoms(X):
+        Y is of lower codim and has none of the atoms X lacks.
+        """
+        having = self._having
         every_atom = sum(1 << a for a in having)
         below = 0  # the elements of lower codim, as a bitset
         containing = []
-        for i, mask in enumerate(masks):
+        for i, mask in enumerate(self._masks):
             if i and self.codims[i] > self.codims[i - 1]:
                 below = (1 << i) - 1
             excluded = 0
@@ -142,14 +161,7 @@ class IntersectionLattice:
                 rest ^= low
                 excluded |= having[low.bit_length() - 1]
             containing.append(_bit_indices(below & ~excluded))
-        self._containing = tuple(containing)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def containing(self, idx: int) -> tuple[int, ...]:
-        """Indices of elements strictly containing element ``idx``."""
-        return self._containing[idx]
+        return tuple(containing)
 
     def act(self, g: PermTuple) -> tuple[int, ...]:
         """The permutation of element indices induced by g; order preserving.

@@ -6,7 +6,9 @@ decomposed against Murnaghan-Nakayama character values.  Class functions
 live in ``fim``; a character's values are ints, and an inner product divides
 by the group order once.  The freeness check, the fit and twisted Betti
 numbers live in ``checks``, so a job without those outputs does not compile
-them.
+them.  The lattice and homology code is imported where a character is
+traced, so a job whose characters come from the result cache reaches
+``invariants_dim`` and ``stability_report`` without compiling it.
 """
 
 from __future__ import annotations
@@ -15,15 +17,17 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cache
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .arrangement import ArrangementSpec, LatticeBuilder, build_lattice
 from .fim import (
-    ClassFunction, ConjClass, MultiIndex, class_representative, conj_classes,
+    ArrangementSpec, ClassFunction, ConjClass, MultiIndex, class_representative, conj_classes,
     group_order, partitions, trivial_character,
 )
-from .homology import LatticeHomology
 from .record import record
+
+if TYPE_CHECKING:
+    from .arrangement import LatticeBuilder
+    from .homology import LatticeHomology
 
 
 def _character(
@@ -39,7 +43,7 @@ def character_of_cohomology(
     spec: ArrangementSpec,
     n: MultiIndex,
     i: int,
-    get_lattice: LatticeBuilder = build_lattice,
+    get_lattice: LatticeBuilder | None = None,
     homology: LatticeHomology | None = None,
 ) -> ClassFunction:
     """The character of Aut(n) on H^i of the complement at level n.
@@ -49,12 +53,16 @@ def character_of_cohomology(
     identity's being the Betti number.  ``homology`` may be a context on
     any lattice of level n and codim at least i, shared between degrees so
     that each class acts on the lattice once; otherwise one is made on the
-    codim-i lattice.
+    codim-i lattice from ``get_lattice`` (default ``build_lattice``).
     """
     if i == 0:
         return trivial_character(n)
-    ctx = homology if homology is not None else LatticeHomology(get_lattice(spec, n, i))
-    return _character(ctx, n, i)
+    if homology is None:
+        from .arrangement import build_lattice
+        from .homology import LatticeHomology
+
+        homology = LatticeHomology((get_lattice or build_lattice)(spec, n, i))
+    return _character(homology, n, i)
 
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> int | Fraction:

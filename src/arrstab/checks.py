@@ -28,11 +28,11 @@ from .arrangement import IntersectionLattice, LatticeBuilder, Name, _atoms, _fir
 from .characters import _character, inner_product, stability_report
 from .exactlin import Subspace, constraint_support, contains, subspace_from_constraints
 from .fim import (
-    ArrangementSpec, ClassFunction, Injection, MultiIndex, ambient_dim, binomial_class_key,
-    binomial_representatives, compose_images, conj_classes, degree_add, degree_times,
-    enumerate_injections, group_order, injection_coordinates, pushforward,
+    ArrangementSpec, ClassFunction, Injection, LatticeError, MultiIndex, ambient_dim,
+    binomial_class_key, binomial_representatives, compose_images, conj_classes, degree_add,
+    degree_times, enumerate_injections, group_order, injection_coordinates, pushforward,
 )
-from .homology import LatticeError, LatticeHomology
+from .homology import LatticeHomology
 from .record import record
 
 if TYPE_CHECKING:

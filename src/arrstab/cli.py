@@ -20,7 +20,11 @@ characters, and a class degree outside the levels is a task of its own;
 character it induces with H^i's at each level once, for both outputs.
 A task returns plain data, class functions as values in ``conj_classes``
 order: a forked share is sent as ``marshal`` data, and pickled only for an
-exception or a ``Fraction``.
+exception or a ``Fraction``.  ``run`` first looks each task up in the
+result cache (``cache.load_result``) and computes only the misses, so a run
+whose every task is stored forks nothing and compiles no lattice or
+homology code; the command's own process stores each computed result once
+every share has returned.
 
 Start-up loads only the config layer (``record``, ``fim`` and, through it,
 ``exactlin``); a twisted polynomial in the config also loads ``polynomial``.
@@ -47,6 +51,7 @@ from typing import TYPE_CHECKING
 from .fim import (
     ArrangementSpec,
     ClassFunction,
+    LatticeError,
     MultiIndex,
     ambient_dim,
     conj_classes,
@@ -269,7 +274,8 @@ def _run_shares(shares):
     is raised again here.  However this returns, every child has been
     reaped, and killed first if the run failed.
     """
-    from .homology import LatticeError
+    # the level tasks' engine, compiled once here rather than in each child
+    from . import arrangement, characters, homology
 
     children = []  # (pid, read end, share)
     try:
@@ -360,7 +366,11 @@ def _cell(value) -> str:
 
 
 def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
-    """Execute the configured computations and write the report files."""
+    """Execute the configured computations and write the report files.
+
+    A ``freeness`` job on a spec that is not normal raises ValueError before
+    any task runs.  ``verbose`` logs each task's result cache event to
+    standard error."""
     from .cache import CachingBuilder
     from .characters import invariants_dim, stability_report
 
@@ -370,6 +380,12 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
 
     spec = config.spec
     levels = config.levels()
+    if "freeness" in config.outputs:
+        from .checks import verify_normal
+
+        # the gate reads the spec alone, so it refuses one before any task runs
+        if not verify_normal(spec).normal:
+            raise ValueError("spec is not normal on its generator degrees")
     out_dir = Path(config.out_dir or DEFAULT_OUT)
     out_dir.mkdir(parents=True, exist_ok=True)
     # one builder per command: the freeness block reads the lattices the
@@ -391,11 +407,33 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
     if want_betti or want_chars:
         tasks = [(spec, n, config.i_max, want_betti, want_chars, want_gens, get) for n in levels]
         tasks += [(spec, e, config.i_max, False, False, True, get) for e in extra]
-        # one share keeps the levels in ascending order
-        shares = _split_levels(tasks, jobs) if jobs > 1 and hasattr(os, "fork") else [tasks]
-        degrees = f" and {len(extra)} class degrees" if extra else ""
-        log(f"computing {len(levels)} levels{degrees} in {len(shares)} processes")
-        payloads = _run_shares(shares)
+        # a task's result is read back from the cache where it is stored
+        found = {}
+        misses = tasks
+        if config.cache_dir is not None:
+            from .cache import load_result, store_result
+
+            events = {"hit": 0, "miss": 0, "corrupt": 0}
+            misses = []
+            for task in tasks:
+                payload, event = load_result(config.cache_dir, task[:6])
+                events[event] += 1
+                log(f"result {event} {task[1].render()}")
+                if payload is None:
+                    misses.append(task)
+                else:
+                    found[task[1]] = payload
+            log("results: " + ", ".join(f"{count} {event}" for event, count in events.items()))
+        if misses:
+            # one share keeps the tasks in ascending order
+            shares = _split_levels(misses, jobs) if jobs > 1 and hasattr(os, "fork") else [misses]
+            log(f"computing {len(misses)} of {len(tasks)} tasks in {len(shares)} processes")
+            computed = {MultiIndex(p["level"]): p for p in _run_shares(shares)}
+            found.update(computed)
+            if config.cache_dir is not None:
+                for task in misses:
+                    store_result(config.cache_dir, task[:6], computed[task[1]])
+        payloads = [found[task[1]] for task in tasks]
     by_level = {MultiIndex(p["level"]): p for p in payloads}
 
     def chi(level, values):
@@ -552,7 +590,7 @@ def main(argv: list[str] | None = None) -> int:
 
     run_parser = sub.add_parser("run", help="execute a job described by a config file")
     run_parser.add_argument("--config", required=True, help="path to the JSON job config")
-    run_parser.add_argument("--cache", default=None, help="lattice cache directory")
+    run_parser.add_argument("--cache", default=None, help="lattice and result cache directory")
     run_parser.add_argument("--out", default=None, help="report output directory")
     run_parser.add_argument(
         "--jobs",
@@ -564,8 +602,8 @@ def main(argv: list[str] | None = None) -> int:
 
     sub.add_parser("catalog", help="list the named arrangement families")
 
-    clean_parser = sub.add_parser("clean-cache", help="delete cached lattices")
-    clean_parser.add_argument("--cache", default=None, help="lattice cache directory")
+    clean_parser = sub.add_parser("clean-cache", help="delete cached lattices and results")
+    clean_parser.add_argument("--cache", default=None, help="lattice and result cache directory")
 
     args = parser.parse_args(argv)
 
@@ -578,14 +616,12 @@ def main(argv: list[str] | None = None) -> int:
 
         cache_dir = _resolve_cache(args.cache)
         try:
-            removed = clean(cache_dir)
+            lattices, results = clean(cache_dir)
         except OSError as exc:  # a regular file, or a path under one
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        print(f"removed {removed} cached lattice(s) from {cache_dir}")
+        print(f"removed {lattices} cached lattice(s) and {results} cached result(s) from {cache_dir}")
         return 0
-
-    from .homology import LatticeError
 
     try:
         config = load_config(args.config)

@@ -19,7 +19,9 @@ Class functions live here beside the conjugacy classes they are defined on;
 a character's values are ints, as for any rational representation.
 
 An arrangement family's spec (``ArrangementSpec``, ``family_mkr``) lives here
-rather than in ``arrangement``, so loading a job config needs no lattice code.
+rather than in ``arrangement``, so loading a job config needs no lattice code;
+so does ``LatticeError``, which the command catches whether or not it ran the
+engine.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ from .exactlin import (
     subspace_from_constraints,
 )
 from .record import record
+
+
+class LatticeError(RuntimeError):
+    """A lattice failed an internal consistency requirement."""
 
 
 class MultiIndex(tuple):

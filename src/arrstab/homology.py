@@ -41,15 +41,11 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .fim import MultiIndex, PermTuple
+from .fim import LatticeError, MultiIndex, PermTuple
 from .record import record
 
 if TYPE_CHECKING:  # pragma: no cover
     from .arrangement import IntersectionLattice
-
-
-class LatticeError(RuntimeError):
-    """A lattice failed an internal consistency requirement."""
 
 
 @record

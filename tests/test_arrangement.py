@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from arrstab.arrangement import (
     ArrangementSpec,
     IntersectionLattice,
-    LatticeError,
     _group_generators,
     build_lattice,
     family_mkr,
@@ -30,6 +29,7 @@ from arrstab.exactlin import contains, subspace_from_constraints
 from arrstab.homology import LatticeHomology
 from arrstab.fim import (
     Injection,
+    LatticeError,
     MultiIndex,
     PermTuple,
     ambient_dim,

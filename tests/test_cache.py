@@ -1,8 +1,9 @@
-"""Cache digests against ``hashlib``.
+"""Cache digests against ``hashlib``, and loaded lattices against fresh builds.
 
 The cache takes SHA-256 from the interpreter's built-in module and falls
 back to ``hashlib`` where there is none; file names and payload checksums
-must be ``hashlib.sha256`` either way.
+must be ``hashlib.sha256`` either way.  A loaded lattice makes its order
+table on first use, and it must be a fresh build's.
 """
 
 import hashlib
@@ -67,4 +68,19 @@ def test_hashlib_fallback_gives_the_same_keys():
     assert out["keys"] == [
         sha256_hex(f"{spec.serialize()}\n{level.render()}\n{codim}")
         for spec, level, codim in cases
+    ]
+
+
+@pytest.mark.parametrize("spec, level, max_codim", FAMILY_CASES)
+def test_loaded_order_table_equals_a_fresh_builds(tmp_path, spec, level, max_codim):
+    # a loaded lattice makes its order table on the first ``containing``
+    from arrstab.arrangement import build_lattice
+
+    level = MultiIndex(level)
+    fresh = build_lattice(spec, level, max_codim)
+    cache.store(tmp_path, spec, fresh)
+    loaded = cache.load(tmp_path, spec, level, max_codim)
+    assert loaded._containing is None
+    assert [loaded.containing(i) for i in range(len(loaded))] == [
+        fresh.containing(i) for i in range(len(fresh))
     ]

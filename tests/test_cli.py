@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from arrstab import arrangement, cache, checks, cli, exactlin
-from arrstab.arrangement import LatticeError, build_lattice, family_mkr
+from arrstab.arrangement import build_lattice, family_mkr
 from arrstab.cli import list_catalog, load_config, main
-from arrstab.fim import MultiIndex, render_images
+from arrstab.fim import LatticeError, MultiIndex, render_images
 from arrstab.homology import LatticeHomology
 
 mi = MultiIndex
@@ -174,6 +174,8 @@ def test_corrupted_cache_recomputes(tmp_path):
     cache_dir = tmp_path / "cache"
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["run", "--config", str(config), "--cache", str(cache_dir), "--out", str(out1)]) == 0
+    for path in cache_dir.glob("*.result.txt"):  # so that the levels load their lattices
+        path.unlink()
     victim = sorted(cache_dir.glob("*.lattice.txt"))[0]
     victim.write_text(victim.read_text().replace("payload-sha256=", "payload-sha256=00"), encoding="utf-8")
     assert main(["run", "--config", str(config), "--cache", str(cache_dir), "--out", str(out2)]) == 0
@@ -190,10 +192,11 @@ def assert_same_files(dir1: Path, dir2: Path) -> None:
 def test_parallel_jobs_match_serial(tmp_path):
     config = write_config(tmp_path, outputs=["betti", "characters"])
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    base = ["run", "--config", str(config), "--cache", str(tmp_path / "c")]
-    assert main(base + ["--out", str(out1)]) == 0
-    assert main(base + ["--out", str(out2), "--jobs", "2"]) == 0
+    assert main(["run", "--config", str(config), "--cache", str(tmp_path / "c1"), "--out", str(out1)]) == 0
+    args = ["--cache", str(tmp_path / "c2"), "--out", str(out2), "--jobs", "2"]
+    assert main(["run", "--config", str(config), *args]) == 0
     assert_same_files(out1, out2)
+    assert_same_files(tmp_path / "c1", tmp_path / "c2")
 
 
 PARITY_JOBS = {
@@ -216,6 +219,9 @@ def test_parallel_jobs_match_serial_on_more_inputs(tmp_path, jobs, family, cache
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     base = ["run", "--config", str(config)]
     assert main(base + ["--cache", str(cache1), "--out", str(out1)]) == 0
+    # a warm lattice cache: the levels are computed again, from its lattices
+    for path in cache2.glob("*.result.txt"):
+        path.unlink()
     assert main(base + ["--cache", str(cache2), "--out", str(out2), "--jobs", str(jobs)]) == 0
     assert_same_files(out1, out2)
     assert_same_files(cache1, cache2)
@@ -295,9 +301,11 @@ def test_freeness_builds_a_generator_degree_once(tmp_path):
                 args = ["--cache", str(cache_dir), "--out", str(job / f"{phase}{jobs}")]
                 assert main(["run", "--config", str(config), *args, "--jobs", str(jobs)]) == 0
                 assert_same_files(job / "cold1", job / f"{phase}{jobs}")
-            headers = sorted(read(path).splitlines()[1:3] for path in cache_dir.iterdir())
+            headers = sorted(read(path).splitlines()[1:3] for path in cache_dir.glob("*.lattice.txt"))
             # degree 2 is the one class degree of codim <= 3 outside the levels
             assert headers == [[f"level={n}", "max_codim=3"] for n in (2, 4, 5)], outputs
+            # and each of the three is one task with one stored result
+            assert len(list(cache_dir.glob("*.result.txt"))) == 3, outputs
 
 
 def test_fit_and_freeness_compare_each_induced_character_once(tmp_path, monkeypatch):
@@ -328,6 +336,8 @@ def test_jobs_without_fork_run_in_process(tmp_path, monkeypatch):
 
     monkeypatch.delattr(os, "fork")
     monkeypatch.setattr(cli, "_level_worker", worker)
+    # a cache of its own, so that no stored result spares a level
+    base[-1] = str(tmp_path / "c2")
     assert main(base + ["--out", str(out2), "--jobs", "2"]) == 0
     assert pids == [os.getpid()] * 3
     assert_same_files(out1, out2)
@@ -378,7 +388,7 @@ def test_split_levels_balances_by_group_order():
 FAILURE_PROBE = """
 import json, os, sys, time
 from arrstab import cli
-from arrstab.arrangement import LatticeError
+from arrstab.fim import LatticeError
 
 case, config, work = sys.argv[1:]
 parent = os.getpid()
@@ -637,9 +647,11 @@ def test_custom_family_normalization_diff(tmp_path):
     assert norm["normalized"][0]["subspace"] == "2:1,-1"
 
 
-def test_freeness_on_non_normal_spec_is_an_error(tmp_path, capsys):
+def test_freeness_on_non_normal_spec_is_an_error(tmp_path, capsys, monkeypatch):
     # a padded generator violates the freeness theorem's hypotheses; the
-    # normality gate refuses it, with every output, as its two-degree sibling
+    # normality gate refuses it, with every output, as its two-degree sibling,
+    # before any level task runs: no report, and no result stored
+    monkeypatch.setattr(cli, "_level_worker", never_called)
     twisted = {"twisted_polynomial": "X1^(1)"}
     outputs = ["betti", "characters", "fit", "freeness", "stability", "twisted", "normalize"]
     sibling = {**PADDED_FAMILY, "generators": [{"degree": [2], "rows": [[1, 1]]}, *PADDED_FAMILY["generators"]]}
@@ -649,7 +661,9 @@ def test_freeness_on_non_normal_spec_is_an_error(tmp_path, capsys):
         code = main(["run", "--config", str(config), "--cache", str(tmp_path / "c"), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == "error: spec is not normal on its generator degrees\n"
-        assert not (out / "report.json").exists()
+        for name in ("report.json", "betti.csv", "characters.csv"):
+            assert not (out / name).exists(), name
+        assert not list((tmp_path / "c").glob("*.result.txt"))
 
 
 def test_orbit_table_of_a_class_missing_is_an_internal_error(tmp_path, capsys, monkeypatch):
@@ -724,13 +738,13 @@ def test_freeness_job_loads_each_level_once(tmp_path, monkeypatch):
 
 def test_clean_cache_subcommand(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
-    spec = family_mkr(1, 2, 1)
-    lat = build_lattice(spec, mi((3,)), 3)
-    cache.store(cache_dir, spec, lat)
-    assert len(list(cache_dir.glob("*.lattice.txt"))) == 1
+    assert main(["run", "--config", str(write_config(tmp_path)), "--cache", str(cache_dir), "--out", str(tmp_path / "o")]) == 0
+    assert len(list(cache_dir.glob("*.lattice.txt"))) == 3
+    assert len(list(cache_dir.glob("*.result.txt"))) == 3
+    capsys.readouterr()
     assert main(["clean-cache", "--cache", str(cache_dir)]) == 0
-    assert "removed 1" in capsys.readouterr().out
-    assert not list(cache_dir.glob("*.lattice.txt"))
+    assert capsys.readouterr().out == f"removed 3 cached lattice(s) and 3 cached result(s) from {cache_dir}\n"
+    assert not list(cache_dir.iterdir())
 
 
 @pytest.mark.parametrize("where", ["a regular file", "a path under a regular file"])
@@ -750,7 +764,7 @@ def test_clean_cache_on_a_file_exits_one_with_one_error_line(tmp_path, capsys, w
 def test_clean_cache_on_a_missing_directory_removes_nothing(tmp_path, capsys):
     missing = tmp_path / "never-made"
     assert main(["clean-cache", "--cache", str(missing)]) == 0
-    assert capsys.readouterr().out == f"removed 0 cached lattice(s) from {missing}\n"
+    assert capsys.readouterr().out == f"removed 0 cached lattice(s) and 0 cached result(s) from {missing}\n"
     assert not missing.exists()
 
 
@@ -764,17 +778,23 @@ def test_clean_cache_removes_interrupted_stores_and_no_foreign_file(tmp_path, ca
         temps.append(Path(src).name)
         raise OSError("interrupted before the rename")
 
+    task = (spec, mi((2,)), 1, True, False, False)
+    payload = {"level": (2,), "betti": [1, 1], "characters": None, "generators": None}
+    cache.store_result(cache_dir, task, payload)
     monkeypatch.setattr(cache.os, "replace", interrupted)
     with pytest.raises(OSError):
         cache.store(cache_dir, spec, build_lattice(spec, mi((4,)), 2))
+    with pytest.raises(OSError):
+        cache.store_result(cache_dir, (spec, mi((3,)), 1, True, False, False), {**payload, "level": (3,)})
     monkeypatch.undo()
-    # a store killed by SIGKILL at that point skips its cleanup: plant the file
-    (cache_dir / temps[0]).write_text("partial", encoding="utf-8")
-    foreign = ["tmpk2j4x9.tmp", "notes.txt", "arrstab-notes.txt"]
+    # a store killed by SIGKILL at that point skips its cleanup: plant the files
+    for name in temps:
+        (cache_dir / name).write_text("partial", encoding="utf-8")
+    foreign = ["tmpk2j4x9.tmp", "notes.txt", "arrstab-notes.txt", "notes.result.json"]
     for name in foreign:
         (cache_dir / name).write_text("not the cache's", encoding="utf-8")
     assert main(["clean-cache", "--cache", str(cache_dir)]) == 0
-    assert "removed 1 cached lattice(s)" in capsys.readouterr().out
+    assert "removed 1 cached lattice(s) and 1 cached result(s)" in capsys.readouterr().out
     assert sorted(p.name for p in cache_dir.iterdir()) == sorted(foreign)
 
 
@@ -993,9 +1013,12 @@ def test_merged_orbits_fail_hall_and_exit_three(tmp_path, capsys):
     with pytest.raises(LatticeError, match="Hall's theorem"):
         LatticeHomology(merged).betti_report(2)
     config = write_config(tmp_path, levels={"min": [5], "max": [5]})
+    # no stored result spares the level its lattice; a failed job stores none
+    assert not list(cache_dir.glob("*.result.txt"))
     code = main(["run", "--config", str(config), "--cache", str(cache_dir), "--out", str(tmp_path / "out")])
     assert code == 3
     assert "internal error: interval of element" in capsys.readouterr().err
+    assert not list(cache_dir.glob("*.result.txt"))
 
 
 def test_cache_zero_denominator_is_a_miss_and_rebuilt(tmp_path):
@@ -1048,7 +1071,7 @@ def test_cold_cache_files_keep_their_bytes(tmp_path, job):
     args = ["run", "--config", str(config), "--cache", str(tmp_path / "c"), "--out", str(tmp_path / "o")]
     assert main(args) == 0
     found = {}
-    for path in (tmp_path / "c").iterdir():
+    for path in (tmp_path / "c").glob("*.lattice.txt"):
         data = path.read_bytes()
         found[data.decode("utf-8").splitlines()[1]] = hashlib.sha256(data).hexdigest()
     assert found == digests
@@ -1441,9 +1464,11 @@ def test_load_config_validation(tmp_path):
 
 
 def test_warm_runs_reduce_no_rows_for_the_action_orbits_or_loads(tmp_path, monkeypatch):
-    # A warm run rebuilds every lattice from the cache and maps its elements
-    # by atom names: row reductions are left to the config's generators and,
-    # in the README job, the fit, normality and freeness checks.
+    # A run on a warm lattice cache rebuilds every lattice from it and maps
+    # its elements by atom names: row reductions are left to the config's
+    # generators and, in the README job, the fit, normality and freeness
+    # checks.  The stored results are removed, so that the levels load their
+    # lattices rather than read their results back.
     workloads = json.loads(read(WORKLOADS))
     depth = 0
     calls = {"rref": 0, "inside": 0, "entered": 0}
@@ -1471,6 +1496,8 @@ def test_warm_runs_reduce_no_rows_for_the_action_orbits_or_loads(tmp_path, monke
         config.write_text(json.dumps(workloads[name]["config"]), encoding="utf-8")
         argv = ["run", "--config", str(config), "--cache", str(tmp_path / name)]
         assert main(argv + ["--out", str(tmp_path / f"{name}-cold")]) in (0, 2)
+        for path in (tmp_path / name).glob("*.result.txt"):
+            path.unlink()
         calls.update(rref=0, inside=0, entered=0)
         monkeypatch.setattr(exactlin, "_rref_rows", counting)
         load_config(config)

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrstab import arrangement, cache, checks, cli, exactlin, fim
-from arrstab.arrangement import ArrangementSpec, LatticeError, build_lattice, family_mkr
+from arrstab.arrangement import ArrangementSpec, build_lattice, family_mkr
 from arrstab.checks import (
     NormalityReport,
     NormalityViolation,
@@ -38,6 +38,7 @@ from arrstab.exactlin import (
 )
 from arrstab.fim import (
     ConjClass,
+    LatticeError,
     MultiIndex,
     PermTuple,
     ambient_dim,
@@ -847,9 +848,9 @@ def test_atom_image_outside_the_atoms_exits_three(braid, tmp_path, capsys, monke
         lat = without_name(build_lattice(braid, mi((level,)), 2), swapped)
         with pytest.raises(LatticeError, match="maps an atom name to no atom"):
             lat.act(class_representative(ConjClass(((2,) + (1,) * (level - 2),))))
-    original = cache.build_lattice
+    original = arrangement.build_lattice
     monkeypatch.setattr(
-        cache, "build_lattice", lambda *args: without_name(original(*args), swapped)
+        arrangement, "build_lattice", lambda *args: without_name(original(*args), swapped)
     )
     config = tmp_path / "job.json"
     config.write_text(
@@ -1120,7 +1121,7 @@ def scan_verify_normal(spec, degrees, get_lattice):
 def gate_without_lattices(spec):
     """``verify_normal`` with every lattice builder raising."""
     with pytest.MonkeyPatch.context() as patch:
-        for module in (arrangement, cache, checks):
+        for module in (arrangement, checks):
             patch.setattr(module, "build_lattice", never("build_lattice"))
         patch.setattr(cache.CachingBuilder, "__call__", never("CachingBuilder"))
         return verify_normal(spec)

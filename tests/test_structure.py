@@ -299,6 +299,8 @@ def test_unused_poset_and_character_helpers_are_gone():
         ("arrangement", "IntersectionLattice", "truncated"),
         ("checks", None, "_freeness_codim"),
         ("arrangement", "IntersectionLattice", "__contains__"),
+        # it lives in ``fim``, which the command loads before any engine code
+        ("homology", None, "LatticeError"),
     ]:
         scope = MODULES[module] if owner is None else next(
             node
