@@ -14,9 +14,9 @@ atoms and commutes with intersection, so construction meets one representative
 per orbit with each atom only, never with other elements, and reaches the
 other orbit members by the group generators, relabelling atom sets as it goes.
 The atoms are lattice elements themselves, so every element's atom set is kept
-as the ascending indices of its atoms, one representation from the closure to
-the cache file; the order is read off those sets with one bitset of elements
-per atom, without linear algebra.  Every name (generator, injection f) of each
+as the ascending indices of its atoms, one representation from the closure
+on; the order is read off those sets with one bitset of elements per atom,
+without linear algebra.  Every name (generator, injection f) of each
 atom f^*X is kept, so a point permutation g acts by lookup, f^*X going to
 (g o f)^*X, and relabels every element's atom set; preimages along injections
 are looked up alike.  Each orbit is walked once, under one transposition and
@@ -26,7 +26,9 @@ read.  Elements are canonically sorted by (codim, serialization), which fixes
 every downstream output byte for byte.
 
 Primitivity, normality, normalization and primitive classes live in
-``checks``, which only the outputs that use them load.
+``checks``, which only the outputs that use them load.  No lattice is stored
+on the disk: a run builds each one it needs once (``cache.CachingBuilder``),
+and the result cache holds what the reports read of it.
 """
 
 from __future__ import annotations

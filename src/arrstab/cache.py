@@ -1,36 +1,20 @@
-"""Content-addressed on-disk cache for intersection lattices.
+"""The on-disk result cache, and the run's lattice memo.
 
-Files are keyed by a hash of (spec serialization, level, max_codim) and hold
-one element per line in canonical serialization, together with the element's
-full atom set as the indices of its atoms' lines (``IntersectionLattice.atoms``,
-listed by atom serialization), the index of its orbit's representative and,
-on an atom's line, all of its names (``arrangement.Name``) in
-``enumerate_injections`` order.  A load hands those indices and names to the
-lattice as they are, so it rebuilds the order, the orbits and the group
-action without linear algebra, and keeps an integer line's canonical text as
-its element's serialization (``Subspace.parse``).  A payload checksum is
-stored alongside; a wrong format version, a checksum mismatch or a parse
-failure (a zero denominator included) makes the loader report a miss so the
-caller recomputes, and so does an orbit column in which a label is not the
-smallest index of its orbit or an orbit mixes codims, a name out of order or
-under two atoms, or an atom index at a line without names.
-
-Each (spec, level, max_codim) is its own file: a lattice is never cut down
-from one of a larger cutoff, so ``CachingBuilder`` serves a request from its
-memo, else from the disk, else by a build that it stores.
-
-Beside the lattices, each level task's result (``cli._level_worker``: its
-Betti vector, its characters and its generator characters) is its own file.
-It is keyed by SHA-256 over the package's source digest (``source_digest``,
-over every ``arrstab/*.py`` file), the spec's serialization, the level,
-``i_max`` and the task's three want flags, so any edit to the engine makes
-every stored result a miss.  The file holds canonical JSON of integers under
-a payload checksum; a payload holding another value is not stored.  A file
-with a bad checksum, another level, a character of another class count, a
-degree missing or extra, or a value that is not an integer is reported as
-corrupt, and the caller recomputes it and stores it again.  Only the lattice
-paths import ``arrangement``, so a run whose every result is stored compiles
-no lattice code.
+By finite generation every report is a function of per-level results, so
+the cache holds those and no lattice: each level task's result
+(``cli._level_worker``: its Betti vector, characters and generator
+characters), and a freeness job's lattice step (``checks.freeness_step``:
+its primitive classes and each level's orbit table), one file each.  A file
+is named by SHA-256 over the spec's serialization, the level (the level
+range for the step), ``i_max`` and the wants, and holds the package's source
+digest (``source_digest``) and canonical JSON under a payload checksum.  A
+file of other sources is a miss that the next store overwrites, so an engine
+edit leaves one file per task.  A payload that a load would reject, such as
+one holding a Fraction, is not stored; a file with a bad checksum or a value
+of another shape or type is corrupt, and is recomputed and stored again.
+Only the memo's build imports the engine, so a run whose every result is
+stored compiles no lattice code; ``CachingBuilder`` builds each lattice once
+per process and never writes one.
 
 SHA-256 comes from the interpreter's built-in module, which, unlike
 ``hashlib``, loads no OpenSSL; ``hashlib`` serves builds without one.
@@ -44,8 +28,7 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .exactlin import Subspace
-from .fim import ArrangementSpec, MultiIndex, conj_classes, parse_images, render_images
+from .fim import ArrangementSpec, MultiIndex, conj_classes
 
 if TYPE_CHECKING:
     from .arrangement import IntersectionLattice
@@ -58,38 +41,14 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-_MAGIC = "arrstab-lattice v4"
-_SUFFIX = ".lattice.txt"
-_RESULT_MAGIC = "arrstab-result v1"
-_RESULT_SUFFIX = ".result.txt"
+_MAGIC = "arrstab-result v2"
+_SUFFIX = ".result.txt"
+_LATTICE_SUFFIX = ".lattice.txt"  # the lattice files of earlier versions, which ``clean`` removes
 _TEMP_PREFIX = "arrstab-store-"  # a store's file until its rename
 
 
-def lattice_key(spec: ArrangementSpec, level: MultiIndex, max_codim: int) -> str:
-    payload = f"{spec.serialize()}\n{level.render()}\n{max_codim}"
-    return sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _parse_name(text: str):
-    head, _, body = text.partition("@")
-    return int(head[1:]), parse_images(body)
-
-
-def _payload_lines(lat: IntersectionLattice) -> list[str]:
-    names: dict[int, list[str]] = {}
-    for (gi, images), atom in sorted(lat.atom_names.items()):
-        names.setdefault(atom, []).append(f"g{gi}@{render_images(images)}")
-    rank = {a: k for k, a in enumerate(sorted(names, key=lambda a: lat.elements[a].serialization))}
-    return [
-        f"{element.serialize()}\t"
-        + ",".join(map(str, sorted(atoms, key=rank.__getitem__)))
-        + f"\t{orbit[0]}\t{'&'.join(names.get(idx, ()))}"
-        for idx, (element, atoms, orbit) in enumerate(zip(lat.elements, lat.atoms, lat.orbits))
-    ]
-
-
-def _payload_hash(lines: list[str]) -> str:
-    return sha256("\n".join(lines).encode("utf-8")).hexdigest()
+def _hex(text: str) -> str:
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
 def _write(cache_dir: Path, name: str, text: str) -> Path:
@@ -110,76 +69,11 @@ def _write(cache_dir: Path, name: str, text: str) -> Path:
     return target
 
 
-def store(cache_dir: Path | str, spec: ArrangementSpec, lat: IntersectionLattice) -> Path:
-    key = lattice_key(spec, lat.level, lat.max_codim)
-    lines = _payload_lines(lat)
-    header = [
-        _MAGIC,
-        f"level={lat.level.render()}",
-        f"max_codim={lat.max_codim}",
-        f"r={lat.r}",
-        f"count={len(lines)}",
-        f"payload-sha256={_payload_hash(lines)}",
-    ]
-    return _write(Path(cache_dir), f"{key}{_SUFFIX}", "\n".join(header + lines) + "\n")
-
-
-def load(
-    cache_dir: Path | str,
-    spec: ArrangementSpec,
-    level: MultiIndex,
-    max_codim: int,
-) -> IntersectionLattice | None:
-    """Return the cached lattice, or None on miss or detected corruption."""
-    path = Path(cache_dir) / f"{lattice_key(spec, level, max_codim)}{_SUFFIX}"
-    if not path.is_file():
-        return None
-    try:
-        raw = path.read_text(encoding="utf-8").splitlines()
-        if raw[0] != _MAGIC:
-            return None
-        meta = dict(line.split("=", 1) for line in raw[1:6])
-        if (
-            MultiIndex.parse(meta["level"]) != level
-            or int(meta["max_codim"]) != max_codim
-            or int(meta["r"]) != spec.r
-        ):
-            return None
-        count = int(meta["count"])
-        lines = raw[6 : 6 + count]
-        if len(lines) != count or _payload_hash(lines) != meta["payload-sha256"]:
-            return None
-        elements, atom_sets, labels = [], [], []
-        names: dict = {}
-        for idx, line in enumerate(lines):
-            serial, atoms, label, named = line.split("\t")
-            elements.append(Subspace.parse(serial))
-            atom_sets.append(tuple(map(int, atoms.split(","))))
-            labels.append(int(label))
-            if named:
-                own = [_parse_name(text) for text in named.split("&")]
-                if own != sorted(set(own)) or any(names.setdefault(x, idx) != idx for x in own):
-                    return None
-        from .arrangement import IntersectionLattice
-
-        # a ValueError here: an atom index at a line with no names
-        lat = IntersectionLattice(level, max_codim, spec.r, elements, atom_sets, labels, names)
-        for label, orbit in zip(labels, lat.orbits):
-            if label != orbit[0] or lat.codims[orbit[0]] != lat.codims[orbit[-1]]:
-                return None
-        return lat
-    except (ValueError, KeyError, IndexError, ZeroDivisionError):
-        # ZeroDivisionError: a checksum-valid entry such as "1/0"
-        return None
-
-
 class CachingBuilder:
-    """Lattice builder with an in-memory memo and optional disk persistence:
-    a request is served from the memo, else from the disk, else built (and
-    stored)."""
+    """Lattice builder with an in-memory memo: each (spec, level, max_codim)
+    is built once, on its first request."""
 
-    def __init__(self, cache_dir: Path | str | None = None):
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+    def __init__(self):
         self._memo: dict[tuple[str, MultiIndex, int], IntersectionLattice] = {}
 
     def __call__(
@@ -187,17 +81,10 @@ class CachingBuilder:
     ) -> IntersectionLattice:
         key = (spec.serialize(), level, max_codim)
         lat = self._memo.get(key)
-        if lat is not None:
-            return lat
-        if self.cache_dir is not None:
-            lat = load(self.cache_dir, spec, level, max_codim)
         if lat is None:
             from .arrangement import build_lattice
 
-            lat = build_lattice(spec, level, max_codim)
-            if self.cache_dir is not None:
-                store(self.cache_dir, spec, lat)
-        self._memo[key] = lat
+            lat = self._memo[key] = build_lattice(spec, level, max_codim)
         return lat
 
 
@@ -214,12 +101,12 @@ def source_digest() -> str:
 
 
 def result_key(task: tuple) -> str:
-    """The key of a level task ``(spec, level, i_max, want_betti, want_chars,
-    want_gens)``."""
-    spec, level, i_max, *wants = task
-    flags = "".join("01"[bool(w)] for w in wants)
-    payload = f"{source_digest()}\n{spec.serialize()}\n{level.render()}\n{i_max}\n{flags}"
-    return sha256(payload.encode("utf-8")).hexdigest()
+    """The file name key of a level task ``(spec, level, i_max, want_betti,
+    want_chars, want_gens)`` or of a freeness step ``(spec, levels, i_max)``."""
+    spec, where, i_max, *wants = task
+    where = where.render() if wants else f"{where[0].render()}..{where[-1].render()}"
+    flags = "".join("01"[bool(w)] for w in wants) or "freeness"
+    return _hex(f"{spec.serialize()}\n{where}\n{i_max}\n{flags}")
 
 
 def _counts(values, length: int) -> bool:
@@ -227,11 +114,11 @@ def _counts(values, length: int) -> bool:
     return isinstance(values, list) and len(values) == length and all(type(v) is int for v in values)
 
 
-def _check_result(data: dict, task: tuple) -> None:
-    """Raise ValueError unless ``data`` is a result of ``task``: H^0..H^i_max's
-    Betti numbers and characters and H^1..H^i_max's generator characters
-    where wanted, None elsewhere, every value an integer and every character
-    of the level's class count."""
+def _check_level(data: dict, task: tuple) -> None:
+    """Raise ValueError unless ``data`` is a result of the level task: H^0..H^i_max's
+    Betti numbers and characters and H^1..H^i_max's generator characters, as
+    [serialization, values] pairs, where wanted, None elsewhere, every value
+    an integer and every character of the level's class count."""
     spec, level, i_max, want_betti, want_chars, want_gens = task
     if set(data) != {"level", "betti", "characters", "generators"}:
         raise ValueError("result with other fields")
@@ -252,60 +139,73 @@ def _check_result(data: dict, task: tuple) -> None:
         raise ValueError("a character of another class count, or not of integers")
 
 
-def store_result(cache_dir: Path | str, task: tuple, payload: dict) -> Path | None:
-    """Store a level task's payload (``result_key``); a payload holding a
-    value that is not an integer is not stored, and gives None."""
-    chars, gens = payload["characters"], payload["generators"]
-    data = {
-        "level": list(payload["level"]),
-        "betti": payload["betti"],
-        "characters": None if chars is None else list(map(list, chars)),
-        # H^i's generator characters at index i - 1, in the worker's order
-        "generators": None if gens is None else [
-            [[x, list(values)] for x, values in gens[i].items()] for i in sorted(gens)
-        ],
-    }
+def _check_step(data: dict, task: tuple) -> None:
+    """Raise ValueError unless ``data`` is a freeness step of the task's spec
+    and levels: each class [degree, codim, stabilizer order, serialization],
+    and per level [class, elements, binomial classes] rows."""
+    spec, levels, _ = task
+    if set(data) != {"classes", "orbits"}:
+        raise ValueError("freeness step with other fields")
+    classes, orbits = data["classes"], data["orbits"]
+    if not all(
+        len(c) == 4 and _counts(c[0], spec.m) and _counts(c[1:3], 2) and type(c[3]) is str for c in classes
+    ):
+        raise ValueError("a class of another shape")
+    rows = [row for table in orbits for row in table]
+    if len(orbits) != len(levels) or not all(_counts(row, 3) and 0 <= row[0] < len(classes) for row in rows):
+        raise ValueError("an orbit table of another level count or class")
+
+
+def _check(data: dict, task: tuple) -> None:
+    """Raise ValueError unless ``data`` is a payload of ``task``."""
+    (_check_step if len(task) == 3 else _check_level)(data, task)
+
+
+def store(cache_dir: Path | str, task: tuple, payload: dict) -> Path | None:
+    """Store a task's payload (``result_key``); a payload that its load
+    would not pass, such as one holding a Fraction, is not stored, and gives
+    None."""
     try:
-        _check_result(data, task)
-    except ValueError:
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        _check(json.loads(body), task)
+    except (TypeError, ValueError):
         return None
-    body = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    text = f"{_RESULT_MAGIC}\npayload-sha256={sha256(body.encode('utf-8')).hexdigest()}\n{body}\n"
-    return _write(Path(cache_dir), f"{result_key(task)}{_RESULT_SUFFIX}", text)
+    text = f"{_MAGIC}\nsource-sha256={source_digest()}\npayload-sha256={_hex(body)}\n{body}\n"
+    return _write(Path(cache_dir), f"{result_key(task)}{_SUFFIX}", text)
 
 
-def load_result(cache_dir: Path | str, task: tuple) -> tuple[dict | None, str]:
-    """A level task's stored payload and the event: ``hit``, else None and
-    ``miss`` (no file) or ``corrupt`` (a file that fails a check)."""
-    path = Path(cache_dir) / f"{result_key(task)}{_RESULT_SUFFIX}"
+def load(cache_dir: Path | str, task: tuple) -> dict | None:
+    """A task's stored payload, or None on a miss: no file, or one stored by
+    other sources.  A file that fails a check raises ValueError."""
+    path = Path(cache_dir) / f"{result_key(task)}{_SUFFIX}"
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
-        return None, "miss"
+        return None
+    magic, source, checksum, body = text.splitlines()  # else a ValueError
+    if magic != _MAGIC or checksum != f"payload-sha256={_hex(body)}":
+        raise ValueError(f"{path.name} is no result file, or fails its checksum")
+    if source != f"source-sha256={source_digest()}":
+        return None
     try:
-        magic, checksum, body = text.splitlines()
-        if magic != _RESULT_MAGIC or checksum != f"payload-sha256={sha256(body.encode('utf-8')).hexdigest()}":
-            return None, "corrupt"
         data = json.loads(body)
-        _check_result(data, task)
-    except (ValueError, KeyError, TypeError, IndexError):
-        return None, "corrupt"
-    if data["generators"] is not None:
-        data["generators"] = {i: dict(pairs) for i, pairs in enumerate(data["generators"], 1)}
-    return data, "hit"
+        _check(data, task)
+    except (TypeError, KeyError, IndexError) as exc:
+        raise ValueError(f"{path.name} holds another shape") from exc
+    return data
 
 
 def clean(cache_dir: Path | str) -> tuple[int, int]:
-    """Remove all lattice and result files, and the files of stores killed
-    before their rename; returns how many lattice and result files were
-    deleted."""
+    """Remove all result files, the lattice files of earlier versions, and
+    the files of stores killed before their rename; returns how many lattice
+    and result files were deleted."""
     cache_dir = Path(cache_dir)
     try:
         names = os.listdir(cache_dir)
     except FileNotFoundError:  # nothing cached; a file in the way raises
         return 0, 0
-    lattices = [name for name in names if name.endswith(_SUFFIX)]
-    results = [name for name in names if name.endswith(_RESULT_SUFFIX)]
+    lattices = [name for name in names if name.endswith(_LATTICE_SUFFIX)]
+    results = [name for name in names if name.endswith(_SUFFIX)]
     temps = [name for name in names if name.startswith(_TEMP_PREFIX) and name.endswith(".tmp")]
     for name in lattices + results + temps:
         (cache_dir / name).unlink()

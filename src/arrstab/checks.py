@@ -11,9 +11,11 @@ one point down against the atoms there, with no lattice built.  The fit and
 twisted Betti numbers import ``polynomial`` where they run.  Only the ``fit``,
 ``freeness``, ``normalize`` and ``twisted`` outputs load this module; each
 output's function takes the level results as plain maps and returns its
-report rows, entries and findings.  The paper's lemma that lower intervals
-map isomorphically along injections is checked by the tests, as a property
-of every lattice they build, not by a command.
+report rows, entries and findings.  The freeness output reads its lattices'
+part, the primitive classes and each level's orbit table, as the plain data
+of ``freeness_step``, which the result cache stores.  The paper's lemma that
+lower intervals map isomorphically along injections is checked by the tests,
+as a property of every lattice they build, not by a command.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ class NormalityReport:
     violation: NormalityViolation | None = None
 
 
+@cache
 def verify_normal(spec: ArrangementSpec) -> NormalityReport:
     """Check that kernel-containing elements are preimages from below.
 
@@ -81,7 +84,9 @@ def verify_normal(spec: ArrangementSpec) -> NormalityReport:
     phi induces; an injection of corank >= 2 factors through one of corank
     one whose image holds its own, so by induction on the generator degree
     corank one suffices.  A primitive generator has no such f, no lattice is
-    built, and the first failure is the report's violation.
+    built, and the first failure is the report's violation.  The verdict
+    depends on the spec alone, so it is reached once per spec: a freeness
+    job's gate and its ``primitive_classes`` share it.
     """
     atoms_at: dict[MultiIndex, list[Subspace]] = {}
     for d, g in spec.generators:
@@ -194,6 +199,11 @@ class PrimitiveClass:
     @property
     def codim(self) -> int:
         return self.subspace.codim
+
+
+# a primitive class as the freeness check reads it: its degree, codim,
+# stabilizer order and its representative's serialization
+ClassRow = tuple[MultiIndex, int, int, str]
 
 
 def primitive_classes(
@@ -363,7 +373,7 @@ def verify_free_decomposition(
     i: int,
     matches: Mapping[MultiIndex, bool],
     generators: Mapping[MultiIndex, Mapping[str, ClassFunction]],
-    classes: Sequence[PrimitiveClass],
+    classes: Sequence[ClassRow],
 ) -> FreenessReport:
     """Check H^i decomposes as induced modules over primitive classes.
 
@@ -375,14 +385,14 @@ def verify_free_decomposition(
     also checked against i times the top generator degree, which a primitive
     class of codim c <= i, a meet of at most c atoms, never exceeds.
 
-    ``classes`` may be ``primitive_classes(spec, c, ...)`` for any c >= i:
-    its classes of codim at most i are, in order, those of codim i.
+    ``classes`` are the rows of ``primitive_classes(spec, c, ...)`` for any
+    c >= i: its classes of codim at most i are, in order, those of codim i.
     """
     bound = degree_times(i, spec.cmax)
     summaries = tuple(
-        FreenessClassSummary(cls.degree, cls.codim, cls.stabilizer_order, gen, cls.degree.leq(bound))
-        for cls in classes
-        if cls.codim <= i and (gen := generators[cls.degree].get(cls.subspace.serialization))
+        FreenessClassSummary(degree, codim, stabilizer_order, gen, degree.leq(bound))
+        for degree, codim, stabilizer_order, serialization in classes
+        if codim <= i and (gen := generators[degree].get(serialization))
     )
     return FreenessReport(i, summaries, tuple(matches.items()), bound)
 
@@ -423,11 +433,35 @@ ByDegree = Sequence[Mapping[MultiIndex, ClassFunction]]
 Matches = Sequence[Mapping[MultiIndex, bool]]
 
 
+def freeness_step(
+    spec: ArrangementSpec, levels: Sequence[MultiIndex], i_max: int, get: LatticeBuilder
+) -> dict:
+    """The part of the ``freeness`` output that reads lattices, as plain data
+    that the result cache stores: ``classes``, the ``ClassRow`` of each
+    primitive class of codim <= i_max with its degree as a list, and
+    ``orbits``, each level's [class, elements, binomial classes] rows of its
+    ``orbit_decomposition``, by class.  ``get`` is the run's builder."""
+    if i_max < 1:
+        return {"classes": [], "orbits": [[] for _ in levels]}
+    # every degree reads its classes off the top degree's
+    classes = primitive_classes(spec, i_max, get)
+    blocks = [orbit_decomposition(get(spec, level, i_max), classes).blocks() for level in levels]
+    return {
+        "classes": [
+            [list(c.degree), c.codim, c.stabilizer_order, c.subspace.serialization] for c in classes
+        ],
+        "orbits": [
+            [[ci, sum(map(len, keyed.values())), len(keyed)] for ci, keyed in sorted(b.items())]
+            for b in blocks
+        ],
+    }
+
+
 def freeness_output(
     spec: ArrangementSpec,
     matches: Matches,
     generators: Sequence[Mapping[MultiIndex, Mapping[str, ClassFunction]]],
-    get: LatticeBuilder,
+    step: dict,
     log: Callable[[str], None],
 ):
     """The ``freeness`` output of a job: its CSV rows, its report entries
@@ -436,11 +470,10 @@ def freeness_output(
     ``generators[i]`` maps each computed degree to H^i's
     ``primitive_characters`` (empty at i = 0), and ``matches[i]`` says
     whether the module they induce has H^i's character at each level.
-    ``get`` is the run's builder."""
+    ``step`` is the job's ``freeness_step``, computed or stored."""
     i_max = len(matches) - 1
     levels = list(matches[0])
-    # every degree reads its classes off the top degree's
-    classes = primitive_classes(spec, i_max, get) if i_max >= 1 else ()
+    classes = [(MultiIndex(degree), *rest) for degree, *rest in step["classes"]]
     rows = []
     detail = []
     findings = []
@@ -479,17 +512,13 @@ def freeness_output(
         )
     entries = {"freeness": detail}
     if i_max >= 1:
-        orbit_summary = {}
-        for level in levels:
-            blocks = orbit_decomposition(get(spec, level, i_max), classes).blocks()
-            orbit_summary[level.render()] = {
-                str(ci): {
-                    "elements": sum(len(v) for v in keyed.values()),
-                    "binomial_classes": len(keyed),
-                }
-                for ci, keyed in sorted(blocks.items())
+        entries["orbits"] = {
+            level.render(): {
+                str(ci): {"elements": elements, "binomial_classes": binomial}
+                for ci, elements, binomial in table
             }
-        entries["orbits"] = orbit_summary
+            for level, table in zip(levels, step["orbits"])
+        }
     return rows, entries, findings
 
 

@@ -7,8 +7,8 @@ polynomial that misses a computed character or exceeds the fit degree bound,
 freeness mismatch, stability onset later than predicted), 1 on usage or
 configuration errors and on an ``OSError`` (an ``--out`` or ``--cache``
 directory that cannot be created or written), and 3 when the engine fails
-an internal consistency check (``LatticeError``, e.g. a corrupted lattice,
-or an engine ``AssertionError`` or ``KeyError``).
+an internal consistency check (``LatticeError``, e.g. a lattice whose group
+action leaves it, or an engine ``AssertionError`` or ``KeyError``).
 
 Each level is computed on its own.  ``--jobs N`` splits the levels into at
 most N shares, at most one per level, balanced by |Aut(n)|; the command
@@ -18,13 +18,15 @@ For the fit and freeness each task also returns its degree's generator
 characters, and a class degree outside the levels is a task of its own;
 ``run`` sums them into one primitive table per H^i and compares the
 character it induces with H^i's at each level once, for both outputs.
-A task returns plain data, class functions as values in ``conj_classes``
-order: a forked share is sent as ``marshal`` data, and pickled only for an
-exception or a ``Fraction``.  ``run`` first looks each task up in the
-result cache (``cache.load_result``) and computes only the misses, so a run
-whose every task is stored forks nothing and compiles no lattice or
-homology code; the command's own process stores each computed result once
-every share has returned.
+A task returns plain data as the result cache stores it, class functions as
+values in ``conj_classes`` order: a forked share is sent as ``marshal``
+data, and pickled only for an exception or a ``Fraction``.  ``run`` looks
+each task up in the result cache (``cache.load``) and computes only the
+misses, so a run whose every task is stored forks nothing and compiles no
+lattice or homology code; its own process stores each computed result once
+every share has returned, and then, on a miss, computes and stores a
+freeness job's lattice step (``checks.freeness_step``) from the lattices it
+built itself.
 
 Start-up loads only the config layer (``record``, ``fim`` and, through it,
 ``exactlin``); a twisted polynomial in the config also loads ``polynomial``.
@@ -245,10 +247,11 @@ def _level_worker(args):
     if want_generators:
         from .checks import primitive_characters
 
-        payload["generators"] = {
-            i: {x: tuple(map(ch, classes)) for x, ch in primitive_characters(spec, ctx, i).items()}
+        # H^i's at index i - 1, as (serialization, values) pairs
+        payload["generators"] = [
+            [(x, tuple(map(ch, classes))) for x, ch in primitive_characters(spec, ctx, i).items()]
             for i in range(1, i_max + 1)
-        }
+        ]
     return payload
 
 
@@ -369,9 +372,9 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
     """Execute the configured computations and write the report files.
 
     A ``freeness`` job on a spec that is not normal raises ValueError before
-    any task runs.  ``verbose`` logs each task's result cache event to
-    standard error."""
-    from .cache import CachingBuilder
+    any task runs.  ``verbose`` logs each task's result cache event, and the
+    freeness step's, to standard error."""
+    from .cache import CachingBuilder, load, store
     from .characters import invariants_dim, stability_report
 
     def log(message: str) -> None:
@@ -388,11 +391,25 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
             raise ValueError("spec is not normal on its generator degrees")
     out_dir = Path(config.out_dir or DEFAULT_OUT)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # one builder per command: the freeness block reads the lattices the
-    # level workers built or loaded from its memo (a forked share gets a copy)
-    get = CachingBuilder(config.cache_dir)
+    # one memo per command: the freeness step reads the lattices that the
+    # level tasks of this process built (a forked share gets a copy)
+    get = CachingBuilder()
     findings: list[str] = []
     results: dict[str, object] = {}
+    events = {"hit": 0, "miss": 0, "corrupt": 0}
+
+    def lookup(task, name: str):  # the stored result, or None; logs the event
+        if config.cache_dir is None:
+            return None
+        try:
+            payload = load(config.cache_dir, task)
+        except ValueError:
+            payload, event = None, "corrupt"
+        else:
+            event = "miss" if payload is None else "hit"
+        events[event] += 1
+        log(f"result {event} {name}")
+        return payload
 
     want_chars = bool(
         {"characters", "fit", "freeness", "stability", "twisted"} & set(config.outputs)
@@ -408,31 +425,18 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
         tasks = [(spec, n, config.i_max, want_betti, want_chars, want_gens, get) for n in levels]
         tasks += [(spec, e, config.i_max, False, False, True, get) for e in extra]
         # a task's result is read back from the cache where it is stored
-        found = {}
-        misses = tasks
+        found = {task[1]: lookup(task[:6], task[1].render()) for task in tasks}
         if config.cache_dir is not None:
-            from .cache import load_result, store_result
-
-            events = {"hit": 0, "miss": 0, "corrupt": 0}
-            misses = []
-            for task in tasks:
-                payload, event = load_result(config.cache_dir, task[:6])
-                events[event] += 1
-                log(f"result {event} {task[1].render()}")
-                if payload is None:
-                    misses.append(task)
-                else:
-                    found[task[1]] = payload
             log("results: " + ", ".join(f"{count} {event}" for event, count in events.items()))
+        misses = [task for task in tasks if found[task[1]] is None]
         if misses:
             # one share keeps the tasks in ascending order
             shares = _split_levels(misses, jobs) if jobs > 1 and hasattr(os, "fork") else [misses]
             log(f"computing {len(misses)} of {len(tasks)} tasks in {len(shares)} processes")
-            computed = {MultiIndex(p["level"]): p for p in _run_shares(shares)}
-            found.update(computed)
+            found.update((MultiIndex(p["level"]), p) for p in _run_shares(shares))
             if config.cache_dir is not None:
                 for task in misses:
-                    store_result(config.cache_dir, task[:6], computed[task[1]])
+                    store(config.cache_dir, task[:6], found[task[1]])
         payloads = [found[task[1]] for task in tasks]
     by_level = {MultiIndex(p["level"]): p for p in payloads}
 
@@ -448,7 +452,7 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
         for i in range(config.i_max + 1 if want_chars else 0)
     ]
     generators = [{}] + [
-        {e: {x: chi(e, v) for x, v in p["generators"][i].items()} for e, p in by_level.items()}
+        {e: {x: chi(e, v) for x, v in p["generators"][i - 1]} for e, p in by_level.items()}
         for i in range(1, config.i_max + 1 if want_gens else 0)
     ]
     tables = [primitive_table(i, g) for i, g in enumerate(generators)] if want_gens else []
@@ -483,9 +487,16 @@ def run(config: JobConfig, jobs: int = 1, verbose: bool = False) -> int:
         findings += found
 
     if "freeness" in config.outputs:
-        from .checks import freeness_output
+        from .checks import freeness_output, freeness_step
 
-        rows, entries, found = freeness_output(spec, matches, generators, get, log)
+        # the lattices' part of the check is stored like a level task's result
+        task = (spec, levels, config.i_max)
+        step = lookup(task, "freeness")
+        if step is None:
+            step = freeness_step(spec, levels, config.i_max, get)
+            if config.cache_dir is not None:
+                store(config.cache_dir, task, step)
+        rows, entries, found = freeness_output(spec, matches, generators, step, log)
         findings += found
         results.update(entries)
         _write_csv(out_dir / "freeness.csv", ["i", "level", "match"], rows)
@@ -590,7 +601,7 @@ def main(argv: list[str] | None = None) -> int:
 
     run_parser = sub.add_parser("run", help="execute a job described by a config file")
     run_parser.add_argument("--config", required=True, help="path to the JSON job config")
-    run_parser.add_argument("--cache", default=None, help="lattice and result cache directory")
+    run_parser.add_argument("--cache", default=None, help="result cache directory")
     run_parser.add_argument("--out", default=None, help="report output directory")
     run_parser.add_argument(
         "--jobs",
@@ -602,8 +613,8 @@ def main(argv: list[str] | None = None) -> int:
 
     sub.add_parser("catalog", help="list the named arrangement families")
 
-    clean_parser = sub.add_parser("clean-cache", help="delete cached lattices and results")
-    clean_parser.add_argument("--cache", default=None, help="lattice and result cache directory")
+    clean_parser = sub.add_parser("clean-cache", help="delete cached results")
+    clean_parser.add_argument("--cache", default=None, help="result cache directory")
 
     args = parser.parse_args(argv)
 
@@ -632,9 +643,9 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("--jobs must be at least 1")
         return run(config, jobs=args.jobs, verbose=args.verbose)
     except (LatticeError, AssertionError, KeyError) as exc:
-        # an engine invariant failed (e.g. a corrupted lattice) or an engine
-        # lookup missed; config lookups raise ConfigError instead.  Not the
-        # user's input, and not a finding
+        # an engine invariant failed (e.g. a group action that leaves the
+        # lattice) or an engine lookup missed; config lookups raise
+        # ConfigError instead.  Not the user's input, and not a finding
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -31,7 +31,6 @@ from .record import record
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_CANONICAL_INTS = "(?:0|[1-9][0-9]*):(?:(?:0|-?[1-9][0-9]*)(?:[,;](?:0|-?[1-9][0-9]*))*)?"
 
 Vector = tuple[Fraction, ...]
 
@@ -278,19 +277,6 @@ class Subspace:
 
     def serialize(self) -> str:
         return self.serialization
-
-    @classmethod
-    def parse(cls, text: str) -> "Subspace":
-        """The subspace serialized as ``text``, kept as its serialization when
-        it is ints written as ``str`` writes them (``_CANONICAL_INTS``, compiled
-        on first use).  "p/q" stays a Fraction, so "1/0" raises ZeroDivisionError."""
-        head, _, body = text.partition(":")
-        entry = int if "/" not in body else lambda e: Fraction(e) if "/" in e else int(e)
-        rows = tuple(tuple(map(entry, row.split(","))) for row in body.split(";")) if body else ()
-        x = cls(int(head), RationalMatrix(rows, int(head)))
-        if entry is int and re.fullmatch(_CANONICAL_INTS, text):
-            x.__dict__["serialization"] = text  # read by the cached property
-        return x
 
     def __repr__(self):
         return f"Subspace({self.serialization!r})"

@@ -134,14 +134,6 @@ class Injection:
 Images = tuple[tuple[int, ...], ...]  # the component images of a map
 
 
-def parse_images(text: str) -> Images:
-    return tuple(tuple(map(int, chunk.split(","))) if chunk else () for chunk in text.split("|"))
-
-
-def render_images(images: Images) -> str:
-    return "|".join(",".join(map(str, imgs)) for imgs in images)
-
-
 def compose_images(outer: Images, inner: Images) -> Images:
     """The images of outer o inner, each map given by its images."""
     return tuple(tuple(out[i] for i in imgs) for out, imgs in zip(outer, inner))

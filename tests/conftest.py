@@ -32,9 +32,9 @@ def braid():
 
 @pytest.fixture(scope="session")
 def freeness_inputs(get_lattice):
-    """The generator characters, primitive classes and primitive table that
-    ``verify_free_decomposition`` reads for H^i, from one homology context
-    per class degree on its codim-i lattice."""
+    """The generator characters, primitive classes (as ``ClassRow``s) and
+    primitive table that ``verify_free_decomposition`` reads for H^i, from
+    one homology context per class degree on its codim-i lattice."""
     from arrstab.checks import class_degrees, primitive_characters, primitive_classes, primitive_table
     from arrstab.homology import LatticeHomology
 
@@ -43,7 +43,11 @@ def freeness_inputs(get_lattice):
             e: primitive_characters(spec, LatticeHomology(get_lattice(spec, e, i)), i)
             for e in class_degrees(spec, i)
         }
-        return generators, primitive_classes(spec, i, get_lattice), primitive_table(i, generators)
+        classes = [
+            (c.degree, c.codim, c.stabilizer_order, c.subspace.serialization)
+            for c in primitive_classes(spec, i, get_lattice)
+        ]
+        return generators, classes, primitive_table(i, generators)
 
     return inputs
 

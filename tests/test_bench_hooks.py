@@ -46,17 +46,18 @@ def test_traced_entry_point_resolves(module, attr):
     assert callable(target)
 
 
-def traced_run(tmp_path, name, **job):
+def traced_run(tmp_path, name, phase="cold", **job):
     """Per-layer counts and times of one traced ``arrstab run`` of a braid
-    job at levels 2..4, with two processes."""
+    job at levels 2..4, with two processes; the phases of one name share
+    a cache."""
     root = TRACER.parent.parent
     config = tmp_path / f"{name}.json"
     family = {"kind": "mkr", "m": 1, "k": 2, "r": 1}
     config.write_text(json.dumps({"family": family, "levels": {"min": [2], "max": [4]}, **job}), encoding="utf-8")
-    trace_dir = tmp_path / f"trace-{name}"
+    trace_dir = tmp_path / f"trace-{name}-{phase}"
     trace_dir.mkdir()
     argv = ["run", "--config", str(config), "--cache", str(tmp_path / f"c-{name}")]
-    argv += ["--out", str(tmp_path / f"o-{name}"), "--jobs", "2"]
+    argv += ["--out", str(tmp_path / f"o-{name}-{phase}"), "--jobs", "2"]
     subprocess.run(
         [sys.executable, str(root / "perfbench" / "traced_cli.py"), str(trace_dir), *argv],
         env={**os.environ, "PYTHONPATH": str(root / "src")},
@@ -91,3 +92,22 @@ def test_tracer_sees_the_calls_that_cli_imports_when_it_runs(tmp_path):
         "arrangement.primitive_classes.s",
     ):
         assert time_values[name] > 0, name
+
+
+def test_warm_traced_fit_and_freeness_job_builds_no_lattice(tmp_path):
+    # the gate that ``perfbench/run.py`` applies to every traced pair: the
+    # warm job reads each level task's result and the freeness step back
+    job = {"i_max": 2, "outputs": ["fit", "freeness"]}
+    cold, _ = traced_run(tmp_path, "braid-pair", "cold", **job)
+    warm, _ = traced_run(tmp_path, "braid-pair", "warm", **job)
+    assert cold["arrangement.build_lattice.calls"] > 0
+    assert warm["arrangement.build_lattice.calls"] == 0
+    # three level tasks and the freeness step, each a result load
+    assert (cold["cache.load.calls"], cold["cache.load.hits"]) == (4, 0)
+    assert (warm["cache.load.calls"], warm["cache.load.hits"]) == (4, 4)
+    assert warm["cli.processes"] == 1
+    cold_files, warm_files = (
+        {path.name: path.read_bytes() for path in (tmp_path / f"o-braid-pair-{phase}").iterdir()}
+        for phase in ("cold", "warm")
+    )
+    assert cold_files == warm_files

@@ -1,9 +1,8 @@
-"""Cache digests against ``hashlib``, and loaded lattices against fresh builds.
+"""Cache digests against ``hashlib``.
 
 The cache takes SHA-256 from the interpreter's built-in module and falls
-back to ``hashlib`` where there is none; file names and payload checksums
-must be ``hashlib.sha256`` either way.  A loaded lattice makes its order
-table on first use, and it must be a fresh build's.
+back to ``hashlib`` where there is none; result file names, source digests
+and payload checksums must be ``hashlib.sha256`` either way.
 """
 
 import hashlib
@@ -27,18 +26,25 @@ def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def betti_task(spec, level, i_max):
+    """A level task that wants Betti numbers alone, and a payload of it."""
+    payload = {"level": tuple(level), "betti": [1] * (i_max + 1), "characters": None, "generators": None}
+    return (spec, level, i_max, True, False, False), payload
+
+
 @pytest.mark.parametrize("spec, level, max_codim", FAMILY_CASES)
-def test_file_name_and_payload_checksum_are_hashlib_sha256(
-    tmp_path, get_lattice, spec, level, max_codim
-):
+def test_file_name_and_payload_checksum_are_hashlib_sha256(tmp_path, spec, level, max_codim):
     level = MultiIndex(level)
-    path = cache.store(tmp_path, spec, get_lattice(spec, level, max_codim))
-    key = sha256_hex(f"{spec.serialize()}\n{level.render()}\n{max_codim}")
-    assert path.name == f"{key}.lattice.txt"
-    lines = path.read_text(encoding="utf-8").splitlines()
-    payload = "\n".join(lines[6:])
-    assert lines[5] == f"payload-sha256={sha256_hex(payload)}"
-    assert cache.load(tmp_path, spec, level, max_codim) is not None
+    task, payload = betti_task(spec, level, max_codim)
+    path = cache.store(tmp_path, task, payload)
+    key = sha256_hex(f"{spec.serialize()}\n{level.render()}\n{max_codim}\n100")
+    assert path.name == f"{key}.result.txt"
+    magic, source, checksum, body = path.read_text(encoding="utf-8").splitlines()
+    assert magic == "arrstab-result v2"
+    assert source == f"source-sha256={cache.source_digest()}"
+    assert checksum == f"payload-sha256={sha256_hex(body)}"
+    assert json.loads(body) == {**payload, "level": list(level)}
+    assert cache.load(tmp_path, task) == json.loads(body)
 
 
 # Blocks the built-in modules before ``arrstab.cache`` is imported, so that it
@@ -48,8 +54,8 @@ import json, pickle, sys
 sys.modules["_sha2"] = sys.modules["_sha256"] = None
 from arrstab import cache
 cases = pickle.load(sys.stdin.buffer)
-keys = [cache.lattice_key(spec, level, codim) for spec, level, codim in cases]
-print(json.dumps({"hashlib": "hashlib" in sys.modules, "keys": keys}))
+keys = [cache.result_key((spec, level, codim, True, False, False)) for spec, level, codim in cases]
+print(json.dumps({"hashlib": "hashlib" in sys.modules, "keys": keys, "source": cache.source_digest()}))
 """
 
 
@@ -66,21 +72,7 @@ def test_hashlib_fallback_gives_the_same_keys():
     out = json.loads(result.stdout)
     assert out["hashlib"]
     assert out["keys"] == [
-        sha256_hex(f"{spec.serialize()}\n{level.render()}\n{codim}")
+        sha256_hex(f"{spec.serialize()}\n{level.render()}\n{codim}\n100")
         for spec, level, codim in cases
     ]
-
-
-@pytest.mark.parametrize("spec, level, max_codim", FAMILY_CASES)
-def test_loaded_order_table_equals_a_fresh_builds(tmp_path, spec, level, max_codim):
-    # a loaded lattice makes its order table on the first ``containing``
-    from arrstab.arrangement import build_lattice
-
-    level = MultiIndex(level)
-    fresh = build_lattice(spec, level, max_codim)
-    cache.store(tmp_path, spec, fresh)
-    loaded = cache.load(tmp_path, spec, level, max_codim)
-    assert loaded._containing is None
-    assert [loaded.containing(i) for i in range(len(loaded))] == [
-        fresh.containing(i) for i in range(len(fresh))
-    ]
+    assert out["source"] == cache.source_digest()

@@ -20,7 +20,6 @@ from arrstab.characters import (
 )
 from arrstab.cache import CachingBuilder
 from arrstab.checks import (
-    PrimitiveClass,
     _degrees_below,
     class_degree_bound,
     class_degrees,
@@ -387,12 +386,12 @@ def test_free_decomposition_flags_a_class_above_the_degree_bound(
     chars = {lv: character_of_cohomology(braid, lv, 1, get_lattice) for lv in levels}
     generators, classes, table = freeness_inputs(braid, 1)
     high = subspace_from_constraints(3, [[1, -1, 0]])
-    synthetic = PrimitiveClass(mi((3,)), (high,), 2, ())
+    synthetic = (mi((3,)), 1, 2, high.serialization)
     zero = ClassFunction(mi((3,)), {c: Fraction(0) for c in conj_classes(mi((3,)))})
     generators = {**generators, mi((3,)): {high.serialization: zero}}
     assert primitive_table(1, generators) == table
     matches = level_matches(chars, table)
-    report = verify_free_decomposition(braid, 1, matches, generators, classes + (synthetic,))
+    report = verify_free_decomposition(braid, 1, matches, generators, classes + [synthetic])
     assert report.degree_bound == mi((2,))
     assert all(ok for _, ok in report.level_matches)
     assert [(c.degree, c.degree_bound_ok) for c in report.classes] == [

@@ -193,7 +193,9 @@ def test_pushforward_raises_off_the_kernel():
 def test_serialization_format_and_roundtrip():
     s = subspace_from_constraints(3, [[2, -1, 0]])
     assert s.serialize() == "3:1,-1/2,0"
-    assert Subspace.parse(s.serialize()) == s
+    # the text's rows, as a config writes them, give the subspace back
+    head, _, body = s.serialize().partition(":")
+    assert subspace_from_constraints(int(head), [row.split(",") for row in body.split(";")]) == s
     assert subspace_from_constraints(4, []).serialize() == "4:"
 
 
@@ -279,17 +281,6 @@ def test_integral_rows_stay_int():
     s = subspace_from_constraints(3, [["4/2", -2, 0]])
     assert s.constraints.entries == ((1, -1, 0),)
     assert type(s.constraints.entries[0][0]) is int
-
-
-def test_parse_reads_ints_and_fractions():
-    s = Subspace.parse("3:1,-1/2,0;0,0,1")
-    assert [[type(e) for e in row] for row in s.constraints.entries] == [
-        [int, Fraction, int],
-        [int, int, int],
-    ]
-    assert s == subspace_from_constraints(3, [[2, -1, 0], [0, 0, 1]])
-    with pytest.raises(ZeroDivisionError):
-        Subspace.parse("2:1,1/0")
 
 
 @given(rows_strategy(5))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrstab import cache, exactlin, homology
+from arrstab import exactlin, homology
 from arrstab.arrangement import build_lattice, family_mkr
 from arrstab.characters import character_of_cohomology
 from arrstab.exactlin import RationalMatrix, _rref_rows, kernel_basis, solve_in_basis
@@ -249,9 +249,7 @@ def window_oracle(lat, i):
 
 
 @pytest.mark.parametrize("spec, level, max_codim", FAMILY_CASES)
-def test_identity_trace_and_degree_window_match_the_betti_report(
-    tmp_path, spec, level, max_codim
-):
+def test_identity_trace_and_degree_window_match_the_betti_report(spec, level, max_codim):
     # the identity's trace sums local Betti numbers over the window, in
     # total and orbit by orbit; the window is the codim run ceil(i/2)..i
     level = mi(level)
@@ -267,10 +265,7 @@ def test_identity_trace_and_degree_window_match_the_betti_report(
                 ctx.local_betti(idx, 2 * lat.codims[idx] - i - 2) for idx in orbit if idx in window
             )
             assert ctx.trace(identity, i, members=orbit) == expected
-    cache.store(tmp_path, spec, lat)
-    loaded = cache.load(tmp_path, spec, level, max_codim)
-    assert loaded is not None
-    for other in [lat, loaded] + [build_lattice(spec, level, c) for c in range(1, max_codim)]:
+    for other in [lat] + [build_lattice(spec, level, c) for c in range(1, max_codim)]:
         for i in range(1, other.max_codim + 1):
             assert list(LatticeHomology(other)._window(i)) == window_oracle(other, i)
 

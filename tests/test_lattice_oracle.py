@@ -370,12 +370,9 @@ def test_rref_budget_braid6_codim3(braid, monkeypatch):
     assert rref_calls == [True] * (math.factorial(2) - 1) + [False] * (170 - 15 - 5)
 
 
-def test_lattice_build_and_load_do_no_containment_tests(braid, tmp_path, monkeypatch):
+def test_lattice_build_does_no_containment_tests(braid, monkeypatch):
     monkeypatch.setattr(exactlin, "contains", never("contains"))
-    lat = build_lattice(braid, mi((5,)), 3)
-    cache.store(tmp_path, braid, lat)
-    loaded = cache.load(tmp_path, braid, mi((5,)), 3)
-    assert loaded is not None
+    assert len(build_lattice(braid, mi((5,)), 3)) == 50
 
 
 # --- atoms from generator versions -------------------------------------------
@@ -589,7 +586,7 @@ def fraction_closure(spec, n, max_codim):
     )
 
 
-def assert_matches_fraction_closure(spec, n, max_codim, tmp_path):
+def assert_matches_fraction_closure(spec, n, max_codim):
     lat = build_lattice(spec, n, max_codim)
     expected = fraction_closure(spec, n, max_codim)
     assert lat.elements == expected.elements
@@ -598,18 +595,10 @@ def assert_matches_fraction_closure(spec, n, max_codim, tmp_path):
     ]
     assert lat.atoms == expected.atoms
     assert lat.orbits == expected.orbits
+    assert lat.atom_names == expected.atom_names
     assert [lat.containing(i) for i in range(len(lat))] == [
         expected.containing(i) for i in range(len(expected))
     ]
-    # the cache bytes match, and a file written from the oracle is a hit
-    ours = cache.store(tmp_path / "ours", spec, lat)
-    theirs = cache.store(tmp_path / "theirs", spec, expected)
-    assert ours.read_bytes() == theirs.read_bytes()
-    loaded = cache.load(tmp_path / "theirs", spec, n, max_codim)
-    assert loaded is not None
-    assert loaded.elements == lat.elements
-    assert loaded.atoms == lat.atoms
-    assert loaded.orbits == lat.orbits
 
 
 # ``2, 3, -5; 1/2, 0, 7`` reduces to rows with real denominators, so its
@@ -624,8 +613,8 @@ FRACTIONAL = ArrangementSpec(
 @pytest.mark.parametrize(
     "spec, level, max_codim", FAMILY_CASES + [(FRACTIONAL, (4,), 3)]
 )
-def test_integer_closure_matches_fraction_closure(spec, level, max_codim, tmp_path):
-    assert_matches_fraction_closure(spec, mi(level), max_codim, tmp_path)
+def test_integer_closure_matches_fraction_closure(spec, level, max_codim):
+    assert_matches_fraction_closure(spec, mi(level), max_codim)
 
 
 def test_fractional_spec_keeps_real_denominators_only():
@@ -661,12 +650,9 @@ def fractional_specs(draw):
 # Codim 3 at level 4 makes the oracle take seconds per spec.
 @given(spec=fractional_specs(), level=st.integers(3, 4), max_codim=st.integers(1, 3))
 @settings(max_examples=40, deadline=None)
-def test_integer_closure_matches_fraction_closure_random(
-    spec, level, max_codim, tmp_path_factory
-):
+def test_integer_closure_matches_fraction_closure_random(spec, level, max_codim):
     assume(level + max_codim <= 6)
-    tmp_path = tmp_path_factory.mktemp("fractional")
-    assert_matches_fraction_closure(spec, mi((level,)), max_codim, tmp_path)
+    assert_matches_fraction_closure(spec, mi((level,)), max_codim)
 
 
 # --- the orbit closure --------------------------------------------------------
@@ -675,8 +661,7 @@ def test_integer_closure_matches_fraction_closure_random(
 # cutoff, orbit representative or not, is met with every atom not containing
 # it, and each atom set is completed by the meets that land on it.  Its
 # orbits, like those of ``fraction_closure``, come from
-# ``with_generator_orbits``, so the cache bytes compared below check the
-# orbit column too.
+# ``with_generator_orbits``, so the comparison below checks the orbits too.
 # ``scan_order`` is the former order table, a subset scan over all lower
 # elements.  They stay here as the reference for the orbit closure and the
 # per-atom bitset order.
@@ -732,7 +717,7 @@ def scan_order(lat):
     ]
 
 
-def assert_matches_atom_closure(spec, n, max_codim, tmp_path):
+def assert_matches_atom_closure(spec, n, max_codim):
     lat = build_lattice(spec, n, max_codim)
     expected = atom_closure(spec, n, max_codim)
     assert lat.elements == expected.elements
@@ -741,12 +726,8 @@ def assert_matches_atom_closure(spec, n, max_codim, tmp_path):
     ]
     assert lat.atoms == expected.atoms
     assert lat.orbits == expected.orbits
+    assert lat.atom_names == expected.atom_names
     assert [lat.containing(i) for i in range(len(lat))] == scan_order(expected)
-    ours = cache.store(tmp_path / "ours", spec, lat)
-    theirs = cache.store(tmp_path / "theirs", spec, expected)
-    assert ours.read_bytes() == theirs.read_bytes()
-    loaded = cache.load(tmp_path / "theirs", spec, n, max_codim)
-    assert [loaded.containing(i) for i in range(len(loaded))] == scan_order(expected)
 
 
 # a generator on the second factor only, so the first has no points
@@ -768,8 +749,8 @@ SECOND_FACTOR = ArrangementSpec(
         (family_mkr(2, 1, 1), (1, 1), 1, 1),  # no group generator at all
     ],
 )
-def test_orbit_closure_matches_atom_closure(spec, level, max_codim, size, tmp_path):
-    assert_matches_atom_closure(spec, mi(level), max_codim, tmp_path)
+def test_orbit_closure_matches_atom_closure(spec, level, max_codim, size):
+    assert_matches_atom_closure(spec, mi(level), max_codim)
     if size is not None:
         assert len(build_lattice(spec, mi(level), max_codim)) == size
 
@@ -816,19 +797,17 @@ def within_oracle_budget(spec, level, max_codim):
 
 @given(spec=two_codim_specs(), level=st.integers(3, 4), max_codim=st.integers(1, 3))
 @settings(max_examples=40, deadline=None)
-def test_orbit_closure_matches_atom_closure_random(spec, level, max_codim, tmp_path_factory):
+def test_orbit_closure_matches_atom_closure_random(spec, level, max_codim):
     assume(within_oracle_budget(spec, mi((level,)), max_codim))
-    tmp_path = tmp_path_factory.mktemp("orbits")
-    assert_matches_atom_closure(spec, mi((level,)), max_codim, tmp_path)
+    assert_matches_atom_closure(spec, mi((level,)), max_codim)
 
 
 @given(case=product_specs(), max_codim=st.integers(1, 4))
 @settings(max_examples=40, deadline=None)
-def test_orbit_closure_matches_atom_closure_product(case, max_codim, tmp_path_factory):
+def test_orbit_closure_matches_atom_closure_product(case, max_codim):
     spec, level = case
     assume(within_oracle_budget(spec, level, max_codim))
-    tmp_path = tmp_path_factory.mktemp("products")
-    assert_matches_atom_closure(spec, level, max_codim, tmp_path)
+    assert_matches_atom_closure(spec, level, max_codim)
 
 
 def without_name(lat, name):
@@ -939,12 +918,9 @@ def assert_action_matches_oracle(lat):
 
 
 @pytest.mark.parametrize("spec, level, max_codim", FAMILY_CASES)
-def test_atom_action_matches_rref_action(spec, level, max_codim, tmp_path):
-    lat = build_lattice(spec, mi(level), max_codim)
-    assert_action_matches_oracle(lat)
+def test_atom_action_matches_rref_action(spec, level, max_codim):
+    assert_action_matches_oracle(build_lattice(spec, mi(level), max_codim))
     assert_action_matches_oracle(build_lattice(spec, mi(level), max(1, max_codim - 2)))
-    cache.store(tmp_path, spec, lat)
-    assert_action_matches_oracle(cache.load(tmp_path, spec, mi(level), max_codim))
 
 
 @given(two_codim_specs(), st.integers(1, 4))
@@ -967,13 +943,11 @@ def test_atom_action_matches_rref_action_random(spec, max_codim):
     ]
     + FAMILY_CASES,
 )
-def test_orbit_bfs_matches_group_walk(spec, level, max_codim, tmp_path):
-    # the orbits recorded by the closure's generator walk, fresh at two
-    # cutoffs and loaded from the cache, against a walk over the whole group
+def test_orbit_bfs_matches_group_walk(spec, level, max_codim):
+    # the orbits recorded by the closure's generator walk, at two cutoffs,
+    # against a walk over the whole group
     lat = build_lattice(spec, mi(level), max_codim)
-    cache.store(tmp_path, spec, lat)
-    loaded = cache.load(tmp_path, spec, mi(level), max_codim)
-    for got in (lat, build_lattice(spec, mi(level), max(1, max_codim - 1)), loaded):
+    for got in (lat, build_lattice(spec, mi(level), max(1, max_codim - 1))):
         walked = {}
         for idx in range(len(got)):
             if idx not in walked:
@@ -1343,19 +1317,15 @@ def decompose(decomposition, lat, classes):
 @pytest.mark.parametrize(
     "spec, level, max_codim", FAMILY_CASES + [(PADDED, (4,), 3)]
 )
-def test_orbit_decomposition_matches_injection_table(
-    spec, level, max_codim, tmp_path, ungated_classes
-):
+def test_orbit_decomposition_matches_injection_table(spec, level, max_codim, ungated_classes):
     # classes of codim 2 keep the degrees scanned small; where the lattice
     # reaches higher codims, its elements there match no class and every
-    # path must raise the same error.  The lattice is checked fresh, built
-    # to codim 2 and loaded from the cache.  The classes come past the
-    # normality gate, which PADDED and MIXED_FACTOR fail.
+    # path must raise the same error.  The lattice is checked at its own
+    # cutoff and built to codim 2.  The classes come past the normality
+    # gate, which PADDED and MIXED_FACTOR fail.
     classes = ungated_classes(spec, 2, cache.CachingBuilder())
     lat = build_lattice(spec, mi(level), max_codim)
-    cache.store(tmp_path, spec, lat)
-    loaded = cache.load(tmp_path, spec, mi(level), max_codim)
-    for got in (lat, build_lattice(spec, mi(level), min(2, max_codim)), loaded):
+    for got in (lat, build_lattice(spec, mi(level), min(2, max_codim))):
         expected = decompose(injection_orbit_decomposition, got, classes)
         assert decompose(pullback_orbit_decomposition, got, classes) == expected
         assert decompose(orbit_decomposition, got, classes) == expected
@@ -1418,17 +1388,16 @@ KEQUALS = family_mkr(1, 3, 1)
 
 
 @pytest.fixture(scope="module")
-def kequals_cache(tmp_path_factory):
-    """A cache holding the k-equals (k=3) lattices of levels 3..7 at codim 5."""
-    path = tmp_path_factory.mktemp("kequals")
-    get = cache.CachingBuilder(path)
+def kequals_lattices():
+    """A memo holding the k-equals (k=3) lattices of levels 3..7 at codim 5."""
+    get = cache.CachingBuilder()
     for n in range(3, 8):
         get(KEQUALS, mi((n,)), 5)
-    return path
+    return get
 
 
-def test_act_rref_budget_kequals7_codim5(kequals_cache, monkeypatch):
-    lat = cache.load(kequals_cache, KEQUALS, mi((7,)), 5)
+def test_act_rref_budget_kequals7_codim5(kequals_lattices, monkeypatch):
+    lat = kequals_lattices(KEQUALS, mi((7,)), 5)
     calls = 0
     original = exactlin._rref_rows
 
@@ -1453,7 +1422,7 @@ def test_orbit_of_draws_nothing_from_perm_tuples(braid, monkeypatch):
     assert len(members) * stab == 120
 
 
-def test_level_worker_acts_once_per_class_and_level(kequals_cache, monkeypatch):
+def test_level_worker_acts_once_per_class_and_level(kequals_lattices, monkeypatch):
     calls = 0
     original = arrangement.IntersectionLattice.act
 
@@ -1464,9 +1433,7 @@ def test_level_worker_acts_once_per_class_and_level(kequals_cache, monkeypatch):
 
     monkeypatch.setattr(arrangement.IntersectionLattice, "act", counting)
     for n in range(3, 8):
-        payload = cli._level_worker(
-            (KEQUALS, mi((n,)), 5, True, True, True, cache.CachingBuilder(str(kequals_cache)))
-        )
+        payload = cli._level_worker((KEQUALS, mi((n,)), 5, True, True, True, kequals_lattices))
         # a character comes as its values in conj_classes order
         identity = conj_classes(mi((n,))).index(ConjClass(((1,) * n,)))
         assert payload["betti"][1:] == [payload["characters"][i][identity] for i in range(1, 6)]

@@ -1,11 +1,14 @@
-"""The level task result cache.
+"""The result cache.
 
 Each level task's payload (Betti numbers, characters, generator characters)
-is stored in ``--cache`` under a key over the package's sources, the spec,
-the level, ``i_max`` and the task's wants.  A warm run reads every stored
-result back: its reports are the bytes of the cold run's, and it builds,
-loads and traces nothing.  A stored file that fails a check is a miss, and
-is recomputed and written again with the same bytes.
+is stored in ``--cache`` under a key over the spec, the level, ``i_max`` and
+the task's wants, and a freeness job's lattice outcome (its primitive
+classes and orbit tables) under one over the spec, the level range and
+``i_max``; each file holds the package's source digest.  A warm run reads
+every stored result back: its reports are the bytes of the cold run's, and
+it builds, constructs and traces no lattice.  A stored file that fails a
+check is corrupt, and one of other sources a miss; either is recomputed and
+written again.
 """
 
 import hashlib
@@ -75,9 +78,13 @@ def run_braid(config, cache_dir, out, *flags) -> int:
     return main(["run", "--config", str(config), "--cache", str(cache_dir), "--out", str(out), *flags])
 
 
+def body(path: Path) -> dict:
+    return json.loads(path.read_text(encoding="utf-8").splitlines()[3])
+
+
 def result_of_level(cache_dir: Path, level: int) -> Path:
     for path in cache_dir.glob("*.result.txt"):
-        if json.loads(path.read_text(encoding="utf-8").splitlines()[2])["level"] == [level]:
+        if body(path).get("level") == [level]:
             return path
     raise AssertionError(f"no result stored for level {level}")
 
@@ -85,11 +92,11 @@ def result_of_level(cache_dir: Path, level: int) -> Path:
 def rewrite(path: Path, edit) -> None:
     """Replace a result file's payload by ``edit(data)``, keeping its
     checksum valid."""
-    magic, _, body = path.read_text(encoding="utf-8").splitlines()
-    data = edit(json.loads(body))
-    body = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    path.write_text(f"{magic}\npayload-sha256={digest}\n{body}\n", encoding="utf-8")
+    magic, source, _, text = path.read_text(encoding="utf-8").splitlines()
+    data = edit(json.loads(text))
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    path.write_text(f"{magic}\n{source}\npayload-sha256={digest}\n{text}\n", encoding="utf-8")
 
 
 def edited(key, change):
@@ -140,23 +147,26 @@ def test_load_result_tells_miss_corrupt_and_hit_apart(tmp_path):
     assert run_braid(config, cache_dir, tmp_path / "o") == 0
     spec = cli.load_config(config).spec
     task = (spec, mi((3,)), 2, True, True, True)
-    payload, event = cache.load_result(cache_dir, task)
-    assert event == "hit" and payload["level"] == [3] and payload["betti"] == [1, 3, 2]
-    for other in ((spec, mi((3,)), 1, True, True, True), (spec, mi((3,)), 2, False, True, True)):
-        assert cache.load_result(cache_dir, other) == (None, "miss")
+    payload = cache.load(cache_dir, task)
+    assert payload["level"] == [3] and payload["betti"] == [1, 3, 2]
+    others = [(spec, mi((3,)), 1, True, True, True), (spec, mi((3,)), 2, False, True, True)]
+    others += [(arrangement.family_mkr(1, 3, 1), mi((3,)), 2, True, True, True)]
+    for other in others:
+        assert cache.load(cache_dir, other) is None
     CORRUPTIONS["missing degree"](cache_dir / f"{cache.result_key(task)}.result.txt")
-    assert cache.load_result(cache_dir, task) == (None, "corrupt")
+    with pytest.raises(ValueError):
+        cache.load(cache_dir, task)
 
 
 def test_payload_with_a_fraction_is_not_stored(tmp_path):
     spec = cli.load_config(braid_job(tmp_path)).spec
     task = (spec, mi((2,)), 1, True, True, False)
     payload = {"level": (2,), "betti": [1, 1], "characters": [(1, 1), (1, -1)], "generators": None}
-    assert cache.store_result(tmp_path / "c", task, payload) is not None
+    assert cache.store(tmp_path / "c", task, payload) is not None
     from fractions import Fraction
 
     payload["characters"] = [(1, 1), (1, Fraction(-1, 2))]
-    assert cache.store_result(tmp_path / "d", task, payload) is None
+    assert cache.store(tmp_path / "d", task, payload) is None
     assert not (tmp_path / "d").exists()
 
 
@@ -170,8 +180,12 @@ def test_another_source_digest_is_a_miss(tmp_path, capsys, monkeypatch):
     assert run_braid(config, cache_dir, tmp_path / "warm", "--verbose") == 0
     err = capsys.readouterr().err
     assert "results: 0 hit, 3 miss, 0 corrupt" in err.splitlines()
-    # the edited sources' results are stored beside the old ones
-    assert set(stored) < set(results(cache_dir)) and len(results(cache_dir)) == 6
+    # the edited sources' results overwrite the old ones: one file per task
+    assert set(results(cache_dir)) == set(stored) and len(stored) == 3
+    for name, data in results(cache_dir).items():
+        assert data != stored[name]
+        assert data.decode("utf-8").splitlines()[1] == "source-sha256=" + "0" * 64
+        assert data.splitlines()[2:] == stored[name].splitlines()[2:]
     assert files(tmp_path / "warm") == files(tmp_path / "cold")
 
 
@@ -202,7 +216,7 @@ def test_all_hit_warm_job_builds_loads_traces_and_forks_nothing(tmp_path, monkey
     cache_dir = tmp_path / "c"
     assert run_braid(config, cache_dir, tmp_path / "cold", "--jobs", jobs) == 0
     monkeypatch.setattr(arrangement, "build_lattice", never("build_lattice"))
-    monkeypatch.setattr(cache, "load", never("cache.load"))
+    monkeypatch.setattr(arrangement.IntersectionLattice, "__init__", never("IntersectionLattice"))
     monkeypatch.setattr(homology, "LatticeHomology", never("LatticeHomology"))
     monkeypatch.setattr(os, "fork", never("os.fork"))
     assert run_braid(config, cache_dir, tmp_path / "warm", "--jobs", jobs) == 0
@@ -210,13 +224,78 @@ def test_all_hit_warm_job_builds_loads_traces_and_forks_nothing(tmp_path, monkey
 
 
 def test_warm_freeness_job_makes_no_order_table(tmp_path, monkeypatch):
-    # the freeness check loads lattices for their orbits and atoms alone
+    # the freeness check reads its stored step, and no lattice at all
     config = braid_job(tmp_path, outputs=("betti", "characters", "freeness"))
     cache_dir = tmp_path / "c"
     assert run_braid(config, cache_dir, tmp_path / "cold") == 0
     monkeypatch.setattr(arrangement.IntersectionLattice, "_order_table", never("_order_table"))
     assert run_braid(config, cache_dir, tmp_path / "warm") == 0
     assert files(tmp_path / "warm") == files(tmp_path / "cold")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_warm_readme_job_constructs_no_lattice(tmp_path, monkeypatch, capsys, jobs):
+    # every output of the README job, the freeness check's orbit table
+    # included, reads stored results alone
+    workload = json.loads(WORKLOADS.read_text(encoding="utf-8"))["readme"]
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps(workload["config"]), encoding="utf-8")
+    cache_dir = tmp_path / "c"
+    assert run_braid(config, cache_dir, tmp_path / "cold", "--jobs", jobs) == 2
+    cold = capsys.readouterr()
+    assert sorted(p.name.split(".", 1)[1] for p in cache_dir.iterdir()) == ["result.txt"] * 6
+    monkeypatch.setattr(arrangement, "build_lattice", never("build_lattice"))
+    monkeypatch.setattr(arrangement.IntersectionLattice, "__init__", never("IntersectionLattice"))
+    assert run_braid(config, cache_dir, tmp_path / "warm", "--jobs", jobs) == 2
+    assert capsys.readouterr() == cold
+    assert files(tmp_path / "warm") == files(tmp_path / "cold")
+
+
+def freeness_step_file(cache_dir: Path) -> Path:
+    (path,) = [path for path in cache_dir.glob("*.result.txt") if "orbits" in body(path)]
+    return path
+
+
+STEP_CORRUPTIONS = {
+    "bad checksum": CORRUPTIONS["bad checksum"],
+    "class without its serialization": lambda path: rewrite(
+        path, edited("classes", lambda rows: [row[:3] for row in rows])
+    ),
+    "orbit table of a missing level": lambda path: rewrite(path, edited("orbits", lambda tables: tables[:-1])),
+    "orbit row of no class": lambda path: rewrite(
+        path, edited("orbits", lambda tables: [[[99, 1, 1]]] + tables[1:])
+    ),
+}
+
+
+@pytest.mark.parametrize("corrupt", STEP_CORRUPTIONS.values(), ids=STEP_CORRUPTIONS)
+def test_corrupt_freeness_step_is_recomputed_and_rewritten(tmp_path, capsys, corrupt):
+    config = braid_job(tmp_path, outputs=("betti", "characters", "freeness"))
+    cache_dir = tmp_path / "c"
+    assert run_braid(config, cache_dir, tmp_path / "cold") == 0
+    stored = results(cache_dir)
+    victim = freeness_step_file(cache_dir)
+    assert [len(rows) for rows in body(victim)["orbits"]] == [1, 2, 3]
+    corrupt(victim)
+    capsys.readouterr()
+    assert run_braid(config, cache_dir, tmp_path / "warm", "--verbose") == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("result")] == [
+        "result hit 2", "result hit 3", "result hit 4", "results: 3 hit, 0 miss, 0 corrupt", "result corrupt freeness"
+    ]
+    assert results(cache_dir) == stored
+    assert files(tmp_path / "warm") == files(tmp_path / "cold")
+
+
+def test_cold_freeness_job_decides_normality_once(tmp_path, monkeypatch):
+    # the gate and the primitive classes share one verdict per spec
+    from arrstab import checks
+
+    config = braid_job(tmp_path, outputs=("freeness",))
+    checks.verify_normal.cache_clear()
+    assert run_braid(config, tmp_path / "c", tmp_path / "cold") == 0
+    info = checks.verify_normal.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_verbose_events_stay_out_of_the_reports(tmp_path, capsys):

@@ -12,10 +12,11 @@ The lattice records its Aut(n)-orbits while it is built, so orbit lookups,
 primitive classes and the freeness check read them and act out no group
 element; the orbit walkers that re-derived them stay deleted.
 
-The lattice keeps every atom's names, so the group action, the orbit
-decomposition and a cache load map elements by lookup and reduce no rows:
-none of them calls the column scatters, ``pullback`` or ``_rref_rows``, and
-the per-element reduction ``permute_element`` stays deleted.
+The lattice keeps every atom's names, so the group action and the orbit
+decomposition map elements by lookup and reduce no rows, and a result load
+reads plain data: none of them calls the column scatters, ``pullback`` or
+``_rref_rows``, and the per-element reduction ``permute_element`` stays
+deleted.
 
 The value classes come from ``arrstab.record``, a leaf module, so no engine
 module imports ``dataclasses`` at start-up; and ``exactlin.intersect``, which
@@ -32,9 +33,10 @@ former solve, its error classes, the Stirling expansion and the sub-multiset
 induction stay deleted.
 
 An element's atom set is held in one form, the indices of its atoms, from
-the closure through the lattice to the cache file: no module brings back the
-per-atom ``(generator, Injection)`` witness tuples, and the cache reads and
-writes atom names as images, not ``Injection`` objects.  The poset helpers
+the closure through the lattice: no module brings back the per-atom
+``(generator, Injection)`` witness tuples.  The cache holds task results
+alone, so the lattice file format, its key, and the parsers of subspaces and
+injection images that only its load used stay deleted.  The poset helpers
 and the class-function wrapper that no engine path used stay deleted, and so
 do ``RankedPoset``, ``IntersectionLattice.lower_interval`` and ``index_of``:
 an interval's order complex is read off the lattice's order table, and
@@ -252,11 +254,15 @@ def test_atom_sets_have_one_representation():
             assert word not in text, f"{path.stem} mentions {word}"
 
 
-def test_cache_reads_and_writes_names_without_injections():
-    for name in ("load", "_payload_lines"):
-        for node in ast.walk(function("cache", name)):
-            used = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            assert used != "Injection", f"cache.{name} uses Injection"
+def test_cache_holds_no_lattice_format():
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                assert "arrstab-lattice" not in node.value, name
+            used = getattr(node, "name", None) or getattr(node, "attr", None) or getattr(node, "id", None)
+            assert used not in {"lattice_key", "parse_images", "render_images"}, f"{name} names {used}"
+    # the run's builder is a memo, not a store
+    assert "store" not in names_in(method("cache", "CachingBuilder", "__call__"))
 
 
 def test_unused_poset_and_character_helpers_are_gone():
@@ -299,6 +305,9 @@ def test_unused_poset_and_character_helpers_are_gone():
         ("arrangement", "IntersectionLattice", "truncated"),
         ("checks", None, "_freeness_codim"),
         ("arrangement", "IntersectionLattice", "__contains__"),
+        ("cache", None, "_payload_lines"),
+        ("cache", None, "_parse_name"),
+        ("exactlin", "Subspace", "parse"),
         # it lives in ``fim``, which the command loads before any engine code
         ("homology", None, "LatticeError"),
     ]:
@@ -316,8 +325,8 @@ def test_unused_poset_and_character_helpers_are_gone():
     # the benchmark tracer hooks both
     assert method("arrangement", "IntersectionLattice", "__init__")
     assert method("arrangement", "IntersectionLattice", "act")
-    # a builder request is served from the memo, the disk or a build, never
-    # cut from a lattice of a larger cutoff
+    # a builder request is served from the memo or a build, never cut from
+    # a lattice of a larger cutoff
     assert "truncated" not in names_in(method("cache", "CachingBuilder", "__call__"))
 
 
@@ -402,7 +411,8 @@ def test_freeness_reads_the_level_results():
     used = names_in(function("checks", "verify_free_decomposition")) & builders
     assert not used, f"verify_free_decomposition uses {used}"
     assert "LatticeHomology" not in names_in(function("cli", "run"))
-    assert "LatticeHomology" not in names_in(function("checks", "freeness_output"))
+    # and the output reads the lattices' part as the freeness step's data
+    assert not names_in(function("checks", "freeness_output")) & (builders | {"orbit_decomposition"})
     # the outputs read plain maps: no payload key and no job config
     for name in ("freeness_output", "fit_output", "twisted_output"):
         node = function("checks", name)
